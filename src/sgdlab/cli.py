@@ -24,7 +24,7 @@ Config grammar (INI sections; `#`/`;` start inline comments):
     [sweep]     methods = vsgd, msgd_damped   alpha_a = 0.6, 0.7   mu_b = 0, 0.2
 
 Overrides: `--set section.key=value` (repeatable) applies after parsing;
-`--seed` replaces the seed last.  `SGDLAB_THREADS` caps harness threads.
+`--seed` replaces the seed last.
 """
 
 from __future__ import annotations

@@ -5,14 +5,18 @@ configuration and aggregates per-checkpoint estimates.  Replica i draws its
 noise from the counter-based stream keyed by (master_seed, i), so replica 0
 of an experiment reproduces `optimizers.run` with the same seed bitwise.
 
-Execution model: replicas are laid out in fixed consecutive blocks of
-`_BLOCK_REPLICAS` and each block advances all its replicas in lock-step
-with vectorized array arithmetic (the expressions match the single-state
-step functions exactly).  Blocks may run on a thread pool, capped by the
-SGDLAB_THREADS environment variable, but aggregation always reduces block
-sums in block order and replica sums in replica order (numpy's fixed-order
-pairwise summation), so results do not depend on thread count or
-completion order.
+Execution model: one engine advances every replica in lock-step as a single
+(replicas, dim) state with vectorized array arithmetic (the expressions
+match the single-state step functions exactly), so each iteration costs one
+set of numpy calls whatever the replica count.  Raw noise is pre-drawn into
+one (iterations, replicas, ...) buffer, refilled in place one replica at a
+time; Philox draws do not depend on how they are chunked, so no stream's
+contents change with the buffer depth, which shrinks as the replica count
+grows to keep the buffer's size fixed.  Checkpoint quantities are reduced
+over fixed consecutive blocks of `_BLOCK_REPLICAS` replicas: each block's
+sum is numpy's pairwise sum of its alive replicas in replica order, and the
+block sums are folded in block order, so the reductions do not depend on
+the replica array's width.
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
@@ -24,8 +28,6 @@ standard errors are exactly 0.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,8 +43,8 @@ from .problems import Convexity, Problem
 from .rng import replica_stream
 from .schedules import PowerSchedule, classify
 
-_BLOCK_REPLICAS = 256   # fixed aggregation grid, independent of thread count
-_RAW_BLOCK = 1024       # iterations of raw noise pre-drawn per replica
+_BLOCK_REPLICAS = 256   # fixed reduction grid, independent of the array width
+_RAW_BLOCK = 1024       # iterations of raw noise pre-drawn per replica, at most
 
 
 @dataclass
@@ -59,15 +61,6 @@ class MonteCarloEstimate:
     diverged: int
     diverged_iterations: tuple
     config: ExperimentConfig
-
-
-def threads_cap() -> int:
-    raw = os.environ.get("SGDLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"SGDLAB_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def resolve_lyapunov(cfg: ExperimentConfig, problem: Problem,
@@ -93,61 +86,71 @@ def resolve_lyapunov(cfg: ExperimentConfig, problem: Problem,
     return ("constant", 0.0)
 
 
-class _BlockStats:
-    """Per-checkpoint sums over one replica block (alive replicas only)."""
-
-    __slots__ = ("n", "s_gsq", "q_gsq", "s_gap", "q_gap", "s_avg", "q_avg",
-                 "s_h", "s_zt", "s_ht", "s_hbar", "s_dht", "q_dht", "diverged")
-
-    def __init__(self, n_checkpoints: int, averaged: bool, lyap: bool):
-        z = lambda: np.zeros(n_checkpoints)
-        self.n = np.zeros(n_checkpoints, dtype=np.int64)
-        self.s_gsq, self.q_gsq = z(), z()
-        self.s_gap, self.q_gap = z(), z()
-        self.s_avg = z() if averaged else None
-        self.q_avg = z() if averaged else None
-        self.s_h = z() if lyap else None
-        self.s_zt = z() if lyap else None
-        self.s_ht = z() if lyap else None
-        self.s_hbar = z() if lyap else None
-        self.s_dht = z() if lyap else None
-        self.q_dht = z() if lyap else None
-        self.diverged = []
-
-    def merge(self, other: "_BlockStats"):
-        for name in self.__slots__:
-            if name == "diverged":
-                self.diverged.extend(other.diverged)
-                continue
-            mine, theirs = getattr(self, name), getattr(other, name)
-            if mine is not None:
-                mine += theirs
+def _refill(buf, oracle, gens, nb: int) -> np.ndarray:
+    """Draw the next nb iterations of every replica's raw noise into buf,
+    shaped (iterations, replicas, ...); allocated on the first call (the
+    deepest) and refilled in place after."""
+    for i, g in enumerate(gens):
+        raw = oracle.raw_block(g, nb)
+        if buf is None:
+            buf = np.empty((nb, len(gens)) + raw.shape[1:], dtype=raw.dtype)
+        buf[:nb, i] = raw
+    return buf
 
 
-def _simulate_block(problem, oracle, method: str, beta, alphas, mus,
-                    x0, grid, lyap_mode, averaged: bool, f_star: float,
-                    master_seed: int, lo: int, hi: int) -> _BlockStats:
-    d = problem.dim
-    r_count = hi - lo
+def _block_sums(vals: np.ndarray, alive: np.ndarray, frozen_blocks) -> np.ndarray:
+    """(rows, blocks) sums of each row of vals over the alive replicas of
+    each block of `_BLOCK_REPLICAS`; `frozen_blocks` names the blocks that
+    hold a diverged replica.  Every sum runs numpy's pairwise summation over
+    one C-contiguous run of values in replica order."""
+    rows, r_count = vals.shape
+    full = r_count - r_count % _BLOCK_REPLICAS
+    parts = []
+    if full:
+        parts.append(vals[:, :full].reshape(rows, -1, _BLOCK_REPLICAS).sum(axis=2))
+    if full < r_count:
+        parts.append(vals[:, full:].sum(axis=1, keepdims=True))
+    sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    for b in frozen_blocks:
+        lo, hi = b * _BLOCK_REPLICAS, (b + 1) * _BLOCK_REPLICAS
+        # compress returns C-contiguous rows; a boolean column index would
+        # return column-major data, whose row sums run sequentially.
+        sums[:, b] = np.compress(alive[lo:hi], vals[:, lo:hi], axis=1).sum(axis=1)
+    return sums
+
+
+def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
+              lyap_mode, averaged: bool, f_star: float, master_seed: int,
+              r_count: int):
+    """Advance replicas 0..r_count-1 in lock-step.
+
+    Returns (counts, sums, diverged): alive replicas per checkpoint, a dict
+    of per-checkpoint sums over alive replicas keyed by quantity (sums of
+    squares under "sq_" + name), and the (replica, iteration) divergences.
+    """
     horizon = len(alphas)
-    gens = [replica_stream(master_seed, i) for i in range(lo, hi)]
+    gens = [replica_stream(master_seed, i) for i in range(r_count)]
     x = np.tile(np.asarray(x0, dtype=float), (r_count, 1))
     v = np.zeros_like(x)
     x_prev = x.copy()
-    alive = np.ones(r_count, dtype=bool)
     xbar = np.zeros_like(x)
     weight = 0.0
-    stats = _BlockStats(len(grid), averaged, lyap_mode is not None)
+    alive = np.ones(r_count, dtype=bool)
+    n_alive = r_count
+    frozen_blocks = set()
+    diverged = []
+    radius_sq = DIVERGENCE_RADIUS ** 2
+
+    squared = ["grad_sq", "gap"] + (["avg_gap"] if averaged else []) \
+        + (["delta_ht"] if lyap_mode is not None else [])
+    names = squared + (["ht", "hbar"] if lyap_mode is not None else [])
+    n_q, n_sq = len(names), len(squared)
+    vals = np.empty((n_q + n_sq, r_count))   # quantities, then their squares
+    totals = np.zeros((n_q + n_sq, len(grid)))
+    counts = np.zeros(len(grid), dtype=np.int64)
     ht_prev = None
     grad_cache = None
-    radius_sq = DIVERGENCE_RADIUS ** 2
     ci = 0
-
-    def masked_moments(values, s_arr, q_arr, idx):
-        vals = values if bool(alive.all()) else values[alive]
-        s_arr[idx] += vals.sum()
-        if q_arr is not None:
-            q_arr[idx] += (vals * vals).sum()
 
     def eval_checkpoint(k: int, idx: int):
         nonlocal ht_prev
@@ -155,13 +158,10 @@ def _simulate_block(problem, oracle, method: str, beta, alphas, mus,
         gr = problem.gradient(x)
         gsq = np.einsum("...i,...i->...", gr, gr)
         gap = fv - f_star
-        stats.n[idx] += int(alive.sum())
-        masked_moments(gsq, stats.s_gsq, stats.q_gsq, idx)
-        masked_moments(gap, stats.s_gap, stats.q_gap, idx)
+        rows = [gsq, gap]
         if averaged:
             xb = x if weight == 0.0 else xbar
-            avg_gap = problem.value(xb) - f_star
-            masked_moments(avg_gap, stats.s_avg, stats.q_avg, idx)
+            rows.append(problem.value(xb) - f_star)
         if lyap_mode is not None:
             mode, coeff = lyap_mode
             vsq = np.einsum("...i,...i->...", v, v)
@@ -173,27 +173,31 @@ def _simulate_block(problem, oracle, method: str, beta, alphas, mus,
             tilt = coeff * mu_here if mode == "vanishing" else coeff
             ht = h + tilt * zt
             dht = np.zeros_like(ht) if ht_prev is None else ht - ht_prev
-            masked_moments(h, stats.s_h, None, idx)
-            masked_moments(zt, stats.s_zt, None, idx)
-            masked_moments(ht, stats.s_ht, None, idx)
-            masked_moments(hbar, stats.s_hbar, None, idx)
-            masked_moments(dht, stats.s_dht, stats.q_dht, idx)
+            rows += [dht, ht, hbar]
             ht_prev = ht
+        np.stack(rows, out=vals[:n_q])
+        np.multiply(vals[:n_sq], vals[:n_sq], out=vals[n_q:])
+        sums = _block_sums(vals, alive, frozen_blocks)
+        for b in range(sums.shape[1]):   # fold block sums in block order
+            totals[:, idx] += sums[:, b]
+        counts[idx] = n_alive
         return gr
 
     if grid[ci] == 0:
         grad_cache = eval_checkpoint(0, ci)
         ci += 1
 
-    raws = None
-    raw_base = 0
+    # Deep enough for _RAW_BLOCK iterations of _BLOCK_REPLICAS replicas.
+    nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // r_count))
+    buf = None
+    raw_base, nb = 1, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, horizon + 1):
-            if raws is None or k - raw_base >= raws.shape[1]:
-                nb = min(_RAW_BLOCK, horizon - k + 1)
-                raws = np.stack([oracle.raw_block(g, nb) for g in gens])
+            if k - raw_base >= nb:
+                nb = min(nb_max, horizon - k + 1)
+                buf = _refill(buf, oracle, gens, nb)
                 raw_base = k
-            raw_t = raws[:, k - raw_base]
+            raw_t = buf[k - raw_base]
             alpha = alphas[k - 1]
             mu = mus[k - 1]
             if averaged:
@@ -233,13 +237,18 @@ def _simulate_block(problem, oracle, method: str, beta, alphas, mus,
                 v = x - x_prev
             grad_cache = None
 
-            finite = np.isfinite(x).all(axis=1)
-            norm_sq = np.einsum("...i,...i->...", x, x)
-            bad = alive & (~finite | (norm_sq > radius_sq))
-            if bad.any():
+            # NaN, an infinite coordinate and an overflowing norm all fail
+            # the comparison; frozen replicas are never flagged again.
+            ok = np.einsum("...i,...i->...", x, x) <= radius_sq
+            if n_alive < r_count:
+                ok |= ~alive
+            if not ok.all():
+                bad = ~ok
                 for i in np.nonzero(bad)[0]:
-                    stats.diverged.append((lo + int(i), k))
-                alive &= ~bad
+                    diverged.append((int(i), k))
+                    frozen_blocks.add(int(i) // _BLOCK_REPLICAS)
+                alive &= ok
+                n_alive = int(alive.sum())
                 x[bad] = 0.0
                 v[bad] = 0.0
                 x_prev[bad] = 0.0
@@ -248,7 +257,8 @@ def _simulate_block(problem, oracle, method: str, beta, alphas, mus,
             if ci < len(grid) and k == grid[ci]:
                 grad_cache = eval_checkpoint(k, ci)
                 ci += 1
-    return stats
+    keys = names + ["sq_" + name for name in squared]
+    return counts, dict(zip(keys, totals)), diverged
 
 
 def _mean_se(s, q, n):
@@ -274,26 +284,11 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
     # Zero-noise oracles make every replica identical: one trajectory gives
     # the exact means, and every standard error is exactly 0.
     effective = 1 if oracle.zero_noise else cfg.replicas
-    blocks = [(lo, min(lo + _BLOCK_REPLICAS, effective))
-              for lo in range(0, effective, _BLOCK_REPLICAS)]
+    n, sums, diverged = _simulate(problem, oracle, cfg.method, cfg.beta, alphas,
+                                  mus, cfg.x0, grid, lyap_mode, cfg.averaged,
+                                  f_star, cfg.seed, effective)
 
-    def work(bounds):
-        lo, hi = bounds
-        return _simulate_block(problem, oracle, cfg.method, cfg.beta, alphas,
-                               mus, cfg.x0, grid, lyap_mode, cfg.averaged,
-                               f_star, cfg.seed, lo, hi)
-
-    n_threads = threads_cap()
-    if n_threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(work, blocks))
-    else:
-        results = [work(b) for b in blocks]
-    total = results[0]
-    for extra in results[1:]:
-        total.merge(extra)
-
-    diverged = sorted(total.diverged)
+    diverged = sorted(diverged)
     diverged_count = len(diverged) if not oracle.zero_noise else \
         len(diverged) * cfg.replicas
     if diverged_count > cfg.divergence_tolerance * cfg.replicas:
@@ -302,38 +297,37 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
             f"{diverged_count} of {cfg.replicas} replicas diverged "
             f"(tolerance {cfg.divergence_tolerance:.0%}); first failure at "
             f"iteration {first_iter}")
-    if np.any(total.n == 0):
+    if np.any(n == 0):
         raise ExperimentError("no replica survived to some checkpoint")
 
+    nf = n.astype(float)
     if oracle.zero_noise:
-        n = total.n.astype(float)
         zeros = np.zeros(len(grid))
-        mean_gsq, se_gsq = total.s_gsq / n, zeros
-        mean_gap, se_gap = total.s_gap / n, zeros.copy()
-        mean_avg = total.s_avg / n if cfg.averaged else None
+        mean_gsq, se_gsq = sums["grad_sq"] / nf, zeros
+        mean_gap, se_gap = sums["gap"] / nf, zeros.copy()
+        mean_avg = sums["avg_gap"] / nf if cfg.averaged else None
         se_avg = zeros.copy() if cfg.averaged else None
         se_dht = zeros.copy() if lyap_mode is not None else None
     else:
-        mean_gsq, se_gsq = _mean_se(total.s_gsq, total.q_gsq, total.n)
-        mean_gap, se_gap = _mean_se(total.s_gap, total.q_gap, total.n)
+        mean_gsq, se_gsq = _mean_se(sums["grad_sq"], sums["sq_grad_sq"], n)
+        mean_gap, se_gap = _mean_se(sums["gap"], sums["sq_gap"], n)
         if cfg.averaged:
-            mean_avg, se_avg = _mean_se(total.s_avg, total.q_avg, total.n)
+            mean_avg, se_avg = _mean_se(sums["avg_gap"], sums["sq_avg_gap"], n)
         else:
             mean_avg = se_avg = None
         if lyap_mode is not None:
-            _, se_dht = _mean_se(total.s_dht, total.q_dht, total.n)
+            _, se_dht = _mean_se(sums["delta_ht"], sums["sq_delta_ht"], n)
 
     lyap_series = None
     if lyap_mode is not None:
-        nf = total.n.astype(float)
         alpha_at = np.where(grid > 0, schedule.alpha(np.maximum(grid, 1)), 0.0)
         mu_at = np.where(grid > 0, schedule.mu(np.maximum(grid, 1)), 0.0)
         lyap_series = LyapunovSeries(
             checkpoints=grid.copy(),
             alphas=alpha_at,
             mus=mu_at,
-            mean_ht=total.s_ht / nf,
-            mean_hbar=total.s_hbar / nf,
+            mean_ht=sums["ht"] / nf,
+            mean_hbar=sums["hbar"] / nf,
             se_delta_ht=se_dht,
             replicas=cfg.replicas,
             vanishing=lyap_mode[0] == "vanishing",

@@ -5,15 +5,17 @@ import pytest
 
 from conftest import make_cfg
 from sgdlab.config import build_oracle, build_problem, build_schedule
-from sgdlab.errors import ConfigError, ExperimentError
+from sgdlab.errors import DivergenceError, ExperimentError
 from sgdlab.harness import (MonteCarloEstimate, averaged_bound_probe, default_burn_in,
                             estimates_csv, liminf_probe, lyapunov_csv, nasgd_hypothesis,
                             resolve_lyapunov, run_experiment, summary_dict, sweep,
-                            sweep_csv, threads_cap)
+                            sweep_csv)
 from sgdlab.lyapunov import select_lambda, select_zeta
-from sgdlab.optimizers import (checkpoint_grid, init_state, msgd_classical_step,
+from sgdlab.optimizers import (DIVERGENCE_RADIUS, averaged_update, checkpoint_grid,
+                               init_average, init_state, msgd_classical_step,
                                msgd_damped_step, nasgd_step, nesterov_classical_step,
                                run, vsgd_step)
+from sgdlab.oracles import GradientOracle
 from sgdlab.rng import derive_key
 from sgdlab.schedules import PowerSchedule
 
@@ -40,6 +42,103 @@ def test_zero_noise_experiment_equals_the_single_trajectory():
     assert est.diverged == 0
 
 
+_BLOCK = 256   # the engine's fixed reduction block
+
+
+def _replica_states(cfg):
+    """Every replica stepped alone on its own stream by the single-state step
+    functions.  Returns {k: [(x, v, xbar) or None, one per replica]} over the
+    checkpoint grid, an entry being None from the iteration its replica
+    diverged at, and the (replica, iteration) divergences in replica order."""
+    problem, fsp = build_problem(cfg.problem)
+    oracle = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
+    s = build_schedule(cfg.schedule)
+    grid = [int(k) for k in checkpoint_grid(cfg.horizon, cfg.checkpoint_stride)]
+    states = {k: [None] * cfg.replicas for k in grid}
+    diverged = []
+    for i in range(cfg.replicas):
+        orc = oracle.with_key(derive_key(cfg.seed, i))
+        state = init_state(cfg.x0)
+        avg = init_average(cfg.x0)
+        alpha_prev = None
+        for k in range(cfg.horizon + 1):
+            if k >= 1:
+                alpha, mu = s.alpha(k), s.mu(k)
+                if cfg.averaged:
+                    avg = averaged_update(avg, state.x, alpha)
+                try:
+                    if cfg.method == "vsgd":
+                        state = vsgd_step(state, orc.sample(state.x), alpha)
+                    elif cfg.method == "msgd_damped":
+                        state = msgd_damped_step(state, orc.sample(state.x), alpha, mu)
+                    elif cfg.method == "msgd_classical":
+                        state = msgd_classical_step(state, orc.sample(state.x), alpha,
+                                                    cfg.beta)
+                    elif cfg.method == "nasgd":
+                        state = nasgd_step(state, orc, alpha,
+                                           alpha_prev if alpha_prev else alpha, mu)
+                    else:
+                        state = nesterov_classical_step(state, orc, alpha, cfg.beta)
+                except DivergenceError:
+                    diverged.append((i, k))
+                    break
+                alpha_prev = alpha
+                if not (np.einsum("...i,...i->...", state.x, state.x)
+                        <= DIVERGENCE_RADIUS ** 2):
+                    diverged.append((i, k))
+                    break
+            if k in states:
+                xbar = avg.xbar if avg.weight_sum > 0 else state.x
+                states[k][i] = (state.x.copy(), state.v.copy(), xbar.copy())
+    return states, diverged
+
+
+def _reference_estimate(cfg):
+    """Per-checkpoint means and standard errors from `_replica_states`: each
+    block's alive replicas summed in replica order, block sums folded in
+    block order."""
+    problem, _ = build_problem(cfg.problem)
+    s = build_schedule(cfg.schedule)
+    lyap = resolve_lyapunov(cfg, problem, s)
+    f_star = problem.minimum.f_star
+    states, diverged = _replica_states(cfg)
+    out = {}
+    ht_prev = None
+    for k, entries in states.items():
+        idx = np.array([i for i, e in enumerate(entries) if e is not None])
+        x, v, xbar = (np.stack([entries[i][j] for i in idx]) for j in range(3))
+        gr = problem.gradient(x)
+        gsq = np.einsum("...i,...i->...", gr, gr)
+        gap = problem.value(x) - f_star
+        vals = {"grad_sq": gsq, "gap": gap}
+        if cfg.averaged:
+            vals["avg_gap"] = problem.value(xbar) - f_star
+        if lyap is not None:
+            mode, coeff = lyap
+            vsq = np.einsum("...i,...i->...", v, v)
+            zt = np.einsum("...i,...i->...", v, gr)
+            mu_here = s.mu(k) if k >= 1 else 0.0
+            ht_all = np.full(cfg.replicas, np.nan)
+            ht_all[idx] = gap + 0.5 * vsq + (coeff * mu_here if mode == "vanishing"
+                                             else coeff) * zt
+            vals["ht"] = ht_all[idx]
+            vals["hbar"] = gsq + vsq
+            vals["delta_ht"] = (np.zeros(len(idx)) if ht_prev is None
+                                else ht_all[idx] - ht_prev[idx])
+            ht_prev = ht_all
+        n = float(len(idx))
+        for name, val in vals.items():
+            s_sum = q_sum = 0.0
+            for lo in range(0, cfg.replicas, _BLOCK):
+                blk = val[(idx >= lo) & (idx < lo + _BLOCK)]
+                s_sum += blk.sum()
+                q_sum += (blk * blk).sum()
+            var = np.maximum(q_sum - s_sum * s_sum / n, 0.0) / (n - 1.0)
+            out.setdefault("mean_" + name, []).append(s_sum / n)
+            out.setdefault("se_" + name, []).append(np.sqrt(var / n))
+    return {key: np.array(val) for key, val in out.items()}, diverged
+
+
 _METHOD_SETUPS = [
     ("vsgd", {}, None),
     ("msgd_damped", {"mu_m": 1.0, "mu_b": 0.2}, None),
@@ -47,69 +146,89 @@ _METHOD_SETUPS = [
     ("nasgd", {"mu_m": 1.0, "mu_b": 0.2}, None),
     ("nesterov_classical", {}, 0.5),
 ]
+# 300 replicas span one full block and a 44-replica tail; the 3-replica
+# cases keep their established test ids.
+_ENGINE_CASES = [
+    pytest.param(method, extra, beta, replicas,
+                 id=f"{method}-sched_extra{j}-{beta}" + ("" if replicas == 3 else f"-{replicas}"))
+    for replicas in (3, 300) for j, (method, extra, beta) in enumerate(_METHOD_SETUPS)
+]
 
 
-@pytest.mark.parametrize("method,sched_extra,beta", _METHOD_SETUPS)
-def test_engine_matches_manual_replica_stepping_bitwise(method, sched_extra, beta):
+@pytest.mark.parametrize("method,sched_extra,beta,replicas", _ENGINE_CASES)
+def test_engine_matches_manual_replica_stepping_bitwise(method, sched_extra, beta, replicas):
     schedule = {"alpha_c": 0.3, "alpha_a": 0.6, **sched_extra}
     cfg = make_cfg(method=method, schedule=schedule, beta=beta, horizon=120,
-                   replicas=3, seed=77, checkpoint_stride=30,
+                   replicas=replicas, seed=77, checkpoint_stride=30,
                    oracle={"kind": "gaussian", "sigma": 0.5})
     est = run_experiment(cfg)
-
-    problem, fsp = build_problem(cfg.problem)
-    oracle = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
-    s = build_schedule(cfg.schedule)
-    grid = [int(k) for k in checkpoint_grid(cfg.horizon, cfg.checkpoint_stride)]
-    states = {k: [] for k in grid}
-    for i in range(cfg.replicas):
-        orc = oracle.with_key(derive_key(cfg.seed, i))
-        state = init_state(cfg.x0)
-        if 0 in states:
-            states[0].append(state.x.copy())
-        alpha_prev = None
-        for k in range(1, cfg.horizon + 1):
-            alpha, mu = s.alpha(k), s.mu(k)
-            if method == "vsgd":
-                state = vsgd_step(state, orc.sample(state.x), alpha)
-            elif method == "msgd_damped":
-                state = msgd_damped_step(state, orc.sample(state.x), alpha, mu)
-            elif method == "msgd_classical":
-                state = msgd_classical_step(state, orc.sample(state.x), alpha, beta)
-            elif method == "nasgd":
-                state = nasgd_step(state, orc, alpha,
-                                   alpha_prev if alpha_prev else alpha, mu)
-            else:
-                state = nesterov_classical_step(state, orc, alpha, beta)
-            alpha_prev = alpha
-            if k in states:
-                states[k].append(state.x.copy())
-
-    n = float(cfg.replicas)
-    mean_gsq, se_gsq, mean_gap = [], [], []
-    for k in grid:
-        xk = np.stack(states[k])
-        gr = problem.gradient(xk)
-        gsq = np.einsum("...i,...i->...", gr, gr)
-        gap = problem.value(xk) - problem.minimum.f_star
-        s_sum, q_sum = gsq.sum(), (gsq * gsq).sum()
-        mean_gsq.append(s_sum / n)
-        var = np.maximum(q_sum - s_sum * s_sum / n, 0.0) / (n - 1.0)
-        se_gsq.append(np.sqrt(var / n))
-        mean_gap.append(gap.sum() / n)
-    assert np.array_equal(est.mean_grad_sq, np.array(mean_gsq)), method
-    assert np.array_equal(est.se_grad_sq, np.array(se_gsq)), method
-    assert np.array_equal(est.mean_gap, np.array(mean_gap)), method
+    ref, diverged = _reference_estimate(cfg)
+    assert diverged == []
+    assert np.array_equal(est.mean_grad_sq, ref["mean_grad_sq"]), method
+    assert np.array_equal(est.se_grad_sq, ref["se_grad_sq"]), method
+    assert np.array_equal(est.mean_gap, ref["mean_gap"]), method
 
 
-def test_estimates_do_not_depend_on_the_thread_count(monkeypatch):
-    # 600 replicas span three fixed aggregation blocks
-    cfg = make_cfg(replicas=600, horizon=60, checkpoint_stride=20)
-    monkeypatch.setenv("SGDLAB_THREADS", "1")
-    serial = estimates_csv(run_experiment(cfg))
-    monkeypatch.setenv("SGDLAB_THREADS", "3")
-    threaded = estimates_csv(run_experiment(cfg))
-    assert serial == threaded
+_PARTIAL_DIVERGENCE = dict(
+    problem={"kind": "quadratic", "spectrum": [4.0]},
+    oracle={"kind": "relative_noise", "eta": 2.0},
+    x0=[1e6], horizon=400, replicas=600, divergence_tolerance=0.95, seed=3)
+
+
+@pytest.mark.parametrize("cfg", [
+    make_cfg(method="vsgd", averaged=True, checkpoint_stride=40,
+             schedule={"alpha_c": 0.1375, "alpha_a": 0.0}, **_PARTIAL_DIVERGENCE),
+    make_cfg(method="msgd_damped", lyapunov=True, checkpoint_stride=1,
+             schedule={"alpha_c": 0.3, "alpha_a": 0.0, "mu_m": 1.0, "mu_b": 0.0},
+             **_PARTIAL_DIVERGENCE),
+], ids=["vsgd-averaged", "msgd_damped-lyapunov"])
+def test_partial_divergence_matches_manual_replica_stepping_bitwise(cfg):
+    est = run_experiment(cfg)
+    ref, diverged = _reference_estimate(cfg)
+    assert est.diverged_iterations == tuple(diverged)
+    assert est.diverged == len(diverged)
+    # some, but not all, replicas of each of the three blocks diverge
+    per_block = np.bincount([i // _BLOCK for i, _ in diverged], minlength=3)
+    assert len(per_block) == 3 and np.all(per_block > 0)
+    assert np.all(per_block < [256, 256, 88])
+    for name in ("grad_sq", "gap"):
+        assert np.array_equal(getattr(est, "mean_" + name), ref["mean_" + name]), name
+        assert np.array_equal(getattr(est, "se_" + name), ref["se_" + name]), name
+    if cfg.averaged:
+        assert np.array_equal(est.mean_avg_gap, ref["mean_avg_gap"])
+        assert np.array_equal(est.se_avg_gap, ref["se_avg_gap"])
+    if cfg.lyapunov:
+        assert np.array_equal(est.lyap.mean_ht, ref["mean_ht"])
+        assert np.array_equal(est.lyap.mean_hbar, ref["mean_hbar"])
+        assert np.array_equal(est.lyap.se_delta_ht, ref["se_delta_ht"])
+
+
+def _record_draws(monkeypatch):
+    """Record (generator, n) for every raw_block call."""
+    calls = []
+    original = GradientOracle.raw_block
+
+    def recording(self, rng, n):
+        calls.append((rng, n))
+        return original(self, rng, n)
+
+    monkeypatch.setattr(GradientOracle, "raw_block", recording)
+    return calls
+
+
+def test_draw_buffer_stays_within_one_block_of_rows(monkeypatch):
+    calls = _record_draws(monkeypatch)
+    run_experiment(make_cfg(replicas=4096, horizon=300))
+    assert max(n for _, n in calls) * 4096 <= 256 * 1024
+    drawn = {}
+    for rng, n in calls:
+        drawn[rng] = drawn.get(rng, 0) + n
+    assert len(drawn) == 4096
+    assert set(drawn.values()) == {300}
+    # up to one block of replicas, each replica draws 1024 iterations at a time
+    calls.clear()
+    run_experiment(make_cfg(replicas=200, horizon=2500))
+    assert len(calls) == 200 * 3
 
 
 def test_standard_errors_shrink_with_the_replica_count():
@@ -179,18 +298,6 @@ def test_resolve_lyapunov_modes():
     assert resolve_lyapunov(plain, problem, build_schedule(plain.schedule)) == ("constant", 0.0)
     override = make_cfg(lyapunov=True, checkpoint_stride=1, lyap_coeff=0.3)
     assert resolve_lyapunov(override, problem, build_schedule(override.schedule))[1] == 0.3
-
-
-def test_threads_cap_reads_the_environment(monkeypatch):
-    monkeypatch.delenv("SGDLAB_THREADS", raising=False)
-    assert threads_cap() == 1
-    monkeypatch.setenv("SGDLAB_THREADS", "4")
-    assert threads_cap() == 4
-    monkeypatch.setenv("SGDLAB_THREADS", "0")
-    assert threads_cap() == 1
-    monkeypatch.setenv("SGDLAB_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        threads_cap()
 
 
 def _fake_estimate(ks, mean_gsq, mean_avg=None, cfg=None):
