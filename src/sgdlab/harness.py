@@ -12,11 +12,20 @@ set of numpy calls whatever the replica count.  Raw noise is pre-drawn into
 one (iterations, replicas, ...) buffer, refilled in place one replica at a
 time; Philox draws do not depend on how they are chunked, so no stream's
 contents change with the buffer depth, which shrinks as the replica count
-grows to keep the buffer's size fixed.  Checkpoint quantities are reduced
-over fixed consecutive blocks of `_BLOCK_REPLICAS` replicas: each block's
-sum is numpy's pairwise sum of its alive replicas in replica order, and the
-block sums are folded in block order, so the reductions do not depend on
-the replica array's width.
+grows to keep the buffer's size fixed.  At a checkpoint the engine
+evaluates f and grad f on the live state (the gradient is reused by the
+next step) and copies f(x), grad f(x), v and f(xbar) into preallocated
+(chunk, replicas, ...) buffers, with chunk x replicas <= 16384 (fewer for
+states of more than 2 coordinates).  One set of numpy calls then reduces
+the whole chunk: gradient and velocity norms, the cross term, the energies
+and their increments (the last tilted energy carries into the next chunk),
+their squares and the block sums.  A chunk is reduced when it is full,
+before a divergence changes the alive mask (so one mask holds for every
+checkpoint of a chunk), and at the end of the run.  Sums run over fixed
+consecutive blocks of `_BLOCK_REPLICAS` replicas: each block's sum is
+numpy's pairwise sum of its alive replicas in replica order, and the block
+sums are folded in block order, so the reductions depend neither on the
+replica array's width nor on the chunk length.
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
@@ -45,6 +54,9 @@ from .schedules import PowerSchedule, classify
 
 _BLOCK_REPLICAS = 256   # fixed reduction grid, independent of the array width
 _RAW_BLOCK = 1024       # iterations of raw noise pre-drawn per replica, at most
+# Checkpoint buffers hold at most this many replica-checkpoint coordinates
+# (counting at least 2 per state), so chunk x replicas <= 16384.
+_CHUNK_VALUES = 32768
 
 
 @dataclass
@@ -99,23 +111,25 @@ def _refill(buf, oracle, gens, nb: int) -> np.ndarray:
 
 
 def _block_sums(vals: np.ndarray, alive: np.ndarray, frozen_blocks) -> np.ndarray:
-    """(rows, blocks) sums of each row of vals over the alive replicas of
-    each block of `_BLOCK_REPLICAS`; `frozen_blocks` names the blocks that
-    hold a diverged replica.  Every sum runs numpy's pairwise summation over
-    one C-contiguous run of values in replica order."""
-    rows, r_count = vals.shape
+    """(chunk, rows, blocks) sums of each (checkpoint, row) of vals, shaped
+    (chunk, rows, replicas), over the alive replicas of each block of
+    `_BLOCK_REPLICAS`; `frozen_blocks` names the blocks that hold a diverged
+    replica.  Every sum runs numpy's pairwise summation over one C-contiguous
+    run of values in replica order, so it does not depend on the chunk."""
+    r_count = vals.shape[-1]
     full = r_count - r_count % _BLOCK_REPLICAS
     parts = []
     if full:
-        parts.append(vals[:, :full].reshape(rows, -1, _BLOCK_REPLICAS).sum(axis=2))
+        parts.append(vals[..., :full].reshape(vals.shape[:-1] + (-1, _BLOCK_REPLICAS))
+                     .sum(axis=-1))
     if full < r_count:
-        parts.append(vals[:, full:].sum(axis=1, keepdims=True))
-    sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        parts.append(vals[..., full:].sum(axis=-1, keepdims=True))
+    sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     for b in frozen_blocks:
         lo, hi = b * _BLOCK_REPLICAS, (b + 1) * _BLOCK_REPLICAS
         # compress returns C-contiguous rows; a boolean column index would
         # return column-major data, whose row sums run sequentially.
-        sums[:, b] = np.compress(alive[lo:hi], vals[:, lo:hi], axis=1).sum(axis=1)
+        sums[..., b] = np.compress(alive[lo:hi], vals[..., lo:hi], axis=-1).sum(axis=-1)
     return sums
 
 
@@ -145,47 +159,79 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
         + (["delta_ht"] if lyap_mode is not None else [])
     names = squared + (["ht", "hbar"] if lyap_mode is not None else [])
     n_q, n_sq = len(names), len(squared)
-    vals = np.empty((n_q + n_sq, r_count))   # quantities, then their squares
-    totals = np.zeros((n_q + n_sq, len(grid)))
+    totals = np.zeros((len(grid), n_q + n_sq))
     counts = np.zeros(len(grid), dtype=np.int64)
+    # Checkpoint buffers: f(x), grad f(x), v and f(xbar) per replica for up
+    # to `chunk` checkpoints, reduced together by `flush`.
+    dim = x.shape[1]
+    chunk = max(1, min(len(grid), _CHUNK_VALUES // (r_count * max(2, dim))))
+    f_buf = np.empty((chunk, r_count))
+    g_buf = np.empty((chunk, r_count, dim))
+    v_buf = np.empty_like(g_buf) if lyap_mode is not None else None
+    a_buf = np.empty_like(f_buf) if averaged else None
+    vals = np.empty((chunk, n_q + n_sq, r_count))   # quantities, then their squares
     ht_prev = None
     grad_cache = None
-    ci = 0
+    ci = flushed = 0   # checkpoints recorded, and reduced
 
-    def eval_checkpoint(k: int, idx: int):
-        nonlocal ht_prev
-        fv = problem.value(x)
+    def record():
+        """Buffer checkpoint ci's per-replica values; return grad f(x)."""
+        nonlocal ci
+        j = ci - flushed
+        f_buf[j] = problem.value(x)
         gr = problem.gradient(x)
-        gsq = np.einsum("...i,...i->...", gr, gr)
-        gap = fv - f_star
-        rows = [gsq, gap]
+        g_buf[j] = gr
         if averaged:
-            xb = x if weight == 0.0 else xbar
-            rows.append(problem.value(xb) - f_star)
-        if lyap_mode is not None:
-            mode, coeff = lyap_mode
-            vsq = np.einsum("...i,...i->...", v, v)
-            zt = np.einsum("...i,...i->...", v, gr)
-            h = gap + 0.5 * vsq
-            hbar = gsq + vsq
-            # k = 0 records mu = 0, so the vanishing tilt starts at plain H.
-            mu_here = mus[k - 1] if k >= 1 else 0.0
-            tilt = coeff * mu_here if mode == "vanishing" else coeff
-            ht = h + tilt * zt
-            dht = np.zeros_like(ht) if ht_prev is None else ht - ht_prev
-            rows += [dht, ht, hbar]
-            ht_prev = ht
-        np.stack(rows, out=vals[:n_q])
-        np.multiply(vals[:n_sq], vals[:n_sq], out=vals[n_q:])
-        sums = _block_sums(vals, alive, frozen_blocks)
-        for b in range(sums.shape[1]):   # fold block sums in block order
-            totals[:, idx] += sums[:, b]
-        counts[idx] = n_alive
+            a_buf[j] = problem.value(x if weight == 0.0 else xbar)
+        if v_buf is not None:
+            v_buf[j] = v
+        ci += 1
+        if ci - flushed == chunk:
+            flush()
         return gr
 
+    def flush():
+        """Reduce the buffered checkpoints; all were recorded under the
+        current alive mask."""
+        nonlocal ht_prev, flushed
+        c = ci - flushed
+        if c == 0:
+            return
+        gr = g_buf[:c]
+        gsq = np.einsum("...i,...i->...", gr, gr)
+        gap = f_buf[:c] - f_star
+        rows = [gsq, gap]
+        if averaged:
+            rows.append(a_buf[:c] - f_star)
+        if lyap_mode is not None:
+            mode, coeff = lyap_mode
+            vc = v_buf[:c]
+            vsq = np.einsum("...i,...i->...", vc, vc)
+            zt = np.einsum("...i,...i->...", vc, gr)
+            h = gap + 0.5 * vsq
+            hbar = gsq + vsq
+            tilt = coeff
+            if mode == "vanishing":
+                # k = 0 records mu = 0, so the vanishing tilt starts at plain H.
+                ks = grid[flushed:ci]
+                tilt = (coeff * np.where(ks >= 1, mus[ks - 1], 0.0))[:, None]
+            ht = h + tilt * zt
+            dht = np.empty_like(ht)
+            dht[0] = 0.0 if ht_prev is None else ht[0] - ht_prev
+            np.subtract(ht[1:], ht[:-1], out=dht[1:])
+            rows += [dht, ht, hbar]
+            ht_prev = ht[-1]
+        out = vals[:c]
+        np.stack(rows, axis=1, out=out[:, :n_q])
+        np.multiply(out[:, :n_sq], out[:, :n_sq], out=out[:, n_q:])
+        sums = _block_sums(out, alive, frozen_blocks)
+        for b in range(sums.shape[-1]):   # fold block sums in block order
+            totals[flushed:ci] += sums[..., b]
+        counts[flushed:ci] = n_alive
+        flushed = ci
+
     if grid[ci] == 0:
-        grad_cache = eval_checkpoint(0, ci)
-        ci += 1
+        grad_cache = record()
 
     # Deep enough for _RAW_BLOCK iterations of _BLOCK_REPLICAS replicas.
     nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // r_count))
@@ -243,6 +289,7 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
             if n_alive < r_count:
                 ok |= ~alive
             if not ok.all():
+                flush()   # the buffered checkpoints keep the old alive mask
                 bad = ~ok
                 for i in np.nonzero(bad)[0]:
                     diverged.append((int(i), k))
@@ -255,10 +302,10 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
                 xbar[bad] = 0.0
 
             if ci < len(grid) and k == grid[ci]:
-                grad_cache = eval_checkpoint(k, ci)
-                ci += 1
+                grad_cache = record()
+        flush()
     keys = names + ["sq_" + name for name in squared]
-    return counts, dict(zip(keys, totals)), diverged
+    return counts, dict(zip(keys, totals.T)), diverged
 
 
 def _mean_se(s, q, n):

@@ -193,19 +193,22 @@ def _constrained_fit(d, reg_k, reg_c, slack):
 
     scale_d = float(np.max(np.abs(d))) or 1.0
     scale_k = float(np.max(reg_k)) or 1.0
+    # Dot products go through einsum, not BLAS: a threaded BLAS splits long
+    # vectors across threads, so its rounding depends on the thread count.
+    dot = lambda a, b: float(np.einsum("i,i->", a, b))
     # Unconstrained slope along reg_k alone sets the search range.
-    k_ls = max(0.0, float(-(reg_k @ d) / (reg_k @ reg_k)))
+    k_ls = max(0.0, -dot(reg_k, d) / dot(reg_k, reg_k))
     k_hi = 4.0 * k_ls + 10.0 * scale_d / scale_k
 
-    cc = float(reg_c @ reg_c)
+    cc = dot(reg_c, reg_c)
 
     def c_for(k_val: float) -> float:
-        c_ls = float(reg_c @ (d + k_val * reg_k)) / cc
+        c_ls = dot(reg_c, d + k_val * reg_k) / cc
         return max(c_ls, _envelope_c(k_val, d, reg_k, reg_c, slack))
 
     def objective(k_val: float) -> float:
         r = d + k_val * reg_k - c_for(k_val) * reg_c
-        return float(r @ r)
+        return dot(r, r)
 
     res = minimize_scalar(objective, bounds=(0.0, k_hi), method="bounded",
                           options={"xatol": 1e-12 * max(1.0, k_hi)})

@@ -227,15 +227,14 @@ def checkpoint_grid(horizon: int, stride: int = 0) -> np.ndarray:
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
     if stride >= 1:
-        ks = set(range(0, horizon + 1, int(stride)))
-    else:
-        ks = {0}
-        p = 1
-        while p <= horizon:
-            ks.add(p)
-            p *= 2
-        ks.update(range(max(1, horizon - 7), horizon + 1))
-    ks.add(horizon)
+        ks = np.arange(0, horizon + 1, int(stride))
+        return ks if ks[-1] == horizon else np.append(ks, horizon)
+    ks = {0}
+    p = 1
+    while p <= horizon:
+        ks.add(p)
+        p *= 2
+    ks.update(range(max(1, horizon - 7), horizon + 1))
     return np.array(sorted(ks), dtype=int)
 
 

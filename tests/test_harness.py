@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_cfg
+from sgdlab import harness
 from sgdlab.config import build_oracle, build_problem, build_schedule
 from sgdlab.errors import DivergenceError, ExperimentError
 from sgdlab.harness import (MonteCarloEstimate, averaged_bound_probe, default_burn_in,
@@ -149,24 +150,45 @@ _METHOD_SETUPS = [
 # 300 replicas span one full block and a 44-replica tail; the 3-replica
 # cases keep their established test ids.
 _ENGINE_CASES = [
-    pytest.param(method, extra, beta, replicas,
+    pytest.param(method, extra, beta, replicas, {},
                  id=f"{method}-sched_extra{j}-{beta}" + ("" if replicas == 3 else f"-{replicas}"))
     for replicas in (3, 300) for j, (method, extra, beta) in enumerate(_METHOD_SETUPS)
 ]
+# Stride 1 at 200 replicas: 1001 checkpoints fill 12 chunks of 81 and end in
+# a partial chunk of 29.
+_STRIDE1 = dict(horizon=1000, checkpoint_stride=1)
+_CONSTANT_MU = {"mu_m": 1.0, "mu_b": 0.0}
+_VANISHING_MU = {"mu_m": 1.0, "mu_b": 0.2}
+_ENGINE_CASES += [
+    pytest.param(method, mu, None, 200, dict(_STRIDE1, lyapunov=True),
+                 id=f"{method}-{tilt}-lyapunov-stride1-200")
+    for method in ("msgd_damped", "nasgd")
+    for tilt, mu in (("constant", _CONSTANT_MU), ("vanishing", _VANISHING_MU))
+] + [pytest.param("vsgd", {}, None, 200, dict(_STRIDE1, averaged=True),
+                  id="vsgd-averaged-stride1-200")]
 
 
-@pytest.mark.parametrize("method,sched_extra,beta,replicas", _ENGINE_CASES)
-def test_engine_matches_manual_replica_stepping_bitwise(method, sched_extra, beta, replicas):
+@pytest.mark.parametrize("method,sched_extra,beta,replicas,run_extra", _ENGINE_CASES)
+def test_engine_matches_manual_replica_stepping_bitwise(method, sched_extra, beta, replicas,
+                                                        run_extra):
     schedule = {"alpha_c": 0.3, "alpha_a": 0.6, **sched_extra}
-    cfg = make_cfg(method=method, schedule=schedule, beta=beta, horizon=120,
-                   replicas=replicas, seed=77, checkpoint_stride=30,
-                   oracle={"kind": "gaussian", "sigma": 0.5})
+    cfg = make_cfg(**{**dict(method=method, schedule=schedule, beta=beta, horizon=120,
+                             replicas=replicas, seed=77, checkpoint_stride=30,
+                             oracle={"kind": "gaussian", "sigma": 0.5}), **run_extra})
     est = run_experiment(cfg)
     ref, diverged = _reference_estimate(cfg)
     assert diverged == []
     assert np.array_equal(est.mean_grad_sq, ref["mean_grad_sq"]), method
     assert np.array_equal(est.se_grad_sq, ref["se_grad_sq"]), method
     assert np.array_equal(est.mean_gap, ref["mean_gap"]), method
+    assert np.array_equal(est.se_gap, ref["se_gap"]), method
+    if cfg.averaged:
+        assert np.array_equal(est.mean_avg_gap, ref["mean_avg_gap"])
+        assert np.array_equal(est.se_avg_gap, ref["se_avg_gap"])
+    if cfg.lyapunov:
+        assert np.array_equal(est.lyap.mean_ht, ref["mean_ht"])
+        assert np.array_equal(est.lyap.mean_hbar, ref["mean_hbar"])
+        assert np.array_equal(est.lyap.se_delta_ht, ref["se_delta_ht"])
 
 
 _PARTIAL_DIVERGENCE = dict(
@@ -229,6 +251,27 @@ def test_draw_buffer_stays_within_one_block_of_rows(monkeypatch):
     calls.clear()
     run_experiment(make_cfg(replicas=200, horizon=2500))
     assert len(calls) == 200 * 3
+
+
+def test_checkpoint_buffers_stay_within_16384_replica_checkpoints(monkeypatch):
+    chunks = []
+    original = harness._block_sums
+
+    def recording(vals, alive, frozen_blocks):
+        chunks.append(vals.shape[0])
+        assert vals.shape[-1] == replicas
+        return original(vals, alive, frozen_blocks)
+
+    monkeypatch.setattr(harness, "_block_sums", recording)
+    lyap = dict(method="msgd_damped", checkpoint_stride=1, lyapunov=True,
+                schedule={"alpha_c": 0.3, "alpha_a": 0.6, **_CONSTANT_MU})
+    replicas = 4096
+    run_experiment(make_cfg(replicas=replicas, horizon=30, **lyap))
+    assert chunks == [4] * 7 + [3]   # 31 checkpoints; 4 x 4096 = 16384
+    chunks.clear()
+    replicas = 200
+    run_experiment(make_cfg(replicas=replicas, horizon=1000, **lyap))
+    assert chunks == [81] * 12 + [29]
 
 
 def test_standard_errors_shrink_with_the_replica_count():

@@ -1,10 +1,15 @@
 """Energy scalars, tilt selection, descent-bound fitting, triplet recursion probe."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgdlab
 from sgdlab.errors import ParameterError
 from sgdlab.lyapunov import (LyapunovSeries, descent_fit, scalars, select_lambda,
                              select_zeta, triplet_probe)
@@ -210,3 +215,33 @@ def test_triplet_probe_validates_inputs():
     bad_a[3] = 0.0
     with pytest.raises(ParameterError):
         triplet_probe(x, y, z, bad_a)
+
+
+_FIT_IN_SUBPROCESS = """
+from sgdlab import ExperimentConfig
+from sgdlab.harness import default_burn_in, run_experiment
+from sgdlab.lyapunov import descent_fit
+cfg = ExperimentConfig(
+    problem={"kind": "quadratic", "spectrum": [1.0, 4.0]},
+    oracle={"kind": "gaussian", "sigma": 0.5},
+    schedule={"alpha_c": 0.5, "alpha_a": 0.7, "mu_m": 1.0, "mu_b": 0.0},
+    method="msgd_damped", horizon=20000, replicas=50, seed=2026, x0=[3.0, 1.0],
+    checkpoint_stride=1, lyapunov=True)
+fit = descent_fit(run_experiment(cfg).lyap, default_burn_in(cfg.horizon))
+print(fit.k_hat.hex(), fit.c_hat.hex())
+"""
+
+
+def test_descent_fit_does_not_depend_on_the_blas_thread_count():
+    # A 19000-checkpoint fit: long enough for a threaded BLAS to split its
+    # dot products across threads.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        procs.append(subprocess.Popen([sys.executable, "-c", _FIT_IN_SUBPROCESS], env=env,
+                                      stdout=subprocess.PIPE, text=True))
+    outs = [p.communicate(timeout=300)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert outs[0].split() and outs[0] == outs[1]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sgdlab.errors import DivergenceError, ParameterError
 from sgdlab.lyapunov import scalars
@@ -160,6 +162,20 @@ def test_checkpoint_grid_arithmetic_and_geometric():
     assert 101 in checkpoint_grid(101, stride=10)
     with pytest.raises(ParameterError):
         checkpoint_grid(0)
+
+
+@given(st.integers(1, 5000), st.integers(1, 6000))
+@example(1, 1)
+@example(10, 1)
+@example(10, 10)
+@example(10, 11)
+@example(100, 7)
+def test_strided_checkpoint_grid_is_the_stride_multiples_plus_the_horizon(horizon, stride):
+    expected = sorted(set(range(0, horizon + 1, stride)) | {horizon})
+    grid = checkpoint_grid(horizon, stride)
+    assert grid.dtype == np.array(expected).dtype
+    assert grid.tolist() == expected
+    assert checkpoint_grid(horizon, 1).tolist() == list(range(horizon + 1))
 
 
 def test_run_records_checkpoints_with_start_conventions():
