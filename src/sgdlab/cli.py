@@ -48,18 +48,29 @@ from .plotting import parse_estimates_csv, svg_plot
 from .schedules import classify, make_power_schedule, numeric_probe
 
 
-def _write(path: str, text: str, written: list) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    written.append(path)
-
-
 def _cleanup(written: list) -> None:
     for p in written:
         try:
             os.remove(p)
         except OSError:
             pass
+
+
+def _write_outputs(out_dir: str, texts: dict) -> list:
+    """Write {file name: text} into out_dir and return the paths written.
+    If any write fails, the files already written are removed."""
+    os.makedirs(out_dir, exist_ok=True)
+    written: list = []
+    try:
+        for name, text in texts.items():
+            path = os.path.join(out_dir, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(text)
+    except BaseException:
+        _cleanup(written)
+        raise
+    return written
 
 
 def _load_config(args):
@@ -99,13 +110,7 @@ def cmd_run(args) -> int:
                lyapunov_coeff=None if lyap is None else lyap[1],
                lyapunov_vanishing=lyap is not None and lyap[0] == "vanishing",
                averaged=cfg.averaged)
-    os.makedirs(args.out, exist_ok=True)
-    written: list = []
-    try:
-        _write(os.path.join(args.out, "trajectory.csv"), trajectory_csv(traj), written)
-    except BaseException:
-        _cleanup(written)
-        raise
+    written = _write_outputs(args.out, {"trajectory.csv": trajectory_csv(traj)})
     last = traj.points[-1]
     if args.json:
         print(json.dumps(trajectory_json(traj)))
@@ -127,21 +132,13 @@ def cmd_experiment(args) -> int:
         raise ConfigError("experiment needs a config file or --from-manifest")
     est = run_experiment(cfg)
     summary = summary_dict(est)
-    os.makedirs(args.out, exist_ok=True)
-    written: list = []
-    try:
-        _write(os.path.join(args.out, "manifest.json"),
-               json.dumps(manifest_dict(cfg), indent=2) + "\n", written)
-        csv_text = estimates_csv(est)
-        _write(os.path.join(args.out, "estimates.csv"), csv_text, written)
-        _write(os.path.join(args.out, "summary.json"),
-               json.dumps(summary, indent=2) + "\n", written)
-        if args.plot:
-            _write(os.path.join(args.out, "curve.svg"),
-                   svg_plot(parse_estimates_csv(csv_text)), written)
-    except BaseException:
-        _cleanup(written)
-        raise
+    csv_text = estimates_csv(est)
+    texts = {"manifest.json": json.dumps(manifest_dict(cfg), indent=2) + "\n",
+             "estimates.csv": csv_text,
+             "summary.json": json.dumps(summary, indent=2) + "\n"}
+    if args.plot:
+        texts["curve.svg"] = svg_plot(parse_estimates_csv(csv_text))
+    written = _write_outputs(args.out, texts)
     if args.json:
         print(json.dumps(summary))
     else:
@@ -156,23 +153,16 @@ def cmd_experiment(args) -> int:
 def cmd_lyapunov(args) -> int:
     cfg = _load_config(args)
     cfg.lyapunov = True
-    if cfg.checkpoint_stride != 1:
-        cfg.checkpoint_stride = 1
+    cfg.checkpoint_stride = 1
     est = run_experiment(cfg)
     burn_in = args.burn_in if args.burn_in is not None else default_burn_in(cfg.horizon)
     fit = descent_fit(est.lyap, burn_in)
     fit_json = {"k_hat": fit.k_hat, "c_hat": fit.c_hat,
                 "violation_fraction": fit.violation_fraction,
                 "burn_in": fit.burn_in}
-    os.makedirs(args.out, exist_ok=True)
-    written: list = []
-    try:
-        _write(os.path.join(args.out, "lyapunov.csv"), lyapunov_csv(est), written)
-        _write(os.path.join(args.out, "descent_fit.json"),
-               json.dumps(fit_json, indent=2) + "\n", written)
-    except BaseException:
-        _cleanup(written)
-        raise
+    written = _write_outputs(args.out, {
+        "lyapunov.csv": lyapunov_csv(est),
+        "descent_fit.json": json.dumps(fit_json, indent=2) + "\n"})
     if args.json:
         print(json.dumps(fit_json))
     else:
@@ -189,13 +179,7 @@ def cmd_sweep(args) -> int:
         spec.base.seed = args.seed
     configs = sweep_grid(spec)
     result = sweep(configs)
-    os.makedirs(args.out, exist_ok=True)
-    written: list = []
-    try:
-        _write(os.path.join(args.out, "sweep.csv"), sweep_csv(result), written)
-    except BaseException:
-        _cleanup(written)
-        raise
+    written = _write_outputs(args.out, {"sweep.csv": sweep_csv(result)})
     if args.json:
         print(json.dumps([asdict(r) for r in result.rows]))
     else:
@@ -213,8 +197,8 @@ def cmd_plot(args) -> int:
         cols = parse_estimates_csv(fh.read())
     svg = svg_plot(cols, title=args.title)
     out = args.out or os.path.join(os.path.dirname(args.csv) or ".", "curve.svg")
-    written: list = []
-    _write(out, svg, written)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(svg)
     if args.json:
         print(json.dumps({"input": args.csv, "output": out}))
     else:

@@ -102,8 +102,9 @@ def build_oracle(spec: dict, problem: Problem,
     raise ConfigError(f"[oracle] unknown kind {kind!r}")
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Static checks with messages naming the violated constraint."""
+def validate_config(cfg: ExperimentConfig):
+    """Static checks with messages naming the violated constraint.  Returns
+    the (problem, finite sum or None, schedule) built to check them."""
     from .optimizers import METHODS
 
     if cfg.method not in METHODS:
@@ -125,7 +126,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[run] lyapunov = true requires checkpoint_stride = 1 "
                           "(the descent fit needs consecutive checkpoints)")
     schedule = build_schedule(cfg.schedule)
-    problem, _ = build_problem(cfg.problem)
+    problem, fsp = build_problem(cfg.problem)
     if len(cfg.x0) != problem.dim:
         raise ConfigError(f"[run] x0 has length {len(cfg.x0)}, problem dim is {problem.dim}")
     if problem.minimum is None:
@@ -136,6 +137,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 f"[schedule] mu_1 * alpha_1 = {worst} exceeds 1; the velocity "
                 "decay factor 1 - mu_k * alpha_k would be negative")
+    return problem, fsp, schedule
 
 
 # ---------------------------------------------------------------------------

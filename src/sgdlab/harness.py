@@ -6,9 +6,11 @@ noise from the counter-based stream keyed by (master_seed, i), so replica 0
 of an experiment reproduces `optimizers.run` with the same seed bitwise.
 
 Execution model: one engine advances every replica in lock-step as a single
-(replicas, dim) state with vectorized array arithmetic (the expressions
-match the single-state step functions exactly), so each iteration costs one
-set of numpy calls whatever the replica count.  Raw noise is pre-drawn into
+(replicas, dim) state.  Each iteration calls the method's kernel from
+`optimizers.KERNELS` and folds the running average with
+`optimizers.averaged_update`, the same code `optimizers.run` and the step
+functions call on one (dim,) state, so each iteration costs one set of
+numpy calls whatever the replica count.  Raw noise is pre-drawn into
 one (iterations, replicas, ...) buffer, refilled in place one replica at a
 time; Philox draws do not depend on how they are chunked, so no stream's
 contents change with the buffer depth, which shrinks as the replica count
@@ -47,7 +49,8 @@ from .config import (ExperimentConfig, build_oracle, build_problem,
 from .errors import ConfigError, ExperimentError
 from .lyapunov import (DescentFit, LyapunovSeries, descent_fit, select_lambda,
                        select_zeta)
-from .optimizers import DIVERGENCE_RADIUS, checkpoint_grid
+from .optimizers import (KERNELS, averaged_update, checkpoint_grid, init_average,
+                         within_radius)
 from .problems import Convexity, Problem
 from .rng import replica_stream
 from .schedules import PowerSchedule, classify
@@ -143,17 +146,16 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
     squares under "sq_" + name), and the (replica, iteration) divergences.
     """
     horizon = len(alphas)
+    kernel = KERNELS[method]
     gens = [replica_stream(master_seed, i) for i in range(r_count)]
     x = np.tile(np.asarray(x0, dtype=float), (r_count, 1))
     v = np.zeros_like(x)
     x_prev = x.copy()
-    xbar = np.zeros_like(x)
-    weight = 0.0
+    avg = init_average(x) if averaged else None
     alive = np.ones(r_count, dtype=bool)
     n_alive = r_count
     frozen_blocks = set()
     diverged = []
-    radius_sq = DIVERGENCE_RADIUS ** 2
 
     squared = ["grad_sq", "gap"] + (["avg_gap"] if averaged else []) \
         + (["delta_ht"] if lyap_mode is not None else [])
@@ -182,7 +184,7 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
         gr = problem.gradient(x)
         g_buf[j] = gr
         if averaged:
-            a_buf[j] = problem.value(x if weight == 0.0 else xbar)
+            a_buf[j] = problem.value(x if avg.weight_sum == 0.0 else avg.xbar)
         if v_buf is not None:
             v_buf[j] = v
         ci += 1
@@ -230,6 +232,11 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
         counts[flushed:ci] = n_alive
         flushed = ci
 
+    def grad_at(point):
+        """Stochastic gradients at point from this iteration's draws; grad f
+        at the current state is reused from its checkpoint when recorded."""
+        return oracle.stoch_grad(point, raw_t, grad=grad_cache if point is x else None)
+
     if grid[ci] == 0:
         grad_cache = record()
 
@@ -245,47 +252,15 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
                 raw_base = k
             raw_t = buf[k - raw_base]
             alpha = alphas[k - 1]
-            mu = mus[k - 1]
             if averaged:
-                weight_new = weight + alpha
-                xbar = xbar + (alpha / weight_new) * (x - xbar)
-                weight = weight_new
-            # Step arithmetic mirrors the single-state step functions.
-            if method in ("vsgd", "msgd_damped", "msgd_classical"):
-                g = None
-                if oracle.needs_gradient:
-                    g = grad_cache if grad_cache is not None else problem.gradient(x)
-                sg = oracle.stoch_grad(x, raw_t, grad=g)
-            if method == "vsgd":
-                x_prev = x
-                x = x - alpha * sg
-            elif method == "msgd_damped":
-                v = v - mu * alpha * v - alpha * sg
-                x_prev = x
-                x = x + alpha * v
-            elif method == "msgd_classical":
-                v = beta * v - alpha * sg
-                x_prev = x
-                x = x + v
-            elif method == "nasgd":
-                alpha_prev = alphas[k - 2] if k >= 2 else alpha
-                bk = (1.0 - mu * alpha) * alpha / alpha_prev
-                y = x + bk * (x - x_prev)
-                sg = oracle.stoch_grad(y, raw_t)
-                v = (1.0 - mu * alpha) * v - alpha * sg
-                x_prev = x
-                x = x + alpha * v
-            else:  # nesterov_classical
-                y = x + beta * (x - x_prev)
-                sg = oracle.stoch_grad(y, raw_t)
-                x_prev = x
-                x = y - alpha * sg
-                v = x - x_prev
+                avg = averaged_update(avg, x, alpha)
+            x_new, v = kernel(x, v, x_prev, grad_at, alpha,
+                              alphas[k - 2] if k >= 2 else alpha, mus[k - 1], beta)
+            x_prev, x = x, x_new
             grad_cache = None
 
-            # NaN, an infinite coordinate and an overflowing norm all fail
-            # the comparison; frozen replicas are never flagged again.
-            ok = np.einsum("...i,...i->...", x, x) <= radius_sq
+            # Frozen replicas are never flagged again.
+            ok = within_radius(x)
             if n_alive < r_count:
                 ok |= ~alive
             if not ok.all():
@@ -296,10 +271,8 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
                     frozen_blocks.add(int(i) // _BLOCK_REPLICAS)
                 alive &= ok
                 n_alive = int(alive.sum())
-                x[bad] = 0.0
-                v[bad] = 0.0
-                x_prev[bad] = 0.0
-                xbar[bad] = 0.0
+                for arr in (x, v, x_prev) + ((avg.xbar,) if averaged else ()):
+                    arr[bad] = 0.0
 
             if ci < len(grid) and k == grid[ci]:
                 grad_cache = record()
@@ -318,10 +291,8 @@ def _mean_se(s, q, n):
 
 
 def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
-    validate_config(cfg)
-    problem, fsp = build_problem(cfg.problem)
+    problem, fsp, schedule = validate_config(cfg)
     oracle = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
-    schedule = build_schedule(cfg.schedule)
     lyap_mode = resolve_lyapunov(cfg, problem, schedule)
     f_star = problem.minimum.f_star
     grid = checkpoint_grid(cfg.horizon, cfg.checkpoint_stride)
@@ -329,7 +300,8 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
     mus = schedule.mus(cfg.horizon)
 
     # Zero-noise oracles make every replica identical: one trajectory gives
-    # the exact means, and every standard error is exactly 0.
+    # the exact means, and with n = 1 `_mean_se` gives standard errors of
+    # exactly 0.
     effective = 1 if oracle.zero_noise else cfg.replicas
     n, sums, diverged = _simulate(problem, oracle, cfg.method, cfg.beta, alphas,
                                   mus, cfg.x0, grid, lyap_mode, cfg.averaged,
@@ -347,23 +319,11 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
     if np.any(n == 0):
         raise ExperimentError("no replica survived to some checkpoint")
 
-    nf = n.astype(float)
-    if oracle.zero_noise:
-        zeros = np.zeros(len(grid))
-        mean_gsq, se_gsq = sums["grad_sq"] / nf, zeros
-        mean_gap, se_gap = sums["gap"] / nf, zeros.copy()
-        mean_avg = sums["avg_gap"] / nf if cfg.averaged else None
-        se_avg = zeros.copy() if cfg.averaged else None
-        se_dht = zeros.copy() if lyap_mode is not None else None
-    else:
-        mean_gsq, se_gsq = _mean_se(sums["grad_sq"], sums["sq_grad_sq"], n)
-        mean_gap, se_gap = _mean_se(sums["gap"], sums["sq_gap"], n)
-        if cfg.averaged:
-            mean_avg, se_avg = _mean_se(sums["avg_gap"], sums["sq_avg_gap"], n)
-        else:
-            mean_avg = se_avg = None
-        if lyap_mode is not None:
-            _, se_dht = _mean_se(sums["delta_ht"], sums["sq_delta_ht"], n)
+    mean_gsq, se_gsq = _mean_se(sums["grad_sq"], sums["sq_grad_sq"], n)
+    mean_gap, se_gap = _mean_se(sums["gap"], sums["sq_gap"], n)
+    mean_avg = se_avg = None
+    if cfg.averaged:
+        mean_avg, se_avg = _mean_se(sums["avg_gap"], sums["sq_avg_gap"], n)
 
     lyap_series = None
     if lyap_mode is not None:
@@ -373,9 +333,9 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
             checkpoints=grid.copy(),
             alphas=alpha_at,
             mus=mu_at,
-            mean_ht=sums["ht"] / nf,
-            mean_hbar=sums["hbar"] / nf,
-            se_delta_ht=se_dht,
+            mean_ht=sums["ht"] / n,
+            mean_hbar=sums["hbar"] / n,
+            se_delta_ht=_mean_se(sums["delta_ht"], sums["sq_delta_ht"], n)[1],
             replicas=cfg.replicas,
             vanishing=lyap_mode[0] == "vanishing",
         )

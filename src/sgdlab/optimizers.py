@@ -28,9 +28,11 @@ The weighted running average follows x_bar_n = sum_{k<=n} alpha_k x_{k-1}
 / sum_{k<=n} alpha_k, updated incrementally; the weight of iteration k is
 the step size applied to the *previous* iterate.
 
-Step arithmetic is written against arrays of shape (d,) or (replicas, d)
-with scalar coefficients, so the Monte Carlo engine reuses these exact
-expressions (bitwise) on replica batches.
+Each rule's arithmetic is written once, as a kernel in `KERNELS` acting on
+arrays of shape (d,) or (replicas, d) with scalar coefficients.  The step
+functions, the single-trajectory driver `run` and the Monte Carlo engine in
+`harness` all call these kernels, so replica 0 of an experiment and `run`
+apply the same arithmetic.
 """
 
 from __future__ import annotations
@@ -83,48 +85,92 @@ def init_average(x0) -> AveragedState:
     return AveragedState(xbar=np.zeros_like(x0), weight_sum=0.0)
 
 
-def _stoch_grad(g):
-    return g.stoch_grad if isinstance(g, OracleSample) else g
+# ---------------------------------------------------------------------------
+# Update kernels
+#
+# KERNELS[method](x, v, x_prev, grad_at, alpha, alpha_prev, mu, beta) returns
+# the new (x, v); grad_at(point) is the stochastic gradient at x or at the
+# look-ahead point.  Kernels neither validate nor build state objects.
 
 
-def _check_finite(state: IterState):
-    # Only meaningful for single trajectories; replica batches are masked
-    # by the experiment engine instead of raising.
-    if state.x.ndim == 1 and not np.all(np.isfinite(state.x)):
-        raise DivergenceError(state.k)
+def _vsgd(x, v, x_prev, grad_at, alpha, alpha_prev, mu, beta):
+    return x - alpha * grad_at(x), v
+
+
+def _msgd_damped(x, v, x_prev, grad_at, alpha, alpha_prev, mu, beta):
+    v = v - mu * alpha * v - alpha * grad_at(x)
+    return x + alpha * v, v
+
+
+def _msgd_classical(x, v, x_prev, grad_at, alpha, alpha_prev, mu, beta):
+    v = beta * v - alpha * grad_at(x)
+    return x + v, v
+
+
+def _nasgd(x, v, x_prev, grad_at, alpha, alpha_prev, mu, beta):
+    y = x + (1.0 - mu * alpha) * alpha / alpha_prev * (x - x_prev)
+    v = (1.0 - mu * alpha) * v - alpha * grad_at(y)
+    return x + alpha * v, v
+
+
+def _nesterov_classical(x, v, x_prev, grad_at, alpha, alpha_prev, mu, beta):
+    y = x + beta * (x - x_prev)
+    x_new = y - alpha * grad_at(y)
+    return x_new, x_new - x
+
+
+KERNELS = {"vsgd": _vsgd, "msgd_damped": _msgd_damped, "msgd_classical": _msgd_classical,
+           "nasgd": _nasgd, "nesterov_classical": _nesterov_classical}
+
+
+def within_radius(x):
+    """Per-state test ||x|| <= DIVERGENCE_RADIUS along the last axis; NaN,
+    an infinite coordinate and an overflowing norm all fail it."""
+    return np.einsum("...i,...i->...", x, x) <= DIVERGENCE_RADIUS ** 2
+
+
+def _step(state: IterState, method: str, grad_at, alpha: float, alpha_prev=None,
+          mu=None, beta=None) -> IterState:
+    x, v = KERNELS[method](state.x, state.v, state.x_prev, grad_at, alpha, alpha_prev,
+                           mu, beta)
+    # Only single trajectories raise; replica batches are masked by the
+    # experiment engine instead.
+    if x.ndim == 1 and not np.all(np.isfinite(x)):
+        raise DivergenceError(state.k + 1)
+    return IterState(k=state.k + 1, x=x, v=v, x_prev=state.x)
+
+
+def _given(g):
+    """A supplied stochastic gradient (array or OracleSample), whatever the point."""
+    sg = g.stoch_grad if isinstance(g, OracleSample) else g
+    return lambda point: sg
+
+
+def _drawn(oracle: GradientOracle, raw):
+    """Stochastic gradients from one raw draw (the oracle's next draw when
+    raw is None), applied at whatever point the rule asks for."""
+    if raw is None:
+        raw = oracle._raw(oracle._rng, 1)[0]
+    return lambda point: oracle.stoch_grad(point, raw)
 
 
 def vsgd_step(state: IterState, g, alpha: float) -> IterState:
     """Plain stochastic gradient step."""
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    x = state.x - alpha * _stoch_grad(g)
-    out = IterState(k=state.k + 1, x=x, v=state.v, x_prev=state.x)
-    _check_finite(out)
-    return out
+    _validate_alpha(alpha)
+    return _step(state, "vsgd", _given(g), alpha)
 
 
 def msgd_damped_step(state: IterState, g, alpha: float, mu: float) -> IterState:
     """Damped momentum step (velocity updated first, x uses the new v)."""
     _validate_damping(alpha, mu)
-    v = state.v - mu * alpha * state.v - alpha * _stoch_grad(g)
-    x = state.x + alpha * v
-    out = IterState(k=state.k + 1, x=x, v=v, x_prev=state.x)
-    _check_finite(out)
-    return out
+    return _step(state, "msgd_damped", _given(g), alpha, mu=mu)
 
 
 def msgd_classical_step(state: IterState, g, alpha: float, beta: float) -> IterState:
     """Textbook momentum: v accumulates, x moves by v itself."""
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if not 0.0 <= beta < 1.0:
-        raise ParameterError(f"beta must lie in [0, 1), got {beta}")
-    v = beta * state.v - alpha * _stoch_grad(g)
-    x = state.x + v
-    out = IterState(k=state.k + 1, x=x, v=v, x_prev=state.x)
-    _check_finite(out)
-    return out
+    _validate_alpha(alpha)
+    _validate_beta(beta)
+    return _step(state, "msgd_classical", _given(g), alpha, beta=beta)
 
 
 def nasgd_step(state: IterState, oracle: GradientOracle, alpha: float,
@@ -138,38 +184,29 @@ def nasgd_step(state: IterState, oracle: GradientOracle, alpha: float,
     _validate_damping(alpha, mu)
     if alpha_prev <= 0:
         raise ParameterError(f"alpha_prev must be positive, got {alpha_prev}")
-    beta = (1.0 - mu * alpha) * alpha / alpha_prev
-    y = state.x + beta * (state.x - state.x_prev)
-    if raw is None:
-        raw = oracle._raw(oracle._rng, 1)[0]
-    sg = oracle.stoch_grad(y, raw)
-    v = (1.0 - mu * alpha) * state.v - alpha * sg
-    x = state.x + alpha * v
-    out = IterState(k=state.k + 1, x=x, v=v, x_prev=state.x)
-    _check_finite(out)
-    return out
+    return _step(state, "nasgd", _drawn(oracle, raw), alpha, alpha_prev, mu)
 
 
 def nesterov_classical_step(state: IterState, oracle: GradientOracle,
                             alpha: float, beta: float, raw=None) -> IterState:
     """Classical look-ahead step with fixed momentum factor beta."""
+    _validate_alpha(alpha)
+    _validate_beta(beta)
+    return _step(state, "nesterov_classical", _drawn(oracle, raw), alpha, beta=beta)
+
+
+def _validate_alpha(alpha: float):
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
+
+
+def _validate_beta(beta: float):
     if not 0.0 <= beta < 1.0:
         raise ParameterError(f"beta must lie in [0, 1), got {beta}")
-    y = state.x + beta * (state.x - state.x_prev)
-    if raw is None:
-        raw = oracle._raw(oracle._rng, 1)[0]
-    sg = oracle.stoch_grad(y, raw)
-    x = y - alpha * sg
-    out = IterState(k=state.k + 1, x=x, v=x - state.x, x_prev=state.x)
-    _check_finite(out)
-    return out
 
 
 def _validate_damping(alpha: float, mu: float):
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    _validate_alpha(alpha)
     if mu <= 0:
         raise ParameterError(f"mu must be positive, got {mu}")
     # The velocity decay factor 1 - mu*alpha must not turn negative; the
@@ -182,8 +219,7 @@ def _validate_damping(alpha: float, mu: float):
 
 def averaged_update(avg: AveragedState, x_prev_iterate, alpha: float) -> AveragedState:
     """Fold iterate x_{k-1} with weight alpha_k into the running average."""
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    _validate_alpha(alpha)
     x_prev_iterate = np.asarray(x_prev_iterate, dtype=float)
     w = avg.weight_sum + alpha
     xbar = avg.xbar + (alpha / w) * (x_prev_iterate - avg.xbar)
@@ -255,11 +291,15 @@ def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
     iters = int(iters)
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
-    if method in ("msgd_damped", "nasgd") and s.coeff_mu <= 0:
-        raise ParameterError(f"{method} requires a positive damping schedule (coeff_mu > 0)")
+    if method in ("msgd_damped", "nasgd"):
+        if s.coeff_mu <= 0:
+            raise ParameterError(f"{method} requires a positive damping schedule (coeff_mu > 0)")
+        # alpha_k * mu_k is non-increasing, so k = 1 bounds every step.
+        _validate_damping(s.alpha(1), s.mu(1))
     if method in ("msgd_classical", "nesterov_classical"):
         if beta is None:
             raise ParameterError(f"{method} requires a momentum factor beta")
+        _validate_beta(beta)
     if lyapunov_coeff is not None and problem.minimum is None:
         raise ParameterError("energy recording requires a problem with a known minimum")
 
@@ -267,57 +307,47 @@ def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
     if x0.shape != (problem.dim,):
         raise ParameterError(f"x0 must have shape ({problem.dim},)")
     orc = oracle.with_key(derive_key(seed, 0))
-    state = init_state(x0)
+    kernel = KERNELS[method]
+    x, v, x_prev = x0.copy(), np.zeros_like(x0), x0.copy()
     avg = init_average(x0) if averaged else None
     grid = checkpoint_grid(iters, checkpoint_stride)
-    grid_set = set(int(g) for g in grid)
     traj = Trajectory(method=method, checkpoint_stride=checkpoint_stride, seed=seed)
 
-    def record(st: IterState, alpha: float, mu: float):
-        fval = float(problem.value(st.x))
-        grad = problem.gradient(st.x)
+    def record(k: int, alpha: float, mu: float):
+        fval = float(problem.value(x))
+        grad = problem.gradient(x)
         lyap = None
         if lyapunov_coeff is not None:
             coeff = lyapunov_coeff * mu if lyapunov_vanishing else lyapunov_coeff
-            lyap = scalars(problem, st.x, st.v, coeff)
+            lyap = scalars(problem, x, v, coeff)
         xbar = None
         if avg is not None:
             # x_bar_0 := x_0 (the single-term average) before any update.
-            xbar = avg.xbar.copy() if avg.weight_sum > 0 else st.x.copy()
+            xbar = avg.xbar.copy() if avg.weight_sum > 0 else x.copy()
         traj.points.append(TrajectoryPoint(
-            k=st.k, x=st.x.copy(), v=st.v.copy(), alpha=alpha, mu=mu,
+            k=k, x=x.copy(), v=v.copy(), alpha=alpha, mu=mu,
             f=fval, grad_sq=float(np.einsum("...i,...i->...", grad, grad)),
             lyap=lyap, xbar=xbar))
 
-    if 0 in grid_set:
-        record(state, 0.0, 0.0)
-
+    record(0, 0.0, 0.0)   # the grid always starts at 0
+    ci = 1
     alpha_prev = None
     for k in range(1, iters + 1):
         alpha = s.alpha(k)
         mu = s.mu(k)
         if avg is not None:
-            avg = averaged_update(avg, state.x, alpha)
-        if method == "vsgd":
-            g = orc.sample(state.x)
-            state = vsgd_step(state, g, alpha)
-        elif method == "msgd_damped":
-            g = orc.sample(state.x)
-            state = msgd_damped_step(state, g, alpha, mu)
-        elif method == "msgd_classical":
-            g = orc.sample(state.x)
-            state = msgd_classical_step(state, g, alpha, beta)
-        elif method == "nasgd":
-            state = nasgd_step(state, orc, alpha, alpha_prev if alpha_prev else alpha, mu)
-        else:
-            state = nesterov_classical_step(state, orc, alpha, beta)
-        if float(np.linalg.norm(state.x)) > DIVERGENCE_RADIUS:
+            avg = averaged_update(avg, x, alpha)
+        x_new, v = kernel(x, v, x_prev, _drawn(orc, None), alpha, alpha_prev or alpha,
+                          mu, beta)
+        x_prev, x = x, x_new
+        if not within_radius(x):
             raise DivergenceError(k)
         alpha_prev = alpha
-        if k in grid_set:
-            record(state, alpha, mu)
+        if k == grid[ci]:
+            record(k, alpha, mu)
+            ci += 1
 
-    traj.final = state
+    traj.final = IterState(k=iters, x=x, v=v, x_prev=x_prev)
     traj.averaged_final = avg
     return traj
 

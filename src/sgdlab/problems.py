@@ -196,43 +196,12 @@ def smooth_rastrigin(dim: int, amplitude: float) -> Problem:
     )
 
 
-def power_iteration_lmax(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 100000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    mat = np.asarray(mat, dtype=float)
-    d = mat.shape[0]
-    if mat.shape != (d, d):
-        raise ParameterError("matrix must be square")
-    # Deterministic start with energy in every eigendirection with
-    # overwhelming probability; a fixed counter-based stream keeps runs
-    # reproducible.
-    from .rng import stream
-
-    v = stream(0x9E3779B97F4A7C15).standard_normal(d)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        v = np.ones(d)
-        nrm = np.linalg.norm(v)
-    v /= nrm
-    lam = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (mat @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
 def least_squares_sum(design, targets) -> FiniteSumProblem:
     """Finite sum of least-squares rows: f_i(x) = 1/2 * (a_i . x - b_i)^2.
 
     The aggregate is f = (1/S) sum_i f_i with smoothness
-    lambda_max((1/S) A^T A), computed by power iteration (tolerance 1e-10)
-    and inflated by 1e-6 so the constant stays a certified upper bound.
+    lambda_max((1/S) A^T A), the top eigenvalue from `eigvalsh` inflated by
+    1e-6 so the constant stays a certified upper bound.
     """
     a = np.asarray(design, dtype=float)
     b = np.asarray(targets, dtype=float)
@@ -283,8 +252,8 @@ def least_squares_sum(design, targets) -> FiniteSumProblem:
         r = np.tensordot(x, a, axes=([-1], [1])) - b
         return np.tensordot(r, a, axes=([-1], [0])) / s_count
 
-    lmax = power_iteration_lmax(gram, tol=1e-10) * (1.0 + 1e-6)
     eigs = np.linalg.eigvalsh(gram)
+    lmax = float(eigs[-1]) * (1.0 + 1e-6)
     lmin = float(eigs[0])
     if lmin > 1e-12 * max(1.0, float(eigs[-1])):
         conv, mu = Convexity.STRONGLY_CONVEX, lmin

@@ -17,6 +17,7 @@ from sgdlab.optimizers import (DIVERGENCE_RADIUS, averaged_update, checkpoint_gr
                                msgd_damped_step, nasgd_step, nesterov_classical_step,
                                run, vsgd_step)
 from sgdlab.oracles import GradientOracle
+from sgdlab.problems import least_squares_sum
 from sgdlab.rng import derive_key
 from sgdlab.schedules import PowerSchedule
 
@@ -189,6 +190,42 @@ def test_engine_matches_manual_replica_stepping_bitwise(method, sched_extra, bet
         assert np.array_equal(est.lyap.mean_ht, ref["mean_ht"])
         assert np.array_equal(est.lyap.mean_hbar, ref["mean_hbar"])
         assert np.array_equal(est.lyap.se_delta_ht, ref["se_delta_ht"])
+
+
+@pytest.mark.parametrize("method,sched_extra,beta", _METHOD_SETUPS,
+                         ids=[m for m, _, _ in _METHOD_SETUPS])
+def test_zero_noise_averaged_experiment_equals_the_single_run_for_every_method(
+        method, sched_extra, beta):
+    cfg = make_cfg(method=method, schedule={"alpha_c": 0.3, "alpha_a": 0.6, **sched_extra},
+                   beta=beta, oracle={"kind": "gaussian", "sigma": 0.0}, replicas=4,
+                   horizon=90, checkpoint_stride=7, averaged=True)
+    est = run_experiment(cfg)
+    problem, _ = build_problem(cfg.problem)
+    orc = build_oracle(cfg.oracle, problem, None, seed=cfg.seed)
+    traj = run(method, problem, orc, build_schedule(cfg.schedule), cfg.horizon, cfg.seed,
+               cfg.x0, checkpoint_stride=7, beta=beta, averaged=True)
+    f_star = problem.minimum.f_star
+    assert np.array_equal(est.checkpoints, traj.checkpoints())
+    assert np.array_equal(est.mean_grad_sq, [p.grad_sq for p in traj.points])
+    assert np.array_equal(est.mean_gap, [p.f - f_star for p in traj.points])
+    assert np.array_equal(est.mean_avg_gap,
+                          [float(problem.value(p.xbar)) - f_star for p in traj.points])
+
+
+def test_experiment_builds_its_problem_once(monkeypatch):
+    calls = []
+
+    def counting(design, targets):
+        calls.append(1)
+        return least_squares_sum(design, targets)
+
+    monkeypatch.setattr("sgdlab.config.least_squares_sum", counting)
+    cfg = make_cfg(problem={"kind": "least_squares", "design": [[1.0, 0.0], [0.0, 2.0],
+                                                                [1.0, 1.0]],
+                            "targets": [1.0, -1.0, 0.5]},
+                   oracle={"kind": "minibatch", "batch": 2}, horizon=20, replicas=4)
+    run_experiment(cfg)
+    assert len(calls) == 1
 
 
 _PARTIAL_DIVERGENCE = dict(

@@ -5,8 +5,7 @@ import pytest
 
 from sgdlab.errors import ParameterError
 from sgdlab.problems import (Convexity, Problem, check_gradient, least_squares_sum,
-                             power_iteration_lmax, pseudo_huber, quadratic,
-                             smooth_rastrigin)
+                             pseudo_huber, quadratic, smooth_rastrigin)
 from sgdlab.rng import stream
 
 
@@ -100,14 +99,6 @@ def test_certified_smoothness_bounds_gradient_differences():
         dg = np.linalg.norm(p.gradient(xs) - p.gradient(ys), axis=-1)
         dx = np.linalg.norm(xs - ys, axis=-1)
         assert np.all(dg <= p.smoothness_l * dx * (1.0 + 1e-12) + 1e-12), p.name
-
-
-def test_power_iteration_finds_the_top_eigenvalue():
-    assert power_iteration_lmax(np.diag([1.0, 3.0, 7.0])) == pytest.approx(7.0, rel=1e-9)
-    q = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert power_iteration_lmax(q) == pytest.approx(3.0, rel=1e-9)
-    with pytest.raises(ParameterError):
-        power_iteration_lmax(np.ones((2, 3)))
 
 
 def test_least_squares_aggregate_matches_direct_formulas():
