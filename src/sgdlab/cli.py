@@ -159,7 +159,7 @@ def cmd_lyapunov(args) -> int:
     fit = descent_fit(est.lyap, burn_in)
     fit_json = {"k_hat": fit.k_hat, "c_hat": fit.c_hat,
                 "violation_fraction": fit.violation_fraction,
-                "burn_in": fit.burn_in}
+                "burn_in": fit.burn_in, "status": fit.status}
     written = _write_outputs(args.out, {
         "lyapunov.csv": lyapunov_csv(est),
         "descent_fit.json": json.dumps(fit_json, indent=2) + "\n"})

@@ -21,6 +21,7 @@ on observed series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -188,9 +189,8 @@ def _envelope_c(k_val: float, d, reg_k, reg_c, slack) -> float:
 def _constrained_fit(d, reg_k, reg_c, slack):
     """Minimize sum (d + K*reg_k - C*reg_c)^2 over K >= 0, C >= max(0, g(K))
     with g the pointwise envelope requirement.  The partial minimum over C
-    is convex in K, so bounded scalar minimization suffices."""
-    from scipy.optimize import minimize_scalar
-
+    is convex in K, so a bounded scalar search (`_bounded_minimize`)
+    suffices."""
     scale_d = float(np.max(np.abs(d))) or 1.0
     scale_k = float(np.max(reg_k)) or 1.0
     # Dot products go through einsum, not BLAS: a threaded BLAS splits long
@@ -210,14 +210,99 @@ def _constrained_fit(d, reg_k, reg_c, slack):
         r = d + k_val * reg_k - c_for(k_val) * reg_c
         return dot(r, r)
 
-    res = minimize_scalar(objective, bounds=(0.0, k_hi), method="bounded",
-                          options={"xatol": 1e-12 * max(1.0, k_hi)})
-    k_hat = float(res.x)
-    # Snap to the boundary when it is at least as good: the bounded solver
+    k_hat = _bounded_minimize(objective, 0.0, k_hi, 1e-12 * max(1.0, k_hi))
+    # Snap to the boundary when it is at least as good: the bounded search
     # cannot land exactly on 0.
     if objective(0.0) <= objective(k_hat):
         k_hat = 0.0
     return k_hat, c_for(k_hat)
+
+
+def _bounded_minimize(func, lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of func on [lo, hi] by Brent's golden-section search with
+    parabolic interpolation, stopping at absolute tolerance xatol or after
+    500 evaluations.
+
+    A step-for-step port of `_minimize_scalar_bounded` from SciPy 1.17
+    (scipy/optimize/_optimize.py, BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc. and 2003 SciPy Developers).  It uses only float
+    arithmetic in the same order, so it returns the same float as
+    `minimize_scalar(func, bounds=(lo, hi), method="bounded",
+    options={"xatol": xatol}).x` without importing SciPy.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"bounds must be finite with lo <= hi, got ({lo}, {hi})")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # Try a parabola through the three best points.
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign_or_one(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + _sign_or_one(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
+def _sign_or_one(v: float) -> int:
+    """SciPy's step direction np.sign(v) + (v == 0) for a non-NaN v."""
+    return (v > 0) - (v < 0) + (v == 0)
 
 
 @dataclass(frozen=True)

@@ -200,25 +200,25 @@ def _minibatch_bound(fsp: FiniteSumProblem, batch: int, replace: bool) -> NoiseB
 
     With replacement, E||xi||^2 = (1/batch) * (mean_i ||grad f_i||^2 - ||grad f||^2),
     and sampling without replacement only shrinks it, so one bound covers both.
-    For least-squares rows with a positive-definite Gram matrix there is a
-    closed form: writing x_hat for the least-squares solution and r for its
-    residual, ||grad f_i(x)||^2 <= 2 max||a_i||^2 max r_i^2
-    + 2 max||a_i||^4 ||x - x_hat||^2 and ||grad f(x)||^2 >= lmin^2 ||x - x_hat||^2.
-    Otherwise (M, V) are fit to exact per-point second moments on a fixed
-    point grid and inflated by 50%, flagged empirical.
+    For least-squares rows whose aggregate is strongly convex (the
+    `strong_convexity_mu` that `least_squares_sum` sets from its Gram
+    eigenvalues, lmin = mu) there is a closed form: writing x_hat for the
+    least-squares solution and r for its residual,
+    ||grad f_i(x)||^2 <= 2 max||a_i||^2 max r_i^2 + 2 max||a_i||^4 ||x - x_hat||^2
+    and ||grad f(x)||^2 >= lmin^2 ||x - x_hat||^2.  Otherwise (M, V) are the
+    non-negative least-squares fit (`_nonneg_line_fit`) to exact per-point
+    second moments on a fixed point grid, inflated by 50%, flagged empirical.
     """
     agg = fsp.aggregate
-    if fsp.design is not None:
+    lmin = agg.strong_convexity_mu
+    if fsp.design is not None and lmin is not None:
         a, b = fsp.design, fsp.targets
-        gram = (a.T @ a) / a.shape[0]
-        lmin = float(np.linalg.eigvalsh(gram)[0])
-        if lmin > 1e-12:
-            row_sq = np.sum(a * a, axis=1)
-            x_hat = agg.minimum.x_star
-            resid = a @ x_hat - b
-            m_const = (2.0 / batch) * float(row_sq.max()) * float(np.max(resid ** 2))
-            v_const = (2.0 / batch) * float(row_sq.max()) ** 2 / lmin ** 2
-            return NoiseBound(m_const=m_const, v_const=v_const, empirical=False)
+        row_sq = np.sum(a * a, axis=1)
+        x_hat = agg.minimum.x_star
+        resid = a @ x_hat - b
+        m_const = (2.0 / batch) * float(row_sq.max()) * float(np.max(resid ** 2))
+        v_const = (2.0 / batch) * float(row_sq.max()) ** 2 / lmin ** 2
+        return NoiseBound(m_const=m_const, v_const=v_const, empirical=False)
 
     # Empirical fallback: exact conditional second moments on a fixed grid.
     pts = stream(derive_key(0xB0D5, 0)).standard_normal((64, agg.dim)) * 3.0
@@ -232,13 +232,31 @@ def _minibatch_bound(fsp: FiniteSumProblem, batch: int, replace: bool) -> NoiseB
         fpc = 1.0 if replace else 1.0 - (batch - 1.0) / max(s_count - 1.0, 1.0)
         e2[i] = fpc * pop_var / batch
         gsq[i] = float(g @ g)
-    from scipy.optimize import nnls
-
-    coef, _ = nnls(np.column_stack([np.ones_like(gsq), gsq]), e2)
-    m_const, v_const = float(coef[0]), float(coef[1])
+    m_const, v_const = _nonneg_line_fit(gsq, e2)
     slack = e2 - (m_const + v_const * gsq)
     m_const += max(0.0, float(slack.max()))
     return NoiseBound(m_const=1.5 * m_const, v_const=1.5 * v_const, empirical=True)
+
+
+def _nonneg_line_fit(g, y):
+    """(m, v) minimizing ||m + v * g - y|| over m, v >= 0.
+
+    The exact active-set solution for two columns: the unconstrained fit
+    when both of its coefficients are non-negative, else the better of the
+    two one-column fits clipped at 0 (which includes m = v = 0).
+    """
+    g_mean, y_mean = float(g.mean()), float(y.mean())
+    gc = g - g_mean
+    sxx = float(gc @ gc)
+    if sxx > 0.0:
+        v = float(gc @ y) / sxx
+        m = y_mean - v * g_mean
+        if m >= 0.0 and v >= 0.0:
+            return m, v
+    gg = float(g @ g)
+    candidates = [(max(0.0, y_mean), 0.0),
+                  (0.0, max(0.0, float(g @ y) / gg) if gg > 0.0 else 0.0)]
+    return min(candidates, key=lambda c: float(np.sum((c[0] + c[1] * g - y) ** 2)))
 
 
 def gaussian_oracle(p: Problem, sigma: float, seed: int = 0) -> GradientOracle:

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sgdlab
 from sgdlab.cli import _cleanup, main
 
 INI = """\
@@ -106,7 +108,8 @@ def test_lyapunov_writes_series_and_fit(config_path, tmp_path):
     assert lines[0] == "k,alpha,mu,mean_Ht,mean_Hbar,se_delta_Ht"
     assert len(lines) == 52  # stride forced to 1
     fit = json.loads((out / "descent_fit.json").read_text())
-    assert set(fit) == {"k_hat", "c_hat", "violation_fraction", "burn_in"}
+    assert set(fit) == {"k_hat", "c_hat", "violation_fraction", "burn_in",
+                        "status"}
 
 
 def test_sweep_writes_per_cell_rows(config_path, tmp_path):
@@ -164,3 +167,37 @@ def test_module_entry_point(config_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["class"]["square_summable"] is False
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+
+class _BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+        return None
+
+sys.meta_path.insert(0, _BlockScipy())
+from sgdlab.cli import main
+from sgdlab.oracles import minibatch_oracle
+from sgdlab.problems import least_squares_sum
+
+config, out = sys.argv[1:]
+assert main(["lyapunov", config, "--out", out, "--json",
+             "--set", "run.method=msgd_damped", "--set", "schedule.mu=1.0, 0.0",
+             "--set", "schedule.alpha=0.3, 0.7"]) == 0
+fsp = least_squares_sum([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], [1.0, 0.0, -1.0])
+assert minibatch_oracle(fsp, 1, seed=0).bound.empirical
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_lyapunov_and_empirical_minibatch_bound_run_without_scipy(config_path, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, config_path, str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().split("\n")[-1]) == []
+    assert json.loads((tmp_path / "out" / "descent_fit.json").read_text())["status"] == "ok"

@@ -1,8 +1,10 @@
 """Energy scalars, tilt selection, descent-bound fitting, triplet recursion probe."""
 
+import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import sgdlab
 from sgdlab.errors import ParameterError
+from sgdlab import lyapunov
 from sgdlab.lyapunov import (LyapunovSeries, descent_fit, scalars, select_lambda,
                              select_zeta, triplet_probe)
 from sgdlab.problems import least_squares_sum, quadratic
@@ -245,3 +248,72 @@ def test_descent_fit_does_not_depend_on_the_blas_thread_count():
     outs = [p.communicate(timeout=300)[0] for p in procs]
     assert [p.returncode for p in procs] == [0, 0]
     assert outs[0].split() and outs[0] == outs[1]
+
+
+def _scipy_bounded(func, lo, hi, xatol):
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+    return float(minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                                 options={"xatol": xatol}).x)
+
+
+_OBJECTIVES = {
+    "convex": lambda c, s: (lambda x: s * (x - c) ** 2),
+    "flat": lambda c, s: (lambda x: s),
+    "boundary": lambda c, s: (lambda x: s * x),   # minimum at an endpoint
+    "nan_above": lambda c, s: (lambda x: math.nan if x > c else s * (x - c) ** 2),
+    "nan": lambda c, s: (lambda x: math.nan),
+    "kink": lambda c, s: (lambda x: s * abs(x - c)),
+    "wavy": lambda c, s: (lambda x: math.cos(s * x) + 0.01 * (x - c) ** 2),
+}
+
+
+@given(kind=st.sampled_from(sorted(_OBJECTIVES)),
+       lo=st.floats(-100.0, 100.0), width=st.floats(0.0, 200.0),
+       c=st.floats(-150.0, 150.0), s=st.floats(0.01, 50.0),
+       xatol=st.sampled_from([0.0, 1e-14, 1e-12, 1e-8, 1e-5, 0.1]))
+@settings(max_examples=300, deadline=None)
+def test_bounded_minimize_returns_scipys_float(kind, lo, width, c, s, xatol):
+    func = _OBJECTIVES[kind](c, s)
+    hi = lo + width
+    ours = lyapunov._bounded_minimize(func, lo, hi, xatol)
+    assert ours.hex() == _scipy_bounded(func, lo, hi, xatol).hex()
+
+
+def test_bounded_minimize_stops_at_500_evaluations():
+    # xatol = 0 and a minimum at 0 shrink the tolerance with the iterate,
+    # so only the evaluation cap ends the search.
+    calls = []
+
+    def kink(x):
+        calls.append(x)
+        return abs(x)
+
+    ours = lyapunov._bounded_minimize(kink, -1.0, 1.0, 0.0)
+    assert len(calls) == 500
+    calls.clear()
+    assert ours.hex() == _scipy_bounded(kink, -1.0, 1.0, 0.0).hex()
+    assert len(calls) == 500
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_constrained_fit_search_returns_scipys_float(seed):
+    rng = stream(seed)
+    n = int(rng.integers(5, 200))
+    reg_k = rng.uniform(0.0, 2.0, n) * 10.0 ** rng.integers(-3, 4)
+    reg_c = rng.uniform(0.1, 1.0, n) ** 2
+    d = (-rng.uniform() * reg_k + rng.uniform() * reg_c
+         + rng.normal(0.0, 10.0 ** rng.integers(-4, 1), n))
+    slack = np.abs(rng.normal(0.0, 1e-2, n)) * rng.integers(0, 2)
+    searches = []
+    real = lyapunov._bounded_minimize
+
+    def record(func, lo, hi, xatol):
+        searches.append((func, lo, hi, xatol, real(func, lo, hi, xatol)))
+        return searches[-1][-1]
+
+    with mock.patch.object(lyapunov, "_bounded_minimize", record):
+        lyapunov._constrained_fit(d, reg_k, reg_c, slack)
+    assert len(searches) == 1
+    func, lo, hi, xatol, ours = searches[0]
+    assert ours.hex() == _scipy_bounded(func, lo, hi, xatol).hex()

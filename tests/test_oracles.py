@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdlab.errors import ParameterError
-from sgdlab.oracles import (NoiseBound, gaussian_oracle, minibatch_oracle,
-                            relative_noise_oracle, verify_bound)
+from sgdlab.oracles import (NoiseBound, _nonneg_line_fit, gaussian_oracle,
+                            minibatch_oracle, relative_noise_oracle, verify_bound)
 from sgdlab.problems import least_squares_sum, pseudo_huber, quadratic
 from sgdlab.rng import derive_key, replica_stream, stream
 
@@ -146,6 +148,42 @@ def test_minibatch_degenerate_gram_falls_back_to_an_empirical_bound():
     assert orc.bound.empirical
     report = verify_bound(orc, fsp.aggregate, stream(8).normal(size=(5, 2)), samples=5000)
     assert report.all_passed
+
+
+def test_minibatch_ill_conditioned_gram_gets_an_empirical_bound():
+    # lambda_min = 5e-9 passes an absolute 1e-12 test but fails the problem's
+    # relative one (1e-12 * lambda_max = 6.7e-7): the closed form would
+    # divide by lambda_min^2 and declare V near 1e29.
+    fsp = least_squares_sum([[1e3, 0.0], [0.0, 1e-4], [1e3, 1e-4]], [1.0, 0.0, -1.0])
+    assert fsp.aggregate.strong_convexity_mu is None
+    orc = minibatch_oracle(fsp, 1, seed=0)
+    assert orc.bound.empirical
+    report = verify_bound(orc, fsp.aggregate, stream(8).normal(size=(5, 2)), samples=5000)
+    assert report.all_passed
+
+
+def test_least_squares_minibatch_build_makes_one_eigendecomposition(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    fsp = least_squares_sum([[1.0, 0.5], [0.2, 2.0], [1.5, -1.0]], [1.0, 0.0, -1.0])
+    assert not minibatch_oracle(fsp, 2, seed=0).bound.empirical
+    assert len(calls) == 1
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_two_column_fit_matches_nnls(seed):
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    rng = stream(seed)
+    n = int(rng.integers(2, 80))
+    g = rng.exponential(10.0 ** rng.integers(-3, 4), n)
+    y = (rng.uniform(-1.0, 1.0) * rng.uniform(0.0, 2.0) * g
+         + rng.normal(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0), n))
+    ref, _ = nnls(np.column_stack([np.ones_like(g), g]), y)
+    ours = np.array(_nonneg_line_fit(g, y))
+    assert np.all(ours >= 0.0)
+    assert np.max(np.abs(ours - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1e-300)
 
 
 def test_minibatch_rejects_out_of_range_batches():
