@@ -24,7 +24,8 @@ Config grammar (INI sections; `#`/`;` start inline comments):
     [sweep]     methods = vsgd, msgd_damped   alpha_a = 0.6, 0.7   mu_b = 0, 0.2
 
 Overrides: `--set section.key=value` (repeatable) applies after parsing;
-`--seed` replaces the seed last.
+`--seed` replaces the seed last.  The config is validated once, after both
+(and for `lyapunov`, after it forces lyapunov = true and stride 1).
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import os
 import sys
 from dataclasses import asdict
 
-from .config import (build_oracle, build_problem, build_schedule,
-                     config_from_manifest, manifest_dict, parse_config_file,
-                     parse_sweep_file, sweep_grid)
+from .config import (build_oracle, config_from_manifest, manifest_dict,
+                     parse_config_file, parse_sweep_file, sweep_grid,
+                     validate_config)
 from .errors import ConfigError, DivergenceError, ExperimentError, ParameterError
 from .harness import (default_burn_in, estimates_csv, lyapunov_csv,
                       resolve_lyapunov, run_experiment, summary_dict, sweep,
@@ -101,9 +102,8 @@ def cmd_classify(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    problem, fsp = build_problem(cfg.problem)
+    problem, fsp, schedule = validate_config(cfg)
     oracle = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
-    schedule = build_schedule(cfg.schedule)
     lyap = resolve_lyapunov(cfg, problem, schedule)
     traj = run(cfg.method, problem, oracle, schedule, cfg.horizon, cfg.seed,
                cfg.x0, checkpoint_stride=cfg.checkpoint_stride, beta=cfg.beta,
@@ -157,9 +157,7 @@ def cmd_lyapunov(args) -> int:
     est = run_experiment(cfg)
     burn_in = args.burn_in if args.burn_in is not None else default_burn_in(cfg.horizon)
     fit = descent_fit(est.lyap, burn_in)
-    fit_json = {"k_hat": fit.k_hat, "c_hat": fit.c_hat,
-                "violation_fraction": fit.violation_fraction,
-                "burn_in": fit.burn_in, "status": fit.status}
+    fit_json = asdict(fit)
     written = _write_outputs(args.out, {
         "lyapunov.csv": lyapunov_csv(est),
         "descent_fit.json": json.dumps(fit_json, indent=2) + "\n"})

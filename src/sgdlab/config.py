@@ -13,17 +13,23 @@ Config files are INI-style with four sections:
 
 A manifest is the fully resolved config as JSON; re-running from a manifest
 reproduces the experiment byte for byte.
+
+Parsing checks the grammar only.  `validate_config` checks the constraints
+between fields and builds the problem to do so; a command calls it once, on
+the config it finally runs, and uses what it built.
 """
 
 from __future__ import annotations
 
 import configparser
+import copy
 import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .errors import ConfigError, ParameterError
+from .optimizers import METHODS
 from .oracles import (GradientOracle, gaussian_oracle, minibatch_oracle,
                       relative_noise_oracle)
 from .problems import (FiniteSumProblem, Problem, least_squares_sum,
@@ -105,8 +111,6 @@ def build_oracle(spec: dict, problem: Problem,
 def validate_config(cfg: ExperimentConfig):
     """Static checks with messages naming the violated constraint.  Returns
     the (problem, finite sum or None, schedule) built to check them."""
-    from .optimizers import METHODS
-
     if cfg.method not in METHODS:
         raise ConfigError(f"[run] method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.horizon < 1:
@@ -247,7 +251,6 @@ def parse_config_file(path: str, overrides: list[str] | None = None) -> Experime
         raise ConfigError(f"[run] {e}") from e
     if run:
         raise ConfigError(f"[run] unknown keys: {sorted(run)}")
-    validate_config(cfg)
     return cfg
 
 
@@ -271,7 +274,6 @@ def config_from_manifest(manifest: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(**raw)
     except TypeError as e:
         raise ConfigError(f"manifest config mismatch: {e}") from e
-    validate_config(cfg)
     return cfg
 
 
@@ -285,13 +287,15 @@ class SweepSpec:
 
 def parse_sweep_file(path: str, overrides: list[str] | None = None) -> SweepSpec:
     """A sweep file is an experiment config plus a [sweep] section whose
-    methods / alpha_a / mu_b lists span a cartesian grid."""
+    methods / alpha_a / mu_b lists span a cartesian grid.  The base config
+    is validated here, so a bad base fails before any cell runs."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not cp.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
     if not cp.has_section("sweep"):
         raise ConfigError("sweep requires a [sweep] section")
     base = parse_config_file(path, overrides)
+    validate_config(base)
     methods = [m.strip() for m in cp.get("sweep", "methods", fallback="").split(",") if m.strip()]
     alpha_a = _parse_floats(cp.get("sweep", "alpha_a", fallback="")) \
         if cp.has_option("sweep", "alpha_a") else []
@@ -303,8 +307,6 @@ def parse_sweep_file(path: str, overrides: list[str] | None = None) -> SweepSpec
 
 
 def sweep_grid(spec: SweepSpec) -> list[ExperimentConfig]:
-    import copy
-
     out = []
     for method in spec.methods:
         for a in spec.alpha_a:

@@ -2,36 +2,40 @@
 
 `run_experiment` simulates `replicas` independent trajectories of one
 configuration and aggregates per-checkpoint estimates.  Replica i draws its
-noise from the counter-based stream keyed by (master_seed, i), so replica 0
-of an experiment reproduces `optimizers.run` with the same seed bitwise.
+noise from the counter-based stream keyed by (master_seed, i).
+`optimizers.run` is this engine at one replica, so replica 0 of an
+experiment and a single run with the same seed are one computation.
 
 Execution model: one engine advances every replica in lock-step as a single
 (replicas, dim) state.  Each iteration calls the method's kernel from
 `optimizers.KERNELS` and folds the running average with
-`optimizers.averaged_update`, the same code `optimizers.run` and the step
-functions call on one (dim,) state, so each iteration costs one set of
-numpy calls whatever the replica count.  Raw noise is pre-drawn into
-one (iterations, replicas, ...) buffer, refilled in place one replica at a
-time; Philox draws do not depend on how they are chunked, so no stream's
-contents change with the buffer depth, which shrinks as the replica count
-grows to keep the buffer's size fixed.  At a checkpoint the engine
-evaluates f and grad f on the live state (the gradient is reused by the
-next step) and copies f(x), grad f(x), v and f(xbar) into preallocated
-(chunk, replicas, ...) buffers, with chunk x replicas <= 16384 (fewer for
-states of more than 2 coordinates).  One set of numpy calls then reduces
-the whole chunk: gradient and velocity norms, the cross term, the energies
-and their increments (the last tilted energy carries into the next chunk),
-their squares and the block sums.  A chunk is reduced when it is full,
-before a divergence changes the alive mask (so one mask holds for every
-checkpoint of a chunk), and at the end of the run.  Sums run over fixed
-consecutive blocks of `_BLOCK_REPLICAS` replicas: each block's sum is
-numpy's pairwise sum of its alive replicas in replica order, and the block
-sums are folded in block order, so the reductions depend neither on the
-replica array's width nor on the chunk length.
+`optimizers.averaged_update`, the same code the step functions call on one
+(dim,) state, so each iteration costs one set of numpy calls whatever the
+replica count.  Raw noise is pre-drawn into one (iterations, replicas,
+...) buffer, refilled in place one replica at a time; Philox draws do not
+depend on how they are chunked, so no stream's contents change with the
+buffer depth, which shrinks as the replica count grows to keep the
+buffer's size fixed.  At a checkpoint the engine evaluates f and grad f on
+the live state (the gradient is reused by the next step), passes them with
+the state to the caller's checkpoint hook if there is one (this is how
+`run` records its trajectory), and copies f(x), grad f(x), v and f(xbar)
+into preallocated (chunk, replicas, ...) buffers, with chunk x replicas <=
+16384 (fewer for states of more than 2 coordinates).  One set of numpy
+calls then reduces the whole chunk: gradient and velocity norms, the cross
+term, the energies and their increments (the last tilted energy carries
+into the next chunk), their squares and the block sums.  A chunk is
+reduced when it is full, before a divergence changes the alive mask (so
+one mask holds for every checkpoint of a chunk), and at the end of the
+run.  Sums run over fixed consecutive blocks of `_BLOCK_REPLICAS`
+replicas: each block's sum is numpy's pairwise sum of its alive replicas
+in replica order, and the block sums are folded in block order, so the
+reductions depend neither on the replica array's width nor on the chunk
+length.
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
-checkpoint; the experiment fails if more than `divergence_tolerance` of
+checkpoint; once no replica is alive the engine stops stepping and
+drawing.  The experiment fails if more than `divergence_tolerance` of
 replicas diverge.  Zero-noise oracles short-circuit to a single replica:
 all replicas would be identical, so means are that trajectory's values and
 standard errors are exactly 0.
@@ -39,16 +43,14 @@ standard errors are exactly 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .config import (ExperimentConfig, build_oracle, build_problem,
-                     build_schedule, validate_config)
-from .errors import ConfigError, ExperimentError
-from .lyapunov import (DescentFit, LyapunovSeries, descent_fit, select_lambda,
-                       select_zeta)
+from .config import ExperimentConfig, build_oracle, validate_config
+from .errors import ConfigError, DivergenceError, ExperimentError, ParameterError
+from .lyapunov import LyapunovSeries, descent_fit, select_lambda, select_zeta
 from .optimizers import (KERNELS, averaged_update, checkpoint_grid, init_average,
                          within_radius)
 from .problems import Convexity, Problem
@@ -76,6 +78,8 @@ class MonteCarloEstimate:
     diverged: int
     diverged_iterations: tuple
     config: ExperimentConfig
+    problem: Problem            # as built by the one validation of config
+    schedule: PowerSchedule
 
 
 def resolve_lyapunov(cfg: ExperimentConfig, problem: Problem,
@@ -138,12 +142,16 @@ def _block_sums(vals: np.ndarray, alive: np.ndarray, frozen_blocks) -> np.ndarra
 
 def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
               lyap_mode, averaged: bool, f_star: float, master_seed: int,
-              r_count: int):
-    """Advance replicas 0..r_count-1 in lock-step.
+              r_count: int, on_point):
+    """Advance replicas 0..r_count-1 in lock-step until the horizon or until
+    no replica is alive.
 
-    Returns (counts, sums, diverged): alive replicas per checkpoint, a dict
-    of per-checkpoint sums over alive replicas keyed by quantity (sums of
-    squares under "sq_" + name), and the (replica, iteration) divergences.
+    Returns (counts, sums, diverged, final): alive replicas per checkpoint,
+    a dict of per-checkpoint sums over alive replicas keyed by quantity
+    (sums of squares under "sq_" + name), the (replica, iteration)
+    divergences, and the last (x, v, x_prev, running average or None).
+    Unless None, on_point(k, x, v, xbar, f, grad) sees every checkpoint's
+    (replicas, ...) state, xbar (None unless averaged), f(x) and grad f(x).
     """
     horizon = len(alphas)
     kernel = KERNELS[method]
@@ -183,10 +191,14 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
         f_buf[j] = problem.value(x)
         gr = problem.gradient(x)
         g_buf[j] = gr
+        xbar = None
         if averaged:
-            a_buf[j] = problem.value(x if avg.weight_sum == 0.0 else avg.xbar)
+            xbar = x if avg.weight_sum == 0.0 else avg.xbar
+            a_buf[j] = problem.value(xbar)
         if v_buf is not None:
             v_buf[j] = v
+        if on_point is not None:
+            on_point(int(grid[ci]), x, v, xbar, f_buf[j], gr)
         ci += 1
         if ci - flushed == chunk:
             flush()
@@ -271,6 +283,8 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
                     frozen_blocks.add(int(i) // _BLOCK_REPLICAS)
                 alive &= ok
                 n_alive = int(alive.sum())
+                if n_alive == 0:
+                    break
                 for arr in (x, v, x_prev) + ((avg.xbar,) if averaged else ()):
                     arr[bad] = 0.0
 
@@ -278,7 +292,7 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
                 grad_cache = record()
         flush()
     keys = names + ["sq_" + name for name in squared]
-    return counts, dict(zip(keys, totals.T)), diverged
+    return counts, dict(zip(keys, totals.T)), diverged, (x, v, x_prev, avg)
 
 
 def _mean_se(s, q, n):
@@ -303,9 +317,9 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
     # the exact means, and with n = 1 `_mean_se` gives standard errors of
     # exactly 0.
     effective = 1 if oracle.zero_noise else cfg.replicas
-    n, sums, diverged = _simulate(problem, oracle, cfg.method, cfg.beta, alphas,
-                                  mus, cfg.x0, grid, lyap_mode, cfg.averaged,
-                                  f_star, cfg.seed, effective)
+    n, sums, diverged, _ = _simulate(problem, oracle, cfg.method, cfg.beta, alphas,
+                                     mus, cfg.x0, grid, lyap_mode, cfg.averaged,
+                                     f_star, cfg.seed, effective, None)
 
     diverged = sorted(diverged)
     diverged_count = len(diverged) if not oracle.zero_noise else \
@@ -353,6 +367,8 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
         diverged=diverged_count,
         diverged_iterations=tuple(diverged),
         config=cfg,
+        problem=problem,
+        schedule=schedule,
     )
 
 
@@ -403,7 +419,7 @@ def _partial_sums_at(s: PowerSchedule, ks: np.ndarray):
     return sum_a, sum_q
 
 
-def averaged_bound_probe(est: MonteCarloEstimate, s: PowerSchedule | None = None,
+def averaged_bound_probe(est: MonteCarloEstimate,
                          burn_in_frac: float = 0.05) -> AveragedBoundProbe:
     """Scale-invariance check of the averaged-iterate gap.
 
@@ -413,11 +429,9 @@ def averaged_bound_probe(est: MonteCarloEstimate, s: PowerSchedule | None = None
     """
     if est.mean_avg_gap is None:
         raise ExperimentError("averaged bound probe requires an averaged run")
-    if s is None:
-        s = build_schedule(est.config.schedule)
     keep = est.checkpoints > 0
     ks = est.checkpoints[keep]
-    sum_a, sum_q = _partial_sums_at(s, ks)
+    sum_a, sum_q = _partial_sums_at(est.schedule, ks)
     ratios = est.mean_avg_gap[keep] * sum_a / (1.0 + sum_q)
     burn = int(np.ceil(burn_in_frac * len(ratios)))
     tail = ratios[burn:] if burn < len(ratios) else ratios
@@ -430,12 +444,11 @@ def averaged_bound_probe(est: MonteCarloEstimate, s: PowerSchedule | None = None
     )
 
 
-def nasgd_hypothesis(cfg: ExperimentConfig) -> dict:
+def nasgd_hypothesis(est: MonteCarloEstimate) -> dict:
     """Annotation for accelerated runs: the look-ahead factor limit
     beta_hat = limsup (1 - mu_k alpha_k) alpha_k / alpha_{k-1}, whether
     L * beta_hat < inf_k mu_k holds, and whether convexity covers for it."""
-    problem, _ = build_problem(cfg.problem)
-    s = build_schedule(cfg.schedule)
+    problem, s = est.problem, est.schedule
     limit_mu_alpha = s.coeff_mu * s.coeff_alpha if (s.exp_alpha + s.exp_mu) == 0 else 0.0
     beta_hat = 1.0 - limit_mu_alpha
     mu_lower = s.coeff_mu if s.exp_mu == 0 else 0.0
@@ -520,16 +533,9 @@ def summary_dict(est: MonteCarloEstimate) -> dict:
             "passed": probe.passed,
         }
     if est.lyap is not None:
-        fit = descent_fit(est.lyap, default_burn_in(cfg.horizon))
-        out["descent_fit"] = {
-            "k_hat": fit.k_hat,
-            "c_hat": fit.c_hat,
-            "violation_fraction": fit.violation_fraction,
-            "burn_in": fit.burn_in,
-            "status": fit.status,
-        }
+        out["descent_fit"] = asdict(descent_fit(est.lyap, default_burn_in(cfg.horizon)))
     if cfg.method == "nasgd":
-        out["nasgd_hypothesis"] = nasgd_hypothesis(cfg)
+        out["nasgd_hypothesis"] = nasgd_hypothesis(est)
     return out
 
 
@@ -553,8 +559,6 @@ class SweepResult:
 
 def sweep(configs: list[ExperimentConfig]) -> SweepResult:
     """Run a grid of configs; per-cell failures are recorded, not raised."""
-    from .errors import DivergenceError, ParameterError
-
     rows = []
     for cfg in configs:
         a = float(cfg.schedule.get("alpha_a", 0.0))

@@ -47,13 +47,17 @@ def scalars(p: Problem, x, v, coeff: float) -> LyapunovScalars:
     if p.minimum is None:
         raise ParameterError("energy scalars require a problem with a known minimum")
     x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    grad = p.gradient(x)
+    return scalars_at(float(p.value(x)) - p.minimum.f_star, p.gradient(x),
+                      np.asarray(v, dtype=float), coeff)
+
+
+def scalars_at(gap: float, grad, v, coeff: float) -> LyapunovScalars:
+    """Energy scalars from an already evaluated gap f(x) - f_star and grad f(x)."""
     # einsum keeps the reduction kernel identical between single states and
     # replica batches, so energies agree bitwise across both code paths.
     vsq = float(np.einsum("...i,...i->...", v, v))
     gsq = float(np.einsum("...i,...i->...", grad, grad))
-    h = float(p.value(x)) - p.minimum.f_star + 0.5 * vsq
+    h = gap + 0.5 * vsq
     z = float(np.einsum("...i,...i->...", v, grad))
     return LyapunovScalars(h=h, h_bar=gsq + vsq, z_tilde=z, h_tilde=h + coeff * z)
 
@@ -143,6 +147,9 @@ def descent_fit(series: LyapunovSeries, burn_in: int) -> DescentFit:
         raise ParameterError(f"burn_in must lie in [0, horizon/2), got {burn_in}")
     if series.replicas < 2:
         raise ParameterError("descent fit needs means from at least 2 replicas")
+    for name in ("mean_ht", "mean_hbar", "se_delta_ht", "alphas", "mus"):
+        if not np.all(np.isfinite(getattr(series, name))):
+            raise ParameterError(f"descent fit needs a finite series; {name} is not finite")
 
     # Differences are indexed by the arriving checkpoint i (>= 1).
     d = np.diff(series.mean_ht)

@@ -1,4 +1,4 @@
-"""First-order update rules and the single-trajectory driver.
+"""First-order update rules and single trajectories.
 
 Update rules, all with step size alpha_k and (where applicable) damping
 mu_k or momentum factor beta:
@@ -30,9 +30,10 @@ the step size applied to the *previous* iterate.
 
 Each rule's arithmetic is written once, as a kernel in `KERNELS` acting on
 arrays of shape (d,) or (replicas, d) with scalar coefficients.  The step
-functions, the single-trajectory driver `run` and the Monte Carlo engine in
-`harness` all call these kernels, so replica 0 of an experiment and `run`
-apply the same arithmetic.
+functions and the Monte Carlo engine in `harness` call these kernels.  `run`
+has no loop of its own: it is that engine at one replica, recording each
+checkpoint from the state, f and grad f the engine has evaluated, so a
+single run is replica 0 of an experiment by construction.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .lyapunov import LyapunovScalars, scalars
+from .lyapunov import LyapunovScalars, scalars_at
 from .oracles import GradientOracle, OracleSample
 from .problems import Problem
-from .rng import derive_key
 from .schedules import PowerSchedule
 
 METHODS = ("vsgd", "msgd_damped", "msgd_classical", "nasgd", "nesterov_classical")
@@ -280,12 +280,15 @@ def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
         lyapunov_vanishing: bool = False, averaged: bool = False) -> Trajectory:
     """Run one trajectory, recording checkpoints.
 
-    The oracle is re-keyed to stream (seed, replica 0), so a single run
-    reproduces replica 0 of an experiment with the same master seed.  With
-    lyapunov_coeff set, energy scalars are recorded at each checkpoint; the
-    coefficient multiplies mu_k when lyapunov_vanishing is true.  Raises
-    DivergenceError with the offending iteration on blow-up.
+    This is the experiment engine (`harness._simulate`) at one replica on
+    stream (seed, 0), so a single run is replica 0 of an experiment with the
+    same master seed.  With lyapunov_coeff set, energy scalars are recorded
+    at each checkpoint; the coefficient multiplies mu_k when
+    lyapunov_vanishing is true.  Raises DivergenceError with the offending
+    iteration on blow-up.
     """
+    from .harness import _simulate   # harness imports this module
+
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
     iters = int(iters)
@@ -306,49 +309,31 @@ def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise ParameterError(f"x0 must have shape ({problem.dim},)")
-    orc = oracle.with_key(derive_key(seed, 0))
-    kernel = KERNELS[method]
-    x, v, x_prev = x0.copy(), np.zeros_like(x0), x0.copy()
-    avg = init_average(x0) if averaged else None
-    grid = checkpoint_grid(iters, checkpoint_stride)
+    alphas, mus = s.alphas(iters), s.mus(iters)
+    f_star = 0.0 if problem.minimum is None else problem.minimum.f_star
     traj = Trajectory(method=method, checkpoint_stride=checkpoint_stride, seed=seed)
 
-    def record(k: int, alpha: float, mu: float):
-        fval = float(problem.value(x))
-        grad = problem.gradient(x)
+    def record(k, x, v, xbar, f, grad):
+        # k = 0 records alpha = mu = 0.
+        alpha, mu = (float(alphas[k - 1]), float(mus[k - 1])) if k else (0.0, 0.0)
+        x, v, grad, f = x[0].copy(), v[0].copy(), grad[0], float(f[0])
         lyap = None
         if lyapunov_coeff is not None:
             coeff = lyapunov_coeff * mu if lyapunov_vanishing else lyapunov_coeff
-            lyap = scalars(problem, x, v, coeff)
-        xbar = None
-        if avg is not None:
-            # x_bar_0 := x_0 (the single-term average) before any update.
-            xbar = avg.xbar.copy() if avg.weight_sum > 0 else x.copy()
+            lyap = scalars_at(f - f_star, grad, v, coeff)
         traj.points.append(TrajectoryPoint(
-            k=k, x=x.copy(), v=v.copy(), alpha=alpha, mu=mu,
-            f=fval, grad_sq=float(np.einsum("...i,...i->...", grad, grad)),
-            lyap=lyap, xbar=xbar))
+            k=k, x=x, v=v, alpha=alpha, mu=mu,
+            f=f, grad_sq=float(np.einsum("...i,...i->...", grad, grad)),
+            lyap=lyap, xbar=None if xbar is None else xbar[0].copy()))
 
-    record(0, 0.0, 0.0)   # the grid always starts at 0
-    ci = 1
-    alpha_prev = None
-    for k in range(1, iters + 1):
-        alpha = s.alpha(k)
-        mu = s.mu(k)
-        if avg is not None:
-            avg = averaged_update(avg, x, alpha)
-        x_new, v = kernel(x, v, x_prev, _drawn(orc, None), alpha, alpha_prev or alpha,
-                          mu, beta)
-        x_prev, x = x, x_new
-        if not within_radius(x):
-            raise DivergenceError(k)
-        alpha_prev = alpha
-        if k == grid[ci]:
-            record(k, alpha, mu)
-            ci += 1
-
-    traj.final = IterState(k=iters, x=x, v=v, x_prev=x_prev)
-    traj.averaged_final = avg
+    _, _, diverged, (x, v, x_prev, avg) = _simulate(
+        problem, oracle, method, beta, alphas, mus, x0,
+        checkpoint_grid(iters, checkpoint_stride), None, averaged, f_star, seed, 1, record)
+    if diverged:
+        raise DivergenceError(diverged[0][1])
+    traj.final = IterState(k=iters, x=x[0], v=v[0], x_prev=x_prev[0])
+    if avg is not None:
+        traj.averaged_final = AveragedState(xbar=avg.xbar[0], weight_sum=float(avg.weight_sum))
     return traj
 
 

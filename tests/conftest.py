@@ -1,4 +1,5 @@
-"""Shared test helpers: a compact experiment-config factory."""
+"""Shared test helpers: a compact experiment-config factory and the
+configs that static validation must reject."""
 
 from sgdlab import ExperimentConfig
 
@@ -17,3 +18,22 @@ def make_cfg(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# (make_cfg overrides, message pattern) that `validate_config` rejects.
+INVALID_CONFIGS = [
+    (dict(method="sgd"), "method must be one of"),
+    (dict(horizon=0), "horizon"),
+    (dict(replicas=1), "replicas"),
+    (dict(divergence_tolerance=1.5), "divergence_tolerance"),
+    (dict(method="msgd_damped"), "positive damping"),
+    (dict(method="msgd_classical"), "requires .run. beta"),
+    (dict(method="msgd_classical", beta=1.0), "beta must lie"),
+    (dict(lyapunov=True, checkpoint_stride=10), "checkpoint_stride = 1"),
+    (dict(x0=[1.0]), "x0 has length"),
+    (dict(method="msgd_damped",
+          schedule={"alpha_c": 2.0, "alpha_a": 0.0, "mu_m": 1.0, "mu_b": 0.0}),
+     "exceeds 1"),
+    (dict(problem={"kind": "mystery"}), "unknown kind"),
+    (dict(schedule={"alpha_c": -1.0, "alpha_a": 0.0}), "coeff_alpha"),
+]

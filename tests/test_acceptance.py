@@ -233,7 +233,7 @@ def test_criterion_08_lookahead_converges_and_records_hypothesis(lookahead_run):
     rm = liminf_probe(est)[_at(est, [1_000, 10_000, 100_000])]
     assert rm[0] > rm[1] > rm[2]
     note = summary_dict(est)["nasgd_hypothesis"]
-    assert note == nasgd_hypothesis(est.config)
+    assert note == nasgd_hypothesis(est)
     # L * beta_hat = 1 * 1 fails the strict inequality against inf mu = 1;
     # convexity is what licenses the run, and both facts are on record.
     assert note["l_beta_lt_mu"] is False

@@ -2,13 +2,18 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 import sgdlab
+from conftest import INVALID_CONFIGS, make_cfg
 from sgdlab.cli import _cleanup, main
+from sgdlab.config import manifest_dict
+from sgdlab.problems import least_squares_sum
 
 INI = """\
 [problem]
@@ -110,6 +115,109 @@ def test_lyapunov_writes_series_and_fit(config_path, tmp_path):
     fit = json.loads((out / "descent_fit.json").read_text())
     assert set(fit) == {"k_hat", "c_hat", "violation_fraction", "burn_in",
                         "status"}
+
+
+def test_lyapunov_forces_its_fields_before_validating(config_path, tmp_path):
+    # the file asks for stride 10, which lyapunov = true alone would reject;
+    # the command forces stride 1 and runs it like the lyapunov = false file
+    damped = ["--set", "run.method=msgd_damped", "--set", "schedule.mu=1.0, 0.0"]
+    outs = []
+    for flag in ("true", "false"):
+        path = tmp_path / f"lyap-{flag}.ini"
+        path.write_text(INI + f"lyapunov = {flag}\n")
+        outs.append(tmp_path / flag)
+        assert main(["lyapunov", str(path), "--out", str(outs[-1])] + damped) == 0
+    for name in ("lyapunov.csv", "descent_fit.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert len((outs[0] / "lyapunov.csv").read_text().strip().split("\n")) == 52
+
+
+LSQ_INI = """\
+[problem]
+kind = least_squares
+design = [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
+targets = 1.0, -1.0, 0.5
+
+[oracle]
+kind = minibatch
+batch = 2
+
+[schedule]
+alpha = 0.3, 0.6
+mu = 1.0, 0.2
+
+[run]
+method = vsgd
+horizon = 40
+replicas = 4
+seed = 5
+x0 = 0.0, 0.0
+"""
+
+
+def test_each_command_builds_its_problem_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(design, targets):
+        calls.append(1)
+        return least_squares_sum(design, targets)
+
+    monkeypatch.setattr("sgdlab.config.least_squares_sum", counting)
+    path = tmp_path / "lsq.ini"
+    path.write_text(LSQ_INI)
+    sweep_path = tmp_path / "sweep.ini"
+    sweep_path.write_text(LSQ_INI + "\n[sweep]\nalpha_a = 0.4, 0.5, 0.6\n")
+    out = tmp_path / "out"
+
+    def builds(*argv):
+        calls.clear()
+        assert main(list(argv) + ["--out", str(out)]) == 0
+        return len(calls)
+
+    assert builds("experiment", str(path)) == 1
+    assert builds("experiment", str(path), "--set", "run.method=nasgd") == 1
+    assert builds("experiment", "--from-manifest", str(out / "manifest.json")) == 1
+    assert builds("run", str(path)) == 1
+    assert builds("lyapunov", str(path), "--set", "run.method=msgd_damped") == 1
+    assert builds("sweep", str(sweep_path)) == 1 + 3
+
+
+def _ini(cfg) -> str:
+    """An ExperimentConfig as config-file text (lists written as JSON)."""
+    fmt = lambda v: v if isinstance(v, str) else json.dumps(v)
+    sched = cfg.schedule
+    lines = ["[problem]"] + [f"{k} = {fmt(v)}" for k, v in cfg.problem.items()]
+    lines += ["[oracle]"] + [f"{k} = {fmt(v)}" for k, v in cfg.oracle.items()]
+    lines += ["[schedule]", f"alpha = {sched['alpha_c']}, {sched['alpha_a']}"]
+    if "mu_m" in sched:
+        lines.append(f"mu = {sched['mu_m']}, {sched['mu_b']}")
+    lines.append("[run]")
+    for key, value in asdict(cfg).items():
+        if key not in ("problem", "oracle", "schedule") and value is not None:
+            lines.append(f"{key} = {fmt(value)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("overrides,message", INVALID_CONFIGS)
+def test_every_config_command_rejects_an_invalid_config(overrides, message, tmp_path,
+                                                        capsys):
+    cfg = make_cfg(**overrides)
+    path = tmp_path / "bad.ini"
+    path.write_text(_ini(cfg))
+    sweep_path = tmp_path / "bad-sweep.ini"
+    sweep_path.write_text(_ini(cfg) + "[sweep]\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(manifest_dict(cfg)))
+    commands = [["run", str(path)], ["experiment", str(path)],
+                ["experiment", "--from-manifest", str(manifest)],
+                ["sweep", str(sweep_path)]]
+    if "checkpoint_stride" not in overrides:   # lyapunov forces the stride
+        commands.append(["lyapunov", str(path)])
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"out{i}"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert re.search(message, capsys.readouterr().err), argv
+        assert not out.exists() or not any(out.iterdir()), argv
 
 
 def test_sweep_writes_per_cell_rows(config_path, tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_cfg
+from conftest import INVALID_CONFIGS, make_cfg
 from sgdlab.config import (build_oracle, build_problem, config_from_manifest,
                            manifest_dict, parse_config_file, parse_sweep_file,
                            sweep_grid, validate_config)
@@ -130,22 +130,7 @@ def test_manifest_round_trip():
         config_from_manifest(broken)
 
 
-@pytest.mark.parametrize("overrides,message", [
-    (dict(method="sgd"), "method must be one of"),
-    (dict(horizon=0), "horizon"),
-    (dict(replicas=1), "replicas"),
-    (dict(divergence_tolerance=1.5), "divergence_tolerance"),
-    (dict(method="msgd_damped"), "positive damping"),
-    (dict(method="msgd_classical"), "requires .run. beta"),
-    (dict(method="msgd_classical", beta=1.0), "beta must lie"),
-    (dict(lyapunov=True, checkpoint_stride=10), "checkpoint_stride = 1"),
-    (dict(x0=[1.0]), "x0 has length"),
-    (dict(method="msgd_damped",
-          schedule={"alpha_c": 2.0, "alpha_a": 0.0, "mu_m": 1.0, "mu_b": 0.0}),
-     "exceeds 1"),
-    (dict(problem={"kind": "mystery"}), "unknown kind"),
-    (dict(schedule={"alpha_c": -1.0, "alpha_a": 0.0}), "coeff_alpha"),
-])
+@pytest.mark.parametrize("overrides,message", INVALID_CONFIGS)
 def test_validate_config_rejections(overrides, message):
     with pytest.raises(ConfigError, match=message):
         validate_config(make_cfg(**overrides))

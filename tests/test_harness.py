@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_cfg
 from sgdlab import harness
-from sgdlab.config import build_oracle, build_problem, build_schedule
+from sgdlab.config import build_oracle, build_problem, build_schedule, validate_config
 from sgdlab.errors import DivergenceError, ExperimentError
 from sgdlab.harness import (MonteCarloEstimate, averaged_bound_probe, default_burn_in,
                             estimates_csv, liminf_probe, lyapunov_csv, nasgd_hypothesis,
@@ -212,6 +212,35 @@ def test_zero_noise_averaged_experiment_equals_the_single_run_for_every_method(
                           [float(problem.value(p.xbar)) - f_star for p in traj.points])
 
 
+_LSQ = {"kind": "least_squares", "design": [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]],
+        "targets": [1.0, -1.0, 0.5]}
+
+
+@pytest.mark.parametrize("problem,oracle", [
+    ({"kind": "quadratic", "spectrum": [1.0, 4.0]}, {"kind": "gaussian", "sigma": 0.5}),
+    ({"kind": "quadratic", "spectrum": [1.0, 4.0]}, {"kind": "relative_noise", "eta": 0.5}),
+    (_LSQ, {"kind": "minibatch", "batch": 2}),
+], ids=["gaussian", "relative_noise", "least_squares-minibatch"])
+@pytest.mark.parametrize("method,sched_extra,beta", _METHOD_SETUPS,
+                         ids=[m for m, _, _ in _METHOD_SETUPS])
+def test_run_is_replica_zero_at_every_point(method, sched_extra, beta, problem, oracle):
+    cfg = make_cfg(method=method, schedule={"alpha_c": 0.3, "alpha_a": 0.6, **sched_extra},
+                   beta=beta, problem=problem, oracle=oracle, replicas=1, horizon=90,
+                   checkpoint_stride=7, averaged=True)
+    states, diverged = _replica_states(cfg)
+    assert diverged == []
+    built, fsp = build_problem(cfg.problem)
+    orc = build_oracle(cfg.oracle, built, fsp, seed=cfg.seed)
+    traj = run(method, built, orc, build_schedule(cfg.schedule), cfg.horizon, cfg.seed,
+               cfg.x0, checkpoint_stride=7, beta=beta, averaged=True)
+    assert [p.k for p in traj.points] == list(states)
+    for p in traj.points:
+        x, v, xbar = states[p.k][0]
+        assert p.x.tobytes() == x.tobytes(), p.k
+        assert p.v.tobytes() == v.tobytes(), p.k
+        assert p.xbar.tobytes() == xbar.tobytes(), p.k
+
+
 def test_experiment_builds_its_problem_once(monkeypatch):
     calls = []
 
@@ -288,6 +317,30 @@ def test_draw_buffer_stays_within_one_block_of_rows(monkeypatch):
     calls.clear()
     run_experiment(make_cfg(replicas=200, horizon=2500))
     assert len(calls) == 200 * 3
+
+
+def test_fully_diverged_experiment_stops_drawing_within_one_raw_block(monkeypatch):
+    # constant alpha = 3 on a unit quadratic: |x_k| ~ 2^k leaves the radius
+    # near k = 40, inside the first block of 1024 raw draws
+    calls = _record_draws(monkeypatch)
+    cfg = make_cfg(schedule={"alpha_c": 3.0, "alpha_a": 0.0},
+                   oracle={"kind": "gaussian", "sigma": 0.1},
+                   problem={"kind": "quadratic", "spectrum": [1.0]},
+                   x0=[1.0], horizon=100_000, replicas=4)
+    with pytest.raises(ExperimentError) as info:
+        run_experiment(cfg)
+    assert str(info.value) == ("4 of 4 replicas diverged (tolerance 1%); "
+                               "first failure at iteration 40")
+    drawn = {}
+    for rng, n in calls:
+        drawn[rng] = drawn.get(rng, 0) + n
+    assert len(drawn) == 4
+    assert set(drawn.values()) == {1024}
+    calls.clear()
+    cfg.divergence_tolerance = 1.0
+    with pytest.raises(ExperimentError, match="^no replica survived to some checkpoint$"):
+        run_experiment(cfg)
+    assert sum(n for _, n in calls) == 4 * 1024
 
 
 def test_checkpoint_buffers_stay_within_16384_replica_checkpoints(monkeypatch):
@@ -380,16 +433,18 @@ def test_resolve_lyapunov_modes():
     assert resolve_lyapunov(override, problem, build_schedule(override.schedule))[1] == 0.3
 
 
-def _fake_estimate(ks, mean_gsq, mean_avg=None, cfg=None):
+def _fake_estimate(ks, mean_gsq, mean_avg=None, cfg=None, schedule=None):
     n = len(ks)
     zeros = np.zeros(n)
+    cfg = cfg or make_cfg()
+    problem, _, built = validate_config(cfg)
     return MonteCarloEstimate(
         checkpoints=np.asarray(ks), mean_grad_sq=np.asarray(mean_gsq, dtype=float),
         se_grad_sq=zeros, mean_gap=zeros.copy(), se_gap=zeros.copy(),
         mean_avg_gap=None if mean_avg is None else np.asarray(mean_avg, dtype=float),
         se_avg_gap=None if mean_avg is None else zeros.copy(),
         lyap=None, replicas=8, diverged=0, diverged_iterations=(),
-        config=cfg or make_cfg())
+        config=cfg, problem=problem, schedule=schedule or built)
 
 
 def test_liminf_probe_is_the_running_minimum():
@@ -406,24 +461,24 @@ def test_averaged_bound_probe_ratio_scale():
     cum_a = np.cumsum(alphas)
     cum_q = np.cumsum(alphas * alphas)
     flat = (1.0 + cum_q[ks[1:] - 1]) / cum_a[ks[1:] - 1]
-    est = _fake_estimate(ks, np.ones(5), mean_avg=np.concatenate([[9.9], flat]))
-    probe = averaged_bound_probe(est, s)
+    est = _fake_estimate(ks, np.ones(5), mean_avg=np.concatenate([[9.9], flat]), schedule=s)
+    probe = averaged_bound_probe(est)
     assert np.allclose(probe.ratios, 1.0, rtol=1e-12)
     assert probe.passed
     spiked = flat.copy()
     spiked[-1] *= 5.0
-    est = _fake_estimate(ks, np.ones(5), mean_avg=np.concatenate([[9.9], spiked]))
-    assert not averaged_bound_probe(est, s).passed
+    est = _fake_estimate(ks, np.ones(5), mean_avg=np.concatenate([[9.9], spiked]), schedule=s)
+    assert not averaged_bound_probe(est).passed
     with pytest.raises(ExperimentError):
-        averaged_bound_probe(_fake_estimate(ks, np.ones(5)), s)
+        averaged_bound_probe(_fake_estimate(ks, np.ones(5), schedule=s))
 
 
 def test_averaged_probe_partial_sums_handle_long_horizons():
     # past the direct-cumsum cutoff the sums are accumulated in chunks
     s = PowerSchedule(1.0, 0.6)
     ks = np.array([0, 10, 1000, 2_500_000])
-    est = _fake_estimate(ks, np.ones(4), mean_avg=np.ones(4))
-    probe = averaged_bound_probe(est, s)
+    est = _fake_estimate(ks, np.ones(4), mean_avg=np.ones(4), schedule=s)
+    probe = averaged_bound_probe(est)
     alphas = s.alphas(2_500_000)
     direct = np.cumsum(alphas)[ks[1:] - 1] / (1.0 + np.cumsum(alphas * alphas)[ks[1:] - 1])
     assert np.allclose(probe.ratios, direct, rtol=1e-9)
@@ -434,7 +489,7 @@ def test_nasgd_hypothesis_annotation():
                         problem={"kind": "pseudo_huber", "dim": 2}, x0=[1.0, 1.0],
                         schedule={"alpha_c": 0.2, "alpha_a": 0.0,
                                   "mu_m": 1.0, "mu_b": 0.0})
-    note = nasgd_hypothesis(constant)
+    note = nasgd_hypothesis(_fake_estimate([0], [0.0], cfg=constant))
     assert note["beta_hat"] == pytest.approx(0.8)
     assert note["l_times_beta_hat"] == pytest.approx(0.8)
     assert note["mu_lower"] == 1.0
@@ -442,7 +497,7 @@ def test_nasgd_hypothesis_annotation():
     decaying = make_cfg(method="nasgd",
                         schedule={"alpha_c": 0.5, "alpha_a": 0.7,
                                   "mu_m": 1.0, "mu_b": 0.0})
-    note = nasgd_hypothesis(decaying)
+    note = nasgd_hypothesis(_fake_estimate([0], [0.0], cfg=decaying))
     assert note["beta_hat"] == 1.0
     assert note["l_times_beta_hat"] == 4.0   # smoothness of the default quadratic
     assert not note["l_beta_lt_mu"]

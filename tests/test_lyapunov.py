@@ -1,5 +1,6 @@
 """Energy scalars, tilt selection, descent-bound fitting, triplet recursion probe."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -165,6 +166,17 @@ def test_descent_fit_validates_its_inputs():
                           replicas=1, vanishing=False)
     with pytest.raises(ParameterError):
         descent_fit(lone, burn_in=0)
+
+
+@pytest.mark.parametrize("name", ["mean_ht", "mean_hbar", "se_delta_ht", "alphas", "mus"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_descent_fit_rejects_a_non_finite_series(name, bad):
+    good = _synthetic_series(40, 0.3, 0.5, vanishing=True)
+    values = getattr(good, name).copy()
+    values[10] = bad
+    series = dataclasses.replace(good, **{name: values})
+    with pytest.raises(ParameterError, match=f"{name} is not finite"):
+        descent_fit(series, burn_in=0)
 
 
 def _exact_triplet(n: int):
