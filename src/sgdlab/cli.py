@@ -26,6 +26,10 @@ Config grammar (INI sections; `#`/`;` start inline comments):
 Overrides: `--set section.key=value` (repeatable) applies after parsing;
 `--seed` replaces the seed last.  The config is validated once, after both
 (and for `lyapunov`, after it forces lyapunov = true and stride 1).
+
+`sweep` runs up to one cell per usable CPU at once in worker processes.
+The output does not depend on their number; a small sweep runs in-process,
+and a worker that dies fails the sweep with exit code 3.
 """
 
 from __future__ import annotations
@@ -123,7 +127,11 @@ def cmd_run(args) -> int:
 def cmd_experiment(args) -> int:
     if args.from_manifest:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
-            cfg = config_from_manifest(json.load(fh))
+            try:
+                manifest = json.load(fh)
+            except ValueError as e:   # not UTF-8, or not JSON
+                raise ConfigError(f"manifest {args.from_manifest!r} is not JSON: {e}") from e
+        cfg = config_from_manifest(manifest)
         if args.seed is not None:
             cfg.seed = args.seed
     elif args.config:
@@ -175,8 +183,7 @@ def cmd_sweep(args) -> int:
     spec = parse_sweep_file(args.config, args.set)
     if args.seed is not None:
         spec.base.seed = args.seed
-    configs = sweep_grid(spec)
-    result = sweep(configs)
+    result = sweep(sweep_grid(spec))
     written = _write_outputs(args.out, {"sweep.csv": sweep_csv(result)})
     if args.json:
         print(json.dumps([asdict(r) for r in result.rows]))

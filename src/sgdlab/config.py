@@ -22,13 +22,12 @@ the config it finally runs, and uses what it built.
 from __future__ import annotations
 
 import configparser
-import copy
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .optimizers import METHODS
 from .oracles import (GradientOracle, gaussian_oracle, minibatch_oracle,
                       relative_noise_oracle)
@@ -62,7 +61,7 @@ def build_schedule(spec: dict) -> PowerSchedule:
         return make_power_schedule(
             float(spec.get("alpha_c", 1.0)), float(spec.get("alpha_a", 0.0)),
             float(spec.get("mu_m", 0.0)), float(spec.get("mu_b", 0.0)))
-    except ParameterError as e:
+    except (ValueError, TypeError) as e:   # ParameterError, or not a number
         raise ConfigError(f"[schedule] {e}") from e
 
 
@@ -82,7 +81,7 @@ def build_problem(spec: dict):
             return fsp.aggregate, fsp
     except KeyError as e:
         raise ConfigError(f"[problem] kind {kind!r} is missing key {e.args[0]!r}") from e
-    except ParameterError as e:
+    except (ValueError, TypeError) as e:   # ParameterError, or not a number
         raise ConfigError(f"[problem] {e}") from e
     raise ConfigError(f"[problem] unknown kind {kind!r}")
 
@@ -90,20 +89,20 @@ def build_problem(spec: dict):
 def build_oracle(spec: dict, problem: Problem,
                  fsp: FiniteSumProblem | None, seed: int) -> GradientOracle:
     kind = spec.get("kind")
+    if kind == "minibatch" and fsp is None:
+        raise ConfigError("[oracle] minibatch requires a finite-sum problem "
+                          "(kind = least_squares)")
     try:
         if kind == "gaussian":
             return gaussian_oracle(problem, float(spec["sigma"]), seed=seed)
         if kind == "relative_noise":
             return relative_noise_oracle(problem, float(spec["eta"]), seed=seed)
         if kind == "minibatch":
-            if fsp is None:
-                raise ConfigError("[oracle] minibatch requires a finite-sum problem "
-                                  "(kind = least_squares)")
             return minibatch_oracle(fsp, int(spec["batch"]),
                                     replace=bool(spec.get("replace", True)), seed=seed)
     except KeyError as e:
         raise ConfigError(f"[oracle] kind {kind!r} is missing key {e.args[0]!r}") from e
-    except ParameterError as e:
+    except (ValueError, TypeError) as e:   # ParameterError, or not a number
         raise ConfigError(f"[oracle] {e}") from e
     raise ConfigError(f"[oracle] unknown kind {kind!r}")
 
@@ -165,18 +164,23 @@ def _parse_scalar(text: str):
         return t
 
 
-def _parse_floats(text: str) -> list:
-    """A list of floats: JSON, or comma/space separated, braces tolerated."""
+def _parse_floats(text: str, where: str) -> list:
+    """A list of floats: JSON, or comma/space separated, braces tolerated.
+    `where` names the value in the ConfigError raised for anything else."""
     t = text.strip()
-    if t.startswith("["):
-        return [float(v) for v in json.loads(t)]
-    t = t.strip("{}()")
-    parts = [p for p in t.replace(",", " ").split() if p]
-    return [float(p) for p in parts]
+    try:
+        if t.startswith("["):
+            return [float(v) for v in json.loads(t)]
+        return [float(p) for p in t.strip("{}()").replace(",", " ").split()]
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{where} must be a list of numbers, got {text!r}") from e
 
 
-def _parse_nested(text: str):
-    return json.loads(text.strip())
+def _parse_nested(text: str, where: str):
+    try:
+        return json.loads(text.strip())
+    except ValueError as e:
+        raise ConfigError(f"{where} is not JSON: {e}") from e
 
 
 def parse_config_file(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
@@ -200,9 +204,9 @@ def parse_config_file(path: str, overrides: list[str] | None = None) -> Experime
     prob: dict = {}
     for key, raw in cp.items("problem"):
         if key in ("spectrum", "x_star", "targets"):
-            prob[key] = _parse_floats(raw)
+            prob[key] = _parse_floats(raw, f"[problem] {key}")
         elif key == "design":
-            prob[key] = _parse_nested(raw)
+            prob[key] = _parse_nested(raw, "[problem] design")
         else:
             prob[key] = _parse_scalar(raw)
 
@@ -211,12 +215,12 @@ def parse_config_file(path: str, overrides: list[str] | None = None) -> Experime
     sched: dict = {}
     for key, raw in cp.items("schedule"):
         if key == "alpha":
-            pair = _parse_floats(raw)
+            pair = _parse_floats(raw, "[schedule] alpha")
             if len(pair) != 2:
                 raise ConfigError("[schedule] alpha must be a pair: c, a")
             sched["alpha_c"], sched["alpha_a"] = pair
         elif key == "mu":
-            pair = _parse_floats(raw)
+            pair = _parse_floats(raw, "[schedule] mu")
             if len(pair) != 2:
                 raise ConfigError("[schedule] mu must be a pair: m, b")
             sched["mu_m"], sched["mu_b"] = pair
@@ -239,7 +243,7 @@ def parse_config_file(path: str, overrides: list[str] | None = None) -> Experime
             horizon=int(run_get("horizon", 0)),
             replicas=int(run_get("replicas", 0)),
             seed=int(run_get("seed", 0)),
-            x0=_parse_floats(run_get("x0", "0")),
+            x0=_parse_floats(run_get("x0", "0"), "x0"),
             checkpoint_stride=int(run_get("checkpoint_stride", 0)),
             lyapunov=bool(_parse_scalar(run_get("lyapunov", "false"))),
             lyap_coeff=None if lyap_coeff_raw is None else float(lyap_coeff_raw),
@@ -264,8 +268,35 @@ def manifest_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# (description, check) for each field of a manifest's config block.
+_MANIFEST_TYPES = {
+    "problem": ("an object", lambda v: isinstance(v, dict)),
+    "oracle": ("an object", lambda v: isinstance(v, dict)),
+    "schedule": ("an object", lambda v: isinstance(v, dict)),
+    "method": ("a string", lambda v: isinstance(v, str)),
+    "horizon": ("an integer", _is_int),
+    "replicas": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+    "x0": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "checkpoint_stride": ("an integer", _is_int),
+    "lyapunov": ("a boolean", lambda v: isinstance(v, bool)),
+    "lyap_coeff": ("a number or null", lambda v: v is None or _is_number(v)),
+    "averaged": ("a boolean", lambda v: isinstance(v, bool)),
+    "beta": ("a number or null", lambda v: v is None or _is_number(v)),
+    "divergence_tolerance": ("a number", _is_number),
+}
+
+
 def config_from_manifest(manifest: dict) -> ExperimentConfig:
-    if manifest.get("format") != MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ConfigError(f"manifest format must be {MANIFEST_FORMAT!r}")
     raw = manifest.get("config")
     if not isinstance(raw, dict):
@@ -274,6 +305,10 @@ def config_from_manifest(manifest: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(**raw)
     except TypeError as e:
         raise ConfigError(f"manifest config mismatch: {e}") from e
+    for name, (kind, ok) in _MANIFEST_TYPES.items():
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ConfigError(f"manifest field {name!r} must be {kind}, got {value!r}")
     return cfg
 
 
@@ -297,9 +332,9 @@ def parse_sweep_file(path: str, overrides: list[str] | None = None) -> SweepSpec
     base = parse_config_file(path, overrides)
     validate_config(base)
     methods = [m.strip() for m in cp.get("sweep", "methods", fallback="").split(",") if m.strip()]
-    alpha_a = _parse_floats(cp.get("sweep", "alpha_a", fallback="")) \
+    alpha_a = _parse_floats(cp.get("sweep", "alpha_a", fallback=""), "[sweep] alpha_a") \
         if cp.has_option("sweep", "alpha_a") else []
-    mu_b = _parse_floats(cp.get("sweep", "mu_b", fallback="")) \
+    mu_b = _parse_floats(cp.get("sweep", "mu_b", fallback=""), "[sweep] mu_b") \
         if cp.has_option("sweep", "mu_b") else []
     return SweepSpec(base=base, methods=methods or [base.method],
                      alpha_a=alpha_a or [float(base.schedule.get("alpha_a", 0.0))],
@@ -307,13 +342,9 @@ def parse_sweep_file(path: str, overrides: list[str] | None = None) -> SweepSpec
 
 
 def sweep_grid(spec: SweepSpec) -> list[ExperimentConfig]:
-    out = []
-    for method in spec.methods:
-        for a in spec.alpha_a:
-            for b in spec.mu_b:
-                cfg = copy.deepcopy(spec.base)
-                cfg.method = method
-                cfg.schedule["alpha_a"] = float(a)
-                cfg.schedule["mu_b"] = float(b)
-                out.append(cfg)
-    return out
+    """One config per (method, alpha_a, mu_b) cell.  Each cell has its own
+    schedule dict; the problem, oracle and x0 of the base are shared, and
+    nothing modifies them."""
+    return [replace(spec.base, method=method,
+                    schedule={**spec.base.schedule, "alpha_a": float(a), "mu_b": float(b)})
+            for method in spec.methods for a in spec.alpha_a for b in spec.mu_b]

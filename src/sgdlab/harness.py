@@ -32,6 +32,9 @@ in replica order, and the block sums are folded in block order, so the
 reductions depend neither on the replica array's width nor on the chunk
 length.
 
+A sweep runs its cells, each one `run_experiment`, in forked worker
+processes once its total work pays for starting them (see `sweep`).
+
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
 checkpoint; once no replica is alive the engine stops stepping and
@@ -43,6 +46,7 @@ standard errors are exactly 0.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -62,6 +66,11 @@ _RAW_BLOCK = 1024       # iterations of raw noise pre-drawn per replica, at most
 # Checkpoint buffers hold at most this many replica-checkpoint coordinates
 # (counting at least 2 per state), so chunk x replicas <= 16384.
 _CHUNK_VALUES = 32768
+# A sweep of less work than this (replicas x horizon summed over its cells)
+# runs in-process: below it, starting the pool (about 35 ms on a 2-vCPU host
+# for its imports, forks and shutdown) can cost more than two workers save
+# on small least-squares cells, which run about 0.6 M replica-steps/s.
+_POOL_MIN_WORK = 100_000
 
 
 @dataclass
@@ -557,25 +566,57 @@ class SweepResult:
     rows: tuple
 
 
+def _sweep_cell(cfg: ExperimentConfig) -> SweepRow:
+    """One sweep cell's row; a cell's failure is recorded in its row."""
+    a = float(cfg.schedule.get("alpha_a", 0.0))
+    b = float(cfg.schedule.get("mu_b", 0.0))
+    try:
+        est = run_experiment(cfg)
+    except (ExperimentError, DivergenceError, ParameterError, ConfigError) as e:
+        return SweepRow(method=cfg.method, alpha_a=a, mu_b=b, status="failed",
+                        error=str(e))
+    i = len(est.checkpoints) - 1
+    return SweepRow(
+        method=cfg.method, alpha_a=a, mu_b=b, status="ok",
+        mean_grad_sq=float(est.mean_grad_sq[i]),
+        se_grad_sq=float(est.se_grad_sq[i]),
+        mean_gap=float(est.mean_gap[i]),
+        se_gap=float(est.se_gap[i]))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the most sweep workers that run."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def sweep(configs: list[ExperimentConfig]) -> SweepResult:
-    """Run a grid of configs; per-cell failures are recorded, not raised."""
-    rows = []
-    for cfg in configs:
-        a = float(cfg.schedule.get("alpha_a", 0.0))
-        b = float(cfg.schedule.get("mu_b", 0.0))
-        try:
-            est = run_experiment(cfg)
-            i = len(est.checkpoints) - 1
-            rows.append(SweepRow(
-                method=cfg.method, alpha_a=a, mu_b=b, status="ok",
-                mean_grad_sq=float(est.mean_grad_sq[i]),
-                se_grad_sq=float(est.se_grad_sq[i]),
-                mean_gap=float(est.mean_gap[i]),
-                se_gap=float(est.se_gap[i])))
-        except (ExperimentError, DivergenceError, ParameterError, ConfigError) as e:
-            rows.append(SweepRow(method=cfg.method, alpha_a=a, mu_b=b,
-                                 status="failed", error=str(e)))
-    return SweepResult(rows=tuple(rows))
+    """Run a grid of configs; per-cell failures are recorded, not raised.
+
+    Up to one cell per CPU this process may use runs at once in forked
+    worker processes.  Rows keep the grid's order, and each is computed by
+    the same `_sweep_cell` in-process or in a worker, so the result does not
+    depend on the number of workers.  A grid of less than `_POOL_MIN_WORK`
+    replica-steps runs in-process, as does any grid when only one worker
+    would run.  A worker that dies raises ExperimentError.
+    """
+    workers = min(_usable_cpus(), len(configs))
+    if workers <= 1 or sum(c.replicas * c.horizon for c in configs) < _POOL_MIN_WORK:
+        return SweepResult(rows=tuple(map(_sweep_cell, configs)))
+    # Imported here so that commands and small sweeps never load them.  Fork
+    # rather than spawn: a forked worker starts from the modules this process
+    # has loaded, where a spawned one would import numpy and sgdlab again.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
+            return SweepResult(rows=tuple(ex.map(_sweep_cell, configs)))
+    except BrokenProcessPool as e:
+        raise ExperimentError(f"a sweep worker process died: {e}") from e
 
 
 def sweep_csv(result: SweepResult) -> str:

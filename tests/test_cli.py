@@ -12,7 +12,7 @@ import pytest
 import sgdlab
 from conftest import INVALID_CONFIGS, make_cfg
 from sgdlab.cli import _cleanup, main
-from sgdlab.config import manifest_dict
+from sgdlab.config import ExperimentConfig, manifest_dict
 from sgdlab.problems import least_squares_sum
 
 INI = """\
@@ -96,6 +96,69 @@ def test_experiment_replays_a_manifest_byte_identically(config_path, tmp_path):
     assert main(["experiment", "--from-manifest", str(first / "manifest.json"),
                  "--out", str(again)]) == 0
     assert (first / "estimates.csv").read_bytes() == (again / "estimates.csv").read_bytes()
+
+
+# One wrong-typed value for each field of a manifest's config block.
+WRONG_TYPES = {
+    "problem": ["quadratic"], "oracle": "gaussian", "schedule": None, "method": 3,
+    "horizon": "200", "replicas": 4.0, "seed": True, "x0": "2.0, -1.0",
+    "checkpoint_stride": "10", "lyapunov": "false", "lyap_coeff": "0.5",
+    "averaged": 0, "beta": "0.9", "divergence_tolerance": None,
+}
+# A non-numeric value nested in each object field.
+NESTED = {
+    "problem": {"kind": "quadratic", "spectrum": [1.0, "x"]},
+    "oracle": {"kind": "gaussian", "sigma": "abc"},
+    "schedule": {"alpha_c": 0.5, "alpha_a": "abc"},
+}
+
+
+def test_wrong_types_cover_every_manifest_field():
+    assert set(WRONG_TYPES) == set(ExperimentConfig.__dataclass_fields__)
+
+
+def _manifest_with(name, value) -> bytes:
+    manifest = manifest_dict(make_cfg())
+    manifest["config"][name] = value
+    return json.dumps(manifest).encode()
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [(_manifest_with(name, value), f"manifest field {name!r}")
+     for name, value in sorted(WRONG_TYPES.items())]
+    + [(_manifest_with(name, value), f"[{name}]") for name, value in sorted(NESTED.items())]
+    + [(b'{"format": ', "is not JSON"), (b"[1, 2]", "manifest format"),
+       (b'{"format": "\xff"}', "is not JSON")],
+    ids=sorted(WRONG_TYPES) + [f"nested-{name}" for name in sorted(NESTED)]
+    + ["not-json", "not-an-object", "not-utf-8"])
+def test_experiment_rejects_a_malformed_manifest(data, message, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["experiment", "--from-manifest", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,extra,message", [
+    ("experiment", ["--set", "oracle.sigma=abc"], "[oracle] could not convert"),
+    ("experiment", ["--set", "problem.spectrum=1.0, x"],
+     "[problem] spectrum must be a list of numbers"),
+    ("run", ["--set", "problem.design=[1,"], "[problem] design is not JSON"),
+    ("lyapunov", ["--set", "schedule.alpha=0.5, x"],
+     "[schedule] alpha must be a list of numbers"),
+    ("run", ["--set", "run.x0=2.0, x"], "[run] x0 must be a list of numbers"),
+    ("sweep", [], "[sweep] alpha_a must be a list of numbers"),
+])
+def test_a_non_numeric_config_value_is_a_usage_error(command, extra, message, config_path,
+                                                    tmp_path, capsys):
+    with open(config_path, "a") as fh:
+        fh.write("\n[sweep]\nalpha_a = 0.5, x\n")
+    out = tmp_path / "out"
+    assert main([command, config_path, "--out", str(out)] + extra) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_requires_a_source(capsys):
@@ -228,6 +291,99 @@ def test_sweep_writes_per_cell_rows(config_path, tmp_path):
     lines = (out / "sweep.csv").read_text().strip().split("\n")
     assert len(lines) == 3
     assert ",ok," in lines[1] and ",failed," in lines[2]
+
+
+# Six cells: per method, one diverges (a = 0), one runs and one has an
+# exponent out of range.
+SWEEP_INI = INI.replace("alpha = 0.3, 0.6", "alpha = 0.9, 0.6") + """\
+beta = 0.5
+
+[sweep]
+methods = vsgd, msgd_classical
+alpha_a = 0.0, 0.4, 1.6
+"""
+
+
+@pytest.fixture
+def sweep_path(tmp_path):
+    path = tmp_path / "sweep.ini"
+    path.write_text(SWEEP_INI)
+    return str(path)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the processes this process forks; the pool forks its workers."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def test_sweep_output_does_not_depend_on_the_worker_count(sweep_path, tmp_path, monkeypatch,
+                                                         capsys, forks):
+    monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)   # pool for any grid
+    real_cpus = sgdlab.harness._usable_cpus()
+    outputs = {}
+    for cpus in (1, 2, real_cpus):
+        monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: cpus)
+        workers = min(6, cpus)
+        for flag in ([], ["--json"]):
+            out = tmp_path / f"out{len(outputs)}"
+            forks.clear()
+            assert main(["sweep", sweep_path, "--out", str(out)] + flag) == 0
+            assert len(forks) == (workers if workers > 1 else 0)
+            outputs[cpus, bool(flag)] = ((out / "sweep.csv").read_bytes(),
+                                         capsys.readouterr().out.replace(str(out), ""))
+    assert len(set(outputs.values())) == 2   # one per output format
+    rows = json.loads(outputs[2, True][1])
+    assert [r["status"] for r in rows] == ["failed", "ok", "failed"] * 2
+    assert "replicas diverged" in rows[0]["error"] and "exp_alpha" in rows[2]["error"]
+
+
+def test_a_dead_sweep_worker_fails_the_sweep(sweep_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)
+    monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
+    parent = os.getpid()
+    real_run = sgdlab.harness.run_experiment
+
+    def dying(cfg):
+        if cfg.method == "msgd_classical" and cfg.schedule["alpha_a"] == 0.4:
+            assert os.getpid() != parent, "the cell ran in the test process"
+            os._exit(1)
+        return real_run(cfg)
+
+    monkeypatch.setattr("sgdlab.harness.run_experiment", dying)
+    out = tmp_path / "out"
+    assert main(["sweep", sweep_path, "--out", str(out)]) == 3
+    assert "experiment failed: a sweep worker process died" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+_POOL_MODULES = """
+import json, sys
+from sgdlab.cli import main
+loaded = lambda: sorted(m for m in ("multiprocessing", "concurrent.futures.process",
+                                    "scipy") if m in sys.modules)
+before = loaded()
+assert main(sys.argv[1:]) == 0
+print(json.dumps([before, loaded()]))
+"""
+
+
+def test_a_small_sweep_loads_no_process_pool_module(sweep_path, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_MODULES, "sweep", sweep_path, "--out",
+         str(tmp_path / "out"), "--json"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().split("\n")[-1]) == [[], []]
 
 
 def test_plot_renders_an_estimates_csv(config_path, tmp_path, capsys):

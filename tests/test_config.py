@@ -1,5 +1,7 @@
 """Config file grammar, static validation, manifests, sweep specs."""
 
+import copy
+
 import pytest
 
 from conftest import INVALID_CONFIGS, make_cfg
@@ -7,6 +9,7 @@ from sgdlab.config import (build_oracle, build_problem, config_from_manifest,
                            manifest_dict, parse_config_file, parse_sweep_file,
                            sweep_grid, validate_config)
 from sgdlab.errors import ConfigError
+from sgdlab.harness import sweep
 
 BASE_INI = """\
 [problem]
@@ -172,3 +175,14 @@ alpha_a = 0.4, 0.6
     assert grid[1].schedule["alpha_a"] == 0.6
     with pytest.raises(ConfigError, match=r"\[sweep\] section"):
         parse_sweep_file(_write(tmp_path, BASE_INI, name="plain.ini"))
+
+
+def test_a_sweep_leaves_its_base_config_unchanged(tmp_path):
+    text = BASE_INI + "\n[sweep]\nmethods = vsgd, msgd_damped\nalpha_a = 0.4, 0.6\n"
+    spec = parse_sweep_file(_write(tmp_path, text))
+    base = copy.deepcopy(spec.base)
+    grid = sweep_grid(spec)
+    assert [r.status for r in sweep(grid).rows] == ["ok"] * 4
+    assert spec.base == base
+    schedules = [spec.base.schedule] + [c.schedule for c in grid]
+    assert len({id(s) for s in schedules}) == len(schedules)

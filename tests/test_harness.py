@@ -569,3 +569,32 @@ def test_sweep_records_per_cell_failures():
     assert lines[0].startswith("method,alpha_a,mu_b,status")
     assert len(lines) == 3
     assert ",failed," in lines[2]
+
+
+def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:   # runs the cells in this process; starts no worker
+        def __init__(self, max_workers, mp_context):
+            started.append((max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cells = [make_cfg(horizon=20, replicas=2), make_cfg(horizon=20, replicas=2, seed=7)]
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+    serial = sweep(cells)
+    assert started == []   # 80 replica-steps, below the constant
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 80)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert sweep(cells) == serial and started == []   # one CPU: in-process
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+    assert sweep(cells) == serial and started == [(2, "fork")]
