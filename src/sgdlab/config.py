@@ -16,7 +16,9 @@ reproduces the experiment byte for byte.
 
 Parsing checks the grammar only.  `validate_config` checks the constraints
 between fields and builds the problem to do so; a command calls it once, on
-the config it finally runs, and uses what it built.
+the config it finally runs, and uses what it built.  The replica count
+matters only to experiments, which check it with `validate_replicas`; a
+single run ignores it.
 """
 
 from __future__ import annotations
@@ -114,8 +116,6 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"[run] method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.horizon < 1:
         raise ConfigError(f"[run] horizon must be >= 1, got {cfg.horizon}")
-    if cfg.replicas < 2:
-        raise ConfigError(f"[run] replicas must be >= 2, got {cfg.replicas}")
     if not 0.0 <= cfg.divergence_tolerance <= 1.0:
         raise ConfigError("[run] divergence_tolerance must lie in [0, 1]")
     if cfg.method in ("msgd_damped", "nasgd") and float(cfg.schedule.get("mu_m", 0.0)) <= 0:
@@ -141,6 +141,12 @@ def validate_config(cfg: ExperimentConfig):
                 f"[schedule] mu_1 * alpha_1 = {worst} exceeds 1; the velocity "
                 "decay factor 1 - mu_k * alpha_k would be negative")
     return problem, fsp, schedule
+
+
+def validate_replicas(cfg: ExperimentConfig) -> None:
+    """An experiment needs two replicas for its standard errors."""
+    if cfg.replicas < 2:
+        raise ConfigError(f"[run] replicas must be >= 2, got {cfg.replicas}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +337,7 @@ def parse_sweep_file(path: str, overrides: list[str] | None = None) -> SweepSpec
         raise ConfigError("sweep requires a [sweep] section")
     base = parse_config_file(path, overrides)
     validate_config(base)
+    validate_replicas(base)
     methods = [m.strip() for m in cp.get("sweep", "methods", fallback="").split(",") if m.strip()]
     alpha_a = _parse_floats(cp.get("sweep", "alpha_a", fallback=""), "[sweep] alpha_a") \
         if cp.has_option("sweep", "alpha_a") else []

@@ -11,13 +11,17 @@ Execution model: one engine advances every replica in lock-step as a single
 `optimizers.KERNELS` and folds the running average with
 `optimizers.averaged_update`, the same code the step functions call on one
 (dim,) state, so each iteration costs one set of numpy calls whatever the
-replica count.  Raw noise is pre-drawn into one (iterations, replicas,
-...) buffer, refilled in place one replica at a time; Philox draws do not
-depend on how they are chunked, so no stream's contents change with the
-buffer depth, which shrinks as the replica count grows to keep the
-buffer's size fixed.  At a checkpoint the engine evaluates f and grad f on
-the live state (the gradient is reused by the next step), passes them with
-the state to the caller's checkpoint hook if there is one (this is how
+replica count.  Raw noise is pre-drawn into one replica-major (replicas,
+iterations, ...) buffer: each replica's stream fills its own contiguous
+rows in place, and step k reads the strided (replicas, ...) slice of
+column k.  Philox draws do not depend on how they are chunked, so no
+stream's contents change with the buffer depth, which shrinks as the
+replica count grows to keep the buffer's size fixed.  After each step one
+reduction over the whole state tests every replica against the divergence
+radius; only when it fails does the engine test each replica.  At a
+checkpoint the engine evaluates f and grad f on the live state (the
+gradient is reused by the next step), passes them with the state to the
+caller's checkpoint hook if there is one (this is how
 `run` records its trajectory), and copies f(x), grad f(x), v and f(xbar)
 into preallocated (chunk, replicas, ...) buffers, with chunk x replicas <=
 16384 (fewer for states of more than 2 coordinates).  One set of numpy
@@ -52,13 +56,13 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig, build_oracle, validate_config
+from .config import ExperimentConfig, build_oracle, validate_config, validate_replicas
 from .errors import ConfigError, DivergenceError, ExperimentError, ParameterError
 from .lyapunov import LyapunovSeries, descent_fit, select_lambda, select_zeta
-from .optimizers import (KERNELS, averaged_update, checkpoint_grid, init_average,
-                         within_radius)
+from .optimizers import (KERNELS, all_within_radius, averaged_update, checkpoint_grid,
+                         init_average, within_radius)
 from .problems import Convexity, Problem
-from .rng import replica_stream
+from .rng import replica_streams
 from .schedules import PowerSchedule, classify
 
 _BLOCK_REPLICAS = 256   # fixed reduction grid, independent of the array width
@@ -114,16 +118,12 @@ def resolve_lyapunov(cfg: ExperimentConfig, problem: Problem,
     return ("constant", 0.0)
 
 
-def _refill(buf, oracle, gens, nb: int) -> np.ndarray:
-    """Draw the next nb iterations of every replica's raw noise into buf,
-    shaped (iterations, replicas, ...); allocated on the first call (the
-    deepest) and refilled in place after."""
-    for i, g in enumerate(gens):
-        raw = oracle.raw_block(g, nb)
-        if buf is None:
-            buf = np.empty((nb, len(gens)) + raw.shape[1:], dtype=raw.dtype)
-        buf[:nb, i] = raw
-    return buf
+def _refill(buf, oracle, gens, nb: int) -> None:
+    """Draw the next nb iterations of every replica's raw noise into
+    buf[:, :nb], where buf is shaped (replicas, iterations, ...): replica i's
+    stream fills the C-contiguous rows buf[i, :nb] in place."""
+    for rows, g in zip(buf, gens):
+        oracle.raw_block(g, nb, out=rows[:nb])
 
 
 def _block_sums(vals: np.ndarray, alive: np.ndarray, frozen_blocks) -> np.ndarray:
@@ -164,7 +164,7 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
     """
     horizon = len(alphas)
     kernel = KERNELS[method]
-    gens = [replica_stream(master_seed, i) for i in range(r_count)]
+    gens = replica_streams(master_seed, r_count)
     x = np.tile(np.asarray(x0, dtype=float), (r_count, 1))
     v = np.zeros_like(x)
     x_prev = x.copy()
@@ -262,16 +262,16 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
         grad_cache = record()
 
     # Deep enough for _RAW_BLOCK iterations of _BLOCK_REPLICAS replicas.
-    nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // r_count))
-    buf = None
+    nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // r_count, horizon))
+    buf = np.empty((r_count, nb_max) + oracle.raw_shape, dtype=oracle.raw_dtype)
     raw_base, nb = 1, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, horizon + 1):
             if k - raw_base >= nb:
                 nb = min(nb_max, horizon - k + 1)
-                buf = _refill(buf, oracle, gens, nb)
+                _refill(buf, oracle, gens, nb)
                 raw_base = k
-            raw_t = buf[k - raw_base]
+            raw_t = buf[:, k - raw_base]
             alpha = alphas[k - 1]
             if averaged:
                 avg = averaged_update(avg, x, alpha)
@@ -280,11 +280,10 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
             x_prev, x = x, x_new
             grad_cache = None
 
+            # One reduction clears every replica, frozen ones included (they
+            # keep stepping); only when it fails is each replica tested.
             # Frozen replicas are never flagged again.
-            ok = within_radius(x)
-            if n_alive < r_count:
-                ok |= ~alive
-            if not ok.all():
+            if not all_within_radius(x) and not (ok := within_radius(x) | ~alive).all():
                 flush()   # the buffered checkpoints keep the old alive mask
                 bad = ~ok
                 for i in np.nonzero(bad)[0]:
@@ -314,6 +313,7 @@ def _mean_se(s, q, n):
 
 
 def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
+    validate_replicas(cfg)
     problem, fsp, schedule = validate_config(cfg)
     oracle = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
     lyap_mode = resolve_lyapunov(cfg, problem, schedule)

@@ -129,6 +129,15 @@ def within_radius(x):
     return np.einsum("...i,...i->...", x, x) <= DIVERGENCE_RADIUS ** 2
 
 
+def all_within_radius(x) -> bool:
+    """Whether every row of the (replicas, d) array x passes `within_radius`,
+    by one reduction over the whole array.  It may answer False when every
+    row passes, never True when one fails: the 1e-6 margin covers the
+    rounding of the sum for fewer than 10**9 entries, and NaN, infinity and
+    overflow make the total fail."""
+    return bool(np.einsum("ij,ij->", x, x) <= DIVERGENCE_RADIUS ** 2 * (1.0 - 1e-6))
+
+
 def _step(state: IterState, method: str, grad_at, alpha: float, alpha_prev=None,
           mu=None, beta=None) -> IterState:
     x, v = KERNELS[method](state.x, state.v, state.x_prev, grad_at, alpha, alpha_prev,
@@ -150,7 +159,7 @@ def _drawn(oracle: GradientOracle, raw):
     """Stochastic gradients from one raw draw (the oracle's next draw when
     raw is None), applied at whatever point the rule asks for."""
     if raw is None:
-        raw = oracle._raw(oracle._rng, 1)[0]
+        raw = oracle.raw_block(oracle._rng, 1)[0]
     return lambda point: oracle.stoch_grad(point, raw)
 
 

@@ -15,6 +15,10 @@ oracle onto a fresh stream so replicas stay independent while every stream
 remains replayable.  Raw randomness (normals, index draws) is separated
 from its deterministic application to a point, which lets the experiment
 driver pre-draw blocks per replica without changing any stream's contents.
+`raw_block` is the one way to draw it: it fills a caller's (n, *raw_shape)
+array of `raw_dtype` in place (the engine passes each replica's contiguous
+rows of its draw buffer) or a new one, and a stream's draws do not depend
+on how they are split into blocks.
 """
 
 from __future__ import annotations
@@ -52,18 +56,23 @@ class OracleSample:
 class GradientOracle:
     """Base class: owns a stream, declares a bound, applies raw draws.
 
-    Subclasses implement `_raw(rng, n)` -> (n, ...) raw randomness and
-    `_apply(x, grad, raw)` -> stochastic gradients, vectorized over leading
-    axes of raw (and of x where shapes allow).
+    One iteration's raw draw has shape `raw_shape` ((dim,) unless a subclass
+    sets another) and dtype `raw_dtype`.  Subclasses implement `_raw(rng,
+    out)`, which fills the C-contiguous (n, *raw_shape) array out with n
+    iterations of raw randomness, and `_apply(x, grad, raw)` -> stochastic
+    gradients, vectorized over leading axes of raw (and of x where shapes
+    allow).
     """
 
     kind = "abstract"
     needs_gradient = True   # whether _apply requires grad f at the point
     zero_noise = False      # True iff the noise is identically the zero vector
+    raw_dtype = np.float64
 
     def __init__(self, problem: Problem, bound: NoiseBound, key: int):
         self.problem = problem
         self.bound = bound
+        self.raw_shape = (problem.dim,)
         self._key = int(key)
         self._rng = stream(self._key)
 
@@ -79,15 +88,21 @@ class GradientOracle:
 
     # -- sampling ----------------------------------------------------------
 
-    def _raw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def _raw(self, rng: np.random.Generator, out: np.ndarray) -> None:
         raise NotImplementedError
 
     def _apply(self, x: np.ndarray, grad, raw: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def raw_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw raw randomness for n consecutive iterations from ``rng``."""
-        return self._raw(rng, n)
+    def raw_block(self, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
+        """Draw raw randomness for n consecutive iterations from ``rng`` into
+        out, a C-contiguous (n, *raw_shape) array of `raw_dtype` (allocated
+        when None), and return it.  Filling out equals drawing a new array,
+        bit for bit."""
+        if out is None:
+            out = np.empty((n,) + self.raw_shape, dtype=self.raw_dtype)
+        self._raw(rng, out)
+        return out
 
     def stoch_grad(self, x: np.ndarray, raw: np.ndarray, grad=None) -> np.ndarray:
         """Apply one (or a batch of) raw draws at x."""
@@ -99,7 +114,7 @@ class GradientOracle:
         """Draw one stochastic gradient at x from the oracle's own stream."""
         x = np.asarray(x, dtype=float)
         grad = self.problem.gradient(x)
-        raw = self._raw(self._rng, 1)[0]
+        raw = self.raw_block(self._rng, 1)[0]
         sg = self._apply(x, grad, raw)
         return OracleSample(stoch_grad=sg, noise=grad - sg)
 
@@ -115,8 +130,8 @@ class _GaussianOracle(GradientOracle):
         bound = NoiseBound(m_const=self.sigma ** 2 * problem.dim, v_const=0.0)
         super().__init__(problem, bound, key)
 
-    def _raw(self, rng, n):
-        return rng.standard_normal((n, self.problem.dim))
+    def _raw(self, rng, out):
+        rng.standard_normal(out=out)
 
     def _apply(self, x, grad, raw):
         # xi = sigma * standard normal; sigma = 0 gives exactly grad back.
@@ -134,8 +149,8 @@ class _RelativeNoiseOracle(GradientOracle):
         bound = NoiseBound(m_const=0.0, v_const=self.eta ** 2)
         super().__init__(problem, bound, key)
 
-    def _raw(self, rng, n):
-        return rng.standard_normal((n, self.problem.dim))
+    def _raw(self, rng, out):
+        rng.standard_normal(out=out)
 
     def _apply(self, x, grad, raw):
         # xi = eta * ||grad|| * u with u uniform on the sphere.
@@ -148,6 +163,7 @@ class _RelativeNoiseOracle(GradientOracle):
 class _MinibatchOracle(GradientOracle):
     kind = "minibatch"
     needs_gradient = False
+    raw_dtype = np.int64
 
     def __init__(self, fsp: FiniteSumProblem, batch: int, replace: bool, key: int):
         batch = int(batch)
@@ -161,15 +177,18 @@ class _MinibatchOracle(GradientOracle):
         self.replace = bool(replace)
         bound = _minibatch_bound(fsp, batch, self.replace)
         super().__init__(fsp.aggregate, bound, key)
+        self.raw_shape = (batch,)
 
-    def _raw(self, rng, n):
+    def _raw(self, rng, out):
+        # integers takes no out=, and the permutation needs all S uniforms.
         s_count = len(self.fsp.components)
         if self.replace:
-            return rng.integers(0, s_count, size=(n, self.batch), dtype=np.int64)
+            out[...] = rng.integers(0, s_count, size=out.shape, dtype=np.int64)
+            return
         # Random distinct indices per draw: argsort of iid uniforms is a
         # uniform permutation; keep the first `batch` entries.
-        u = rng.random((n, s_count))
-        return np.argsort(u, axis=-1)[:, : self.batch]
+        u = rng.random((len(out), s_count))
+        out[...] = np.argsort(u, axis=-1)[:, : self.batch]
 
     def _apply(self, x, grad, raw):
         # One code path for every input shape, so single states and replica
@@ -321,7 +340,7 @@ def verify_bound(oracle: GradientOracle, p: Problem, points, samples: int) -> Bo
     checks = []
     for x in pts:
         grad = p.gradient(x)
-        raw = oracle._raw(oracle._rng, samples)
+        raw = oracle.raw_block(oracle._rng, samples)
         sg = oracle.stoch_grad(x, raw, grad=grad)
         xi = grad - sg
         mean = xi.mean(axis=0)

@@ -88,14 +88,18 @@ def quadratic(spectrum, x_star=None) -> Problem:
     lam = lam.copy()
     lam.setflags(write=False)
     xs.setflags(write=False)
+    # x - (+0.0) is x bit for bit (-0.0 included), so a minimizer of
+    # all +0.0 entries skips the subtraction; -0.0 entries keep it.
+    centred = not np.any(xs) and not np.any(np.signbit(xs))
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * np.sum(lam * (x - xs) ** 2, axis=-1)
+        z = x if centred else x - xs
+        return 0.5 * np.sum(lam * z ** 2, axis=-1)
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
-        return lam * (x - xs)
+        return lam * (x if centred else x - xs)
 
     lmin = float(lam.min())
     if lmin > 0.0:

@@ -24,7 +24,6 @@ def make_cfg(**overrides) -> ExperimentConfig:
 INVALID_CONFIGS = [
     (dict(method="sgd"), "method must be one of"),
     (dict(horizon=0), "horizon"),
-    (dict(replicas=1), "replicas"),
     (dict(divergence_tolerance=1.5), "divergence_tolerance"),
     (dict(method="msgd_damped"), "positive damping"),
     (dict(method="msgd_classical"), "requires .run. beta"),

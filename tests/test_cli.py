@@ -261,26 +261,53 @@ def _ini(cfg) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("overrides,message", INVALID_CONFIGS)
-def test_every_config_command_rejects_an_invalid_config(overrides, message, tmp_path,
-                                                        capsys):
-    cfg = make_cfg(**overrides)
-    path = tmp_path / "bad.ini"
+def _config_commands(cfg, tmp_path) -> dict:
+    """argv of every command that takes cfg, written as a config file, a
+    sweep file and a manifest, keyed by the command's name."""
+    path = tmp_path / "cfg.ini"
     path.write_text(_ini(cfg))
-    sweep_path = tmp_path / "bad-sweep.ini"
+    sweep_path = tmp_path / "sweep.ini"
     sweep_path.write_text(_ini(cfg) + "[sweep]\n")
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(manifest_dict(cfg)))
-    commands = [["run", str(path)], ["experiment", str(path)],
-                ["experiment", "--from-manifest", str(manifest)],
-                ["sweep", str(sweep_path)]]
-    if "checkpoint_stride" not in overrides:   # lyapunov forces the stride
-        commands.append(["lyapunov", str(path)])
-    for i, argv in enumerate(commands):
+    return {"run": ["run", str(path)], "experiment": ["experiment", str(path)],
+            "replay": ["experiment", "--from-manifest", str(manifest)],
+            "sweep": ["sweep", str(sweep_path)], "lyapunov": ["lyapunov", str(path)]}
+
+
+@pytest.mark.parametrize("overrides,message", INVALID_CONFIGS)
+def test_every_config_command_rejects_an_invalid_config(overrides, message, tmp_path,
+                                                        capsys):
+    commands = _config_commands(make_cfg(**overrides), tmp_path)
+    if "checkpoint_stride" in overrides:   # lyapunov forces the stride
+        del commands["lyapunov"]
+    for i, argv in enumerate(commands.values()):
         out = tmp_path / f"out{i}"
         assert main(argv + ["--out", str(out)]) == 2, argv
         assert re.search(message, capsys.readouterr().err), argv
         assert not out.exists() or not any(out.iterdir()), argv
+
+
+def test_experiment_commands_need_two_replicas_and_run_needs_none(tmp_path, capsys):
+    commands = _config_commands(make_cfg(replicas=1), tmp_path)
+    del commands["run"]
+    for i, argv in enumerate(commands.values()):
+        out = tmp_path / f"out{i}"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert "[run] replicas must be >= 2, got 1" in capsys.readouterr().err, argv
+        assert not out.exists() or not any(out.iterdir()), argv
+    # a single run simulates one replica whatever the count, or without one
+    ini = _ini(make_cfg(replicas=8))
+    texts = {}
+    for name, text in [("8", ini), ("1", ini.replace("replicas = 8", "replicas = 1")),
+                       ("absent", ini.replace("replicas = 8\n", ""))]:
+        path = tmp_path / f"run-{name}.ini"
+        path.write_text(text)
+        out = tmp_path / f"run-{name}"
+        assert main(["run", str(path), "--out", str(out)]) == 0, name
+        texts[name] = (out / "trajectory.csv").read_text()
+    assert "replicas" not in (tmp_path / "run-absent.ini").read_text()
+    assert texts["1"] == texts["8"] and texts["absent"] == texts["8"]
 
 
 def test_sweep_writes_per_cell_rows(config_path, tmp_path):

@@ -296,9 +296,9 @@ def _record_draws(monkeypatch):
     calls = []
     original = GradientOracle.raw_block
 
-    def recording(self, rng, n):
+    def recording(self, rng, n, out=None):
         calls.append((rng, n))
-        return original(self, rng, n)
+        return original(self, rng, n, out=out)
 
     monkeypatch.setattr(GradientOracle, "raw_block", recording)
     return calls

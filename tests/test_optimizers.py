@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from sgdlab.errors import DivergenceError, ParameterError
 from sgdlab.lyapunov import scalars
-from sgdlab.optimizers import (METHODS, averaged_update, checkpoint_grid, init_average,
+from sgdlab.optimizers import (DIVERGENCE_RADIUS, METHODS, all_within_radius,
+                               averaged_update, checkpoint_grid, init_average,
                                init_state, msgd_classical_step, msgd_damped_step,
                                nasgd_step, nesterov_classical_step, run, trajectory_csv,
-                               trajectory_json, vsgd_step)
+                               trajectory_json, vsgd_step, within_radius)
 from sgdlab.oracles import gaussian_oracle
 from sgdlab.problems import least_squares_sum, pseudo_huber, quadratic
 from sgdlab.rng import stream
@@ -284,3 +285,55 @@ def test_trajectory_csv_gains_energy_columns_when_tracked():
     out = trajectory_json(traj)
     assert out["method"] == "vsgd"
     assert {"k", "alpha", "mu", "f", "grad_sq", "H", "Zt", "Ht"} <= set(out["points"][1])
+
+
+def _row_near(norm: float, d: int):
+    """Rows of d equal-magnitude entries whose norm is within a few ulps of
+    norm, with random signs."""
+    base = norm / np.sqrt(d)
+    entry = st.tuples(st.integers(-4, 4), st.sampled_from([1.0, -1.0])).map(
+        lambda t: t[1] * (base + t[0] * np.spacing(base)))
+    return st.lists(entry, min_size=d, max_size=d)
+
+
+@st.composite
+def _replica_states(draw):
+    """(replicas, d) states mixing rows near the divergence radius and near
+    the whole-array test's margin, rows of inf, NaN and overflowing squares,
+    arbitrary floats and small rows; and an alive mask, so that some frozen
+    rows are not zero."""
+    r, d = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e160,
+                               DIVERGENCE_RADIUS, -DIVERGENCE_RADIUS])
+    rows = st.one_of(
+        _row_near(DIVERGENCE_RADIUS, d),
+        _row_near(DIVERGENCE_RADIUS * np.sqrt(1.0 - 1e-6), d),
+        st.lists(st.one_of(special, st.floats()), min_size=d, max_size=d),
+        st.lists(st.floats(-1e11, 1e11), min_size=d, max_size=d))
+    x = np.array(draw(st.lists(rows, min_size=r, max_size=r)), dtype=float)
+    alive = np.array(draw(st.lists(st.booleans(), min_size=r, max_size=r)))
+    return x, alive
+
+
+@given(_replica_states())
+@example((np.array([[1e200, 0.0]]), np.array([True])))
+@example((np.array([[np.nan, 0.0], [1.0, 1.0]]), np.array([False, True])))
+@example((np.array([[DIVERGENCE_RADIUS, 0.0], [0.0, 1.0]]), np.array([True, True])))
+def test_whole_array_divergence_test_never_passes_a_rejected_state(state):
+    x, alive = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = all_within_radius(x)
+        each = within_radius(x)
+    if whole:
+        assert each.all()
+    # the engine's decision equals testing every replica, frozen ones excused
+    assert (whole or (each | ~alive).all()) == bool((each | ~alive).all())
+
+
+def test_whole_array_divergence_test_passes_ordinary_states():
+    x = np.full((4096, 2), 1e5)
+    x[7] = [DIVERGENCE_RADIUS * 0.999, 0.0]
+    assert all_within_radius(x)
+    x[7, 1] = np.inf
+    assert not all_within_radius(x)
+

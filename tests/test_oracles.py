@@ -39,18 +39,40 @@ def test_sample_decomposition_is_exact():
     assert np.array_equal(s.stoch_grad + s.noise, p.gradient(x))
 
 
-def test_block_draws_equal_sequential_draws():
-    # pre-drawing raw noise for many iterations must not change any stream
+def test_block_draws_equal_sequential_and_in_place_draws():
+    # pre-drawing raw noise for many iterations, in one block, in chunks or
+    # into the rows of a replica-major buffer, must not change any stream
     p = quadratic([1.0, 2.0, 3.0])
     fsp = least_squares_sum(stream(1).normal(size=(8, 3)), stream(2).normal(size=8))
+    sized = {  # the draws each oracle made before it filled arrays in place
+        "gaussian": replica_stream(3, 7).standard_normal((50, 3)),
+        "relative_noise": replica_stream(3, 7).standard_normal((50, 3)),
+        "minibatch-True": replica_stream(3, 7).integers(0, 8, size=(50, 3), dtype=np.int64),
+        "minibatch-False": np.argsort(replica_stream(3, 7).random((50, 8)), axis=-1)[:, :3],
+    }
     oracles = [gaussian_oracle(p, 0.5, seed=3),
                relative_noise_oracle(p, 0.2, seed=3),
-               minibatch_oracle(fsp, 3, seed=3)]
+               minibatch_oracle(fsp, 3, replace=True, seed=3),
+               minibatch_oracle(fsp, 3, replace=False, seed=3)]
     for orc in oracles:
+        name = orc.kind if orc.kind != "minibatch" else f"minibatch-{orc.replace}"
         block = orc.raw_block(replica_stream(3, 7), 50)
+        assert block.shape == (50,) + orc.raw_shape and block.dtype == orc.raw_dtype
+        assert block.tobytes() == sized[name].astype(orc.raw_dtype).tobytes(), name
         seq_rng = replica_stream(3, 7)
         seq = np.concatenate([orc.raw_block(seq_rng, n) for n in (13, 17, 20)])
-        assert np.array_equal(block, seq), orc.kind
+        assert seq.tobytes() == block.tobytes(), name
+        buf = np.full((2, 64) + orc.raw_shape, -1, dtype=orc.raw_dtype)
+        fill_rng = replica_stream(3, 7)
+        for lo, hi in ((0, 13), (13, 30), (30, 50)):
+            rows = buf[1, lo:hi]
+            assert orc.raw_block(fill_rng, hi - lo, out=rows) is rows
+        assert buf[1, :50].tobytes() == block.tobytes(), name
+        assert np.all(buf[0] == -1) and np.all(buf[1, 50:] == -1), name
+        # refilling the same rows in place continues the stream
+        again = orc.raw_block(fill_rng, 20, out=buf[0, :20])
+        assert again.base is buf and again.tobytes() == \
+            orc.raw_block(seq_rng, 20).tobytes(), name
 
 
 def test_batched_apply_matches_single_rows_bitwise():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sgdlab.errors import ParameterError
 from sgdlab.problems import (Convexity, Problem, check_gradient, least_squares_sum,
@@ -31,6 +33,26 @@ def test_quadratic_with_a_zero_eigenvalue_is_convex_only():
     p = quadratic([0.0, 1.0])
     assert p.convexity is Convexity.CONVEX
     assert p.strong_convexity_mu is None
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -2.5, 1e200])
+
+
+@pytest.mark.parametrize("x_star", [None, 0.0, -0.0, [0.0, -0.0, 0.0], [0.0, 1.5, -0.0]],
+                         ids=["none", "plus-zero", "minus-zero", "mixed-zeros", "nonzero"])
+@given(x=st.lists(st.lists(st.one_of(_SPECIAL, st.floats()), min_size=3, max_size=3),
+                  min_size=1, max_size=5))
+def test_quadratic_equals_the_subtracting_formula_bitwise(x_star, x):
+    # a minimizer of +0.0 entries skips x - x_star; the results must not move
+    lam = np.array([1.0, 4.0, 0.5])
+    p = quadratic(lam, x_star)
+    xs = np.zeros(3) if x_star is None else np.broadcast_to(np.asarray(x_star, float), (3,))
+    x = np.array(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pts in (x, x[0]):
+            assert p.value(pts).tobytes() == \
+                (0.5 * np.sum(lam * (pts - xs) ** 2, axis=-1)).tobytes()
+            assert p.gradient(pts).tobytes() == (lam * (pts - xs)).tobytes()
 
 
 @pytest.mark.parametrize("spectrum", [[], [-1.0], [np.inf], [[1.0, 2.0]]])
