@@ -27,9 +27,10 @@ Overrides: `--set section.key=value` (repeatable) applies after parsing;
 `--seed` replaces the seed last.  The config is validated once, after both
 (and for `lyapunov`, after it forces lyapunov = true and stride 1).
 
-`sweep` runs up to one cell per usable CPU at once in worker processes.
-The output does not depend on their number; a small sweep runs in-process,
-and a worker that dies fails the sweep with exit code 3.
+`sweep` runs up to one cell per usable CPU at once in worker processes,
+and `experiment` and `lyapunov` split a wide experiment's replicas over
+them.  The output does not depend on their number; small runs stay in one
+process, and a worker that dies fails the command with exit code 3.
 """
 
 from __future__ import annotations

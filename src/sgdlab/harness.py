@@ -6,8 +6,10 @@ noise from the counter-based stream keyed by (master_seed, i).
 `optimizers.run` is this engine at one replica, so replica 0 of an
 experiment and a single run with the same seed are one computation.
 
-Execution model: one engine advances every replica in lock-step as a single
-(replicas, dim) state.  Each iteration calls the method's kernel from
+Execution model: the engine (`_simulate`) advances a range of replicas in
+lock-step as a single (replicas, dim) state; one process runs every
+replica, or each usable CPU runs one range (see Processes below).  Each
+iteration calls the method's kernel from
 `optimizers.KERNELS` and folds the running average with
 `optimizers.averaged_update`, the same code the step functions call on one
 (dim,) state, so each iteration costs one set of numpy calls whatever the
@@ -36,13 +38,22 @@ in replica order, and the block sums are folded in block order, so the
 reductions depend neither on the replica array's width nor on the chunk
 length.
 
-A sweep runs its cells, each one `run_experiment`, in forked worker
-processes once its total work pays for starting them (see `sweep`).
+Processes: an experiment of at least two blocks and enough work runs its
+replicas as one contiguous, block-aligned range per usable CPU (see
+`_replica_ranges`).  The calling process runs the first range and a forked
+child runs each other one; a replica's stream depends only on its index,
+and each child sends back its unfolded block sums, which the caller folds
+onto its own in block order, so the sums are the same float additions in
+the same order as in one process.  Least-squares experiments stay in one
+process (see `run_experiment`).  A sweep runs its cells, each one
+`run_experiment`, in forked worker processes once its total work pays for
+starting them, and then each cell's experiment runs in its worker alone
+(see `sweep`).  A child or worker that dies raises ExperimentError.
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
-checkpoint; once no replica is alive the engine stops stepping and
-drawing.  The experiment fails if more than `divergence_tolerance` of
+checkpoint; once none of its replicas is alive an engine stops stepping
+and drawing.  The experiment fails if more than `divergence_tolerance` of
 replicas diverge.  Zero-noise oracles short-circuit to a single replica:
 all replicas would be identical, so means are that trajectory's values and
 standard errors are exactly 0.
@@ -68,13 +79,18 @@ from .schedules import PowerSchedule, classify
 _BLOCK_REPLICAS = 256   # fixed reduction grid, independent of the array width
 _RAW_BLOCK = 1024       # iterations of raw noise pre-drawn per replica, at most
 # Checkpoint buffers hold at most this many replica-checkpoint coordinates
-# (counting at least 2 per state), so chunk x replicas <= 16384.
+# (counting at least 2 per state), so chunk x replicas <= 16384; and an
+# experiment splits only if each range's unfolded sums hold at most this
+# many checkpoint-blocks per quantity.
 _CHUNK_VALUES = 32768
 # A sweep of less work than this (replicas x horizon summed over its cells)
 # runs in-process: below it, starting the pool (about 35 ms on a 2-vCPU host
 # for its imports, forks and shutdown) can cost more than two workers save
-# on small least-squares cells, which run about 0.6 M replica-steps/s.
+# on small least-squares cells, which run about 0.6 M replica-steps/s.  An
+# experiment of less work runs in one process.
 _POOL_MIN_WORK = 100_000
+# Cleared in a sweep's pool workers, where every CPU already runs a cell.
+_split_experiments = True
 
 
 @dataclass
@@ -149,22 +165,31 @@ def _block_sums(vals: np.ndarray, alive: np.ndarray, frozen_blocks) -> np.ndarra
     return sums
 
 
+def _fold(totals: np.ndarray, sums: np.ndarray) -> None:
+    """Add (..., blocks) block sums onto totals in block order."""
+    for b in range(sums.shape[-1]):
+        totals += sums[..., b]
+
+
 def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
               lyap_mode, averaged: bool, f_star: float, master_seed: int,
-              r_count: int, on_point):
-    """Advance replicas 0..r_count-1 in lock-step until the horizon or until
-    no replica is alive.
+              r_count: int, on_point, first: int = 0, fold: bool = True):
+    """Advance replicas first..first+r_count-1 in lock-step until the
+    horizon or until none of them is alive; `first` is a multiple of
+    `_BLOCK_REPLICAS`.
 
-    Returns (counts, sums, diverged, final): alive replicas per checkpoint,
+    Returns (counts, sums, diverged, final): alive replicas per checkpoint;
     a dict of per-checkpoint sums over alive replicas keyed by quantity
-    (sums of squares under "sq_" + name), the (replica, iteration)
-    divergences, and the last (x, v, x_prev, running average or None).
-    Unless None, on_point(k, x, v, xbar, f, grad) sees every checkpoint's
-    (replicas, ...) state, xbar (None unless averaged), f(x) and grad f(x).
+    (sums of squares under "sq_" + name), each with the block sums folded
+    in block order or, unless fold, shaped (checkpoints, blocks); the
+    (replica, iteration) divergences; and the last (x, v, x_prev, running
+    average or None).  Unless None, on_point(k, x, v, xbar, f, grad) sees
+    every checkpoint's (replicas, ...) state, xbar (None unless averaged),
+    f(x) and grad f(x).
     """
     horizon = len(alphas)
     kernel = KERNELS[method]
-    gens = replica_streams(master_seed, r_count)
+    gens = replica_streams(master_seed, r_count, first)
     x = np.tile(np.asarray(x0, dtype=float), (r_count, 1))
     v = np.zeros_like(x)
     x_prev = x.copy()
@@ -178,7 +203,8 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
         + (["delta_ht"] if lyap_mode is not None else [])
     names = squared + (["ht", "hbar"] if lyap_mode is not None else [])
     n_q, n_sq = len(names), len(squared)
-    totals = np.zeros((len(grid), n_q + n_sq))
+    blocks = -(-r_count // _BLOCK_REPLICAS)
+    totals = np.zeros((len(grid), n_q + n_sq) + (() if fold else (blocks,)))
     counts = np.zeros(len(grid), dtype=np.int64)
     # Checkpoint buffers: f(x), grad f(x), v and f(xbar) per replica for up
     # to `chunk` checkpoints, reduced together by `flush`.
@@ -248,8 +274,10 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
         np.stack(rows, axis=1, out=out[:, :n_q])
         np.multiply(out[:, :n_sq], out[:, :n_sq], out=out[:, n_q:])
         sums = _block_sums(out, alive, frozen_blocks)
-        for b in range(sums.shape[-1]):   # fold block sums in block order
-            totals[flushed:ci] += sums[..., b]
+        if fold:
+            _fold(totals[flushed:ci], sums)
+        else:
+            totals[flushed:ci] = sums
         counts[flushed:ci] = n_alive
         flushed = ci
 
@@ -287,7 +315,7 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
                 flush()   # the buffered checkpoints keep the old alive mask
                 bad = ~ok
                 for i in np.nonzero(bad)[0]:
-                    diverged.append((int(i), k))
+                    diverged.append((first + int(i), k))
                     frozen_blocks.add(int(i) // _BLOCK_REPLICAS)
                 alive &= ok
                 n_alive = int(alive.sum())
@@ -300,7 +328,7 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
                 grad_cache = record()
         flush()
     keys = names + ["sq_" + name for name in squared]
-    return counts, dict(zip(keys, totals.T)), diverged, (x, v, x_prev, avg)
+    return counts, dict(zip(keys, np.moveaxis(totals, 1, 0))), diverged, (x, v, x_prev, avg)
 
 
 def _mean_se(s, q, n):
@@ -310,6 +338,74 @@ def _mean_se(s, q, n):
         var = np.where(n > 1, np.maximum(q - s * s / n, 0.0) / np.maximum(n - 1, 1), 0.0)
         se = np.sqrt(var / n)
     return mean, se
+
+
+def _replica_ranges(r_count: int, horizon: int, n_points: int) -> list:
+    """Contiguous (first, count) replica ranges split at block boundaries,
+    one per usable CPU; a single range unless the run has at least two
+    blocks and `_POOL_MIN_WORK` replica-steps, and each range's unfolded
+    sums (see `_simulate`) hold at most `_CHUNK_VALUES` checkpoint-blocks
+    per quantity."""
+    blocks = -(-r_count // _BLOCK_REPLICAS)
+    if blocks < 2 or r_count * horizon < _POOL_MIN_WORK or not _split_experiments:
+        return [(0, r_count)]
+    parts = min(_usable_cpus(), blocks)
+    if parts < 2 or n_points * -(-blocks // parts) > _CHUNK_VALUES:
+        return [(0, r_count)]
+    bounds = [_BLOCK_REPLICAS * (blocks * p // parts) for p in range(parts)] + [r_count]
+    return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _simulate_ranges(simulate, ranges: list):
+    """(counts, sums, diverged) of `simulate(first, count, fold)` over the
+    replica ranges: this process runs the first, a forked child runs each
+    other one, and the children's block sums are folded onto this process's
+    sums in block order, the same additions in the same order as one range
+    over every replica.  A child that dies raises ExperimentError."""
+    if len(ranges) == 1:
+        return simulate(*ranges[0], True)[:3]
+    # Imported here so that runs that do not split never load it.  Forked
+    # children inherit the problem and oracle, whose closures do not pickle.
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for first, count in ranges[1:]:
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_simulate_child, args=(send, simulate, first, count),
+                                daemon=True)
+            child.start()
+            send.close()
+            children.append((child, receive))
+        counts, sums, diverged, _ = simulate(*ranges[0], True)
+        for child, receive in children:
+            try:
+                child_counts, block_sums, child_diverged = receive.recv()
+            except EOFError:
+                child.join()
+                raise ExperimentError("an experiment worker process died: exit code "
+                                      f"{child.exitcode}") from None
+            counts += child_counts
+            for key, total in sums.items():
+                _fold(total, block_sums[key])
+            diverged += child_diverged
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+    return counts, sums, diverged
+
+
+def _simulate_child(send, simulate, first: int, count: int) -> None:
+    """A forked child's work: send one replica range's unfolded sums."""
+    counts, block_sums, diverged, _ = simulate(first, count, False)
+    send.send((counts, block_sums, diverged))
+    send.close()
 
 
 def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
@@ -326,9 +422,18 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
     # the exact means, and with n = 1 `_mean_se` gives standard errors of
     # exactly 0.
     effective = 1 if oracle.zero_noise else cfg.replicas
-    n, sums, diverged, _ = _simulate(problem, oracle, cfg.method, cfg.beta, alphas,
-                                     mus, cfg.x0, grid, lyap_mode, cfg.averaged,
-                                     f_star, cfg.seed, effective, None)
+
+    def simulate(first, count, fold):
+        return _simulate(problem, oracle, cfg.method, cfg.beta, alphas, mus, cfg.x0,
+                         grid, lyap_mode, cfg.averaged, f_star, cfg.seed, count, None,
+                         first, fold)
+
+    # Least-squares sums evaluate through BLAS, whose rounding depends on the
+    # batch's row count (a single row takes gemv, not gemm), so they run in
+    # one process: a range of other rows could change their last bits.
+    ranges = [(0, effective)] if fsp is not None else \
+        _replica_ranges(effective, cfg.horizon, len(grid))
+    n, sums, diverged = _simulate_ranges(simulate, ranges)
 
     diverged = sorted(diverged)
     diverged_count = len(diverged) if not oracle.zero_noise else \
@@ -585,11 +690,18 @@ def _sweep_cell(cfg: ExperimentConfig) -> SweepRow:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: the most sweep workers that run."""
+    """CPUs this process may run on: the most processes that run an
+    experiment's replicas or a sweep's cells."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _run_experiments_whole() -> None:
+    """Keep each experiment in one process (a sweep worker's initializer)."""
+    global _split_experiments
+    _split_experiments = False
 
 
 def sweep(configs: list[ExperimentConfig]) -> SweepResult:
@@ -600,7 +712,8 @@ def sweep(configs: list[ExperimentConfig]) -> SweepResult:
     the same `_sweep_cell` in-process or in a worker, so the result does not
     depend on the number of workers.  A grid of less than `_POOL_MIN_WORK`
     replica-steps runs in-process, as does any grid when only one worker
-    would run.  A worker that dies raises ExperimentError.
+    would run; only then may a cell's experiment split its replicas over
+    the CPUs.  A worker that dies raises ExperimentError.
     """
     workers = min(_usable_cpus(), len(configs))
     if workers <= 1 or sum(c.replicas * c.horizon for c in configs) < _POOL_MIN_WORK:
@@ -613,7 +726,8 @@ def sweep(configs: list[ExperimentConfig]) -> SweepResult:
     from concurrent.futures.process import BrokenProcessPool
 
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_run_experiments_whole) as ex:
             return SweepResult(rows=tuple(ex.map(_sweep_cell, configs)))
     except BrokenProcessPool as e:
         raise ExperimentError(f"a sweep worker process died: {e}") from e

@@ -7,10 +7,12 @@ indexes iterations; across replicas the keys differ by avalanche, never by
 sequential offsets.  Identical (master_seed, index) pairs always reproduce
 the identical stream, which is what makes manifests replayable.
 
-`replica_streams` builds the streams of replicas 0..count-1 at once: one
+`replica_streams` builds the streams of a range of replicas at once: one
 numpy pass of the same splitmix64 arithmetic in uint64 (which wraps mod
 2**64, as `mix64` masks) gives every key, so stream i is exactly
-`replica_stream(master_seed, i)`.
+`replica_stream(master_seed, i)`.  The keys reach Philox through one
+`PhiloxKeys` seed sequence, so its constructor draws no OS entropy for a
+seed sequence that a given key would make it discard.
 """
 
 from __future__ import annotations
@@ -60,11 +62,17 @@ def replica_stream(master_seed: int, index: int) -> np.random.Generator:
     return stream(derive_key(master_seed, index))
 
 
-def replica_streams(master_seed: int, count: int) -> list:
-    """Generators over the streams of replicas 0..count-1 under
-    ``master_seed``; the i-th has the key ``derive_key(master_seed, i)``."""
+def replica_streams(master_seed: int, count: int, first: int = 0) -> list:
+    """Generators over the streams of replicas first..first+count-1 under
+    ``master_seed``; replica i's has the key ``derive_key(master_seed, i)``
+    and a zero counter."""
+    from ._philox_keys import PhiloxKeys   # loads numpy.random; see there
+
     seed = np.uint64(int(master_seed) & _MASK64)
+    first, count = int(first), int(count)
+    if first < 0:
+        raise ValueError("stream index must be non-negative")
     # Key i's low and high 64-bit words come from indices 2i and 2i + 1.
-    words = _mix64_array(seed ^ _mix64_array(np.arange(2 * int(count), dtype=np.uint64)))
-    return [np.random.Generator(np.random.Philox(key=pair))
-            for pair in words.reshape(-1, 2)]
+    index = np.arange(2 * first, 2 * (first + count), dtype=np.uint64)
+    keys = PhiloxKeys(_mix64_array(seed ^ _mix64_array(index)))
+    return [np.random.Generator(np.random.Philox(keys)) for _ in range(count)]

@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import multiprocessing
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 
 import pytest
@@ -411,6 +414,108 @@ def test_a_small_sweep_loads_no_process_pool_module(sweep_path, tmp_path):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().split("\n")[-1]) == [[], []]
+
+
+@pytest.fixture
+def wide_path(tmp_path):
+    """An experiment of two 256-replica blocks."""
+    path = tmp_path / "wide.ini"
+    path.write_text(INI.replace("replicas = 4", "replicas = 512"))
+    return str(path)
+
+
+@pytest.mark.parametrize("path", ["config_path", "wide_path"])
+def test_a_small_experiment_loads_no_process_module(path, tmp_path, request):
+    # wide_path holds two blocks but 25 600 replica-steps, below the work
+    # that pays for a worker process.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_MODULES, "experiment", request.getfixturevalue(path),
+         "--out", str(tmp_path / "out"), "--json"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().split("\n")[-1]) == [[], []]
+
+
+def test_a_dead_experiment_worker_fails_the_experiment(wide_path, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)
+    monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
+    parent = os.getpid()
+    real_simulate = sgdlab.harness._simulate
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real_simulate(*args, **kwargs)
+
+    monkeypatch.setattr("sgdlab.harness._simulate", dying)
+    out = tmp_path / "out"
+    assert main(["experiment", wide_path, "--out", str(out)]) == 3
+    assert ("experiment failed: an experiment worker process died: exit code 1"
+            in capsys.readouterr().err)
+    assert not out.exists() or not os.listdir(out)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupted_experiment_stops_its_workers(wide_path, tmp_path, monkeypatch):
+    monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)
+    monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
+    parent = os.getpid()
+    pid_file = tmp_path / "pid"
+
+    def stalling(*args, **kwargs):
+        if os.getpid() != parent:   # the worker: report, then stall
+            (tmp_path / "pid.tmp").write_text(str(os.getpid()))
+            os.replace(tmp_path / "pid.tmp", pid_file)
+            time.sleep(60)
+        deadline = time.monotonic() + 20
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("sgdlab.harness._simulate", stalling)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["experiment", wide_path, "--out", str(tmp_path / "out")])
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ProcessLookupError):   # terminated and reaped
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_pooled_sweep_cells_run_each_experiment_in_one_process(wide_path, tmp_path,
+                                                                monkeypatch):
+    # Forks in every process append a line, so a cell that split its
+    # replicas inside a pool worker would add one.
+    log = tmp_path / "forks"
+    real_fork = os.fork
+
+    def logging_fork():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", logging_fork)
+    monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)
+    monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
+    sweep_ini = tmp_path / "sweep.ini"
+    sweep_ini.write_text(pathlib.Path(wide_path).read_text()
+                         + "\n[sweep]\nmethods = vsgd\nalpha_a = 0.5, 0.6\n")
+    assert main(["sweep", str(sweep_ini), "--out", str(tmp_path / "pooled")]) == 0
+    assert log.read_text().split() == [str(os.getpid())] * 2   # the two pool workers
+    # One cell per sweep: no pool, and the cell's experiment splits.
+    log.unlink()
+    cells = []
+    for a in ("0.5", "0.6"):
+        cell_ini = tmp_path / f"cell{a}.ini"
+        cell_ini.write_text(sweep_ini.read_text().replace("0.5, 0.6", a))
+        out = tmp_path / f"cell{a}"
+        assert main(["sweep", str(cell_ini), "--out", str(out)]) == 0
+        cells.append((out / "sweep.csv").read_text().splitlines())
+    assert log.read_text().split() == [str(os.getpid())] * 2   # one child per cell
+    pooled = (tmp_path / "pooled" / "sweep.csv").read_text().splitlines()
+    assert pooled == cells[0] + cells[1][1:]
 
 
 def test_plot_renders_an_estimates_csv(config_path, tmp_path, capsys):

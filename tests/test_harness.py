@@ -1,5 +1,7 @@
 """Monte Carlo engine: exactness, replica accounting, probes, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,112 @@ def test_partial_divergence_matches_manual_replica_stepping_bitwise(cfg):
         assert np.array_equal(est.lyap.se_delta_ht, ref["se_delta_ht"])
 
 
+def _outputs(est):
+    """Everything an experiment writes or reports, as one string."""
+    text = estimates_csv(est) + json.dumps(summary_dict(est), sort_keys=True)
+    return text + (lyapunov_csv(est) if est.lyap is not None else "") \
+        + repr(est.diverged_iterations)
+
+
+def _split_and_whole(cfg, monkeypatch, cpus=2):
+    """(replica ranges or None if it asked for none, outputs) of cfg run
+    split over `cpus` CPUs whatever its work, then the outputs of the same
+    run in one process."""
+    ranges = []
+    real_ranges = harness._replica_ranges
+
+    def recording(*args):
+        ranges.append(real_ranges(*args))
+        return ranges[-1]
+
+    monkeypatch.setattr(harness, "_replica_ranges", recording)
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    split = _outputs(run_experiment(cfg))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    whole = _outputs(run_experiment(cfg))
+    return (ranges[0] if ranges else None), split, whole
+
+
+@pytest.mark.parametrize("cpus,ranges", [
+    (2, [(0, 768), (768, 532)]),
+    (3, [(0, 512), (512, 512), (1024, 276)]),
+    (8, [(0, 256), (256, 256), (512, 256), (768, 256), (1024, 256), (1280, 20)]),
+])
+def test_a_split_run_with_a_tail_block_equals_the_whole_run(cpus, ranges, monkeypatch):
+    cfg = make_cfg(method="msgd_classical", beta=0.6, replicas=1300, horizon=120,
+                   checkpoint_stride=30, oracle={"kind": "gaussian", "sigma": 0.5})
+    got, split, whole = _split_and_whole(cfg, monkeypatch, cpus)
+    assert got == ranges
+    assert split == whole
+
+
+@pytest.mark.parametrize("cfg", [
+    make_cfg(method="vsgd", averaged=True, checkpoint_stride=40,
+             schedule={"alpha_c": 0.1375, "alpha_a": 0.0}, **_PARTIAL_DIVERGENCE),
+    make_cfg(method="msgd_damped", lyapunov=True, checkpoint_stride=1,
+             schedule={"alpha_c": 0.3, "alpha_a": 0.0, "mu_m": 1.0, "mu_b": 0.0},
+             **_PARTIAL_DIVERGENCE),
+], ids=["vsgd-averaged", "msgd_damped-lyapunov"])
+def test_a_split_run_with_divergence_in_every_range_equals_the_whole_run(cfg, monkeypatch):
+    ranges, split, whole = _split_and_whole(cfg, monkeypatch)
+    assert ranges == [(0, 256), (256, 344)]
+    assert split == whole
+    diverged = run_experiment(cfg).diverged_iterations
+    assert {i < 256 for i, _ in diverged} == {True, False}
+
+
+def test_a_child_range_that_dies_entirely_adds_nothing(monkeypatch):
+    # The child runs replicas 256 and 257, which diverge at iterations 252
+    # and 389 while most of the parent's replicas live to the horizon.
+    cfg = make_cfg(method="vsgd", averaged=True, checkpoint_stride=40,
+                   schedule={"alpha_c": 0.1375, "alpha_a": 0.0},
+                   **dict(_PARTIAL_DIVERGENCE, replicas=258, seed=26))
+    ranges, split, whole = _split_and_whole(cfg, monkeypatch)
+    assert ranges == [(0, 256), (256, 2)]
+    assert split == whole
+    est = run_experiment(cfg)
+    assert [d for d in est.diverged_iterations if d[0] >= 256] == [(256, 252), (257, 389)]
+    assert est.diverged < 256
+
+
+def test_a_split_lyapunov_run_with_a_vanishing_tilt_equals_the_whole_run(monkeypatch):
+    cfg = make_cfg(method="nasgd", lyapunov=True, averaged=True, checkpoint_stride=1,
+                   replicas=600, horizon=200,
+                   schedule={"alpha_c": 0.3, "alpha_a": 0.6, **_VANISHING_MU})
+    ranges, split, whole = _split_and_whole(cfg, monkeypatch)
+    assert ranges == [(0, 256), (256, 344)]
+    assert split == whole
+
+
+@pytest.mark.parametrize("oracle", [{"kind": "gaussian", "sigma": 0.5},
+                                    {"kind": "minibatch", "batch": 2}],
+                         ids=["gaussian", "minibatch"])
+def test_least_squares_experiments_run_in_one_process(oracle, monkeypatch):
+    # BLAS evaluates a one-row batch (gemv) differently from a row of a
+    # larger one (gemm), so a one-replica range could change the last bits.
+    cfg = make_cfg(problem=_LSQ, oracle=oracle, replicas=257, horizon=200,
+                   checkpoint_stride=20, x0=[2.0, -1.0])
+    ranges, split, whole = _split_and_whole(cfg, monkeypatch)
+    assert ranges is None
+    assert split == whole
+
+
+def test_replica_ranges_need_two_blocks_enough_work_and_small_child_sums(monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert harness._replica_ranges(256, 10 ** 6, 41) == [(0, 256)]
+    assert harness._replica_ranges(257, 10 ** 6, 41) == [(0, 256), (256, 1)]
+    assert harness._replica_ranges(512, 195, 41) == [(0, 512)]   # 99 840 replica-steps
+    assert harness._replica_ranges(512, 196, 41) == [(0, 256), (256, 256)]
+    # each range holds 8 blocks: 4096 checkpoints x 8 = 32768 values per quantity
+    assert harness._replica_ranges(4096, 4095, 4096) == [(0, 2048), (2048, 2048)]
+    assert harness._replica_ranges(4096, 4096, 4097) == [(0, 4096)]
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert harness._replica_ranges(4096, 1000, 41) == [(0, 4096)]
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+    assert harness._replica_ranges(600, 1000, 41) == [(0, 256), (256, 256), (512, 88)]
+
+
 def _record_draws(monkeypatch):
     """Record (generator, n) for every raw_block call."""
     calls = []
@@ -304,9 +412,21 @@ def _record_draws(monkeypatch):
     return calls
 
 
+def _simulate_in_one_process(cfg):
+    """`harness._simulate` over every replica of cfg in this process, as
+    `run_experiment` calls it when it does not split the replicas."""
+    problem, fsp, s = validate_config(cfg)
+    oracle = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
+    return harness._simulate(problem, oracle, cfg.method, cfg.beta, s.alphas(cfg.horizon),
+                             s.mus(cfg.horizon), cfg.x0,
+                             checkpoint_grid(cfg.horizon, cfg.checkpoint_stride),
+                             resolve_lyapunov(cfg, problem, s), cfg.averaged,
+                             problem.minimum.f_star, cfg.seed, cfg.replicas, None)
+
+
 def test_draw_buffer_stays_within_one_block_of_rows(monkeypatch):
     calls = _record_draws(monkeypatch)
-    run_experiment(make_cfg(replicas=4096, horizon=300))
+    _simulate_in_one_process(make_cfg(replicas=4096, horizon=300))
     assert max(n for _, n in calls) * 4096 <= 256 * 1024
     drawn = {}
     for rng, n in calls:
@@ -315,7 +435,7 @@ def test_draw_buffer_stays_within_one_block_of_rows(monkeypatch):
     assert set(drawn.values()) == {300}
     # up to one block of replicas, each replica draws 1024 iterations at a time
     calls.clear()
-    run_experiment(make_cfg(replicas=200, horizon=2500))
+    _simulate_in_one_process(make_cfg(replicas=200, horizon=2500))
     assert len(calls) == 200 * 3
 
 
@@ -356,11 +476,11 @@ def test_checkpoint_buffers_stay_within_16384_replica_checkpoints(monkeypatch):
     lyap = dict(method="msgd_damped", checkpoint_stride=1, lyapunov=True,
                 schedule={"alpha_c": 0.3, "alpha_a": 0.6, **_CONSTANT_MU})
     replicas = 4096
-    run_experiment(make_cfg(replicas=replicas, horizon=30, **lyap))
+    _simulate_in_one_process(make_cfg(replicas=replicas, horizon=30, **lyap))
     assert chunks == [4] * 7 + [3]   # 31 checkpoints; 4 x 4096 = 16384
     chunks.clear()
     replicas = 200
-    run_experiment(make_cfg(replicas=replicas, horizon=1000, **lyap))
+    _simulate_in_one_process(make_cfg(replicas=replicas, horizon=1000, **lyap))
     assert chunks == [81] * 12 + [29]
 
 
@@ -577,8 +697,8 @@ def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monke
     started = []
 
     class RecordingPool:   # runs the cells in this process; starts no worker
-        def __init__(self, max_workers, mp_context):
-            started.append((max_workers, mp_context.get_start_method()))
+        def __init__(self, max_workers, mp_context, initializer):
+            started.append((max_workers, mp_context.get_start_method(), initializer))
 
         def __enter__(self):
             return self
@@ -597,4 +717,5 @@ def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monke
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert sweep(cells) == serial and started == []   # one CPU: in-process
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
-    assert sweep(cells) == serial and started == [(2, "fork")]
+    assert sweep(cells) == serial
+    assert started == [(2, "fork", harness._run_experiments_whole)]
