@@ -48,7 +48,8 @@ the same order as in one process.  Least-squares experiments stay in one
 process (see `run_experiment`).  A sweep runs its cells, each one
 `run_experiment`, in forked worker processes once its total work pays for
 starting them, and then each cell's experiment runs in its worker alone
-(see `sweep`).  A child or worker that dies raises ExperimentError.
+(see `sweep`).  A child or worker that dies raises ExperimentError; a
+child whose caller dies fails its send and exits.
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
@@ -86,9 +87,17 @@ _CHUNK_VALUES = 32768
 # A sweep of less work than this (replicas x horizon summed over its cells)
 # runs in-process: below it, starting the pool (about 35 ms on a 2-vCPU host
 # for its imports, forks and shutdown) can cost more than two workers save
-# on small least-squares cells, which run about 0.6 M replica-steps/s.  An
-# experiment of less work runs in one process.
+# on small least-squares cells, which run about 0.6 M replica-steps/s.
 _POOL_MIN_WORK = 100_000
+# An experiment of less work than this (replicas x horizon) runs in one
+# process.  Quadratic replicas run 9-12 M replica-steps/s, and the split
+# costs about 17 ms to import multiprocessing, fork and join, plus the
+# copy-on-write faults of both processes and the scheduler's delay in
+# moving the child to the other CPU.  Timed as fresh `sgdlab experiment`
+# calls of 512-4096 replicas on a 2-vCPU host, split against one process:
+# 1.4-1.7x slower at 10^5 replica-steps, anywhere from 1.4x slower to 1.4x
+# faster at 1.0-1.2 M, 15-23% faster at 1.5 M and about 2x faster at 4 M.
+_SPLIT_MIN_WORK = 1_500_000
 # Cleared in a sweep's pool workers, where every CPU already runs a cell.
 _split_experiments = True
 
@@ -343,11 +352,11 @@ def _mean_se(s, q, n):
 def _replica_ranges(r_count: int, horizon: int, n_points: int) -> list:
     """Contiguous (first, count) replica ranges split at block boundaries,
     one per usable CPU; a single range unless the run has at least two
-    blocks and `_POOL_MIN_WORK` replica-steps, and each range's unfolded
+    blocks and `_SPLIT_MIN_WORK` replica-steps, and each range's unfolded
     sums (see `_simulate`) hold at most `_CHUNK_VALUES` checkpoint-blocks
     per quantity."""
     blocks = -(-r_count // _BLOCK_REPLICAS)
-    if blocks < 2 or r_count * horizon < _POOL_MIN_WORK or not _split_experiments:
+    if blocks < 2 or r_count * horizon < _SPLIT_MIN_WORK or not _split_experiments:
         return [(0, r_count)]
     parts = min(_usable_cpus(), blocks)
     if parts < 2 or n_points * -(-blocks // parts) > _CHUNK_VALUES:
@@ -373,8 +382,9 @@ def _simulate_ranges(simulate, ranges: list):
     try:
         for first, count in ranges[1:]:
             receive, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_simulate_child, args=(send, simulate, first, count),
-                                daemon=True)
+            readers = [r for _, r in children] + [receive]
+            child = ctx.Process(target=_simulate_child,
+                                args=(send, readers, simulate, first, count), daemon=True)
             child.start()
             send.close()
             children.append((child, receive))
@@ -401,8 +411,14 @@ def _simulate_ranges(simulate, ranges: list):
     return counts, sums, diverged
 
 
-def _simulate_child(send, simulate, first: int, count: int) -> None:
-    """A forked child's work: send one replica range's unfolded sums."""
+def _simulate_child(send, readers: list, simulate, first: int, count: int) -> None:
+    """A forked child's work: send one replica range's unfolded sums.
+
+    The child first closes the read ends it inherited, its own among them,
+    so that if the caller dies its send fails with BrokenPipeError and the
+    child exits, rather than block forever on a pipe that it holds open."""
+    for reader in readers:
+        reader.close()
     counts, block_sums, diverged, _ = simulate(first, count, False)
     send.send((counts, block_sums, diverged))
     send.close()

@@ -70,8 +70,6 @@ def replica_streams(master_seed: int, count: int, first: int = 0) -> list:
 
     seed = np.uint64(int(master_seed) & _MASK64)
     first, count = int(first), int(count)
-    if first < 0:
-        raise ValueError("stream index must be non-negative")
     # Key i's low and high 64-bit words come from indices 2i and 2i + 1.
     index = np.arange(2 * first, 2 * (first + count), dtype=np.uint64)
     keys = PhiloxKeys(_mix64_array(seed ^ _mix64_array(index)))

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -439,7 +440,7 @@ def test_a_small_experiment_loads_no_process_module(path, tmp_path, request):
 
 def test_a_dead_experiment_worker_fails_the_experiment(wide_path, tmp_path, monkeypatch,
                                                        capsys):
-    monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)
+    monkeypatch.setattr("sgdlab.harness._SPLIT_MIN_WORK", 0)
     monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
     parent = os.getpid()
     real_simulate = sgdlab.harness._simulate
@@ -459,7 +460,7 @@ def test_a_dead_experiment_worker_fails_the_experiment(wide_path, tmp_path, monk
 
 
 def test_an_interrupted_experiment_stops_its_workers(wide_path, tmp_path, monkeypatch):
-    monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)
+    monkeypatch.setattr("sgdlab.harness._SPLIT_MIN_WORK", 0)
     monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
     parent = os.getpid()
     pid_file = tmp_path / "pid"
@@ -484,6 +485,66 @@ def test_an_interrupted_experiment_stops_its_workers(wide_path, tmp_path, monkey
         os.kill(int(pid_file.read_text()), 0)
 
 
+_KILLED_PARENT = """
+import os, signal, sys, time
+import sgdlab.harness as harness
+from sgdlab.cli import main
+pid_file, config, out = sys.argv[1:]
+harness._usable_cpus = lambda: 2
+real_simulate, parent = harness._simulate, os.getpid()
+
+def simulate(*args):
+    if os.getpid() != parent:   # the worker: report, then run its range
+        with open(pid_file + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(pid_file + ".tmp", pid_file)
+        return real_simulate(*args)
+    while not os.path.exists(pid_file):
+        time.sleep(0.01)
+    os.kill(parent, signal.SIGKILL)
+
+harness._simulate = simulate
+main(["experiment", config, "--out", out])
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether a process exists and is not a zombie (an orphan's new parent
+    may never reap it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_a_worker_whose_caller_was_killed_exits(tmp_path):
+    # At stride 1 the worker's block sums (5001 checkpoints x 2 blocks x 4
+    # quantities) outgrow a pipe's buffer, so its send blocks until the
+    # caller reads, or fails once no read end is open.
+    config = tmp_path / "wide.ini"
+    config.write_text(INI.replace("replicas = 4", "replicas = 1024")
+                      .replace("horizon = 50", "horizon = 5000")
+                      .replace("checkpoint_stride = 10", "checkpoint_stride = 1"))
+    pid_file = tmp_path / "pid"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
+    # Output goes to a file: a worker left running would hold a pipe open.
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLED_PARENT, str(pid_file), str(config),
+             str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL, stderr=err,
+            timeout=60)
+    assert proc.returncode == -signal.SIGKILL, (tmp_path / "stderr").read_text()
+    worker = int(pid_file.read_text())
+    deadline = time.monotonic() + 60
+    while _running(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if _running(worker):
+        os.kill(worker, signal.SIGKILL)
+        pytest.fail("the worker outlived its killed caller")
+
+
 def test_pooled_sweep_cells_run_each_experiment_in_one_process(wide_path, tmp_path,
                                                                 monkeypatch):
     # Forks in every process append a line, so a cell that split its
@@ -498,6 +559,7 @@ def test_pooled_sweep_cells_run_each_experiment_in_one_process(wide_path, tmp_pa
 
     monkeypatch.setattr(os, "fork", logging_fork)
     monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)
+    monkeypatch.setattr("sgdlab.harness._SPLIT_MIN_WORK", 0)
     monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
     sweep_ini = tmp_path / "sweep.ini"
     sweep_ini.write_text(pathlib.Path(wide_path).read_text()

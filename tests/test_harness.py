@@ -312,7 +312,7 @@ def _split_and_whole(cfg, monkeypatch, cpus=2):
         return ranges[-1]
 
     monkeypatch.setattr(harness, "_replica_ranges", recording)
-    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(harness, "_SPLIT_MIN_WORK", 0)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     split = _outputs(run_experiment(cfg))
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
@@ -388,15 +388,15 @@ def test_replica_ranges_need_two_blocks_enough_work_and_small_child_sums(monkeyp
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     assert harness._replica_ranges(256, 10 ** 6, 41) == [(0, 256)]
     assert harness._replica_ranges(257, 10 ** 6, 41) == [(0, 256), (256, 1)]
-    assert harness._replica_ranges(512, 195, 41) == [(0, 512)]   # 99 840 replica-steps
-    assert harness._replica_ranges(512, 196, 41) == [(0, 256), (256, 256)]
+    assert harness._replica_ranges(512, 2929, 41) == [(0, 512)]   # 1 499 648 replica-steps
+    assert harness._replica_ranges(512, 2930, 41) == [(0, 256), (256, 256)]
     # each range holds 8 blocks: 4096 checkpoints x 8 = 32768 values per quantity
     assert harness._replica_ranges(4096, 4095, 4096) == [(0, 2048), (2048, 2048)]
     assert harness._replica_ranges(4096, 4096, 4097) == [(0, 4096)]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert harness._replica_ranges(4096, 1000, 41) == [(0, 4096)]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
-    assert harness._replica_ranges(600, 1000, 41) == [(0, 256), (256, 256), (512, 88)]
+    assert harness._replica_ranges(600, 2500, 41) == [(0, 256), (256, 256), (512, 88)]
 
 
 def _record_draws(monkeypatch):

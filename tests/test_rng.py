@@ -1,7 +1,6 @@
 """Counter-based streams: keys, and the replica streams built at once."""
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -43,8 +42,3 @@ def test_a_range_of_replica_streams_is_a_slice_of_all_of_them():
     for first, count in ((0, 256), (256, 344), (512, 88), (599, 1)):
         part = [g.standard_normal(5) for g in replica_streams(11, count, first)]
         assert np.array_equal(part, whole[first:first + count]), first
-
-
-def test_replica_streams_reject_a_negative_first_index():
-    with pytest.raises(ValueError, match="non-negative"):
-        replica_streams(1, 2, -1)
