@@ -27,10 +27,13 @@ Overrides: `--set section.key=value` (repeatable) applies after parsing;
 `--seed` replaces the seed last.  The config is validated once, after both
 (and for `lyapunov`, after it forces lyapunov = true and stride 1).
 
-`sweep` runs up to one cell per usable CPU at once in worker processes,
-and `experiment` and `lyapunov` split a wide experiment's replicas over
-them.  The output does not depend on their number; small runs stay in one
-process, and a worker that dies fails the command with exit code 3.
+`sweep` gives its cells the same noise streams on purpose (common random
+numbers): cells that draw alike step together in memory-bounded batches,
+each of which draws each block of noise once, and each usable CPU runs a
+share of the cells in a worker process.  `experiment` and `lyapunov`
+split a wide experiment's replicas over the CPUs.  The output does not
+depend on their number; small runs stay in one process, and a worker that
+dies fails the command with exit code 3.
 """
 
 from __future__ import annotations

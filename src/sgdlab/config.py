@@ -24,6 +24,7 @@ single run ignores it.
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 from dataclasses import asdict, dataclass, field, replace
 
@@ -109,9 +110,11 @@ def build_oracle(spec: dict, problem: Problem,
     raise ConfigError(f"[oracle] unknown kind {kind!r}")
 
 
-def validate_config(cfg: ExperimentConfig):
+def validate_config(cfg: ExperimentConfig, built=None):
     """Static checks with messages naming the violated constraint.  Returns
-    the (problem, finite sum or None, schedule) built to check them."""
+    the (problem, finite sum or None, schedule) built to check them; unless
+    None, `built` is the (problem, finite sum or None) that an equal
+    [problem] section built, and serves as cfg's own."""
     if cfg.method not in METHODS:
         raise ConfigError(f"[run] method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.horizon < 1:
@@ -129,7 +132,7 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("[run] lyapunov = true requires checkpoint_stride = 1 "
                           "(the descent fit needs consecutive checkpoints)")
     schedule = build_schedule(cfg.schedule)
-    problem, fsp = build_problem(cfg.problem)
+    problem, fsp = build_problem(cfg.problem) if built is None else built
     if len(cfg.x0) != problem.dim:
         raise ConfigError(f"[run] x0 has length {len(cfg.x0)}, problem dim is {problem.dim}")
     if problem.minimum is None:
@@ -189,6 +192,19 @@ def _parse_nested(text: str, where: str):
         raise ConfigError(f"{where} is not JSON: {e}") from e
 
 
+def _ini_errors(parse):
+    """Report configparser's errors in a config file (no section header, a
+    duplicate key, a bad % interpolation) as ConfigError."""
+    @functools.wraps(parse)
+    def wrapped(path: str, overrides: list[str] | None = None):
+        try:
+            return parse(path, overrides)
+        except configparser.Error as e:
+            raise ConfigError(f"cannot parse config file {path!r}: {e}") from e
+    return wrapped
+
+
+@_ini_errors
 def parse_config_file(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
     """Read an experiment config, applying `section.key=value` overrides."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -200,9 +216,12 @@ def parse_config_file(path: str, overrides: list[str] | None = None) -> Experime
             raise ConfigError(f"override {ov!r} must look like section.key=value")
         key, value = ov.split("=", 1)
         section, name = key.split(".", 1)
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section.strip(), name.strip(), value.strip())
+        try:
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section.strip(), name.strip(), value.strip())
+        except ValueError as e:   # a bad % interpolation, or the DEFAULT section
+            raise ConfigError(f"override {ov!r}: {e}") from e
     for section in ("problem", "oracle", "schedule", "run"):
         if not cp.has_section(section):
             raise ConfigError(f"config file is missing the [{section}] section")
@@ -326,6 +345,7 @@ class SweepSpec:
     mu_b: list = field(default_factory=list)
 
 
+@_ini_errors
 def parse_sweep_file(path: str, overrides: list[str] | None = None) -> SweepSpec:
     """A sweep file is an experiment config plus a [sweep] section whose
     methods / alpha_a / mu_b lists span a cartesian grid.  The base config

@@ -6,9 +6,12 @@ noise from the counter-based stream keyed by (master_seed, i).
 `optimizers.run` is this engine at one replica, so replica 0 of an
 experiment and a single run with the same seed are one computation.
 
-Execution model: the engine (`_simulate`) advances a range of replicas in
-lock-step as a single (replicas, dim) state; one process runs every
-replica, or each usable CPU runs one range (see Processes below).  Each
+Execution model: the engine advances a range of replicas in lock-step as
+a single (replicas, dim) state; one process runs every replica, or each
+usable CPU runs one range (see Processes below).  It is a stepper
+(`_steps`) that steps through one block of raw draws at a time, as
+`_step_together` hands them to it, and keeps its state, alive mask,
+checkpoint buffers and sums between blocks.  Each
 iteration calls the method's kernel from
 `optimizers.KERNELS` and folds the running average with
 `optimizers.averaged_update`, the same code the step functions call on one
@@ -45,11 +48,13 @@ child runs each other one; a replica's stream depends only on its index,
 and each child sends back its unfolded block sums, which the caller folds
 onto its own in block order, so the sums are the same float additions in
 the same order as in one process.  Least-squares experiments stay in one
-process (see `run_experiment`).  A sweep runs its cells, each one
-`run_experiment`, in forked worker processes once its total work pays for
-starting them, and then each cell's experiment runs in its worker alone
-(see `sweep`).  A child or worker that dies raises ExperimentError; a
-child whose caller dies fails its send and exits.
+process (see `_simulate_alone`).  The cells of a sweep share their noise
+on purpose (common random numbers): cells that draw alike step together,
+a memory-bounded batch at a time, and each batch draws each block of noise
+once.  Once its total work pays for starting them, a sweep runs in forked
+worker processes, each taking an interleaved share of every group (see
+`sweep`).  A child or worker that dies raises ExperimentError; a child
+whose caller dies fails its send and exits.
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
@@ -73,7 +78,8 @@ from .errors import ConfigError, DivergenceError, ExperimentError, ParameterErro
 from .lyapunov import LyapunovSeries, descent_fit, select_lambda, select_zeta
 from .optimizers import (KERNELS, all_within_radius, averaged_update, checkpoint_grid,
                          init_average, within_radius)
-from .problems import Convexity, Problem
+from .oracles import GradientOracle
+from .problems import Convexity, FiniteSumProblem, Problem
 from .rng import replica_streams
 from .schedules import PowerSchedule, classify
 
@@ -89,6 +95,10 @@ _CHUNK_VALUES = 32768
 # for its imports, forks and shutdown) can cost more than two workers save
 # on small least-squares cells, which run about 0.6 M replica-steps/s.
 _POOL_MIN_WORK = 100_000
+# A sweep steps the cells of a draw group together in batches whose
+# experiments hold at most this many floats (8 MB), each batch drawing the
+# group's noise once.
+_GROUP_VALUES = 1 << 20
 # An experiment of less work than this (replicas x horizon) runs in one
 # process.  Quadratic replicas run 9-12 M replica-steps/s, and the split
 # costs about 17 ms to import multiprocessing, fork and join, plus the
@@ -180,25 +190,27 @@ def _fold(totals: np.ndarray, sums: np.ndarray) -> None:
         totals += sums[..., b]
 
 
-def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
-              lyap_mode, averaged: bool, f_star: float, master_seed: int,
-              r_count: int, on_point, first: int = 0, fold: bool = True):
-    """Advance replicas first..first+r_count-1 in lock-step until the
-    horizon or until none of them is alive; `first` is a multiple of
-    `_BLOCK_REPLICAS`.
+def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
+           averaged: bool, f_star: float, r_count: int, on_point, first: int = 0,
+           fold: bool = True):
+    """Stepper of replicas first..first+r_count-1, which advance in
+    lock-step; `first` is a multiple of `_BLOCK_REPLICAS`.
 
-    Returns (counts, sums, diverged, final): alive replicas per checkpoint;
-    a dict of per-checkpoint sums over alive replicas keyed by quantity
-    (sums of squares under "sq_" + name), each with the block sums folded
-    in block order or, unless fold, shaped (checkpoints, blocks); the
+    A generator: `next` records checkpoint 0 if the grid holds it, then
+    each `send` hands it a (replicas, iterations, ...) block of raw draws
+    and it steps through the block's iterations, until the horizon or until
+    none of its replicas is alive.  It then returns (as StopIteration's
+    value) (counts, sums, diverged, final): alive replicas per checkpoint; a
+    dict of per-checkpoint sums over alive replicas keyed by quantity (sums
+    of squares under "sq_" + name), each with the block sums folded in
+    block order or, unless fold, shaped (checkpoints, blocks); the
     (replica, iteration) divergences; and the last (x, v, x_prev, running
     average or None).  Unless None, on_point(k, x, v, xbar, f, grad) sees
     every checkpoint's (replicas, ...) state, xbar (None unless averaged),
-    f(x) and grad f(x).
+    f(x) and grad f(x).  The stepper only reads the blocks it is handed.
     """
     horizon = len(alphas)
     kernel = KERNELS[method]
-    gens = replica_streams(master_seed, r_count, first)
     x = np.tile(np.asarray(x0, dtype=float), (r_count, 1))
     v = np.zeros_like(x)
     x_prev = x.copy()
@@ -298,17 +310,10 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
     if grid[ci] == 0:
         grad_cache = record()
 
-    # Deep enough for _RAW_BLOCK iterations of _BLOCK_REPLICAS replicas.
-    nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // r_count, horizon))
-    buf = np.empty((r_count, nb_max) + oracle.raw_shape, dtype=oracle.raw_dtype)
-    raw_base, nb = 1, 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, horizon + 1):
-            if k - raw_base >= nb:
-                nb = min(nb_max, horizon - k + 1)
-                _refill(buf, oracle, gens, nb)
-                raw_base = k
-            raw_t = buf[:, k - raw_base]
+    k = 0
+    while k < horizon and n_alive:
+        for raw_t in (yield).swapaxes(0, 1):
+            k += 1
             alpha = alphas[k - 1]
             if averaged:
                 avg = averaged_update(avg, x, alpha)
@@ -335,9 +340,48 @@ def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid,
 
             if ci < len(grid) and k == grid[ci]:
                 grad_cache = record()
-        flush()
+    flush()
     keys = names + ["sq_" + name for name in squared]
     return counts, dict(zip(keys, np.moveaxis(totals, 1, 0))), diverged, (x, v, x_prev, avg)
+
+
+def _step_together(oracle, gens: list, horizon: int, steppers: list) -> list:
+    """Drive steppers (see `_steps`) of len(gens) replicas each over the
+    same horizon through one draw buffer: each block of raw noise is drawn
+    once, replica i's from gens[i], and handed to every stepper still
+    running, until the last one is done.  Returns their results in order."""
+    for stepper in steppers:
+        next(stepper)
+    results = [None] * len(steppers)
+    running = list(range(len(steppers)))
+    r_count = len(gens)
+    # Deep enough for _RAW_BLOCK iterations of _BLOCK_REPLICAS replicas.
+    nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // r_count, horizon))
+    buf = np.empty((r_count, nb_max) + oracle.raw_shape, dtype=oracle.raw_dtype)
+    drawn = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while running:
+            nb = min(nb_max, horizon - drawn)
+            _refill(buf, oracle, gens, nb)
+            drawn += nb
+            for i in list(running):
+                try:
+                    steppers[i].send(buf[:, :nb])
+                except StopIteration as done:
+                    results[i] = done.value
+                    running.remove(i)
+    return results
+
+
+def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
+              averaged: bool, f_star: float, master_seed: int, r_count: int, on_point,
+              first: int = 0, fold: bool = True):
+    """The result of `_steps` for replicas first..first+r_count-1, each
+    drawing from its own stream under master_seed."""
+    stepper = _steps(problem, oracle, method, beta, alphas, mus, x0, grid, lyap_mode,
+                     averaged, f_star, r_count, on_point, first, fold)
+    return _step_together(oracle, replica_streams(master_seed, r_count, first), len(alphas),
+                          [stepper])[0]
 
 
 def _mean_se(s, q, n):
@@ -353,7 +397,7 @@ def _replica_ranges(r_count: int, horizon: int, n_points: int) -> list:
     """Contiguous (first, count) replica ranges split at block boundaries,
     one per usable CPU; a single range unless the run has at least two
     blocks and `_SPLIT_MIN_WORK` replica-steps, and each range's unfolded
-    sums (see `_simulate`) hold at most `_CHUNK_VALUES` checkpoint-blocks
+    sums (see `_steps`) hold at most `_CHUNK_VALUES` checkpoint-blocks
     per quantity."""
     blocks = -(-r_count // _BLOCK_REPLICAS)
     if blocks < 2 or r_count * horizon < _SPLIT_MIN_WORK or not _split_experiments:
@@ -424,35 +468,97 @@ def _simulate_child(send, readers: list, simulate, first: int, count: int) -> No
     send.close()
 
 
-def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
-    validate_replicas(cfg)
-    problem, fsp, schedule = validate_config(cfg)
-    oracle = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
-    lyap_mode = resolve_lyapunov(cfg, problem, schedule)
-    f_star = problem.minimum.f_star
-    grid = checkpoint_grid(cfg.horizon, cfg.checkpoint_stride)
-    alphas = schedule.alphas(cfg.horizon)
-    mus = schedule.mus(cfg.horizon)
+@dataclass
+class _Experiment:
+    """A validated experiment, built and ready to step."""
+    cfg: ExperimentConfig
+    problem: Problem
+    fsp: Optional[FiniteSumProblem]
+    schedule: PowerSchedule
+    oracle: GradientOracle
+    lyap_mode: Optional[tuple]
+    grid: np.ndarray
+    alphas: np.ndarray
+    mus: np.ndarray
+    effective: int   # replicas simulated
 
+    def engine_args(self) -> tuple:
+        """The leading arguments of `_steps` and `_simulate`, up to the
+        seed that `_simulate` takes next."""
+        c = self.cfg
+        return (self.problem, self.oracle, c.method, c.beta, self.alphas, self.mus, c.x0,
+                self.grid, self.lyap_mode, c.averaged, self.problem.minimum.f_star)
+
+    def values(self) -> int:
+        """About how many floats it holds while it steps: schedules, state,
+        checkpoint buffers and per-checkpoint sums (see `_steps`)."""
+        r, dim, points = self.effective, len(self.cfg.x0), len(self.grid)
+        sums = 4 + 2 * self.cfg.averaged + 4 * (self.lyap_mode is not None)
+        chunk = max(1, min(points, _CHUNK_VALUES // (r * max(2, dim))))
+        return (2 * len(self.alphas) + 5 * r * dim + chunk * r * (sums + 2 * dim + 2)
+                + points * (sums + 1))
+
+
+def _prepare(cfg: ExperimentConfig, like: Optional[_Experiment] = None) -> _Experiment:
+    """Validate cfg and build what its experiment steps with.  Unless None,
+    `like` is a prepared experiment that draws alike (see `_draw_groups`),
+    whose problem and oracle, built from equal configs, serve as cfg's."""
+    validate_replicas(cfg)
+    if like is None:
+        problem, fsp, schedule = validate_config(cfg)
+        oracle = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
+    else:
+        problem, fsp, schedule = validate_config(cfg, (like.problem, like.fsp))
+        oracle = like.oracle
     # Zero-noise oracles make every replica identical: one trajectory gives
     # the exact means, and with n = 1 `_mean_se` gives standard errors of
     # exactly 0.
-    effective = 1 if oracle.zero_noise else cfg.replicas
+    return _Experiment(cfg, problem, fsp, schedule, oracle,
+                       resolve_lyapunov(cfg, problem, schedule),
+                       checkpoint_grid(cfg.horizon, cfg.checkpoint_stride),
+                       schedule.alphas(cfg.horizon), schedule.mus(cfg.horizon),
+                       1 if oracle.zero_noise else cfg.replicas)
 
+
+def _simulate_alone(exp: _Experiment):
+    """(counts, sums, diverged) of one experiment, over one replica range
+    per process (see `_replica_ranges`)."""
     def simulate(first, count, fold):
-        return _simulate(problem, oracle, cfg.method, cfg.beta, alphas, mus, cfg.x0,
-                         grid, lyap_mode, cfg.averaged, f_star, cfg.seed, count, None,
-                         first, fold)
+        return _simulate(*exp.engine_args(), exp.cfg.seed, count, None, first, fold)
 
     # Least-squares sums evaluate through BLAS, whose rounding depends on the
     # batch's row count (a single row takes gemv, not gemm), so they run in
     # one process: a range of other rows could change their last bits.
-    ranges = [(0, effective)] if fsp is not None else \
-        _replica_ranges(effective, cfg.horizon, len(grid))
-    n, sums, diverged = _simulate_ranges(simulate, ranges)
+    ranges = [(0, exp.effective)] if exp.fsp is not None else \
+        _replica_ranges(exp.effective, exp.cfg.horizon, len(exp.grid))
+    return _simulate_ranges(simulate, ranges)
 
+
+def _simulate_batch(exps: list) -> list:
+    """(counts, sums, diverged) of each of experiments that draw alike (see
+    `_draw_groups`).  A lone one runs as `run_experiment` runs it; several
+    step together in this process, each block of noise drawn once for all."""
+    if len(exps) == 1:
+        return [_simulate_alone(exps[0])]
+    lead = exps[0]
+    steppers = [_steps(*e.engine_args(), e.effective, None) for e in exps]
+    results = _step_together(lead.oracle, replica_streams(lead.cfg.seed, lead.effective),
+                             lead.cfg.horizon, steppers)
+    return [r[:3] for r in results]
+
+
+def run_experiment(cfg: ExperimentConfig, stepped=None) -> MonteCarloEstimate:
+    """The estimates of cfg's experiment.  A sweep passes `stepped`, the
+    cell's prepared experiment and its (counts, sums, diverged) from its
+    draw group, and only the tolerance check and aggregation run here."""
+    if stepped is None:
+        exp = _prepare(cfg)
+        n, sums, diverged = _simulate_alone(exp)
+    else:
+        exp, (n, sums, diverged) = stepped
+    cfg, grid, lyap_mode, schedule = exp.cfg, exp.grid, exp.lyap_mode, exp.schedule
     diverged = sorted(diverged)
-    diverged_count = len(diverged) if not oracle.zero_noise else \
+    diverged_count = len(diverged) if not exp.oracle.zero_noise else \
         len(diverged) * cfg.replicas
     if diverged_count > cfg.divergence_tolerance * cfg.replicas:
         first_iter = min(it for _, it in diverged)
@@ -497,7 +603,7 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloEstimate:
         diverged=diverged_count,
         diverged_iterations=tuple(diverged),
         config=cfg,
-        problem=problem,
+        problem=exp.problem,
         schedule=schedule,
     )
 
@@ -687,15 +793,16 @@ class SweepResult:
     rows: tuple
 
 
-def _sweep_cell(cfg: ExperimentConfig) -> SweepRow:
-    """One sweep cell's row; a cell's failure is recorded in its row."""
+_CELL_ERRORS = (ExperimentError, DivergenceError, ParameterError, ConfigError)
+
+
+def _sweep_row(cfg: ExperimentConfig, est=None, error=None) -> SweepRow:
+    """A cell's row from its estimate, or from the error that failed it."""
     a = float(cfg.schedule.get("alpha_a", 0.0))
     b = float(cfg.schedule.get("mu_b", 0.0))
-    try:
-        est = run_experiment(cfg)
-    except (ExperimentError, DivergenceError, ParameterError, ConfigError) as e:
+    if error is not None:
         return SweepRow(method=cfg.method, alpha_a=a, mu_b=b, status="failed",
-                        error=str(e))
+                        error=str(error))
     i = len(est.checkpoints) - 1
     return SweepRow(
         method=cfg.method, alpha_a=a, mu_b=b, status="ok",
@@ -703,6 +810,60 @@ def _sweep_cell(cfg: ExperimentConfig) -> SweepRow:
         se_grad_sq=float(est.se_grad_sq[i]),
         mean_gap=float(est.mean_gap[i]),
         se_gap=float(est.se_gap[i]))
+
+
+def _draw_groups(configs: list) -> list:
+    """Indices of configs grouped by the noise their replicas draw, in order
+    of first appearance.  Replica i of every cell draws from stream (seed,
+    i), so cells with the same seed, replica count, horizon, problem and
+    oracle draw the same blocks."""
+    keys, groups = [], []
+    for i, c in enumerate(configs):
+        key = (c.seed, c.replicas, c.horizon, c.problem, c.oracle)
+        for k, group in zip(keys, groups):
+            try:
+                if k == key:
+                    group.append(i)
+                    break
+            except ValueError:   # numpy arrays in a config dict: cells draw apart
+                pass
+        else:
+            keys.append(key)
+            groups.append([i])
+    return groups
+
+
+def _sweep_cells(configs: list) -> list:
+    """Rows of configs, in order, computed in this process.  The cells of
+    each draw group that pass validation share one problem and oracle and
+    step together (`_simulate_batch`) in batches whose experiments hold at
+    most `_GROUP_VALUES` floats; a cell's failure is recorded in its row."""
+    rows = [None] * len(configs)
+
+    def finish(batch):
+        for (i, exp), result in zip(batch, _simulate_batch([e for _, e in batch])):
+            try:
+                rows[i] = _sweep_row(configs[i], run_experiment(configs[i], (exp, result)))
+            except _CELL_ERRORS as e:
+                rows[i] = _sweep_row(configs[i], error=e)
+
+    for group in _draw_groups(configs):
+        like, batch, held = None, [], 0
+        for i in group:
+            try:
+                exp = _prepare(configs[i], like)
+            except _CELL_ERRORS as e:
+                rows[i] = _sweep_row(configs[i], error=e)
+                continue
+            like = like or exp
+            if batch and held + exp.values() > _GROUP_VALUES:
+                finish(batch)
+                batch, held = [], 0
+            batch.append((i, exp))
+            held += exp.values()
+        if batch:
+            finish(batch)
+    return rows
 
 
 def _usable_cpus() -> int:
@@ -723,17 +884,19 @@ def _run_experiments_whole() -> None:
 def sweep(configs: list[ExperimentConfig]) -> SweepResult:
     """Run a grid of configs; per-cell failures are recorded, not raised.
 
-    Up to one cell per CPU this process may use runs at once in forked
-    worker processes.  Rows keep the grid's order, and each is computed by
-    the same `_sweep_cell` in-process or in a worker, so the result does not
+    Cells that draw alike (see `_draw_groups`; all cells of `sweep_grid`
+    do) step together through one draw of each block (`_sweep_cells`).  Up
+    to one forked worker per CPU this process may use takes an interleaved
+    share of each group.  Rows keep the grid's order, and a cell's
+    arithmetic is the same in a group or alone, so the result does not
     depend on the number of workers.  A grid of less than `_POOL_MIN_WORK`
     replica-steps runs in-process, as does any grid when only one worker
-    would run; only then may a cell's experiment split its replicas over
+    would run; only there may a batch of one cell split its replicas over
     the CPUs.  A worker that dies raises ExperimentError.
     """
     workers = min(_usable_cpus(), len(configs))
     if workers <= 1 or sum(c.replicas * c.horizon for c in configs) < _POOL_MIN_WORK:
-        return SweepResult(rows=tuple(map(_sweep_cell, configs)))
+        return SweepResult(rows=tuple(_sweep_cells(configs)))
     # Imported here so that commands and small sweeps never load them.  Fork
     # rather than spawn: a forked worker starts from the modules this process
     # has loaded, where a spawned one would import numpy and sgdlab again.
@@ -741,12 +904,19 @@ def sweep(configs: list[ExperimentConfig]) -> SweepResult:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    order = [i for group in _draw_groups(configs) for i in group]
+    shares = [order[w::workers] for w in range(workers)]
+    rows = [None] * len(configs)
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_run_experiments_whole) as ex:
-            return SweepResult(rows=tuple(ex.map(_sweep_cell, configs)))
+            done = ex.map(_sweep_cells, [[configs[i] for i in share] for share in shares])
+            for share, share_rows in zip(shares, done):
+                for i, row in zip(share, share_rows):
+                    rows[i] = row
     except BrokenProcessPool as e:
         raise ExperimentError(f"a sweep worker process died: {e}") from e
+    return SweepResult(rows=tuple(rows))
 
 
 def sweep_csv(result: SweepResult) -> str:

@@ -165,6 +165,37 @@ def test_a_non_numeric_config_value_is_a_usage_error(command, extra, message, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+@pytest.mark.parametrize("kind,extra,message", [
+    ("manifest", [], "cannot parse config file {path!r}: File contains no section headers"),
+    ("duplicate", [], "option 'kind' in section 'problem' already exists"),
+    ("percent", [], "cannot parse config file {path!r}: '%' must be followed by"),
+    ("config", ["--set", "oracle.sigma=5%"],
+     "override 'oracle.sigma=5%': invalid interpolation syntax"),
+    ("config", ["--set", "DEFAULT.sigma=1"], "override 'DEFAULT.sigma=1': Invalid section"),
+], ids=["manifest", "duplicate-key", "percent", "override-percent", "override-default"])
+def test_a_file_configparser_rejects_is_a_usage_error(command, kind, extra, message,
+                                                      config_path, tmp_path, capsys):
+    with open(config_path, "a") as fh:
+        fh.write("\n[sweep]\nalpha_a = 0.5, 0.6\n")
+    if kind == "manifest":   # a manifest passed as a config, without --from-manifest
+        assert main(["experiment", config_path, "--out", str(tmp_path / "first")]) == 0
+        path = str(tmp_path / "first" / "manifest.json")
+    elif kind == "config":
+        path = config_path
+    else:
+        text = pathlib.Path(config_path).read_text()
+        path = str(tmp_path / f"{kind}.ini")
+        pathlib.Path(path).write_text(
+            text.replace("kind = quadratic", "kind = quadratic\nkind = quadratic")
+            if kind == "duplicate" else text.replace("sigma = 0.5", "sigma = 5%"))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, path, "--out", str(out)] + extra) == 2
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_requires_a_source(capsys):
     assert main(["experiment"]) == 2
     assert "config file or --from-manifest" in capsys.readouterr().err
@@ -246,7 +277,7 @@ def test_each_command_builds_its_problem_once(tmp_path, monkeypatch):
     assert builds("experiment", "--from-manifest", str(out / "manifest.json")) == 1
     assert builds("run", str(path)) == 1
     assert builds("lyapunov", str(path), "--set", "run.method=msgd_damped") == 1
-    assert builds("sweep", str(sweep_path)) == 1 + 3
+    assert builds("sweep", str(sweep_path)) == 1 + 1   # the base, then each draw group
 
 
 def _ini(cfg) -> str:
@@ -381,15 +412,15 @@ def test_a_dead_sweep_worker_fails_the_sweep(sweep_path, tmp_path, monkeypatch, 
     monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)
     monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
     parent = os.getpid()
-    real_run = sgdlab.harness.run_experiment
+    real_prepare = sgdlab.harness._prepare
 
-    def dying(cfg):
+    def dying(cfg, like=None):
         if cfg.method == "msgd_classical" and cfg.schedule["alpha_a"] == 0.4:
             assert os.getpid() != parent, "the cell ran in the test process"
             os._exit(1)
-        return real_run(cfg)
+        return real_prepare(cfg, like)
 
-    monkeypatch.setattr("sgdlab.harness.run_experiment", dying)
+    monkeypatch.setattr("sgdlab.harness._prepare", dying)
     out = tmp_path / "out"
     assert main(["sweep", sweep_path, "--out", str(out)]) == 3
     assert "experiment failed: a sweep worker process died" in capsys.readouterr().err

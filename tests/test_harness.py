@@ -694,9 +694,9 @@ def test_sweep_records_per_cell_failures():
 def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monkeypatch):
     import concurrent.futures
 
-    started = []
+    started, tasks = [], []
 
-    class RecordingPool:   # runs the cells in this process; starts no worker
+    class RecordingPool:   # runs the shares in this process; starts no worker
         def __init__(self, max_workers, mp_context, initializer):
             started.append((max_workers, mp_context.get_start_method(), initializer))
 
@@ -706,7 +706,11 @@ def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monke
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def map(self, fn, shares):
+            shares = list(shares)
+            tasks.append([[(c.seed, c.schedule["alpha_a"]) for c in share]
+                          for share in shares])
+            return map(fn, shares)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cells = [make_cfg(horizon=20, replicas=2), make_cfg(horizon=20, replicas=2, seed=7)]
@@ -719,3 +723,106 @@ def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monke
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
     assert sweep(cells) == serial
     assert started == [(2, "fork", harness._run_experiments_whole)]
+    assert tasks == [[[(1234, 0.6)], [(7, 0.6)]]]
+    # Each of 2 workers takes an interleaved share of each draw group: cells
+    # 0, 1, 3 and 5 draw alike, and so do cells 2 and 4.
+    seeds = [1234, 1234, 7, 1234, 7, 1234]
+    cells = [make_cfg(horizon=20, replicas=2, seed=seed,
+                      schedule={"alpha_c": 0.5, "alpha_a": 0.5 + i / 10})
+             for i, seed in enumerate(seeds)]
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    started.clear(), tasks.clear()
+    pooled = sweep(cells)
+    assert started == [(2, "fork", harness._run_experiments_whole)]
+    assert tasks == [[[(1234, 0.5), (1234, 0.8), (7, 0.7)],
+                      [(1234, 0.6), (1234, 1.0), (7, 0.9)]]]
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert pooled == sweep(cells)
+
+
+def test_alike_cells_draw_each_block_once(monkeypatch):
+    # 300 replicas draw 873 iterations a refill: 3 refills over 2500.
+    calls = _record_draws(monkeypatch)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)   # in-process
+    mu = {"mu_m": 1.0, "mu_b": 0.2}
+    cells = [make_cfg(replicas=300, horizon=2500, method=method, beta=0.6,
+                      schedule={"alpha_c": 0.5, "alpha_a": a, **mu})
+             for method, a in (("vsgd", 0.6), ("vsgd", 0.7), ("msgd_damped", 0.6),
+                               ("msgd_classical", 0.6))]
+    finished = []
+    real_run = harness.run_experiment
+
+    def recording_run(cfg, stepped=None):
+        finished.append(cfg)
+        return real_run(cfg, stepped)
+
+    monkeypatch.setattr(harness, "run_experiment", recording_run)
+    rows = sweep(cells).rows
+    assert [r.status for r in rows] == ["ok"] * 4
+    assert len(calls) == 300 * 3
+    assert sorted(n for _, n in calls) == [754] * 300 + [873] * 600
+    assert len({rng for rng, _ in calls}) == 300
+    # Each cell's estimates still come out of run_experiment, where
+    # bench/tracing.py counts the cell's replica-steps.
+    assert [id(c) for c in finished] == [id(c) for c in cells]
+    # A budget of two cells' experiments steps the group in two batches.
+    monkeypatch.setattr(harness, "_GROUP_VALUES", 2 * harness._prepare(cells[0]).values())
+    calls.clear()
+    assert sweep(cells).rows == rows
+    assert len(calls) == 2 * 300 * 3
+
+
+def _alone(cfg):
+    """cfg's sweep row from its experiment run alone."""
+    try:
+        return harness._sweep_row(cfg, run_experiment(cfg))
+    except harness._CELL_ERRORS as e:
+        return harness._sweep_row(cfg, error=e)
+
+
+# The relative-noise family of _PARTIAL_DIVERGENCE at 900 iterations: 600
+# replicas draw 436 iterations a refill, so each draw group refills 3 times.
+_GROUPED = dict(_PARTIAL_DIVERGENCE, horizon=900, beta=0.6, divergence_tolerance=0.01)
+_GROUPED_ZERO_NOISE = dict(_GROUPED, oracle={"kind": "relative_noise", "eta": 0.0})
+_STEADY = {"alpha_c": 0.1375, "alpha_a": 0.0}
+_GROUPED_CELLS = [
+    make_cfg(**dict(_GROUPED, divergence_tolerance=0.95), schedule=_STEADY),
+    make_cfg(**_GROUPED_ZERO_NOISE, schedule={"alpha_c": 0.1, "alpha_a": 0.5}),
+    make_cfg(**_GROUPED, schedule=_STEADY),   # over its divergence tolerance
+    make_cfg(**dict(_GROUPED, divergence_tolerance=0.95, seed=4), schedule=_STEADY),
+    make_cfg(**dict(_GROUPED, divergence_tolerance=1.0),   # every replica dies
+             schedule={"alpha_c": 3.0, "alpha_a": 0.0}),
+    make_cfg(**_GROUPED, schedule={"alpha_c": 0.1, "alpha_a": 1.6}),   # invalid
+    make_cfg(**_GROUPED_ZERO_NOISE, method="nasgd",
+             schedule={"alpha_c": 0.1, "alpha_a": 0.5, **_VANISHING_MU}),
+    make_cfg(**_GROUPED, method="msgd_classical", schedule={"alpha_c": 0.05, "alpha_a": 0.3}),
+    make_cfg(**dict(_GROUPED, seed=4), method="msgd_classical",
+             schedule={"alpha_c": 0.05, "alpha_a": 0.3}),
+]
+
+
+def test_grouped_sweep_rows_equal_each_cell_run_alone(monkeypatch):
+    assert harness._draw_groups(_GROUPED_CELLS) == [[0, 2, 4, 5, 7], [1, 6], [3, 8]]
+    alone = tuple(map(_alone, _GROUPED_CELLS))
+    assert [r.status for r in alone] == ["ok", "ok", "failed", "ok", "failed", "failed",
+                                         "ok", "ok", "ok"]
+    assert "206 of 600 replicas diverged" in alone[2].error
+    assert alone[4].error == "no replica survived to some checkpoint"
+    assert "exp_alpha" in alone[5].error
+    assert alone[1].se_gap == alone[6].se_gap == 0.0   # zero noise
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0)   # a pool whenever 2 CPUs are usable
+    for cpus, budget in ((1, harness._GROUP_VALUES), (2, harness._GROUP_VALUES),
+                         (64, harness._GROUP_VALUES), (1, 0), (2, 0)):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "_GROUP_VALUES", budget)   # 0: batches of one
+        assert sweep(_GROUPED_CELLS).rows == alone, (cpus, budget)
+
+
+def test_cells_whose_configs_hold_arrays_draw_apart():
+    # == on two equal arrays gives no truth value, so these cells cannot be
+    # shown to draw alike; each runs alone.
+    cells = [make_cfg(horizon=20, replicas=2,
+                      problem={"kind": "quadratic", "spectrum": np.array([1.0, 4.0])})
+             for _ in range(2)]
+    assert harness._draw_groups(cells) == [[0], [1]]
+    assert sweep(cells).rows == tuple(map(_alone, cells))
