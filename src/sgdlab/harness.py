@@ -8,7 +8,8 @@ experiment and a single run with the same seed are one computation.
 
 Execution model: the engine advances a range of replicas in lock-step as
 a single (replicas, dim) state; one process runs every replica, or each
-usable CPU runs one range (see Processes below).  It is a stepper
+usable CPU runs one range, and a long one-range run hands its checkpoint
+work to a helper process (see Processes below).  It is a stepper
 (`_steps`) that steps through one block of raw draws at a time, as
 `_step_together` hands them to it, and keeps its state, alive mask,
 checkpoint buffers and sums between blocks.  Each
@@ -35,7 +36,8 @@ term, the energies and their increments (the last tilted energy carries
 into the next chunk), their squares and the block sums.  A chunk is
 reduced when it is full, before a divergence changes the alive mask (so
 one mask holds for every checkpoint of a chunk), and at the end of the
-run.  Sums run over fixed consecutive blocks of `_BLOCK_REPLICAS`
+run.  None of this checkpoint work but the gradient feeds a later step.
+Sums run over fixed consecutive blocks of `_BLOCK_REPLICAS`
 replicas: each block's sum is numpy's pairwise sum of its alive replicas
 in replica order, and the block sums are folded in block order, so the
 reductions depend neither on the replica array's width nor on the chunk
@@ -48,13 +50,23 @@ child runs each other one; a replica's stream depends only on its index,
 and each child sends back its unfolded block sums, which the caller folds
 onto its own in block order, so the sums are the same float additions in
 the same order as in one process.  Least-squares experiments stay in one
-process (see `_simulate_alone`).  The cells of a sweep share their noise
-on purpose (common random numbers): cells that draw alike step together,
-a memory-bounded batch at a time, and each batch draws each block of noise
-once.  Once its total work pays for starting them, a sweep runs in forked
-worker processes, each taking an interleaved share of every group (see
-`sweep`).  A child or worker that dies raises ExperimentError; a child
-whose caller dies fails its send and exits.
+process (see `_simulate_alone`).  An experiment that runs as one range,
+with a second usable CPU and at least `_HELPER_MIN_POINTS`
+replica-checkpoints, forks a checkpoint helper, a third process role (see
+`_CheckpointHelper`): the caller keeps the draws, the steps, the gradient
+and the divergence test, and copies each checkpoint's state into a shared
+map; the helper evaluates f there and runs the same chunk reduction, so
+the sums are the same float operations as in one process.  While it
+runs, the helper has one of the caller's CPUs and the caller the others.
+Split children, sweep workers and batches of several sweep cells never
+start one.  The cells of a sweep share their noise on purpose (common
+random numbers): cells that draw alike step together, a memory-bounded
+batch at a time, and each batch draws each block of noise once.  Once its
+total work pays for starting them, a sweep runs in forked worker
+processes, each taking an interleaved share of every group (see
+`sweep`).  A child, helper or worker that dies raises ExperimentError; a
+child whose caller dies fails its send, and a helper its receive, and
+exits.
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
@@ -108,6 +120,15 @@ _GROUP_VALUES = 1 << 20
 # 1.4-1.7x slower at 10^5 replica-steps, anywhere from 1.4x slower to 1.4x
 # faster at 1.0-1.2 M, 15-23% faster at 1.5 M and about 2x faster at 4 M.
 _SPLIT_MIN_WORK = 1_500_000
+# An experiment of fewer replica-checkpoints than this (replicas x
+# checkpoints) reduces its checkpoints in-process.  The helper costs about
+# 15 ms to import multiprocessing, fork and join, plus copy-on-write faults,
+# and saves more per checkpoint on narrow runs than on wide ones.  Timed as
+# fresh stride-1 `sgdlab lyapunov` calls on a 2-vCPU host, helper against
+# none (medians of 8-10 alternated pairs): 200 replicas 1.2-1.6x slower at
+# 0.05-0.1 M, even at 0.2-0.5 M and 18% faster at 1 M; 2048-4096 replicas
+# 1.1-1.4x slower at 0.1-0.4 M, 4% slower at 1 M and 10% faster at 1.4 M.
+_HELPER_MIN_POINTS = 1_000_000
 # Cleared in a sweep's pool workers, where every CPU already runs a cell.
 _split_experiments = True
 
@@ -190,9 +211,229 @@ def _fold(totals: np.ndarray, sums: np.ndarray) -> None:
         totals += sums[..., b]
 
 
+def _frozen_blocks(alive: np.ndarray):
+    """The blocks of `_BLOCK_REPLICAS` that hold a replica not alive."""
+    return np.unique(np.flatnonzero(~alive) // _BLOCK_REPLICAS) if not alive.all() else ()
+
+
+class _Checkpoints:
+    """The per-checkpoint sums of one stepper (see `_steps`): `record`
+    buffers a checkpoint's per-replica values, for up to `chunk`
+    checkpoints, and `flush` reduces the buffered ones into `totals` and
+    `counts` with one set of numpy calls (`reduce`).  With `shared`, totals
+    and counts live in a shared anonymous map, where a forked helper
+    process can write them (see `_CheckpointHelper`)."""
+
+    def __init__(self, problem, grid, mus, lyap_mode, averaged: bool, f_star: float,
+                 r_count: int, dim: int, fold: bool, shared: bool = False):
+        squared = ["grad_sq", "gap"] + (["avg_gap"] if averaged else []) \
+            + (["delta_ht"] if lyap_mode is not None else [])
+        names = squared + (["ht", "hbar"] if lyap_mode is not None else [])
+        self.keys = names + ["sq_" + name for name in squared]
+        self.n_q, self.n_sq = len(names), len(squared)
+        blocks = -(-r_count // _BLOCK_REPLICAS)
+        shape = (len(grid), len(self.keys)) + (() if fold else (blocks,))
+        if shared:
+            self.totals, self.counts = _shared_arrays((shape, float), ((len(grid),), np.int64))
+        else:
+            self.totals, self.counts = np.zeros(shape), np.zeros(len(grid), dtype=np.int64)
+        self.problem, self.grid, self.mus = problem, grid, mus
+        self.lyap_mode, self.f_star, self.fold = lyap_mode, f_star, fold
+        self.chunk = max(1, min(len(grid), _CHUNK_VALUES // (r_count * max(2, dim))))
+        self.f = np.empty((self.chunk, r_count))
+        self.g = np.empty((self.chunk, r_count, dim))
+        self.v = np.empty_like(self.g) if lyap_mode is not None else None
+        self.a = np.empty_like(self.f) if averaged else None
+        self.vals = np.empty((self.chunk, len(self.keys), r_count))   # quantities, squares
+        self.ht_prev = None
+
+    def evaluate(self, j: int, x, xbar) -> None:
+        """Buffer row j's f(x) and f(xbar)."""
+        self.f[j] = self.problem.value(x)
+        if self.a is not None:
+            self.a[j] = self.problem.value(xbar)
+
+    def record(self, j: int, x, gr, v, xbar):
+        """Buffer row j: f(x), grad f(x) = gr, v and f(xbar); return f(x)."""
+        self.evaluate(j, x, xbar)
+        self.g[j] = gr
+        if self.v is not None:
+            self.v[j] = v
+        return self.f[j]
+
+    def flush(self, first: int, c: int, alive) -> None:
+        """Reduce the first c buffered rows, checkpoints first..first+c-1,
+        which were all recorded under the alive mask `alive`."""
+        v, a = (None if buf is None else buf[:c] for buf in (self.v, self.a))
+        self.reduce(first, alive, self.f[:c], self.g[:c], v, a)
+
+    def reduce(self, first: int, alive, f, gr, vc, a) -> None:
+        """Reduce checkpoints first..first+c-1, recorded under the alive
+        mask `alive`, from their (c, replicas) f(x) and f(xbar) (None unless
+        averaged) and their (c, replicas, dim) grad f(x) and v (None without
+        energies)."""
+        c = len(f)
+        f_star, n_q, n_sq = self.f_star, self.n_q, self.n_sq
+        gsq = np.einsum("...i,...i->...", gr, gr)
+        gap = f - f_star
+        rows = [gsq, gap]
+        if a is not None:
+            rows.append(a - f_star)
+        if self.lyap_mode is not None:
+            mode, coeff = self.lyap_mode
+            vsq = np.einsum("...i,...i->...", vc, vc)
+            zt = np.einsum("...i,...i->...", vc, gr)
+            h = gap + 0.5 * vsq
+            hbar = gsq + vsq
+            tilt = coeff
+            if mode == "vanishing":
+                # k = 0 records mu = 0, so the vanishing tilt starts at plain H.
+                ks = self.grid[first:first + c]
+                tilt = (coeff * np.where(ks >= 1, self.mus[ks - 1], 0.0))[:, None]
+            ht = h + tilt * zt
+            dht = np.empty_like(ht)
+            dht[0] = 0.0 if self.ht_prev is None else ht[0] - self.ht_prev
+            np.subtract(ht[1:], ht[:-1], out=dht[1:])
+            rows += [dht, ht, hbar]
+            self.ht_prev = ht[-1]
+        out = self.vals[:c]
+        np.stack(rows, axis=1, out=out[:, :n_q])
+        np.multiply(out[:, :n_sq], out[:, :n_sq], out=out[:, n_q:])
+        sums = _block_sums(out, alive, _frozen_blocks(alive))
+        if self.fold:
+            _fold(self.totals[first:first + c], sums)
+        else:
+            self.totals[first:first + c] = sums
+        self.counts[first:first + c] = np.count_nonzero(alive)
+
+
+def _shared_arrays(*specs) -> list:
+    """Zeroed arrays of the given (shape, dtype)s, or None for a None spec,
+    in one anonymous shared map, which forked processes share; each starts
+    on a 64-byte boundary."""
+    import mmap
+
+    counts = [0 if spec is None else int(np.prod(spec[0])) for spec in specs]
+    offsets = [0]
+    for spec, count in zip(specs, counts):
+        size = 0 if spec is None else count * np.dtype(spec[1]).itemsize
+        offsets.append(offsets[-1] + -(-size // 64) * 64)
+    shared = mmap.mmap(-1, max(64, offsets[-1]))
+    return [None if spec is None else
+            np.frombuffer(shared, spec[1], count, offset).reshape(spec[0])
+            for spec, count, offset in zip(specs, counts, offsets)]
+
+
+class _CheckpointHelper:
+    """`_Checkpoints` run in a forked helper process while the caller steps.
+
+    `record` copies x, grad f(x), v and xbar into one of two chunk slots in
+    a shared anonymous map; `flush` copies the chunk's alive mask there too,
+    sends the helper the slot, the chunk's first checkpoint and its length,
+    and turns to the other slot, waiting only if the helper has not yet
+    reduced the chunk that slot holds.  The helper evaluates f(x) and
+    f(xbar) row by row and runs `_Checkpoints.reduce`, which writes totals
+    and counts into their shared map.  `finish` waits for the last chunk
+    and lets the helper exit; `close` terminates the helper if it still
+    runs and reaps it.  A helper that dies raises ExperimentError.
+
+    While the helper runs, it has one of this process's CPUs and the caller
+    the others.  Left to the scheduler, the two were seen to share one CPU
+    for whole runs, taking turns, while the other CPU idled."""
+
+    def __init__(self, checkpoints: _Checkpoints):
+        # Imported here so that runs without a helper never load it.
+        import multiprocessing
+
+        ck = checkpoints
+        rows = ck.g.shape
+        self.slots = [_shared_arrays((rows, float), (rows, float),
+                                     (rows, float) if ck.v is not None else None,
+                                     (rows, float) if ck.a is not None else None,
+                                     (rows[1:2], bool))
+                      for _ in range(2)]
+        self.cpus = os.sched_getaffinity(0)
+        own = max(self.cpus)
+        ctx = multiprocessing.get_context("fork")
+        self.conn, theirs = ctx.Pipe()
+        self.proc = ctx.Process(target=_reduce_in_helper, daemon=True,
+                                args=(theirs, self.conn, own, ck, self.slots))
+        self.proc.start()
+        theirs.close()
+        os.sched_setaffinity(0, self.cpus - {own})
+        self.slot = self.pending = 0   # the slot being filled; chunks sent, unreduced
+
+    def record(self, j: int, x, gr, v, xbar) -> None:
+        xs, gs, vs, bs, _ = self.slots[self.slot]
+        xs[j] = x
+        gs[j] = gr
+        if vs is not None:
+            vs[j] = v
+        if bs is not None:
+            bs[j] = xbar
+
+    def flush(self, first: int, c: int, alive) -> None:
+        self.slots[self.slot][-1][:] = alive
+        self._talk(self.conn.send, (self.slot, first, c))
+        self.slot ^= 1
+        self.pending += 1
+        if self.pending == 2:   # the slot to fill next holds the chunk before
+            self._talk(self.conn.recv)
+            self.pending -= 1
+
+    def finish(self) -> None:
+        for _ in range(self.pending):
+            self._talk(self.conn.recv)
+        self.pending = 0
+        self._talk(self.conn.send, None)
+        self.proc.join()
+
+    def close(self) -> None:
+        os.sched_setaffinity(0, self.cpus)
+        if self.proc.is_alive():
+            self.proc.terminate()
+        self.proc.join()
+        self.conn.close()
+
+    def _talk(self, call, *args):
+        try:
+            return call(*args)
+        except (EOFError, OSError):
+            self.proc.join()
+            raise ExperimentError("the checkpoint helper process died: exit code "
+                                  f"{self.proc.exitcode}") from None
+
+
+def _reduce_in_helper(conn, theirs, cpu: int, checkpoints: _Checkpoints,
+                      slots: list) -> None:
+    """The helper process's loop (see `_CheckpointHelper`), on CPU `cpu`:
+    reduce each chunk the caller sends, and acknowledge it; exit on None.
+    The helper first closes the caller's end of the pipe that it inherited,
+    so that if the caller dies its recv fails and it exits, rather than
+    wait on a pipe that it holds open itself."""
+    theirs.close()
+    os.sched_setaffinity(0, {cpu})
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            try:
+                msg = conn.recv()
+            except EOFError:
+                return
+            if msg is None:
+                return
+            s, first, c = msg
+            xs, gs, vs, bs, alive = slots[s]
+            for j in range(c):
+                checkpoints.evaluate(j, xs[j], None if bs is None else bs[j])
+            checkpoints.reduce(first, alive, checkpoints.f[:c], gs[:c],
+                               None if vs is None else vs[:c],
+                               None if bs is None else checkpoints.a[:c])
+            conn.send(s)   # the slot is free again
+
+
 def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
            averaged: bool, f_star: float, r_count: int, on_point, first: int = 0,
-           fold: bool = True):
+           fold: bool = True, offload: bool = False):
     """Stepper of replicas first..first+r_count-1, which advance in
     lock-step; `first` is a multiple of `_BLOCK_REPLICAS`.
 
@@ -207,7 +448,9 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     (replica, iteration) divergences; and the last (x, v, x_prev, running
     average or None).  Unless None, on_point(k, x, v, xbar, f, grad) sees
     every checkpoint's (replicas, ...) state, xbar (None unless averaged),
-    f(x) and grad f(x).  The stepper only reads the blocks it is handed.
+    f(x) and grad f(x).  With offload (and no on_point), a forked helper
+    evaluates f and reduces the checkpoints (`_CheckpointHelper`); closing
+    the stepper stops it.  The stepper only reads the blocks it is handed.
     """
     horizon = len(alphas)
     kernel = KERNELS[method]
@@ -217,132 +460,79 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     avg = init_average(x) if averaged else None
     alive = np.ones(r_count, dtype=bool)
     n_alive = r_count
-    frozen_blocks = set()
     diverged = []
-
-    squared = ["grad_sq", "gap"] + (["avg_gap"] if averaged else []) \
-        + (["delta_ht"] if lyap_mode is not None else [])
-    names = squared + (["ht", "hbar"] if lyap_mode is not None else [])
-    n_q, n_sq = len(names), len(squared)
-    blocks = -(-r_count // _BLOCK_REPLICAS)
-    totals = np.zeros((len(grid), n_q + n_sq) + (() if fold else (blocks,)))
-    counts = np.zeros(len(grid), dtype=np.int64)
-    # Checkpoint buffers: f(x), grad f(x), v and f(xbar) per replica for up
-    # to `chunk` checkpoints, reduced together by `flush`.
-    dim = x.shape[1]
-    chunk = max(1, min(len(grid), _CHUNK_VALUES // (r_count * max(2, dim))))
-    f_buf = np.empty((chunk, r_count))
-    g_buf = np.empty((chunk, r_count, dim))
-    v_buf = np.empty_like(g_buf) if lyap_mode is not None else None
-    a_buf = np.empty_like(f_buf) if averaged else None
-    vals = np.empty((chunk, n_q + n_sq, r_count))   # quantities, then their squares
-    ht_prev = None
+    checkpoints = _Checkpoints(problem, grid, mus, lyap_mode, averaged, f_star, r_count,
+                               x.shape[1], fold, shared=offload)
+    sink = _CheckpointHelper(checkpoints) if offload else checkpoints
     grad_cache = None
     ci = flushed = 0   # checkpoints recorded, and reduced
 
     def record():
         """Buffer checkpoint ci's per-replica values; return grad f(x)."""
         nonlocal ci
-        j = ci - flushed
-        f_buf[j] = problem.value(x)
         gr = problem.gradient(x)
-        g_buf[j] = gr
-        xbar = None
-        if averaged:
-            xbar = x if avg.weight_sum == 0.0 else avg.xbar
-            a_buf[j] = problem.value(xbar)
-        if v_buf is not None:
-            v_buf[j] = v
+        xbar = (x if avg.weight_sum == 0.0 else avg.xbar) if averaged else None
+        f = sink.record(ci - flushed, x, gr, v, xbar)
         if on_point is not None:
-            on_point(int(grid[ci]), x, v, xbar, f_buf[j], gr)
+            on_point(int(grid[ci]), x, v, xbar, f, gr)
         ci += 1
-        if ci - flushed == chunk:
+        if ci - flushed == checkpoints.chunk:
             flush()
         return gr
 
     def flush():
         """Reduce the buffered checkpoints; all were recorded under the
         current alive mask."""
-        nonlocal ht_prev, flushed
-        c = ci - flushed
-        if c == 0:
-            return
-        gr = g_buf[:c]
-        gsq = np.einsum("...i,...i->...", gr, gr)
-        gap = f_buf[:c] - f_star
-        rows = [gsq, gap]
-        if averaged:
-            rows.append(a_buf[:c] - f_star)
-        if lyap_mode is not None:
-            mode, coeff = lyap_mode
-            vc = v_buf[:c]
-            vsq = np.einsum("...i,...i->...", vc, vc)
-            zt = np.einsum("...i,...i->...", vc, gr)
-            h = gap + 0.5 * vsq
-            hbar = gsq + vsq
-            tilt = coeff
-            if mode == "vanishing":
-                # k = 0 records mu = 0, so the vanishing tilt starts at plain H.
-                ks = grid[flushed:ci]
-                tilt = (coeff * np.where(ks >= 1, mus[ks - 1], 0.0))[:, None]
-            ht = h + tilt * zt
-            dht = np.empty_like(ht)
-            dht[0] = 0.0 if ht_prev is None else ht[0] - ht_prev
-            np.subtract(ht[1:], ht[:-1], out=dht[1:])
-            rows += [dht, ht, hbar]
-            ht_prev = ht[-1]
-        out = vals[:c]
-        np.stack(rows, axis=1, out=out[:, :n_q])
-        np.multiply(out[:, :n_sq], out[:, :n_sq], out=out[:, n_q:])
-        sums = _block_sums(out, alive, frozen_blocks)
-        if fold:
-            _fold(totals[flushed:ci], sums)
-        else:
-            totals[flushed:ci] = sums
-        counts[flushed:ci] = n_alive
-        flushed = ci
+        nonlocal flushed
+        if ci > flushed:
+            sink.flush(flushed, ci - flushed, alive)
+            flushed = ci
 
     def grad_at(point):
         """Stochastic gradients at point from this iteration's draws; grad f
         at the current state is reused from its checkpoint when recorded."""
         return oracle.stoch_grad(point, raw_t, grad=grad_cache if point is x else None)
 
-    if grid[ci] == 0:
-        grad_cache = record()
+    try:
+        if grid[ci] == 0:
+            grad_cache = record()
 
-    k = 0
-    while k < horizon and n_alive:
-        for raw_t in (yield).swapaxes(0, 1):
-            k += 1
-            alpha = alphas[k - 1]
-            if averaged:
-                avg = averaged_update(avg, x, alpha)
-            x_new, v = kernel(x, v, x_prev, grad_at, alpha,
-                              alphas[k - 2] if k >= 2 else alpha, mus[k - 1], beta)
-            x_prev, x = x, x_new
-            grad_cache = None
+        k = 0
+        while k < horizon and n_alive:
+            for raw_t in (yield).swapaxes(0, 1):
+                k += 1
+                alpha = alphas[k - 1]
+                if averaged:
+                    avg = averaged_update(avg, x, alpha)
+                x_new, v = kernel(x, v, x_prev, grad_at, alpha,
+                                  alphas[k - 2] if k >= 2 else alpha, mus[k - 1], beta)
+                x_prev, x = x, x_new
+                grad_cache = None
 
-            # One reduction clears every replica, frozen ones included (they
-            # keep stepping); only when it fails is each replica tested.
-            # Frozen replicas are never flagged again.
-            if not all_within_radius(x) and not (ok := within_radius(x) | ~alive).all():
-                flush()   # the buffered checkpoints keep the old alive mask
-                bad = ~ok
-                for i in np.nonzero(bad)[0]:
-                    diverged.append((first + int(i), k))
-                    frozen_blocks.add(int(i) // _BLOCK_REPLICAS)
-                alive &= ok
-                n_alive = int(alive.sum())
-                if n_alive == 0:
-                    break
-                for arr in (x, v, x_prev) + ((avg.xbar,) if averaged else ()):
-                    arr[bad] = 0.0
+                # One reduction clears every replica, frozen ones included
+                # (they keep stepping); only when it fails is each replica
+                # tested.  Frozen replicas are never flagged again.
+                if not all_within_radius(x) and not (ok := within_radius(x) | ~alive).all():
+                    flush()   # the buffered checkpoints keep the old alive mask
+                    bad = ~ok
+                    diverged += [(first + int(i), k) for i in np.nonzero(bad)[0]]
+                    alive &= ok
+                    n_alive = int(alive.sum())
+                    if n_alive == 0:
+                        break
+                    for arr in (x, v, x_prev) + ((avg.xbar,) if averaged else ()):
+                        arr[bad] = 0.0
 
-            if ci < len(grid) and k == grid[ci]:
-                grad_cache = record()
-    flush()
-    keys = names + ["sq_" + name for name in squared]
-    return counts, dict(zip(keys, np.moveaxis(totals, 1, 0))), diverged, (x, v, x_prev, avg)
+                if ci < len(grid) and k == grid[ci]:
+                    grad_cache = record()
+        flush()
+        if offload:
+            sink.finish()
+    finally:
+        if offload:
+            sink.close()
+    sums = dict(zip(checkpoints.keys, np.moveaxis(checkpoints.totals, 1, 0)))
+    return checkpoints.counts, sums, diverged, (x, v, x_prev, avg)
 
 
 def _step_together(oracle, gens: list, horizon: int, steppers: list) -> list:
@@ -359,27 +549,31 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list) -> list:
     nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // r_count, horizon))
     buf = np.empty((r_count, nb_max) + oracle.raw_shape, dtype=oracle.raw_dtype)
     drawn = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while running:
-            nb = min(nb_max, horizon - drawn)
-            _refill(buf, oracle, gens, nb)
-            drawn += nb
-            for i in list(running):
-                try:
-                    steppers[i].send(buf[:, :nb])
-                except StopIteration as done:
-                    results[i] = done.value
-                    running.remove(i)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while running:
+                nb = min(nb_max, horizon - drawn)
+                _refill(buf, oracle, gens, nb)
+                drawn += nb
+                for i in list(running):
+                    try:
+                        steppers[i].send(buf[:, :nb])
+                    except StopIteration as done:
+                        results[i] = done.value
+                        running.remove(i)
+    finally:
+        for stepper in steppers:   # a no-op for those done; stops a helper (see _steps)
+            stepper.close()
     return results
 
 
 def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
               averaged: bool, f_star: float, master_seed: int, r_count: int, on_point,
-              first: int = 0, fold: bool = True):
+              first: int = 0, fold: bool = True, offload: bool = False):
     """The result of `_steps` for replicas first..first+r_count-1, each
     drawing from its own stream under master_seed."""
     stepper = _steps(problem, oracle, method, beta, alphas, mus, x0, grid, lyap_mode,
-                     averaged, f_star, r_count, on_point, first, fold)
+                     averaged, f_star, r_count, on_point, first, fold, offload)
     return _step_together(oracle, replica_streams(master_seed, r_count, first), len(alphas),
                           [stepper])[0]
 
@@ -407,6 +601,16 @@ def _replica_ranges(r_count: int, horizon: int, n_points: int) -> list:
         return [(0, r_count)]
     bounds = [_BLOCK_REPLICAS * (blocks * p // parts) for p in range(parts)] + [r_count]
     return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _offloads(r_count: int, n_points: int) -> bool:
+    """Whether an experiment that runs as one replica range reduces its
+    checkpoints in a helper process (see `_CheckpointHelper`): only with a
+    second usable CPU that the platform lets it pin the helper to, outside
+    a sweep's pool workers, and for at least `_HELPER_MIN_POINTS`
+    replica-checkpoints."""
+    return (_split_experiments and r_count * n_points >= _HELPER_MIN_POINTS
+            and hasattr(os, "sched_setaffinity") and _usable_cpus() >= 2)
 
 
 def _simulate_ranges(simulate, ranges: list):
@@ -523,14 +727,17 @@ def _prepare(cfg: ExperimentConfig, like: Optional[_Experiment] = None) -> _Expe
 def _simulate_alone(exp: _Experiment):
     """(counts, sums, diverged) of one experiment, over one replica range
     per process (see `_replica_ranges`)."""
-    def simulate(first, count, fold):
-        return _simulate(*exp.engine_args(), exp.cfg.seed, count, None, first, fold)
-
     # Least-squares sums evaluate through BLAS, whose rounding depends on the
     # batch's row count (a single row takes gemv, not gemm), so they run in
     # one process: a range of other rows could change their last bits.
     ranges = [(0, exp.effective)] if exp.fsp is not None else \
         _replica_ranges(exp.effective, exp.cfg.horizon, len(exp.grid))
+    offload = len(ranges) == 1 and _offloads(exp.effective, len(exp.grid))
+
+    def simulate(first, count, fold):
+        return _simulate(*exp.engine_args(), exp.cfg.seed, count, None, first, fold,
+                         offload)
+
     return _simulate_ranges(simulate, ranges)
 
 
@@ -704,33 +911,30 @@ def nasgd_hypothesis(est: MonteCarloEstimate) -> dict:
 # Serialization
 
 
+def _columns_csv(header: list, checkpoints, *columns) -> str:
+    """CSV text of the header and one row per checkpoint: the checkpoint as
+    an int, then each column's value as the repr of a float."""
+    cells = [map(str, np.asarray(checkpoints, dtype=np.int64).tolist())]
+    cells += [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
 def estimates_csv(est: MonteCarloEstimate) -> str:
     cols = ["checkpoint", "mean_grad_sq", "se_grad_sq", "mean_gap", "se_gap"]
-    with_avg = est.mean_avg_gap is not None
-    if with_avg:
+    values = [est.mean_grad_sq, est.se_grad_sq, est.mean_gap, est.se_gap]
+    if est.mean_avg_gap is not None:
         cols += ["mean_avg_gap", "se_avg_gap"]
-    lines = [",".join(cols)]
-    for i, k in enumerate(est.checkpoints):
-        row = [str(int(k)), repr(float(est.mean_grad_sq[i])), repr(float(est.se_grad_sq[i])),
-               repr(float(est.mean_gap[i])), repr(float(est.se_gap[i]))]
-        if with_avg:
-            row += [repr(float(est.mean_avg_gap[i])), repr(float(est.se_avg_gap[i]))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        values += [est.mean_avg_gap, est.se_avg_gap]
+    return _columns_csv(cols, est.checkpoints, *values)
 
 
 def lyapunov_csv(est: MonteCarloEstimate) -> str:
     if est.lyap is None:
         raise ExperimentError("no energy series recorded")
     ser = est.lyap
-    lines = ["k,alpha,mu,mean_Ht,mean_Hbar,se_delta_Ht"]
-    for i, k in enumerate(ser.checkpoints):
-        lines.append(",".join([
-            str(int(k)), repr(float(ser.alphas[i])), repr(float(ser.mus[i])),
-            repr(float(ser.mean_ht[i])), repr(float(ser.mean_hbar[i])),
-            repr(float(ser.se_delta_ht[i])),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _columns_csv(["k", "alpha", "mu", "mean_Ht", "mean_Hbar", "se_delta_Ht"],
+                        ser.checkpoints, ser.alphas, ser.mus, ser.mean_ht, ser.mean_hbar,
+                        ser.se_delta_ht)
 
 
 def default_burn_in(horizon: int) -> int:

@@ -95,7 +95,12 @@ def quadratic(spectrum, x_star=None) -> Problem:
     def value(x):
         x = np.asarray(x, dtype=float)
         z = x if centred else x - xs
-        return 0.5 * np.sum(lam * z ** 2, axis=-1)
+        # 0.5 * sum(lam * z ** 2) by the same float operations, in fewer calls.
+        t = z * z
+        t *= lam
+        f = np.add.reduce(t, axis=-1)
+        f *= 0.5
+        return f
 
     def gradient(x):
         x = np.asarray(x, dtype=float)

@@ -456,13 +456,18 @@ def wide_path(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("path", ["config_path", "wide_path"])
-def test_a_small_experiment_loads_no_process_module(path, tmp_path, request):
+@pytest.mark.parametrize("command,path", [("experiment", "config_path"),
+                                          ("experiment", "wide_path"),
+                                          ("lyapunov", "config_path")],
+                         ids=["config_path", "wide_path", "lyapunov-config_path"])
+def test_a_small_experiment_loads_no_process_module(command, path, tmp_path, request):
     # wide_path holds two blocks but 25 600 replica-steps, below the work
-    # that pays for a worker process.
+    # that pays for a worker process; `lyapunov` runs config_path at stride
+    # 1, 4 replicas x 51 checkpoints, below the size that pays for a
+    # checkpoint helper.
     src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", _POOL_MODULES, "experiment", request.getfixturevalue(path),
+        [sys.executable, "-c", _POOL_MODULES, command, request.getfixturevalue(path),
          "--out", str(tmp_path / "out"), "--json"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -609,6 +614,162 @@ def test_pooled_sweep_cells_run_each_experiment_in_one_process(wide_path, tmp_pa
     assert log.read_text().split() == [str(os.getpid())] * 2   # one child per cell
     pooled = (tmp_path / "pooled" / "sweep.csv").read_text().splitlines()
     assert pooled == cells[0] + cells[1][1:]
+
+
+@pytest.fixture
+def long_path(tmp_path):
+    """A narrow experiment of 5000 iterations: 4 replicas x 5001 checkpoints
+    under `lyapunov`."""
+    path = tmp_path / "long.ini"
+    path.write_text(INI.replace("horizon = 50", "horizon = 5000"))
+    return str(path)
+
+
+def _force_helper(monkeypatch):
+    monkeypatch.setattr("sgdlab.harness._HELPER_MIN_POINTS", 0)
+    monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
+
+
+def test_a_dead_checkpoint_helper_fails_the_experiment(long_path, tmp_path, monkeypatch,
+                                                       capsys):
+    _force_helper(monkeypatch)
+
+    def dying(conn, theirs, checkpoints, slots):
+        conn.recv()   # the first chunk
+        os._exit(1)
+
+    monkeypatch.setattr("sgdlab.harness._reduce_in_helper", dying)
+    out = tmp_path / "out"
+    assert main(["lyapunov", long_path, "--out", str(out)]) == 3
+    assert ("experiment failed: the checkpoint helper process died: exit code 1"
+            in capsys.readouterr().err)
+    assert not out.exists() or not os.listdir(out)
+    assert multiprocessing.active_children() == []
+
+
+def _reporting_helper(pid_file):
+    """`_reduce_in_helper` that first writes its process id to pid_file."""
+    real = sgdlab.harness._reduce_in_helper
+
+    def reporting(*args):
+        with open(f"{pid_file}.tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(f"{pid_file}.tmp", pid_file)
+        real(*args)
+
+    return reporting
+
+
+def test_an_interrupted_experiment_stops_its_checkpoint_helper(long_path, tmp_path,
+                                                               monkeypatch):
+    _force_helper(monkeypatch)
+    pid_file = tmp_path / "pid"
+    monkeypatch.setattr("sgdlab.harness._reduce_in_helper", _reporting_helper(pid_file))
+    real_refill = sgdlab.harness._refill
+    refills = []
+
+    def interrupted(*args):   # the third block of draws, with the helper running
+        refills.append(1)
+        if len(refills) == 3:
+            deadline = time.monotonic() + 20
+            while not pid_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+        real_refill(*args)
+
+    monkeypatch.setattr("sgdlab.harness._refill", interrupted)
+    # `info` keeps the traceback, and with it the stepper: the helper must be
+    # stopped as the interrupt propagates, not when the stepper is collected.
+    with pytest.raises(KeyboardInterrupt) as info:
+        main(["lyapunov", long_path, "--out", str(tmp_path / "out")])
+    assert multiprocessing.active_children() == [], info
+    with pytest.raises(ProcessLookupError):   # terminated and reaped
+        os.kill(int(pid_file.read_text()), 0)
+
+
+_KILLED_HELPER_CALLER = """
+import os, signal, sys, time
+import sgdlab.harness as harness
+from sgdlab.cli import main
+pid_file, config, out = sys.argv[1:]
+harness._usable_cpus = lambda: 2
+harness._HELPER_MIN_POINTS = 0
+real_reduce, real_refill = harness._reduce_in_helper, harness._refill
+
+def reduce_in_helper(*args):
+    with open(pid_file + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(pid_file + ".tmp", pid_file)
+    real_reduce(*args)
+
+refills = []
+
+def refill(*args):   # the second block of draws, with the helper running
+    refills.append(1)
+    if len(refills) == 2:
+        while not os.path.exists(pid_file):
+            time.sleep(0.01)
+        os.kill(os.getpid(), signal.SIGKILL)
+    real_refill(*args)
+
+harness._reduce_in_helper, harness._refill = reduce_in_helper, refill
+main(["lyapunov", config, "--out", out])
+"""
+
+
+def test_a_checkpoint_helper_whose_caller_was_killed_exits(long_path, tmp_path):
+    pid_file = tmp_path / "pid"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLED_HELPER_CALLER, str(pid_file), long_path,
+             str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL, stderr=err,
+            timeout=60)
+    assert proc.returncode == -signal.SIGKILL, (tmp_path / "stderr").read_text()
+    helper = int(pid_file.read_text())
+    deadline = time.monotonic() + 60
+    while _running(helper) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if _running(helper):
+        os.kill(helper, signal.SIGKILL)
+        pytest.fail("the checkpoint helper outlived its killed caller")
+
+
+def test_split_children_and_pool_workers_start_no_checkpoint_helper(wide_path, tmp_path,
+                                                                     monkeypatch):
+    # Forks in every process append a line, so a helper started by a split
+    # child or a pool worker would add one from that process.
+    log = tmp_path / "forks"
+    real_fork = os.fork
+
+    def logging_fork():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", logging_fork)
+    _force_helper(monkeypatch)
+    me = [str(os.getpid())]
+    # One range: the caller starts a helper.
+    assert main(["lyapunov", wide_path, "--out", str(tmp_path / "helped")]) == 0
+    assert log.read_text().split() == me
+    # Two ranges: one split child, and no helper in either process.
+    log.unlink()
+    monkeypatch.setattr("sgdlab.harness._SPLIT_MIN_WORK", 0)
+    assert main(["lyapunov", wide_path, "--out", str(tmp_path / "split")]) == 0
+    assert log.read_text().split() == me
+    assert ((tmp_path / "split" / "lyapunov.csv").read_bytes()
+            == (tmp_path / "helped" / "lyapunov.csv").read_bytes())
+    # A pooled stride-1 sweep: the two pool workers, and no helper in them.
+    log.unlink()
+    monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)
+    sweep_ini = tmp_path / "sweep.ini"
+    sweep_ini.write_text(pathlib.Path(wide_path).read_text()
+                         .replace("checkpoint_stride = 10", "checkpoint_stride = 1")
+                         + "\n[sweep]\nmethods = vsgd\nalpha_a = 0.5, 0.6\n")
+    assert main(["sweep", str(sweep_ini), "--out", str(tmp_path / "pooled")]) == 0
+    assert log.read_text().split() == me * 2
 
 
 def test_plot_renders_an_estimates_csv(config_path, tmp_path, capsys):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_cfg
 from sgdlab import harness
@@ -13,7 +15,7 @@ from sgdlab.harness import (MonteCarloEstimate, averaged_bound_probe, default_bu
                             estimates_csv, liminf_probe, lyapunov_csv, nasgd_hypothesis,
                             resolve_lyapunov, run_experiment, summary_dict, sweep,
                             sweep_csv)
-from sgdlab.lyapunov import select_lambda, select_zeta
+from sgdlab.lyapunov import LyapunovSeries, select_lambda, select_zeta
 from sgdlab.optimizers import (DIVERGENCE_RADIUS, averaged_update, checkpoint_grid,
                                init_average, init_state, msgd_classical_step,
                                msgd_damped_step, nasgd_step, nesterov_classical_step,
@@ -399,6 +401,110 @@ def test_replica_ranges_need_two_blocks_enough_work_and_small_child_sums(monkeyp
     assert harness._replica_ranges(600, 2500, 41) == [(0, 256), (256, 256), (512, 88)]
 
 
+def _results_bytes(cfg):
+    """cfg's (counts, sums, diverged) as computed by `run_experiment`, with
+    every array as its bytes, and its outputs or the error that failed it."""
+    counts, sums, diverged = harness._simulate_alone(harness._prepare(cfg))
+    raw = (counts.tobytes(), {key: total.tobytes() for key, total in sums.items()},
+           sorted(diverged))
+    try:
+        return raw, _outputs(run_experiment(cfg))
+    except ExperimentError as e:
+        return raw, str(e)
+
+
+def _helper_and_in_process(cfg, monkeypatch):
+    """(checkpoint helpers started, results with the helper, results in one
+    process) of cfg (see `_results_bytes`, which runs it twice): the helper
+    at any size on two CPUs, then one CPU, where no helper starts."""
+    started = []
+
+    class Recording(harness._CheckpointHelper):
+        def __init__(self, checkpoints):
+            started.append(1)
+            super().__init__(checkpoints)
+
+    monkeypatch.setattr(harness, "_CheckpointHelper", Recording)
+    monkeypatch.setattr(harness, "_HELPER_MIN_POINTS", 0)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    helper = _results_bytes(cfg)
+    helpers = len(started)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    whole = _results_bytes(cfg)
+    assert len(started) == helpers
+    return helpers, helper, whole
+
+
+_LYAP_STRIDE1 = dict(method="msgd_damped", lyapunov=True, checkpoint_stride=1,
+                     replicas=200, horizon=600)
+
+
+@pytest.mark.parametrize("cfg", [
+    make_cfg(schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU}, **_LYAP_STRIDE1),
+    make_cfg(schedule={"alpha_c": 0.3, "alpha_a": 0.6, **_VANISHING_MU},
+             **dict(_LYAP_STRIDE1, method="nasgd", averaged=True)),
+    make_cfg(method="vsgd", averaged=True, checkpoint_stride=1, replicas=300, horizon=500),
+    make_cfg(method="msgd_classical", beta=0.6, averaged=True, checkpoint_stride=7,
+             replicas=300, horizon=2000),
+    make_cfg(problem=_LSQ, oracle={"kind": "gaussian", "sigma": 0.5}, x0=[2.0, -1.0],
+             checkpoint_stride=1, replicas=257, horizon=400, averaged=True),
+    make_cfg(problem=_LSQ, oracle={"kind": "minibatch", "batch": 2}, x0=[2.0, -1.0],
+             schedule={"alpha_c": 0.3, "alpha_a": 0.6, **_CONSTANT_MU}, **_LYAP_STRIDE1),
+    make_cfg(oracle={"kind": "gaussian", "sigma": 0.0}, averaged=True,
+             schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU}, **_LYAP_STRIDE1),
+], ids=["constant-tilt", "vanishing-tilt-averaged", "averaged-stride1", "averaged-stride7",
+        "lsq-gaussian", "lsq-minibatch-lyapunov", "zero-noise"])
+def test_the_checkpoint_helper_gives_the_in_process_results_bitwise(cfg, monkeypatch):
+    helpers, helper, whole = _helper_and_in_process(cfg, monkeypatch)
+    assert helpers == 2   # one per run
+    assert helper == whole
+    assert isinstance(whole[1], str) and "," in whole[1]   # the run succeeded
+
+
+_DIVERGING_LYAPUNOV = make_cfg(
+    method="msgd_damped", lyapunov=True, checkpoint_stride=1,
+    schedule={"alpha_c": 0.3, "alpha_a": 0.0, "mu_m": 1.0, "mu_b": 0.0},
+    **_PARTIAL_DIVERGENCE)
+
+
+@pytest.mark.parametrize("chunk", [27, 29], ids=["mid-chunk", "chunk-boundary"])
+def test_the_checkpoint_helper_keeps_partial_divergence_bitwise(chunk, monkeypatch):
+    # Chunks of 600 one-coordinate replicas hold _CHUNK_VALUES // 1200
+    # checkpoints (27 by default).  The first divergence, at iteration 87,
+    # comes with 6 checkpoints buffered in chunks of 27 and none in chunks
+    # of 29.
+    monkeypatch.setattr(harness, "_CHUNK_VALUES", chunk * 1200)
+    helpers, helper, whole = _helper_and_in_process(_DIVERGING_LYAPUNOV, monkeypatch)
+    assert helpers == 2   # one per run
+    assert helper == whole
+    first = min(k for _, k in run_experiment(_DIVERGING_LYAPUNOV).diverged_iterations)
+    assert first == 87 and (first % chunk == 0) == (chunk == 29)
+
+
+def test_the_checkpoint_helper_stops_when_every_replica_dies(monkeypatch):
+    cfg = make_cfg(schedule={"alpha_c": 3.0, "alpha_a": 0.0}, checkpoint_stride=1,
+                   oracle={"kind": "gaussian", "sigma": 0.1},
+                   problem={"kind": "quadratic", "spectrum": [1.0]},
+                   x0=[1.0], horizon=3000, replicas=4, divergence_tolerance=1.0)
+    helpers, helper, whole = _helper_and_in_process(cfg, monkeypatch)
+    assert helpers == 2   # one per run
+    assert helper == whole
+    assert whole[1] == "no replica survived to some checkpoint"
+    counts = np.frombuffer(whole[0][0], dtype=np.int64)
+    assert counts[0] == 4 and counts[-1] == 0
+
+
+def test_the_checkpoint_helper_starts_only_for_one_range_and_enough_points(monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    limit = harness._HELPER_MIN_POINTS
+    assert harness._offloads(limit // 100, 100) and not harness._offloads(1, limit - 1)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert not harness._offloads(limit, 100)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_split_experiments", False)   # a sweep's pool worker
+    assert not harness._offloads(limit, 100)
+
+
 def _record_draws(monkeypatch):
     """Record (generator, n) for every raw_block call."""
     calls = []
@@ -649,6 +755,47 @@ def test_lyapunov_csv_layout():
     assert len(lines) == 32
     with pytest.raises(ExperimentError):
         lyapunov_csv(run_experiment(make_cfg(horizon=30, replicas=4)))
+
+
+def _rowwise_csv(header, checkpoints, *columns) -> str:
+    """The CSV writers' former row-by-row formatting, the reference of
+    `test_csv_writers_format_every_value_as_its_float_repr`."""
+    lines = [",".join(header)]
+    for i, k in enumerate(checkpoints):
+        lines.append(",".join([str(int(k))] + [repr(float(col[i])) for col in columns]))
+    return "\n".join(lines) + "\n"
+
+
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300,
+                     -1e300, 1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1, 1 / 3]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 10 ** 9), min_size=n, max_size=n),
+    st.lists(st.lists(_CSV_FLOATS, min_size=n, max_size=n), min_size=9, max_size=9))),
+    st.booleans())
+def test_csv_writers_format_every_value_as_its_float_repr(data, averaged):
+    ks, cols = data
+    ks = np.array(sorted(ks))
+    cols = [np.array(c, dtype=float) for c in cols]
+    est = _fake_estimate(ks, cols[0], cols[4] if averaged else None)
+    est.se_grad_sq, est.mean_gap, est.se_gap = cols[1:4]
+    if averaged:
+        est.se_avg_gap = cols[5]
+    est.lyap = LyapunovSeries(checkpoints=ks, alphas=cols[5], mus=cols[6], mean_ht=cols[7],
+                              mean_hbar=cols[8], se_delta_ht=cols[0], replicas=8,
+                              vanishing=False)
+    header = ["checkpoint", "mean_grad_sq", "se_grad_sq", "mean_gap", "se_gap"]
+    values = cols[:4] + ([cols[4], cols[5]] if averaged else [])
+    if averaged:
+        header += ["mean_avg_gap", "se_avg_gap"]
+    assert estimates_csv(est) == _rowwise_csv(header, ks, *values)
+    assert lyapunov_csv(est) == _rowwise_csv(
+        ["k", "alpha", "mu", "mean_Ht", "mean_Hbar", "se_delta_Ht"], ks,
+        cols[5], cols[6], cols[7], cols[8], cols[0])
 
 
 def test_summary_dict_contents():

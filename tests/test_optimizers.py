@@ -330,6 +330,28 @@ def test_whole_array_divergence_test_never_passes_a_rejected_state(state):
     assert (whole or (each | ~alive).all()) == bool((each | ~alive).all())
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0],
+                                 [1e200, 0.0], [-1e200, 1e200]],
+                         ids=["nan", "inf", "-inf", "overflow", "overflow-both"])
+def test_whole_array_divergence_test_rejects_non_finite_and_overflowing_rows(bad):
+    x = np.full((1000, 2), 3.0)
+    x[417] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not all_within_radius(x)
+        assert not within_radius(x)[417]
+
+
+def test_whole_array_divergence_test_sees_one_row_over_the_radius_among_many():
+    # 10**5 rows well inside the radius, one a few ulps outside it: the sum of
+    # squares exceeds the radius squared whatever order the dot product adds in.
+    x = np.full((10 ** 5, 2), 1.0)
+    x[54321] = [np.nextafter(DIVERGENCE_RADIUS, np.inf), 0.0]
+    assert not within_radius(x)[54321]
+    assert not all_within_radius(x)
+    x[54321] = [DIVERGENCE_RADIUS * 0.999, 0.0]
+    assert all_within_radius(x)
+
+
 def test_whole_array_divergence_test_passes_ordinary_states():
     x = np.full((4096, 2), 1e5)
     x[7] = [DIVERGENCE_RADIUS * 0.999, 0.0]
