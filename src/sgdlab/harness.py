@@ -43,30 +43,27 @@ in replica order, and the block sums are folded in block order, so the
 reductions depend neither on the replica array's width nor on the chunk
 length.
 
-Processes: an experiment of at least two blocks and enough work runs its
-replicas as one contiguous, block-aligned range per usable CPU (see
-`_replica_ranges`).  The calling process runs the first range and a forked
-child runs each other one; a replica's stream depends only on its index,
-and each child sends back its unfolded block sums, which the caller folds
-onto its own in block order, so the sums are the same float additions in
-the same order as in one process.  Least-squares experiments stay in one
-process (see `_simulate_alone`).  An experiment that runs as one range,
-with a second usable CPU and at least `_HELPER_MIN_POINTS`
-replica-checkpoints, forks a checkpoint helper, a third process role (see
+Processes: every process the engine starts is a child forked by `_fork`,
+and a child forks no further.  `_in_processes` runs a list of jobs, each
+in its own child if there are two or more, and collects their results in
+order.  An experiment of at least two blocks and enough work runs one
+contiguous, block-aligned range of replicas per usable CPU in a child (see
+`_replica_ranges`); a replica's stream depends only on its index, and the
+caller folds the children's block sums in block order, so the sums are the
+same float additions in the same order as in one process.  Least-squares
+experiments stay in one process (see `_simulate_alone`).  An experiment
+that runs as one range, with a second usable CPU and at least
+`_HELPER_MIN_POINTS` replica-checkpoints, forks a checkpoint helper (see
 `_CheckpointHelper`): the caller keeps the draws, the steps, the gradient
 and the divergence test, and copies each checkpoint's state into a shared
-map; the helper evaluates f there and runs the same chunk reduction, so
-the sums are the same float operations as in one process.  While it
-runs, the helper has one of the caller's CPUs and the caller the others.
-Split children, sweep workers and batches of several sweep cells never
-start one.  The cells of a sweep share their noise on purpose (common
-random numbers): cells that draw alike step together, a memory-bounded
-batch at a time, and each batch draws each block of noise once.  Once its
-total work pays for starting them, a sweep runs in forked worker
-processes, each taking an interleaved share of every group (see
-`sweep`).  A child, helper or worker that dies raises ExperimentError; a
-child whose caller dies fails its send, and a helper its receive, and
-exits.
+map, where the helper evaluates f and runs the same chunk reduction.
+Batches of several sweep cells never start one.  The cells of a sweep
+share their noise on purpose (common random numbers): cells that draw
+alike step together, a memory-bounded batch at a time, and each batch
+draws each block of noise once.  Once its total work pays for them, a
+sweep runs an interleaved share of every group per usable CPU, each in a
+child (see `sweep`).  A child that dies raises ExperimentError, and a
+child whose caller dies fails its next send or receive and exits.
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
@@ -81,6 +78,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -103,23 +101,26 @@ _RAW_BLOCK = 1024       # iterations of raw noise pre-drawn per replica, at most
 # many checkpoint-blocks per quantity.
 _CHUNK_VALUES = 32768
 # A sweep of less work than this (replicas x horizon summed over its cells)
-# runs in-process: below it, starting the pool (about 35 ms on a 2-vCPU host
-# for its imports, forks and shutdown) can cost more than two workers save
-# on small least-squares cells, which run about 0.6 M replica-steps/s.
+# runs in-process: below it, starting workers (about 25 ms on a 2-vCPU host
+# to import multiprocessing, fork two and join them) can cost more than two
+# workers save on small least-squares cells, which run about 0.6 M
+# replica-steps/s.
 _POOL_MIN_WORK = 100_000
 # A sweep steps the cells of a draw group together in batches whose
 # experiments hold at most this many floats (8 MB), each batch drawing the
 # group's noise once.
 _GROUP_VALUES = 1 << 20
 # An experiment of less work than this (replicas x horizon) runs in one
-# process.  Quadratic replicas run 9-12 M replica-steps/s, and the split
-# costs about 17 ms to import multiprocessing, fork and join, plus the
-# copy-on-write faults of both processes and the scheduler's delay in
-# moving the child to the other CPU.  Timed as fresh `sgdlab experiment`
-# calls of 512-4096 replicas on a 2-vCPU host, split against one process:
-# 1.4-1.7x slower at 10^5 replica-steps, anywhere from 1.4x slower to 1.4x
-# faster at 1.0-1.2 M, 15-23% faster at 1.5 M and about 2x faster at 4 M.
-_SPLIT_MIN_WORK = 1_500_000
+# process.  The split costs an import of multiprocessing, a fork and a join
+# per range, and copy-on-write faults, and it halves only the per-replica
+# part of a step, so narrow ranges gain less.  Timed as fresh stride-0
+# msgd_damped `sgdlab experiment` calls on a 2-vCPU host, split against
+# `taskset -c 0` (medians of 10 alternated pairs): at 1.0 M replica-steps
+# 1.4x slower at 512 replicas and even at 1024; at 1.5 M 8-14% slower at
+# 512, even at 768 and 6-9% faster at 1024; at 2.05 M 6-11% faster at 512,
+# 768 and 1024 (8-9 pairs of 10 won); 512 replicas even at 2.3 M and 16%
+# faster at 3.1 M.
+_SPLIT_MIN_WORK = 2_000_000
 # An experiment of fewer replica-checkpoints than this (replicas x
 # checkpoints) reduces its checkpoints in-process.  The helper costs about
 # 15 ms to import multiprocessing, fork and join, plus copy-on-write faults,
@@ -129,8 +130,9 @@ _SPLIT_MIN_WORK = 1_500_000
 # 0.05-0.1 M, even at 0.2-0.5 M and 18% faster at 1 M; 2048-4096 replicas
 # 1.1-1.4x slower at 0.1-0.4 M, 4% slower at 1 M and 10% faster at 1.4 M.
 _HELPER_MIN_POINTS = 1_000_000
-# Cleared in a sweep's pool workers, where every CPU already runs a cell.
-_split_experiments = True
+# Set in a forked child (see `_fork`), which forks no further: the other
+# CPUs already run its siblings or its caller.
+_forked = False
 
 
 @dataclass
@@ -216,6 +218,11 @@ def _frozen_blocks(alive: np.ndarray):
     return np.unique(np.flatnonzero(~alive) // _BLOCK_REPLICAS) if not alive.all() else ()
 
 
+def _chunk(points: int, r_count: int, dim: int) -> int:
+    """Checkpoints a checkpoint buffer holds (see `_Checkpoints`)."""
+    return max(1, min(points, _CHUNK_VALUES // (r_count * max(2, dim))))
+
+
 class _Checkpoints:
     """The per-checkpoint sums of one stepper (see `_steps`): `record`
     buffers a checkpoint's per-replica values, for up to `chunk`
@@ -239,7 +246,7 @@ class _Checkpoints:
             self.totals, self.counts = np.zeros(shape), np.zeros(len(grid), dtype=np.int64)
         self.problem, self.grid, self.mus = problem, grid, mus
         self.lyap_mode, self.f_star, self.fold = lyap_mode, f_star, fold
-        self.chunk = max(1, min(len(grid), _CHUNK_VALUES // (r_count * max(2, dim))))
+        self.chunk = _chunk(len(grid), r_count, dim)
         self.f = np.empty((self.chunk, r_count))
         self.g = np.empty((self.chunk, r_count, dim))
         self.v = np.empty_like(self.g) if lyap_mode is not None else None
@@ -324,6 +331,74 @@ def _shared_arrays(*specs) -> list:
             for spec, count, offset in zip(specs, counts, offsets)]
 
 
+def _fork(target, args: tuple, duplex: bool = False, inherited: list = ()):
+    """Start a forked daemon child that runs target(conn, *args), and return
+    it with this process's end of a new pipe whose other end is conn (with
+    duplex False, the child only sends).  The child first closes this
+    process's end and `inherited`, ends of other pipes this process reads,
+    so that once this process dies the child's sends and receives fail and
+    it exits, rather than wait on a pipe that it holds open itself."""
+    # Imported here so that runs in one process never load it.  Fork rather
+    # than spawn: the child inherits the problem and oracle, whose closures
+    # do not pickle, and every module this process has loaded.
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe(duplex)
+    child = ctx.Process(target=_child, args=(theirs, [ours, *inherited], target, args),
+                        daemon=True)
+    child.start()
+    theirs.close()
+    return child, ours
+
+
+def _child(conn, inherited: list, target, args: tuple) -> None:
+    """A forked child's start (see `_fork`); it marks itself forked."""
+    global _forked
+    _forked = True
+    for end in inherited:
+        end.close()
+    target(conn, *args)
+
+
+def _died(child) -> ExperimentError:
+    """The error for a forked child whose pipe broke: it died."""
+    child.join()
+    return ExperimentError(f"a worker process died: exit code {child.exitcode}")
+
+
+def _in_processes(jobs: list) -> list:
+    """The results of calling each of jobs, in order.  A single job runs in
+    this process; otherwise each runs in its own forked child (see `_fork`)
+    and sends its result back.  A child that dies raises ExperimentError;
+    an error or interrupt here terminates every child, and each is reaped."""
+    if len(jobs) < 2:
+        return [job() for job in jobs]
+    children = []
+    try:
+        for job in jobs:
+            children.append(_fork(_send_result, (job,), inherited=[c for _, c in children]))
+        results = []
+        for child, conn in children:
+            try:
+                results.append(conn.recv())
+            except EOFError:
+                raise _died(child) from None
+        return results
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, conn in children:
+            child.join()
+            conn.close()
+
+
+def _send_result(conn, job) -> None:
+    conn.send(job())
+
+
 class _CheckpointHelper:
     """`_Checkpoints` run in a forked helper process while the caller steps.
 
@@ -335,16 +410,14 @@ class _CheckpointHelper:
     f(xbar) row by row and runs `_Checkpoints.reduce`, which writes totals
     and counts into their shared map.  `finish` waits for the last chunk
     and lets the helper exit; `close` terminates the helper if it still
-    runs and reaps it.  A helper that dies raises ExperimentError.
+    runs and reaps it.  The helper starts, and its death raises
+    ExperimentError, as a child of `_in_processes` does (see `_fork`).
 
     While the helper runs, it has one of this process's CPUs and the caller
     the others.  Left to the scheduler, the two were seen to share one CPU
     for whole runs, taking turns, while the other CPU idled."""
 
     def __init__(self, checkpoints: _Checkpoints):
-        # Imported here so that runs without a helper never load it.
-        import multiprocessing
-
         ck = checkpoints
         rows = ck.g.shape
         self.slots = [_shared_arrays((rows, float), (rows, float),
@@ -354,12 +427,7 @@ class _CheckpointHelper:
                       for _ in range(2)]
         self.cpus = os.sched_getaffinity(0)
         own = max(self.cpus)
-        ctx = multiprocessing.get_context("fork")
-        self.conn, theirs = ctx.Pipe()
-        self.proc = ctx.Process(target=_reduce_in_helper, daemon=True,
-                                args=(theirs, self.conn, own, ck, self.slots))
-        self.proc.start()
-        theirs.close()
+        self.proc, self.conn = _fork(_reduce_in_helper, (own, ck, self.slots), duplex=True)
         os.sched_setaffinity(0, self.cpus - {own})
         self.slot = self.pending = 0   # the slot being filled; chunks sent, unreduced
 
@@ -399,19 +467,13 @@ class _CheckpointHelper:
         try:
             return call(*args)
         except (EOFError, OSError):
-            self.proc.join()
-            raise ExperimentError("the checkpoint helper process died: exit code "
-                                  f"{self.proc.exitcode}") from None
+            raise _died(self.proc) from None
 
 
-def _reduce_in_helper(conn, theirs, cpu: int, checkpoints: _Checkpoints,
-                      slots: list) -> None:
+def _reduce_in_helper(conn, cpu: int, checkpoints: _Checkpoints, slots: list) -> None:
     """The helper process's loop (see `_CheckpointHelper`), on CPU `cpu`:
-    reduce each chunk the caller sends, and acknowledge it; exit on None.
-    The helper first closes the caller's end of the pipe that it inherited,
-    so that if the caller dies its recv fails and it exits, rather than
-    wait on a pipe that it holds open itself."""
-    theirs.close()
+    reduce each chunk the caller sends, and acknowledge it; exit on None,
+    or once the caller has died."""
     os.sched_setaffinity(0, {cpu})
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -594,7 +656,7 @@ def _replica_ranges(r_count: int, horizon: int, n_points: int) -> list:
     sums (see `_steps`) hold at most `_CHUNK_VALUES` checkpoint-blocks
     per quantity."""
     blocks = -(-r_count // _BLOCK_REPLICAS)
-    if blocks < 2 or r_count * horizon < _SPLIT_MIN_WORK or not _split_experiments:
+    if blocks < 2 or r_count * horizon < _SPLIT_MIN_WORK or _forked:
         return [(0, r_count)]
     parts = min(_usable_cpus(), blocks)
     if parts < 2 or n_points * -(-blocks // parts) > _CHUNK_VALUES:
@@ -607,69 +669,10 @@ def _offloads(r_count: int, n_points: int) -> bool:
     """Whether an experiment that runs as one replica range reduces its
     checkpoints in a helper process (see `_CheckpointHelper`): only with a
     second usable CPU that the platform lets it pin the helper to, outside
-    a sweep's pool workers, and for at least `_HELPER_MIN_POINTS`
+    a forked child, and for at least `_HELPER_MIN_POINTS`
     replica-checkpoints."""
-    return (_split_experiments and r_count * n_points >= _HELPER_MIN_POINTS
+    return (not _forked and r_count * n_points >= _HELPER_MIN_POINTS
             and hasattr(os, "sched_setaffinity") and _usable_cpus() >= 2)
-
-
-def _simulate_ranges(simulate, ranges: list):
-    """(counts, sums, diverged) of `simulate(first, count, fold)` over the
-    replica ranges: this process runs the first, a forked child runs each
-    other one, and the children's block sums are folded onto this process's
-    sums in block order, the same additions in the same order as one range
-    over every replica.  A child that dies raises ExperimentError."""
-    if len(ranges) == 1:
-        return simulate(*ranges[0], True)[:3]
-    # Imported here so that runs that do not split never load it.  Forked
-    # children inherit the problem and oracle, whose closures do not pickle.
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for first, count in ranges[1:]:
-            receive, send = ctx.Pipe(duplex=False)
-            readers = [r for _, r in children] + [receive]
-            child = ctx.Process(target=_simulate_child,
-                                args=(send, readers, simulate, first, count), daemon=True)
-            child.start()
-            send.close()
-            children.append((child, receive))
-        counts, sums, diverged, _ = simulate(*ranges[0], True)
-        for child, receive in children:
-            try:
-                child_counts, block_sums, child_diverged = receive.recv()
-            except EOFError:
-                child.join()
-                raise ExperimentError("an experiment worker process died: exit code "
-                                      f"{child.exitcode}") from None
-            counts += child_counts
-            for key, total in sums.items():
-                _fold(total, block_sums[key])
-            diverged += child_diverged
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
-    finally:
-        for child, receive in children:
-            child.join()
-            receive.close()
-    return counts, sums, diverged
-
-
-def _simulate_child(send, readers: list, simulate, first: int, count: int) -> None:
-    """A forked child's work: send one replica range's unfolded sums.
-
-    The child first closes the read ends it inherited, its own among them,
-    so that if the caller dies its send fails with BrokenPipeError and the
-    child exits, rather than block forever on a pipe that it holds open."""
-    for reader in readers:
-        reader.close()
-    counts, block_sums, diverged, _ = simulate(first, count, False)
-    send.send((counts, block_sums, diverged))
-    send.close()
 
 
 @dataclass
@@ -698,8 +701,8 @@ class _Experiment:
         checkpoint buffers and per-checkpoint sums (see `_steps`)."""
         r, dim, points = self.effective, len(self.cfg.x0), len(self.grid)
         sums = 4 + 2 * self.cfg.averaged + 4 * (self.lyap_mode is not None)
-        chunk = max(1, min(points, _CHUNK_VALUES // (r * max(2, dim))))
-        return (2 * len(self.alphas) + 5 * r * dim + chunk * r * (sums + 2 * dim + 2)
+        return (2 * len(self.alphas) + 5 * r * dim
+                + _chunk(points, r, dim) * r * (sums + 2 * dim + 2)
                 + points * (sums + 1))
 
 
@@ -726,19 +729,30 @@ def _prepare(cfg: ExperimentConfig, like: Optional[_Experiment] = None) -> _Expe
 
 def _simulate_alone(exp: _Experiment):
     """(counts, sums, diverged) of one experiment, over one replica range
-    per process (see `_replica_ranges`)."""
+    per process (see `_replica_ranges`).  Split ranges each send back their
+    unfolded block sums, which are folded onto zeros in block order: the
+    same float additions in the same order as one range over every
+    replica."""
     # Least-squares sums evaluate through BLAS, whose rounding depends on the
     # batch's row count (a single row takes gemv, not gemm), so they run in
     # one process: a range of other rows could change their last bits.
     ranges = [(0, exp.effective)] if exp.fsp is not None else \
         _replica_ranges(exp.effective, exp.cfg.horizon, len(exp.grid))
-    offload = len(ranges) == 1 and _offloads(exp.effective, len(exp.grid))
+    whole = len(ranges) == 1
+    offload = whole and _offloads(exp.effective, len(exp.grid))
 
-    def simulate(first, count, fold):
-        return _simulate(*exp.engine_args(), exp.cfg.seed, count, None, first, fold,
-                         offload)
+    def simulate(first, count):
+        return _simulate(*exp.engine_args(), exp.cfg.seed, count, None, first, whole,
+                         offload)[:3]
 
-    return _simulate_ranges(simulate, ranges)
+    results = _in_processes([partial(simulate, *r) for r in ranges])
+    if whole:
+        return results[0]
+    sums = {key: np.zeros(block_sums.shape[:-1]) for key, block_sums in results[0][1].items()}
+    for _, block_sums, _ in results:
+        for key, total in sums.items():
+            _fold(total, block_sums[key])
+    return sum(r[0] for r in results), sums, [d for r in results for d in r[2]]
 
 
 def _simulate_batch(exps: list) -> list:
@@ -1079,47 +1093,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_experiments_whole() -> None:
-    """Keep each experiment in one process (a sweep worker's initializer)."""
-    global _split_experiments
-    _split_experiments = False
-
-
 def sweep(configs: list[ExperimentConfig]) -> SweepResult:
     """Run a grid of configs; per-cell failures are recorded, not raised.
 
     Cells that draw alike (see `_draw_groups`; all cells of `sweep_grid`
-    do) step together through one draw of each block (`_sweep_cells`).  Up
-    to one forked worker per CPU this process may use takes an interleaved
-    share of each group.  Rows keep the grid's order, and a cell's
-    arithmetic is the same in a group or alone, so the result does not
-    depend on the number of workers.  A grid of less than `_POOL_MIN_WORK`
-    replica-steps runs in-process, as does any grid when only one worker
-    would run; only there may a batch of one cell split its replicas over
-    the CPUs.  A worker that dies raises ExperimentError.
+    do) step together through one draw of each block (`_sweep_cells`).
+    Each of up to one process per CPU this process may use takes an
+    interleaved share of each group (`_in_processes`).  Rows keep the
+    grid's order, and a cell's arithmetic is the same in a group or alone,
+    so the result does not depend on the number of shares.  A grid of less
+    than `_POOL_MIN_WORK` replica-steps is one share, as is any grid when
+    one CPU is usable; only there, in this process, may a batch of one
+    cell split its replicas over the CPUs.  A process that dies raises
+    ExperimentError.
     """
     workers = min(_usable_cpus(), len(configs))
-    if workers <= 1 or sum(c.replicas * c.horizon for c in configs) < _POOL_MIN_WORK:
-        return SweepResult(rows=tuple(_sweep_cells(configs)))
-    # Imported here so that commands and small sweeps never load them.  Fork
-    # rather than spawn: a forked worker starts from the modules this process
-    # has loaded, where a spawned one would import numpy and sgdlab again.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
+    if sum(c.replicas * c.horizon for c in configs) < _POOL_MIN_WORK:
+        workers = 1
     order = [i for group in _draw_groups(configs) for i in group]
     shares = [order[w::workers] for w in range(workers)]
     rows = [None] * len(configs)
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_run_experiments_whole) as ex:
-            done = ex.map(_sweep_cells, [[configs[i] for i in share] for share in shares])
-            for share, share_rows in zip(shares, done):
-                for i, row in zip(share, share_rows):
-                    rows[i] = row
-    except BrokenProcessPool as e:
-        raise ExperimentError(f"a sweep worker process died: {e}") from e
+    done = _in_processes([partial(_sweep_cells, [configs[i] for i in share])
+                          for share in shares])
+    for share, share_rows in zip(shares, done):
+        for i, row in zip(share, share_rows):
+            rows[i] = row
     return SweepResult(rows=tuple(rows))
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import inspect
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import asdict
 
@@ -375,7 +377,7 @@ def sweep_path(tmp_path):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Counts the processes this process forks; the pool forks its workers."""
+    """Counts the processes this process forks."""
     calls = []
     real_fork = os.fork
 
@@ -389,7 +391,7 @@ def forks(monkeypatch):
 
 def test_sweep_output_does_not_depend_on_the_worker_count(sweep_path, tmp_path, monkeypatch,
                                                          capsys, forks):
-    monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)   # pool for any grid
+    monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)   # workers for any grid
     real_cpus = sgdlab.harness._usable_cpus()
     outputs = {}
     for cpus in (1, 2, real_cpus):
@@ -423,29 +425,38 @@ def test_a_dead_sweep_worker_fails_the_sweep(sweep_path, tmp_path, monkeypatch, 
     monkeypatch.setattr("sgdlab.harness._prepare", dying)
     out = tmp_path / "out"
     assert main(["sweep", sweep_path, "--out", str(out)]) == 3
-    assert "experiment failed: a sweep worker process died" in capsys.readouterr().err
+    assert ("experiment failed: a worker process died: exit code 1"
+            in capsys.readouterr().err)
     assert not (out / "sweep.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 _POOL_MODULES = """
 import json, sys
+import sgdlab.harness as harness
 from sgdlab.cli import main
-loaded = lambda: sorted(m for m in ("multiprocessing", "concurrent.futures.process",
+if sys.argv[1] == "pooled":   # worker processes for any grid
+    harness._POOL_MIN_WORK, harness._usable_cpus = 0, lambda: 2
+loaded = lambda: sorted(m for m in ("multiprocessing", "concurrent.futures",
                                     "scipy") if m in sys.modules)
 before = loaded()
-assert main(sys.argv[1:]) == 0
+assert main(sys.argv[2:]) == 0
 print(json.dumps([before, loaded()]))
 """
 
 
-def test_a_small_sweep_loads_no_process_pool_module(sweep_path, tmp_path):
+@pytest.mark.parametrize("pooled", [False, True], ids=["small", "pooled"])
+def test_a_sweep_loads_no_process_pool_module(pooled, sweep_path, tmp_path):
+    # A small sweep runs in-process and loads no process module; a pooled
+    # one forks its workers with multiprocessing alone.
     src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", _POOL_MODULES, "sweep", sweep_path, "--out",
-         str(tmp_path / "out"), "--json"],
+        [sys.executable, "-c", _POOL_MODULES, "pooled" if pooled else "-", "sweep",
+         sweep_path, "--out", str(tmp_path / "out"), "--json"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().split("\n")[-1]) == [[], []]
+    assert json.loads(proc.stdout.strip().split("\n")[-1]) == \
+        [[], ["multiprocessing"] if pooled else []]
 
 
 @pytest.fixture
@@ -467,77 +478,98 @@ def test_a_small_experiment_loads_no_process_module(command, path, tmp_path, req
     # checkpoint helper.
     src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", _POOL_MODULES, command, request.getfixturevalue(path),
+        [sys.executable, "-c", _POOL_MODULES, "-", command, request.getfixturevalue(path),
          "--out", str(tmp_path / "out"), "--json"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().split("\n")[-1]) == [[], []]
 
 
+def _first_replica(args, kwargs) -> int:
+    """The first replica of the range a `_simulate` call runs."""
+    return inspect.signature(sgdlab.harness._simulate).bind(*args, **kwargs).arguments["first"]
+
+
 def test_a_dead_experiment_worker_fails_the_experiment(wide_path, tmp_path, monkeypatch,
-                                                       capsys):
+                                                       capsys, forks):
     monkeypatch.setattr("sgdlab.harness._SPLIT_MIN_WORK", 0)
     monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
     parent = os.getpid()
     real_simulate = sgdlab.harness._simulate
 
-    def dying(*args, **kwargs):
-        if os.getpid() != parent:
+    def dying(*args, **kwargs):   # the first range's child dies, the other stalls
+        assert os.getpid() != parent, "a range ran in the test process"
+        if _first_replica(args, kwargs) == 0:
             os._exit(1)
+        time.sleep(60)
         return real_simulate(*args, **kwargs)
 
     monkeypatch.setattr("sgdlab.harness._simulate", dying)
     out = tmp_path / "out"
+    t0 = time.monotonic()
     assert main(["experiment", wide_path, "--out", str(out)]) == 3
-    assert ("experiment failed: an experiment worker process died: exit code 1"
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == 2   # one child per range
+    assert ("experiment failed: a worker process died: exit code 1"
             in capsys.readouterr().err)
     assert not out.exists() or not os.listdir(out)
     assert multiprocessing.active_children() == []
 
 
-def test_an_interrupted_experiment_stops_its_workers(wide_path, tmp_path, monkeypatch):
+def test_an_interrupted_experiment_stops_its_workers(wide_path, tmp_path, monkeypatch,
+                                                     forks):
     monkeypatch.setattr("sgdlab.harness._SPLIT_MIN_WORK", 0)
     monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
-    parent = os.getpid()
-    pid_file = tmp_path / "pid"
+    pids = tmp_path / "pids"
+    pids.mkdir()
 
-    def stalling(*args, **kwargs):
-        if os.getpid() != parent:   # the worker: report, then stall
-            (tmp_path / "pid.tmp").write_text(str(os.getpid()))
-            os.replace(tmp_path / "pid.tmp", pid_file)
-            time.sleep(60)
+    def stalling(*args, **kwargs):   # a child: report, then stall
+        (pids / str(os.getpid())).touch()
+        time.sleep(60)
+
+    def interrupt():   # a real SIGINT once both children run
         deadline = time.monotonic() + 20
-        while not pid_file.exists() and time.monotonic() < deadline:
+        while len(os.listdir(pids)) < 2 and time.monotonic() < deadline:
             time.sleep(0.01)
-        raise KeyboardInterrupt
+        os.kill(os.getpid(), signal.SIGINT)
 
     monkeypatch.setattr("sgdlab.harness._simulate", stalling)
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    interrupter = threading.Thread(target=interrupt)
     t0 = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        main(["experiment", wide_path, "--out", str(tmp_path / "out")])
+    try:
+        interrupter.start()
+        with pytest.raises(KeyboardInterrupt):
+            main(["experiment", wide_path, "--out", str(tmp_path / "out")])
+    finally:
+        interrupter.join(30)
+        signal.signal(signal.SIGINT, handler)
     assert time.monotonic() - t0 < 30
+    assert len(forks) == 2   # one child per range
     assert multiprocessing.active_children() == []
-    with pytest.raises(ProcessLookupError):   # terminated and reaped
-        os.kill(int(pid_file.read_text()), 0)
+    children = [int(name) for name in os.listdir(pids)]
+    assert len(children) == 2
+    for pid in children:
+        with pytest.raises(ProcessLookupError):   # terminated and reaped
+            os.kill(pid, 0)
 
 
 _KILLED_PARENT = """
-import os, signal, sys, time
+import inspect, os, signal, sys, time
 import sgdlab.harness as harness
 from sgdlab.cli import main
-pid_file, config, out = sys.argv[1:]
+pid_dir, config, out = sys.argv[1:]
 harness._usable_cpus = lambda: 2
-real_simulate, parent = harness._simulate, os.getpid()
+real_simulate = harness._simulate
 
-def simulate(*args):
-    if os.getpid() != parent:   # the worker: report, then run its range
-        with open(pid_file + ".tmp", "w") as fh:
-            fh.write(str(os.getpid()))
-        os.replace(pid_file + ".tmp", pid_file)
-        return real_simulate(*args)
-    while not os.path.exists(pid_file):
-        time.sleep(0.01)
-    os.kill(parent, signal.SIGKILL)
+def simulate(*args):   # a child: report, then run its range
+    open(os.path.join(pid_dir, str(os.getpid())), "w").close()
+    first = inspect.signature(real_simulate).bind(*args).arguments["first"]
+    if first > 0:   # the last child kills the caller once both have reported
+        while len(os.listdir(pid_dir)) < 2:
+            time.sleep(0.01)
+        os.kill(os.getppid(), signal.SIGKILL)
+    return real_simulate(*args)
 
 harness._simulate = simulate
 main(["experiment", config, "--out", out])
@@ -555,36 +587,40 @@ def _running(pid: int) -> bool:
 
 
 def test_a_worker_whose_caller_was_killed_exits(tmp_path):
-    # At stride 1 the worker's block sums (5001 checkpoints x 2 blocks x 4
+    # At stride 1 each worker's block sums (5001 checkpoints x 2 blocks x 4
     # quantities) outgrow a pipe's buffer, so its send blocks until the
     # caller reads, or fails once no read end is open.
     config = tmp_path / "wide.ini"
     config.write_text(INI.replace("replicas = 4", "replicas = 1024")
                       .replace("horizon = 50", "horizon = 5000")
                       .replace("checkpoint_stride = 10", "checkpoint_stride = 1"))
-    pid_file = tmp_path / "pid"
+    pids = tmp_path / "pids"
+    pids.mkdir()
     src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
     # Output goes to a file: a worker left running would hold a pipe open.
     with open(tmp_path / "stderr", "w") as err:
         proc = subprocess.run(
-            [sys.executable, "-c", _KILLED_PARENT, str(pid_file), str(config),
+            [sys.executable, "-c", _KILLED_PARENT, str(pids), str(config),
              str(tmp_path / "out")],
             env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL, stderr=err,
             timeout=60)
     assert proc.returncode == -signal.SIGKILL, (tmp_path / "stderr").read_text()
-    worker = int(pid_file.read_text())
+    workers = [int(name) for name in os.listdir(pids)]
+    assert len(workers) == 2
     deadline = time.monotonic() + 60
-    while _running(worker) and time.monotonic() < deadline:
+    while any(map(_running, workers)) and time.monotonic() < deadline:
         time.sleep(0.05)
-    if _running(worker):
-        os.kill(worker, signal.SIGKILL)
-        pytest.fail("the worker outlived its killed caller")
+    left = [pid for pid in workers if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    if left:
+        pytest.fail("a worker outlived its killed caller")
 
 
 def test_pooled_sweep_cells_run_each_experiment_in_one_process(wide_path, tmp_path,
                                                                 monkeypatch):
     # Forks in every process append a line, so a cell that split its
-    # replicas inside a pool worker would add one.
+    # replicas inside a sweep worker would add one.
     log = tmp_path / "forks"
     real_fork = os.fork
 
@@ -601,8 +637,8 @@ def test_pooled_sweep_cells_run_each_experiment_in_one_process(wide_path, tmp_pa
     sweep_ini.write_text(pathlib.Path(wide_path).read_text()
                          + "\n[sweep]\nmethods = vsgd\nalpha_a = 0.5, 0.6\n")
     assert main(["sweep", str(sweep_ini), "--out", str(tmp_path / "pooled")]) == 0
-    assert log.read_text().split() == [str(os.getpid())] * 2   # the two pool workers
-    # One cell per sweep: no pool, and the cell's experiment splits.
+    assert log.read_text().split() == [str(os.getpid())] * 2   # the two sweep workers
+    # One cell per sweep: no sweep workers, and the cell's experiment splits.
     log.unlink()
     cells = []
     for a in ("0.5", "0.6"):
@@ -611,7 +647,7 @@ def test_pooled_sweep_cells_run_each_experiment_in_one_process(wide_path, tmp_pa
         out = tmp_path / f"cell{a}"
         assert main(["sweep", str(cell_ini), "--out", str(out)]) == 0
         cells.append((out / "sweep.csv").read_text().splitlines())
-    assert log.read_text().split() == [str(os.getpid())] * 2   # one child per cell
+    assert log.read_text().split() == [str(os.getpid())] * 4   # two children per cell
     pooled = (tmp_path / "pooled" / "sweep.csv").read_text().splitlines()
     assert pooled == cells[0] + cells[1][1:]
 
@@ -634,14 +670,14 @@ def test_a_dead_checkpoint_helper_fails_the_experiment(long_path, tmp_path, monk
                                                        capsys):
     _force_helper(monkeypatch)
 
-    def dying(conn, theirs, checkpoints, slots):
+    def dying(conn, cpu, checkpoints, slots):
         conn.recv()   # the first chunk
         os._exit(1)
 
     monkeypatch.setattr("sgdlab.harness._reduce_in_helper", dying)
     out = tmp_path / "out"
     assert main(["lyapunov", long_path, "--out", str(out)]) == 3
-    assert ("experiment failed: the checkpoint helper process died: exit code 1"
+    assert ("experiment failed: a worker process died: exit code 1"
             in capsys.readouterr().err)
     assert not out.exists() or not os.listdir(out)
     assert multiprocessing.active_children() == []
@@ -739,7 +775,7 @@ def test_a_checkpoint_helper_whose_caller_was_killed_exits(long_path, tmp_path):
 def test_split_children_and_pool_workers_start_no_checkpoint_helper(wide_path, tmp_path,
                                                                      monkeypatch):
     # Forks in every process append a line, so a helper started by a split
-    # child or a pool worker would add one from that process.
+    # child or a sweep worker would add one from that process.
     log = tmp_path / "forks"
     real_fork = os.fork
 
@@ -754,14 +790,14 @@ def test_split_children_and_pool_workers_start_no_checkpoint_helper(wide_path, t
     # One range: the caller starts a helper.
     assert main(["lyapunov", wide_path, "--out", str(tmp_path / "helped")]) == 0
     assert log.read_text().split() == me
-    # Two ranges: one split child, and no helper in either process.
+    # Two ranges: two split children, and no helper in either.
     log.unlink()
     monkeypatch.setattr("sgdlab.harness._SPLIT_MIN_WORK", 0)
     assert main(["lyapunov", wide_path, "--out", str(tmp_path / "split")]) == 0
-    assert log.read_text().split() == me
+    assert log.read_text().split() == me * 2
     assert ((tmp_path / "split" / "lyapunov.csv").read_bytes()
             == (tmp_path / "helped" / "lyapunov.csv").read_bytes())
-    # A pooled stride-1 sweep: the two pool workers, and no helper in them.
+    # A pooled stride-1 sweep: the two sweep workers, and no helper in them.
     log.unlink()
     monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)
     sweep_ini = tmp_path / "sweep.ini"

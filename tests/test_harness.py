@@ -390,15 +390,15 @@ def test_replica_ranges_need_two_blocks_enough_work_and_small_child_sums(monkeyp
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     assert harness._replica_ranges(256, 10 ** 6, 41) == [(0, 256)]
     assert harness._replica_ranges(257, 10 ** 6, 41) == [(0, 256), (256, 1)]
-    assert harness._replica_ranges(512, 2929, 41) == [(0, 512)]   # 1 499 648 replica-steps
-    assert harness._replica_ranges(512, 2930, 41) == [(0, 256), (256, 256)]
+    assert harness._replica_ranges(512, 3906, 41) == [(0, 512)]   # 1 999 872 replica-steps
+    assert harness._replica_ranges(512, 3907, 41) == [(0, 256), (256, 256)]
     # each range holds 8 blocks: 4096 checkpoints x 8 = 32768 values per quantity
     assert harness._replica_ranges(4096, 4095, 4096) == [(0, 2048), (2048, 2048)]
     assert harness._replica_ranges(4096, 4096, 4097) == [(0, 4096)]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert harness._replica_ranges(4096, 1000, 41) == [(0, 4096)]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
-    assert harness._replica_ranges(600, 2500, 41) == [(0, 256), (256, 256), (512, 88)]
+    assert harness._replica_ranges(600, 3400, 41) == [(0, 256), (256, 256), (512, 88)]
 
 
 def _results_bytes(cfg):
@@ -501,7 +501,7 @@ def test_the_checkpoint_helper_starts_only_for_one_range_and_enough_points(monke
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert not harness._offloads(limit, 100)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(harness, "_split_experiments", False)   # a sweep's pool worker
+    monkeypatch.setattr(harness, "_forked", True)   # a forked child
     assert not harness._offloads(limit, 100)
 
 
@@ -839,38 +839,34 @@ def test_sweep_records_per_cell_failures():
 
 
 def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monkeypatch):
-    import concurrent.futures
-
     started, tasks = [], []
 
-    class RecordingPool:   # runs the shares in this process; starts no worker
-        def __init__(self, max_workers, mp_context, initializer):
-            started.append((max_workers, mp_context.get_start_method(), initializer))
+    def recording(jobs):   # runs every job in this process; starts no worker
+        if len(jobs) > 1:
+            started.append(len(jobs))
+        return [job() for job in jobs]
 
-        def __enter__(self):
-            return self
+    real_cells = harness._sweep_cells
 
-        def __exit__(self, *exc):
-            return False
+    def recording_cells(configs):
+        tasks.append([(c.seed, c.schedule["alpha_a"]) for c in configs])
+        return real_cells(configs)
 
-        def map(self, fn, shares):
-            shares = list(shares)
-            tasks.append([[(c.seed, c.schedule["alpha_a"]) for c in share]
-                          for share in shares])
-            return map(fn, shares)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_in_processes", recording)
+    monkeypatch.setattr(harness, "_sweep_cells", recording_cells)
     cells = [make_cfg(horizon=20, replicas=2), make_cfg(horizon=20, replicas=2, seed=7)]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
     serial = sweep(cells)
     assert started == []   # 80 replica-steps, below the constant
+    assert tasks == [[(1234, 0.6), (7, 0.6)]]   # one share, in this process
     monkeypatch.setattr(harness, "_POOL_MIN_WORK", 80)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert sweep(cells) == serial and started == []   # one CPU: in-process
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+    tasks.clear()
     assert sweep(cells) == serial
-    assert started == [(2, "fork", harness._run_experiments_whole)]
-    assert tasks == [[[(1234, 0.6)], [(7, 0.6)]]]
+    assert started == [2]
+    assert tasks == [[(1234, 0.6)], [(7, 0.6)]]
     # Each of 2 workers takes an interleaved share of each draw group: cells
     # 0, 1, 3 and 5 draw alike, and so do cells 2 and 4.
     seeds = [1234, 1234, 7, 1234, 7, 1234]
@@ -880,9 +876,9 @@ def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monke
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     started.clear(), tasks.clear()
     pooled = sweep(cells)
-    assert started == [(2, "fork", harness._run_experiments_whole)]
-    assert tasks == [[[(1234, 0.5), (1234, 0.8), (7, 0.7)],
-                      [(1234, 0.6), (1234, 1.0), (7, 0.9)]]]
+    assert started == [2]
+    assert tasks == [[(1234, 0.5), (1234, 0.8), (7, 0.7)],
+                     [(1234, 0.6), (1234, 1.0), (7, 0.9)]]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert pooled == sweep(cells)
 
@@ -917,6 +913,27 @@ def test_alike_cells_draw_each_block_once(monkeypatch):
     calls.clear()
     assert sweep(cells).rows == rows
     assert len(calls) == 2 * 300 * 3
+
+
+@pytest.mark.parametrize("cfg", [
+    make_cfg(horizon=50, replicas=4, checkpoint_stride=10),
+    make_cfg(schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU}, averaged=True,
+             **dict(_LYAP_STRIDE1, replicas=600, x0=[1e6],
+                    problem={"kind": "quadratic", "spectrum": [4.0]})),
+    make_cfg(problem={"kind": "quadratic", "spectrum": [1.0, 2.0, 4.0]}, x0=[1.0, 2.0, 3.0],
+             checkpoint_stride=1, replicas=300, horizon=100),
+], ids=["chunk-of-the-whole-grid", "one-coordinate", "three-coordinates"])
+def test_experiment_values_count_the_checkpoint_buffers_it_allocates(cfg):
+    # A sweep batches cells by values(), so it must count the chunk that
+    # _Checkpoints allocates: f(x), f(xbar), grad f(x), v, the reduced rows
+    # and the totals, with f(xbar) and v counted whether or not held.
+    exp = harness._prepare(cfg)
+    r, dim = exp.effective, len(cfg.x0)
+    ck = harness._Checkpoints(exp.problem, exp.grid, exp.mus, exp.lyap_mode, cfg.averaged,
+                              exp.problem.minimum.f_star, r, dim, fold=True)
+    held = 2 * ck.f.size + 2 * ck.g.size + ck.vals.size + ck.totals.size + ck.counts.size
+    assert exp.values() == 2 * len(exp.alphas) + 5 * r * dim + held
+    assert 1 < ck.chunk <= len(exp.grid)
 
 
 def _alone(cfg):
@@ -957,7 +974,7 @@ def test_grouped_sweep_rows_equal_each_cell_run_alone(monkeypatch):
     assert alone[4].error == "no replica survived to some checkpoint"
     assert "exp_alpha" in alone[5].error
     assert alone[1].se_gap == alone[6].se_gap == 0.0   # zero noise
-    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0)   # a pool whenever 2 CPUs are usable
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0)   # workers whenever 2 CPUs are usable
     for cpus, budget in ((1, harness._GROUP_VALUES), (2, harness._GROUP_VALUES),
                          (64, harness._GROUP_VALUES), (1, 0), (2, 0)):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
