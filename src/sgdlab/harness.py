@@ -853,26 +853,31 @@ class AveragedBoundProbe:
         return self.max_ratio <= 2.0 * self.median_ratio
 
 
+_SUM_CHUNK = 1 << 18   # schedule values per step of _partial_sums_at
+
+
 def _partial_sums_at(s: PowerSchedule, ks: np.ndarray):
-    horizon = int(ks[-1])
-    if horizon <= 2_000_000:
-        alphas = s.alphas(horizon)
-        cum_a = np.concatenate([[0.0], np.cumsum(alphas)])
-        cum_q = np.concatenate([[0.0], np.cumsum(alphas * alphas)])
-        return cum_a[ks], cum_q[ks]
-    sum_a = np.empty(len(ks))
-    sum_q = np.empty(len(ks))
-    acc_a = acc_q = 0.0
-    prev = 0
-    for i, k in enumerate(ks):
-        if k > prev:
-            j = np.arange(prev + 1, k + 1, dtype=float)
-            a = s.coeff_alpha * j ** (-s.exp_alpha)
-            acc_a += float(a.sum())
-            acc_q += float((a * a).sum())
-            prev = int(k)
-        sum_a[i] = acc_a
-        sum_q[i] = acc_q
+    """sum_{j<=k} alpha_j and sum_{j<=k} alpha_j^2 at the sorted checkpoints ks.
+
+    The sums run over fixed chunks of the schedule, each cumsum starting from
+    the carry of the last: cumsum adds in order, so the result equals the
+    whole-vector cumsum bitwise while memory stays O(chunk).
+    """
+    end = int(ks[-1]) + 1
+    sum_a = np.zeros(len(ks))
+    sum_q = np.zeros(len(ks))
+    carry_a = carry_q = 0.0
+    for lo in range(1, end, _SUM_CHUNK):
+        hi = min(lo + _SUM_CHUNK, end)
+        a = s.alpha(np.arange(lo, hi, dtype=float))
+        q = a * a
+        a[0] += carry_a
+        q[0] += carry_q
+        cum_a, cum_q = np.cumsum(a), np.cumsum(q)
+        at = slice(*np.searchsorted(ks, [lo, hi]))
+        sum_a[at] = cum_a[ks[at] - lo]
+        sum_q[at] = cum_q[ks[at] - lo]
+        carry_a, carry_q = cum_a[-1], cum_q[-1]
     return sum_a, sum_q
 
 

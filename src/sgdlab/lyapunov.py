@@ -21,7 +21,6 @@ on observed series.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -132,6 +131,13 @@ def descent_fit(series: LyapunovSeries, burn_in: int) -> DescentFit:
     violations can only come from constraint degeneracy, and a deterministic
     series (zero standard errors) yields violation_fraction = 0 exactly.
 
+    The fit is exact.  Each checkpoint's constraint is a line C >= a_i + b_i*K
+    with b_i >= 0, so the feasible region lies above the upper envelope of
+    those lines and of C = 0.  The minimizer of the two-variable quadratic is
+    either the least-squares point with C free (K clipped to K >= 0) or, on
+    one piece of that envelope, the vertex of the parabola the objective
+    restricts to, clipped to the piece (see `_constrained_fit`).
+
     Checkpoints must be consecutive iterations (stride 1): the per-step
     descent bound does not telescope across strided checkpoints without
     unobserved intermediate terms.
@@ -194,19 +200,23 @@ def _envelope_c(k_val: float, d, reg_k, reg_c, slack) -> float:
 
 
 def _constrained_fit(d, reg_k, reg_c, slack):
-    """Minimize sum (d + K*reg_k - C*reg_c)^2 over K >= 0, C >= max(0, g(K))
-    with g the pointwise envelope requirement.  The partial minimum over C
-    is convex in K, so a bounded scalar search (`_bounded_minimize`)
-    suffices."""
-    scale_d = float(np.max(np.abs(d))) or 1.0
-    scale_k = float(np.max(reg_k)) or 1.0
+    """Exact minimizer of sum (d + K*reg_k - C*reg_c)^2 over K, C >= 0 subject
+    to C >= a_i + b_i*K at every point, a_i = (d_i - slack_i) / reg_c_i and
+    b_i = reg_k_i / reg_c_i >= 0.
+
+    With the line C >= 0 added, the feasible C lie above the upper envelope
+    g(K) of these lines, a convex piecewise-linear function.  The objective is
+    a convex quadratic, so its minimizer either has C > g(K), where C is the
+    least-squares C for its K and K minimizes the objective with reg_c
+    projected out, or lies on one piece C = a_j + b_j*K of the envelope.
+    There the objective is ||u + K*w||^2 with u = d - a_j*reg_c and
+    w = reg_k - b_j*reg_c, a parabola whose vertex -(u.w)/(w.w), clipped to
+    the piece's K interval, is the piece's best point.  The fit takes the best
+    of these candidates; no search and no tolerance are involved.
+    """
     # Dot products go through einsum, not BLAS: a threaded BLAS splits long
     # vectors across threads, so its rounding depends on the thread count.
     dot = lambda a, b: float(np.einsum("i,i->", a, b))
-    # Unconstrained slope along reg_k alone sets the search range.
-    k_ls = max(0.0, -dot(reg_k, d) / dot(reg_k, reg_k))
-    k_hi = 4.0 * k_ls + 10.0 * scale_d / scale_k
-
     cc = dot(reg_c, reg_c)
 
     def c_for(k_val: float) -> float:
@@ -217,99 +227,38 @@ def _constrained_fit(d, reg_k, reg_c, slack):
         r = d + k_val * reg_k - c_for(k_val) * reg_c
         return dot(r, r)
 
-    k_hat = _bounded_minimize(objective, 0.0, k_hi, 1e-12 * max(1.0, k_hi))
-    # Snap to the boundary when it is at least as good: the bounded search
-    # cannot land exactly on 0.
-    if objective(0.0) <= objective(k_hat):
-        k_hat = 0.0
+    # Drop every line that one other line lies above for all K >= 0: by
+    # descending slope, keep a line only if it is the highest at K = 0 so far.
+    a = np.append((d - slack) / reg_c, 0.0)
+    b = np.append(reg_k / reg_c, 0.0)
+    order = np.lexsort((-a, -b))
+    a, b = a[order], b[order]
+    keep = np.append(True, a[1:] > np.maximum.accumulate(a)[:-1])
+    # Upper envelope on K >= 0 by ascending slope: (a_j, b_j, K where piece j starts).
+    pieces = []
+    for aj, bj in zip(a[keep][::-1], b[keep][::-1]):
+        start = 0.0
+        while pieces:
+            a0, b0, k0 = pieces[-1]
+            start = (a0 - aj) / (bj - b0)
+            if start > k0:
+                break
+            pieces.pop()
+            start = 0.0
+        pieces.append((aj, bj, start))
+    ends = [k0 for _, _, k0 in pieces[1:]] + [np.inf]
+    # The least-squares C for K is (c.d + K * c.r_k) / c.c: a line with C free.
+    segments = [(dot(reg_c, d) / cc, dot(reg_c, reg_k) / cc, 0.0, np.inf)]
+    segments += [(aj, bj, lo, hi) for (aj, bj, lo), hi in zip(pieces, ends)]
+    candidates = []
+    for aj, bj, lo, hi in segments:
+        u = d - aj * reg_c
+        w = reg_k - bj * reg_c
+        ww = dot(w, w)
+        vertex = -dot(u, w) / ww if ww > 0.0 else lo
+        candidates.append(min(max(vertex, lo), hi))
+    k_hat = min(candidates, key=objective)
     return k_hat, c_for(k_hat)
-
-
-def _bounded_minimize(func, lo: float, hi: float, xatol: float) -> float:
-    """Minimizer of func on [lo, hi] by Brent's golden-section search with
-    parabolic interpolation, stopping at absolute tolerance xatol or after
-    500 evaluations.
-
-    A step-for-step port of `_minimize_scalar_bounded` from SciPy 1.17
-    (scipy/optimize/_optimize.py, BSD-3-Clause, Copyright (c) 2001-2002
-    Enthought, Inc. and 2003 SciPy Developers).  It uses only float
-    arithmetic in the same order, so it returns the same float as
-    `minimize_scalar(func, bounds=(lo, hi), method="bounded",
-    options={"xatol": xatol}).x` without importing SciPy.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"bounds must be finite with lo <= hi, got ({lo}, {hi})")
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # Try a parabola through the three best points.
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign_or_one(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        x = xf + _sign_or_one(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf
-
-
-def _sign_or_one(v: float) -> int:
-    """SciPy's step direction np.sign(v) + (v == 0) for a non-NaN v."""
-    return (v > 0) - (v < 0) + (v == 0)
 
 
 @dataclass(frozen=True)

@@ -52,11 +52,6 @@ def parse_estimates_csv(text: str) -> dict:
     return cols
 
 
-def _log_points(ks, ys):
-    pts = [(k, y) for k, y in zip(ks, ys) if k > 0 and y > 0 and math.isfinite(y)]
-    return pts
-
-
 def _ticks(lo: float, hi: float):
     """Decade ticks covering [lo, hi] in log10 space."""
     first = math.floor(lo)

@@ -700,14 +700,24 @@ def test_averaged_bound_probe_ratio_scale():
 
 
 def test_averaged_probe_partial_sums_handle_long_horizons():
-    # past the direct-cumsum cutoff the sums are accumulated in chunks
+    # the sums are accumulated in chunks and equal the whole-vector cumsum bitwise
     s = PowerSchedule(1.0, 0.6)
     ks = np.array([0, 10, 1000, 2_500_000])
     est = _fake_estimate(ks, np.ones(4), mean_avg=np.ones(4), schedule=s)
     probe = averaged_bound_probe(est)
     alphas = s.alphas(2_500_000)
     direct = np.cumsum(alphas)[ks[1:] - 1] / (1.0 + np.cumsum(alphas * alphas)[ks[1:] - 1])
-    assert np.allclose(probe.ratios, direct, rtol=1e-9)
+    assert np.array_equal(probe.ratios, direct)
+
+
+def test_partial_sums_carry_across_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(harness, "_SUM_CHUNK", 4)
+    s = PowerSchedule(0.5, 0.7)
+    ks = np.array([1, 3, 4, 5, 8, 9, 17, 40])   # on, before and after edges of 4-chunks
+    sum_a, sum_q = harness._partial_sums_at(s, ks)
+    alphas = s.alphas(40)
+    assert np.array_equal(sum_a, np.cumsum(alphas)[ks - 1])
+    assert np.array_equal(sum_q, np.cumsum(alphas * alphas)[ks - 1])
 
 
 def test_nasgd_hypothesis_annotation():
