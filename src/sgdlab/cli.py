@@ -252,13 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", nargs="?", default=None, help="experiment config file")
     p.add_argument("--from-manifest", default=None, metavar="MANIFEST",
                    help="replay a previously written manifest.json")
-    p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
-                   help="override a config value (repeatable)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="replace the master seed from the config")
-    p.add_argument("--out", default=".", help="output directory (default: .)")
+    _add_config_args(p, config_required=False)
     p.add_argument("--plot", action="store_true", help="also write curve.svg")
-    p.add_argument("--json", action="store_true", help="print machine-readable JSON")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("lyapunov",

@@ -25,13 +25,14 @@ stream's contents change with the buffer depth, which shrinks as the
 replica count grows to keep the buffer's size fixed.  After each step one
 reduction over the whole state tests every replica against the divergence
 radius; only when it fails does the engine test each replica.  At a
-checkpoint the engine evaluates f and grad f on the live state (the
-gradient is reused by the next step), passes them with the state to the
-caller's checkpoint hook if there is one (this is how
-`run` records its trajectory), and copies f(x), grad f(x), v and f(xbar)
-into preallocated (chunk, replicas, ...) buffers, with chunk x replicas <=
-16384 (fewer for states of more than 2 coordinates).  One set of numpy
-calls then reduces the whole chunk: gradient and velocity norms, the cross
+checkpoint the engine evaluates grad f on the live state (the gradient is
+reused by the next step), passes it with the state to the caller's
+checkpoint hook if there is one (this is how `run` records its
+trajectory), and copies x, grad f(x), v and xbar into a preallocated
+(chunk, replicas, dim) slot of `_Checkpoints`, with chunk x replicas <=
+16384 (fewer for states of more than 2 coordinates).  Reducing a chunk
+evaluates f(x) and f(xbar) one checkpoint at a time, then one set of numpy
+calls reduces the whole chunk: gradient and velocity norms, the cross
 term, the energies and their increments (the last tilted energy carries
 into the next chunk), their squares and the block sums.  A chunk is
 reduced when it is full, before a divergence changes the alive mask (so
@@ -55,8 +56,8 @@ experiments stay in one process (see `_simulate_alone`).  An experiment
 that runs as one range, with a second usable CPU and at least
 `_HELPER_MIN_POINTS` replica-checkpoints, forks a checkpoint helper (see
 `_CheckpointHelper`): the caller keeps the draws, the steps, the gradient
-and the divergence test, and copies each checkpoint's state into a shared
-map, where the helper evaluates f and runs the same chunk reduction.
+and the divergence test, and copies each checkpoint's state into a slot in
+a shared map, where the helper runs the same chunk reduction.
 Batches of several sweep cells never start one.  The cells of a sweep
 share their noise on purpose (common random numbers): cells that draw
 alike step together, a memory-bounded batch at a time, and each batch
@@ -95,10 +96,11 @@ from .schedules import PowerSchedule, classify
 
 _BLOCK_REPLICAS = 256   # fixed reduction grid, independent of the array width
 _RAW_BLOCK = 1024       # iterations of raw noise pre-drawn per replica, at most
-# Checkpoint buffers hold at most this many replica-checkpoint coordinates
-# (counting at least 2 per state), so chunk x replicas <= 16384; and an
-# experiment splits only if each range's unfolded sums hold at most this
-# many checkpoint-blocks per quantity.
+# A checkpoint slot's state buffers (x, grad f(x), ...) each hold at most
+# this many replica-checkpoint coordinates (counting at least 2 per state),
+# so chunk x replicas <= 16384; and an experiment splits only if each
+# range's unfolded sums hold at most this many checkpoint-blocks per
+# quantity.
 _CHUNK_VALUES = 32768
 # A sweep of less work than this (replicas x horizon summed over its cells)
 # runs in-process: below it, starting workers (about 25 ms on a 2-vCPU host
@@ -224,15 +226,19 @@ def _chunk(points: int, r_count: int, dim: int) -> int:
 
 
 class _Checkpoints:
-    """The per-checkpoint sums of one stepper (see `_steps`): `record`
-    buffers a checkpoint's per-replica values, for up to `chunk`
-    checkpoints, and `flush` reduces the buffered ones into `totals` and
-    `counts` with one set of numpy calls (`reduce`).  With `shared`, totals
-    and counts live in a shared anonymous map, where a forked helper
-    process can write them (see `_CheckpointHelper`)."""
+    """The per-checkpoint sums of one stepper (see `_steps`).  `record`
+    copies a checkpoint's state into the current slot, which holds up to
+    `chunk` checkpoints, and `reduce` evaluates f on a slot's checkpoints
+    and reduces them into `totals` and `counts` with one set of numpy
+    calls.  A run reduces in-process through one private slot (`flush`);
+    with two `slots`, the slots, totals and counts live in one shared
+    anonymous map, where a forked helper reduces one slot while the caller
+    fills the other (see `_CheckpointHelper`).  A slot is (x, grad f(x), v
+    or None without energies, xbar or None unless averaged, alive mask or
+    None in a private slot)."""
 
     def __init__(self, problem, grid, mus, lyap_mode, averaged: bool, f_star: float,
-                 r_count: int, dim: int, fold: bool, shared: bool = False):
+                 r_count: int, dim: int, fold: bool, slots: int = 1):
         squared = ["grad_sq", "gap"] + (["avg_gap"] if averaged else []) \
             + (["delta_ht"] if lyap_mode is not None else [])
         names = squared + (["ht", "hbar"] if lyap_mode is not None else [])
@@ -240,54 +246,59 @@ class _Checkpoints:
         self.n_q, self.n_sq = len(names), len(squared)
         blocks = -(-r_count // _BLOCK_REPLICAS)
         shape = (len(grid), len(self.keys)) + (() if fold else (blocks,))
-        if shared:
-            self.totals, self.counts = _shared_arrays((shape, float), ((len(grid),), np.int64))
-        else:
-            self.totals, self.counts = np.zeros(shape), np.zeros(len(grid), dtype=np.int64)
         self.problem, self.grid, self.mus = problem, grid, mus
         self.lyap_mode, self.f_star, self.fold = lyap_mode, f_star, fold
         self.chunk = _chunk(len(grid), r_count, dim)
+        rows = ((self.chunk, r_count, dim), float)
+        slot = [rows, rows, rows if lyap_mode is not None else None,
+                rows if averaged else None, ((r_count,), bool) if slots > 1 else None]
+        specs = [(shape, float), ((len(grid),), np.int64)] + slot * slots
+        arrays = _shared_arrays(*specs) if slots > 1 else \
+            [None if spec is None else np.zeros(*spec) for spec in specs]
+        self.totals, self.counts = arrays[:2]
+        self.slots = [arrays[i:i + len(slot)] for i in range(2, len(arrays), len(slot))]
+        self.slot = 0   # the slot being filled
         self.f = np.empty((self.chunk, r_count))
-        self.g = np.empty((self.chunk, r_count, dim))
-        self.v = np.empty_like(self.g) if lyap_mode is not None else None
         self.a = np.empty_like(self.f) if averaged else None
         self.vals = np.empty((self.chunk, len(self.keys), r_count))   # quantities, squares
         self.ht_prev = None
 
-    def evaluate(self, j: int, x, xbar) -> None:
-        """Buffer row j's f(x) and f(xbar)."""
-        self.f[j] = self.problem.value(x)
-        if self.a is not None:
-            self.a[j] = self.problem.value(xbar)
-
-    def record(self, j: int, x, gr, v, xbar):
-        """Buffer row j: f(x), grad f(x) = gr, v and f(xbar); return f(x)."""
-        self.evaluate(j, x, xbar)
-        self.g[j] = gr
-        if self.v is not None:
-            self.v[j] = v
-        return self.f[j]
+    def record(self, j: int, x, gr, v, xbar) -> None:
+        """Copy checkpoint j of the current slot: x, grad f(x) = gr, v and xbar."""
+        xs, gs, vs, bs, _ = self.slots[self.slot]
+        xs[j] = x
+        gs[j] = gr
+        if vs is not None:
+            vs[j] = v
+        if bs is not None:
+            bs[j] = xbar
 
     def flush(self, first: int, c: int, alive) -> None:
-        """Reduce the first c buffered rows, checkpoints first..first+c-1,
-        which were all recorded under the alive mask `alive`."""
-        v, a = (None if buf is None else buf[:c] for buf in (self.v, self.a))
-        self.reduce(first, alive, self.f[:c], self.g[:c], v, a)
+        """Reduce the current slot's first c checkpoints in this process."""
+        self.reduce(self.slot, first, c, alive)
 
-    def reduce(self, first: int, alive, f, gr, vc, a) -> None:
-        """Reduce checkpoints first..first+c-1, recorded under the alive
-        mask `alive`, from their (c, replicas) f(x) and f(xbar) (None unless
-        averaged) and their (c, replicas, dim) grad f(x) and v (None without
-        energies)."""
-        c = len(f)
+    def reduce(self, slot: int, first: int, c: int, alive) -> None:
+        """Reduce the first c checkpoints of `slot`, checkpoints
+        first..first+c-1, which were all recorded under the alive mask
+        `alive`.  f(x) and f(xbar) are evaluated one checkpoint at a time,
+        on the same (replicas, dim) rows as the state they were copied from:
+        least-squares values go through BLAS, whose rounding can depend on
+        the batch shape."""
+        xs, gs, vs, bs, _ = self.slots[slot]
+        f, gr = self.f[:c], gs[:c]
+        for j in range(c):
+            f[j] = self.problem.value(xs[j])
+            if bs is not None:
+                self.a[j] = self.problem.value(bs[j])
         f_star, n_q, n_sq = self.f_star, self.n_q, self.n_sq
         gsq = np.einsum("...i,...i->...", gr, gr)
         gap = f - f_star
         rows = [gsq, gap]
-        if a is not None:
-            rows.append(a - f_star)
+        if bs is not None:
+            rows.append(self.a[:c] - f_star)
         if self.lyap_mode is not None:
             mode, coeff = self.lyap_mode
+            vc = vs[:c]
             vsq = np.einsum("...i,...i->...", vc, vc)
             zt = np.einsum("...i,...i->...", vc, gr)
             h = gap + 0.5 * vsq
@@ -400,50 +411,37 @@ def _send_result(conn, job) -> None:
 
 
 class _CheckpointHelper:
-    """`_Checkpoints` run in a forked helper process while the caller steps.
+    """`_Checkpoints.reduce` run in a forked helper process while the caller
+    steps.
 
-    `record` copies x, grad f(x), v and xbar into one of two chunk slots in
-    a shared anonymous map; `flush` copies the chunk's alive mask there too,
-    sends the helper the slot, the chunk's first checkpoint and its length,
-    and turns to the other slot, waiting only if the helper has not yet
-    reduced the chunk that slot holds.  The helper evaluates f(x) and
-    f(xbar) row by row and runs `_Checkpoints.reduce`, which writes totals
-    and counts into their shared map.  `finish` waits for the last chunk
-    and lets the helper exit; `close` terminates the helper if it still
-    runs and reaps it.  The helper starts, and its death raises
-    ExperimentError, as a child of `_in_processes` does (see `_fork`).
+    The checkpoints hold two slots in a shared map.  `flush` copies the
+    chunk's alive mask into the slot being filled, sends the helper the
+    slot, the chunk's first checkpoint and its length, and turns the
+    checkpoints to the other slot, waiting only if the helper has not yet
+    reduced the chunk that slot holds.  The helper runs `_Checkpoints.reduce`
+    on the slot, which writes totals and counts into the shared map.
+    `finish` waits for the last chunk and lets the helper exit; `close`
+    terminates the helper if it still runs and reaps it.  The helper starts,
+    and its death raises ExperimentError, as a child of `_in_processes` does
+    (see `_fork`).
 
     While the helper runs, it has one of this process's CPUs and the caller
     the others.  Left to the scheduler, the two were seen to share one CPU
     for whole runs, taking turns, while the other CPU idled."""
 
     def __init__(self, checkpoints: _Checkpoints):
-        ck = checkpoints
-        rows = ck.g.shape
-        self.slots = [_shared_arrays((rows, float), (rows, float),
-                                     (rows, float) if ck.v is not None else None,
-                                     (rows, float) if ck.a is not None else None,
-                                     (rows[1:2], bool))
-                      for _ in range(2)]
+        self.checkpoints = checkpoints
         self.cpus = os.sched_getaffinity(0)
         own = max(self.cpus)
-        self.proc, self.conn = _fork(_reduce_in_helper, (own, ck, self.slots), duplex=True)
+        self.proc, self.conn = _fork(_reduce_in_helper, (own, checkpoints), duplex=True)
         os.sched_setaffinity(0, self.cpus - {own})
-        self.slot = self.pending = 0   # the slot being filled; chunks sent, unreduced
-
-    def record(self, j: int, x, gr, v, xbar) -> None:
-        xs, gs, vs, bs, _ = self.slots[self.slot]
-        xs[j] = x
-        gs[j] = gr
-        if vs is not None:
-            vs[j] = v
-        if bs is not None:
-            bs[j] = xbar
+        self.pending = 0   # chunks sent, unreduced
 
     def flush(self, first: int, c: int, alive) -> None:
-        self.slots[self.slot][-1][:] = alive
-        self._talk(self.conn.send, (self.slot, first, c))
-        self.slot ^= 1
+        ck = self.checkpoints
+        ck.slots[ck.slot][-1][:] = alive
+        self._talk(self.conn.send, (ck.slot, first, c))
+        ck.slot ^= 1
         self.pending += 1
         if self.pending == 2:   # the slot to fill next holds the chunk before
             self._talk(self.conn.recv)
@@ -470,7 +468,7 @@ class _CheckpointHelper:
             raise _died(self.proc) from None
 
 
-def _reduce_in_helper(conn, cpu: int, checkpoints: _Checkpoints, slots: list) -> None:
+def _reduce_in_helper(conn, cpu: int, checkpoints: _Checkpoints) -> None:
     """The helper process's loop (see `_CheckpointHelper`), on CPU `cpu`:
     reduce each chunk the caller sends, and acknowledge it; exit on None,
     or once the caller has died."""
@@ -484,12 +482,7 @@ def _reduce_in_helper(conn, cpu: int, checkpoints: _Checkpoints, slots: list) ->
             if msg is None:
                 return
             s, first, c = msg
-            xs, gs, vs, bs, alive = slots[s]
-            for j in range(c):
-                checkpoints.evaluate(j, xs[j], None if bs is None else bs[j])
-            checkpoints.reduce(first, alive, checkpoints.f[:c], gs[:c],
-                               None if vs is None else vs[:c],
-                               None if bs is None else checkpoints.a[:c])
+            checkpoints.reduce(s, first, c, checkpoints.slots[s][-1])
             conn.send(s)   # the slot is free again
 
 
@@ -508,9 +501,9 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     of squares under "sq_" + name), each with the block sums folded in
     block order or, unless fold, shaped (checkpoints, blocks); the
     (replica, iteration) divergences; and the last (x, v, x_prev, running
-    average or None).  Unless None, on_point(k, x, v, xbar, f, grad) sees
-    every checkpoint's (replicas, ...) state, xbar (None unless averaged),
-    f(x) and grad f(x).  With offload (and no on_point), a forked helper
+    average or None).  Unless None, on_point(k, x, v, xbar, grad) sees
+    every checkpoint's (replicas, ...) state, xbar (None unless averaged)
+    and grad f(x).  With offload (and no on_point), a forked helper
     evaluates f and reduces the checkpoints (`_CheckpointHelper`); closing
     the stepper stops it.  The stepper only reads the blocks it is handed.
     """
@@ -524,19 +517,19 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     n_alive = r_count
     diverged = []
     checkpoints = _Checkpoints(problem, grid, mus, lyap_mode, averaged, f_star, r_count,
-                               x.shape[1], fold, shared=offload)
+                               x.shape[1], fold, 2 if offload else 1)
     sink = _CheckpointHelper(checkpoints) if offload else checkpoints
     grad_cache = None
     ci = flushed = 0   # checkpoints recorded, and reduced
 
     def record():
-        """Buffer checkpoint ci's per-replica values; return grad f(x)."""
+        """Buffer checkpoint ci's state; return grad f(x)."""
         nonlocal ci
         gr = problem.gradient(x)
         xbar = (x if avg.weight_sum == 0.0 else avg.xbar) if averaged else None
-        f = sink.record(ci - flushed, x, gr, v, xbar)
+        checkpoints.record(ci - flushed, x, gr, v, xbar)
         if on_point is not None:
-            on_point(int(grid[ci]), x, v, xbar, f, gr)
+            on_point(int(grid[ci]), x, v, xbar, gr)
         ci += 1
         if ci - flushed == checkpoints.chunk:
             flush()
@@ -697,12 +690,15 @@ class _Experiment:
                 self.grid, self.lyap_mode, c.averaged, self.problem.minimum.f_star)
 
     def values(self) -> int:
-        """About how many floats it holds while it steps: schedules, state,
-        checkpoint buffers and per-checkpoint sums (see `_steps`)."""
+        """About how many floats it holds while it steps in this process:
+        schedules and state, and exactly the arrays of its `_Checkpoints`,
+        one private slot of x, grad f(x), v and xbar as held, f(x) and
+        f(xbar) as held, the reduced rows and the per-checkpoint sums."""
         r, dim, points = self.effective, len(self.cfg.x0), len(self.grid)
-        sums = 4 + 2 * self.cfg.averaged + 4 * (self.lyap_mode is not None)
+        lyap, avg = self.lyap_mode is not None, self.cfg.averaged
+        sums = 4 + 2 * avg + 4 * lyap
         return (2 * len(self.alphas) + 5 * r * dim
-                + _chunk(points, r, dim) * r * (sums + 2 * dim + 2)
+                + _chunk(points, r, dim) * r * (sums + 1 + avg + (2 + lyap + avg) * dim)
                 + points * (sums + 1))
 
 

@@ -322,10 +322,11 @@ def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
     f_star = 0.0 if problem.minimum is None else problem.minimum.f_star
     traj = Trajectory(method=method, checkpoint_stride=checkpoint_stride, seed=seed)
 
-    def record(k, x, v, xbar, f, grad):
+    def record(k, x, v, xbar, grad):
         # k = 0 records alpha = mu = 0.
         alpha, mu = (float(alphas[k - 1]), float(mus[k - 1])) if k else (0.0, 0.0)
-        x, v, grad, f = x[0].copy(), v[0].copy(), grad[0], float(f[0])
+        f = float(problem.value(x)[0])
+        x, v, grad = x[0].copy(), v[0].copy(), grad[0]
         lyap = None
         if lyapunov_coeff is not None:
             coeff = lyapunov_coeff * mu if lyapunov_vanishing else lyapunov_coeff

@@ -170,8 +170,6 @@ class _MinibatchOracle(GradientOracle):
         s_count = len(fsp.components)
         if not 1 <= batch <= s_count:
             raise ParameterError(f"batch must lie in [1, {s_count}], got {batch}")
-        if not replace and batch > s_count:
-            raise ParameterError("batch cannot exceed the component count without replacement")
         self.fsp = fsp
         self.batch = batch
         self.replace = bool(replace)
@@ -344,14 +342,11 @@ def verify_bound(oracle: GradientOracle, p: Problem, points, samples: int) -> Bo
         sg = oracle.stoch_grad(x, raw, grad=grad)
         xi = grad - sg
         mean = xi.mean(axis=0)
-        if samples > 1:
-            coord_var = xi.var(axis=0, ddof=1)
-        else:
-            coord_var = np.zeros(p.dim)
+        coord_var = xi.var(axis=0, ddof=1)
         mean_tol = 3.0 * float(np.sqrt(coord_var.sum() / samples))
         sq = np.sum(xi * xi, axis=1)
         m2 = float(sq.mean())
-        se2 = float(sq.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+        se2 = float(sq.std(ddof=1) / np.sqrt(samples))
         declared = oracle.bound.m_const + oracle.bound.v_const * float(grad @ grad)
         mean_norm = float(np.linalg.norm(mean))
         second_tol = 4.0 * se2 + 1e-12 * max(1.0, declared)

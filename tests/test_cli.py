@@ -669,14 +669,18 @@ def _force_helper(monkeypatch):
 def test_a_dead_checkpoint_helper_fails_the_experiment(long_path, tmp_path, monkeypatch,
                                                        capsys):
     _force_helper(monkeypatch)
+    marker = tmp_path / "received"
 
-    def dying(conn, cpu, checkpoints, slots):
+    def dying(conn, cpu, checkpoints):
         conn.recv()   # the first chunk
+        marker.touch()
         os._exit(1)
 
     monkeypatch.setattr("sgdlab.harness._reduce_in_helper", dying)
     out = tmp_path / "out"
     assert main(["lyapunov", long_path, "--out", str(out)]) == 3
+    # The fake ran as the helper, rather than failing on its signature.
+    assert marker.exists()
     assert ("experiment failed: a worker process died: exit code 1"
             in capsys.readouterr().err)
     assert not out.exists() or not os.listdir(out)

@@ -934,14 +934,17 @@ def test_alike_cells_draw_each_block_once(monkeypatch):
              checkpoint_stride=1, replicas=300, horizon=100),
 ], ids=["chunk-of-the-whole-grid", "one-coordinate", "three-coordinates"])
 def test_experiment_values_count_the_checkpoint_buffers_it_allocates(cfg):
-    # A sweep batches cells by values(), so it must count the chunk that
-    # _Checkpoints allocates: f(x), f(xbar), grad f(x), v, the reduced rows
-    # and the totals, with f(xbar) and v counted whether or not held.
+    # A sweep batches cells by values(), so it must count exactly the arrays
+    # that _Checkpoints allocates in-process: one private slot (x, grad f(x),
+    # and v and xbar as held), f(x), f(xbar) as held, the reduced rows and
+    # the totals.
     exp = harness._prepare(cfg)
     r, dim = exp.effective, len(cfg.x0)
     ck = harness._Checkpoints(exp.problem, exp.grid, exp.mus, exp.lyap_mode, cfg.averaged,
                               exp.problem.minimum.f_star, r, dim, fold=True)
-    held = 2 * ck.f.size + 2 * ck.g.size + ck.vals.size + ck.totals.size + ck.counts.size
+    assert len(ck.slots) == 1
+    held = sum(buf.size for buf in ck.slots[0] + [ck.f, ck.a, ck.vals, ck.totals, ck.counts]
+               if buf is not None)
     assert exp.values() == 2 * len(exp.alphas) + 5 * r * dim + held
     assert 1 < ck.chunk <= len(exp.grid)
 
