@@ -17,10 +17,12 @@ iteration calls the method's kernel from
 `optimizers.KERNELS` and folds the running average with
 `optimizers.averaged_update`, the same code the step functions call on one
 (dim,) state, so each iteration costs one set of numpy calls whatever the
-replica count.  Raw noise is pre-drawn into one replica-major (replicas,
-iterations, ...) buffer: each replica's stream fills its own contiguous
-rows in place, and step k reads the strided (replicas, ...) slice of
-column k.  Philox draws do not depend on how they are chunked, so no
+replica count.  Raw noise is pre-drawn into one iteration-major
+(iterations, replicas, ...) buffer, so step k reads the C-contiguous
+(replicas, ...) slice of row k.  A stream fills only contiguous rows, so
+each block of `_BLOCK_REPLICAS` replicas draws into a staging buffer,
+each replica's rows in place, and one copy moves the block into its
+columns.  Philox draws do not depend on how they are chunked, so no
 stream's contents change with the buffer depth, which shrinks as the
 replica count grows to keep the buffer's size fixed.  After each step one
 reduction over the whole state tests every replica against the divergence
@@ -31,8 +33,8 @@ checkpoint hook if there is one (this is how `run` records its
 trajectory), and copies x, grad f(x), v and xbar into a preallocated
 (chunk, replicas, dim) slot of `_Checkpoints`, with chunk x replicas <=
 16384 (fewer for states of more than 2 coordinates).  Reducing a chunk
-evaluates f(x) and f(xbar) one checkpoint at a time, then one set of numpy
-calls reduces the whole chunk: gradient and velocity norms, the cross
+evaluates f(x), and f(xbar), in one call each on the whole chunk, then one
+set of numpy calls reduces it: gradient and velocity norms, the cross
 term, the energies and their increments (the last tilted energy carries
 into the next chunk), their squares and the block sums.  A chunk is
 reduced when it is full, before a divergence changes the alive mask (so
@@ -78,6 +80,9 @@ standard errors are exactly 0.
 from __future__ import annotations
 
 import os
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional
@@ -127,10 +132,13 @@ _SPLIT_MIN_WORK = 2_000_000
 # checkpoints) reduces its checkpoints in-process.  The helper costs about
 # 15 ms to import multiprocessing, fork and join, plus copy-on-write faults,
 # and saves more per checkpoint on narrow runs than on wide ones.  Timed as
-# fresh stride-1 `sgdlab lyapunov` calls on a 2-vCPU host, helper against
-# none (medians of 8-10 alternated pairs): 200 replicas 1.2-1.6x slower at
-# 0.05-0.1 M, even at 0.2-0.5 M and 18% faster at 1 M; 2048-4096 replicas
-# 1.1-1.4x slower at 0.1-0.4 M, 4% slower at 1 M and 10% faster at 1.4 M.
+# fresh stride-1 msgd_damped `sgdlab lyapunov` calls on a 2-vCPU host,
+# helper against `taskset -c 0`, with f evaluated once per chunk (medians of
+# 8-10 alternated pairs; two rounds at 1 M): at 0.5 M the helper was 8%
+# slower at 200 replicas, 14% at 2048 and 2% at 4096; at 0.75 M even at 200,
+# 9% slower at 2048 and 3% at 4096; at 1 M 6-10% faster at 200 and from 8%
+# faster to 5% slower at 2048 and 4096; at 1.85-2 M 7-9% faster at 200 and
+# 2048 and 2% slower at 4096.
 _HELPER_MIN_POINTS = 1_000_000
 # Set in a forked child (see `_fork`), which forks no further: the other
 # CPUs already run its siblings or its caller.
@@ -178,12 +186,26 @@ def resolve_lyapunov(cfg: ExperimentConfig, problem: Problem,
     return ("constant", 0.0)
 
 
-def _refill(buf, oracle, gens, nb: int) -> None:
+def _refill(buf, stage, oracle, gens, nb: int) -> None:
     """Draw the next nb iterations of every replica's raw noise into
-    buf[:, :nb], where buf is shaped (replicas, iterations, ...): replica i's
-    stream fills the C-contiguous rows buf[i, :nb] in place."""
-    for rows, g in zip(buf, gens):
-        oracle.raw_block(g, nb, out=rows[:nb])
+    buf[:nb], where buf is shaped (iterations, replicas, ...), one block of
+    replicas at a time: each replica's stream fills its C-contiguous rows
+    of stage, shaped (block, iterations, ...), in place, and one copy moves
+    them into the block's columns of buf.  Both are viewed as arrays of one
+    np.void item per draw, so the copy moves whole draws in one loop."""
+    draws, staged = _draw_items(buf), _draw_items(stage)
+    for lo in range(0, len(gens), len(stage)):
+        block = gens[lo:lo + len(stage)]
+        for rows, g in zip(stage, block):
+            oracle.raw_block(g, nb, out=rows[:nb])
+        np.copyto(draws[:nb, lo:lo + len(block)], staged[:len(block), :nb].T)
+
+
+def _draw_items(a: np.ndarray) -> np.ndarray:
+    """The C-contiguous (m, n, *raw_shape) array a as an (m, n) array of
+    one np.void item per draw."""
+    item = np.dtype((np.void, a.itemsize * int(np.prod(a.shape[2:]))))
+    return a.reshape(a.shape[:2] + (-1,)).view(item)[..., 0]
 
 
 def _block_sums(vals: np.ndarray, alive: np.ndarray, frozen_blocks) -> np.ndarray:
@@ -258,8 +280,6 @@ class _Checkpoints:
         self.totals, self.counts = arrays[:2]
         self.slots = [arrays[i:i + len(slot)] for i in range(2, len(arrays), len(slot))]
         self.slot = 0   # the slot being filled
-        self.f = np.empty((self.chunk, r_count))
-        self.a = np.empty_like(self.f) if averaged else None
         self.vals = np.empty((self.chunk, len(self.keys), r_count))   # quantities, squares
         self.ht_prev = None
 
@@ -280,22 +300,18 @@ class _Checkpoints:
     def reduce(self, slot: int, first: int, c: int, alive) -> None:
         """Reduce the first c checkpoints of `slot`, checkpoints
         first..first+c-1, which were all recorded under the alive mask
-        `alive`.  f(x) and f(xbar) are evaluated one checkpoint at a time,
-        on the same (replicas, dim) rows as the state they were copied from:
-        least-squares values go through BLAS, whose rounding can depend on
-        the batch shape."""
+        `alive`.  f(x), and f(xbar) when averaged, are each one `value`
+        call on the (c, replicas, dim) rows, which gives every checkpoint's
+        row the bits a call on its (replicas, dim) state gives (see
+        `problems`)."""
         xs, gs, vs, bs, _ = self.slots[slot]
-        f, gr = self.f[:c], gs[:c]
-        for j in range(c):
-            f[j] = self.problem.value(xs[j])
-            if bs is not None:
-                self.a[j] = self.problem.value(bs[j])
+        gr = gs[:c]
         f_star, n_q, n_sq = self.f_star, self.n_q, self.n_sq
         gsq = np.einsum("...i,...i->...", gr, gr)
-        gap = f - f_star
+        gap = self.problem.value(xs[:c]) - f_star
         rows = [gsq, gap]
         if bs is not None:
-            rows.append(self.a[:c] - f_star)
+            rows.append(self.problem.value(bs[:c]) - f_star)
         if self.lyap_mode is not None:
             mode, coeff = self.lyap_mode
             vc = vs[:c]
@@ -378,17 +394,41 @@ def _died(child) -> ExperimentError:
     return ExperimentError(f"a worker process died: exit code {child.exitcode}")
 
 
+@contextmanager
+def _interrupt_held():
+    """Hold back a SIGINT that arrives in the block, and deliver it once the
+    block ends.  Python runs signal handlers only in the main thread, so in
+    any other thread no interrupt can land and nothing is held.  A child
+    forked in the block keeps the holding handler, so it ignores SIGINT;
+    its caller stops it."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    held = []
+    previous = signal.signal(signal.SIGINT, lambda *_: held.append(True))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        if held:
+            signal.raise_signal(signal.SIGINT)
+
+
 def _in_processes(jobs: list) -> list:
     """The results of calling each of jobs, in order.  A single job runs in
     this process; otherwise each runs in its own forked child (see `_fork`)
     and sends its result back.  A child that dies raises ExperimentError;
-    an error or interrupt here terminates every child, and each is reaped."""
+    an error or interrupt here terminates every child, and each is reaped.
+    An interrupt is held while a child is forked and listed: one that
+    landed in between would leave a child that nothing stops or reaps."""
     if len(jobs) < 2:
         return [job() for job in jobs]
     children = []
     try:
         for job in jobs:
-            children.append(_fork(_send_result, (job,), inherited=[c for _, c in children]))
+            with _interrupt_held():
+                children.append(_fork(_send_result, (job,),
+                                      inherited=[c for _, c in children]))
         results = []
         for child, conn in children:
             try:
@@ -493,8 +533,9 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     lock-step; `first` is a multiple of `_BLOCK_REPLICAS`.
 
     A generator: `next` records checkpoint 0 if the grid holds it, then
-    each `send` hands it a (replicas, iterations, ...) block of raw draws
-    and it steps through the block's iterations, until the horizon or until
+    each `send` hands it an (iterations, replicas, ...) block of raw draws
+    and it steps through the block's iterations, each a C-contiguous
+    (replicas, ...) slice, until the horizon or until
     none of its replicas is alive.  It then returns (as StopIteration's
     value) (counts, sums, diverged, final): alive replicas per checkpoint; a
     dict of per-checkpoint sums over alive replicas keyed by quantity (sums
@@ -518,7 +559,7 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     diverged = []
     checkpoints = _Checkpoints(problem, grid, mus, lyap_mode, averaged, f_star, r_count,
                                x.shape[1], fold, 2 if offload else 1)
-    sink = _CheckpointHelper(checkpoints) if offload else checkpoints
+    sink = checkpoints
     grad_cache = None
     ci = flushed = 0   # checkpoints recorded, and reduced
 
@@ -549,12 +590,15 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
         return oracle.stoch_grad(point, raw_t, grad=grad_cache if point is x else None)
 
     try:
+        if offload:
+            with _interrupt_held():   # see _in_processes
+                sink = _CheckpointHelper(checkpoints)
         if grid[ci] == 0:
             grad_cache = record()
 
         k = 0
         while k < horizon and n_alive:
-            for raw_t in (yield).swapaxes(0, 1):
+            for raw_t in (yield):
                 k += 1
                 alpha = alphas[k - 1]
                 if averaged:
@@ -584,7 +628,7 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
         if offload:
             sink.finish()
     finally:
-        if offload:
+        if sink is not checkpoints:
             sink.close()
     sums = dict(zip(checkpoints.keys, np.moveaxis(checkpoints.totals, 1, 0)))
     return checkpoints.counts, sums, diverged, (x, v, x_prev, avg)
@@ -602,17 +646,19 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list) -> list:
     r_count = len(gens)
     # Deep enough for _RAW_BLOCK iterations of _BLOCK_REPLICAS replicas.
     nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // r_count, horizon))
-    buf = np.empty((r_count, nb_max) + oracle.raw_shape, dtype=oracle.raw_dtype)
+    buf = np.empty((nb_max, r_count) + oracle.raw_shape, dtype=oracle.raw_dtype)
+    stage = np.empty((min(r_count, _BLOCK_REPLICAS), nb_max) + oracle.raw_shape,
+                     dtype=oracle.raw_dtype)
     drawn = 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             while running:
                 nb = min(nb_max, horizon - drawn)
-                _refill(buf, oracle, gens, nb)
+                _refill(buf, stage, oracle, gens, nb)
                 drawn += nb
                 for i in list(running):
                     try:
-                        steppers[i].send(buf[:, :nb])
+                        steppers[i].send(buf[:nb])
                     except StopIteration as done:
                         results[i] = done.value
                         running.remove(i)
@@ -692,13 +738,13 @@ class _Experiment:
     def values(self) -> int:
         """About how many floats it holds while it steps in this process:
         schedules and state, and exactly the arrays of its `_Checkpoints`,
-        one private slot of x, grad f(x), v and xbar as held, f(x) and
-        f(xbar) as held, the reduced rows and the per-checkpoint sums."""
+        one private slot of x, grad f(x), v and xbar as held, the reduced
+        rows and the per-checkpoint sums."""
         r, dim, points = self.effective, len(self.cfg.x0), len(self.grid)
         lyap, avg = self.lyap_mode is not None, self.cfg.averaged
         sums = 4 + 2 * avg + 4 * lyap
         return (2 * len(self.alphas) + 5 * r * dim
-                + _chunk(points, r, dim) * r * (sums + 1 + avg + (2 + lyap + avg) * dim)
+                + _chunk(points, r, dim) * r * (sums + (2 + lyap + avg) * dim)
                 + points * (sums + 1))
 
 

@@ -17,7 +17,7 @@ from its deterministic application to a point, which lets the experiment
 driver pre-draw blocks per replica without changing any stream's contents.
 `raw_block` is the one way to draw it: it fills a caller's (n, *raw_shape)
 array of `raw_dtype` in place (the engine passes each replica's contiguous
-rows of its draw buffer) or a new one, and a stream's draws do not depend
+rows of its staging buffer) or a new one, and a stream's draws do not depend
 on how they are split into blocks.
 """
 
@@ -200,8 +200,8 @@ class _MinibatchOracle(GradientOracle):
             xs = np.broadcast_to(xs, (idx.shape[0], xs.shape[1]))
         if self.fsp.design is not None:
             # Vectorized least-squares rows: one gather + two contractions.
-            a_sel = self.fsp.design[idx]                      # (R, batch, d)
-            b_sel = self.fsp.targets[idx]                     # (R, batch)
+            a_sel = np.take(self.fsp.design, idx, axis=0)     # (R, batch, d)
+            b_sel = np.take(self.fsp.targets, idx)            # (R, batch)
             resid = np.einsum("rbd,rd->rb", a_sel, xs) - b_sel
             out = np.einsum("rb,rbd->rd", resid, a_sel) / self.batch
         else:

@@ -8,7 +8,10 @@ carry a weak-convexity certificate: constants (k0, delta) such that
     (f(x) - f_star)^2 <= k0 * ||grad f(x)||^2   wherever ||grad f(x)||^2 <= delta.
 
 `value` and `gradient` are batch-aware: they accept arrays of shape
-(..., dim) and evaluate along the last axis.
+(..., dim) and evaluate along the last axis.  `value` on a (..., rows,
+dim) block gives each (rows, dim) slab the bits of a call on that slab
+alone, so the experiment engine evaluates a chunk of checkpoint states in
+one call.
 """
 
 from __future__ import annotations
@@ -91,20 +94,38 @@ def quadratic(spectrum, x_star=None) -> Problem:
     # x - (+0.0) is x bit for bit (-0.0 included), so a minimizer of
     # all +0.0 entries skips the subtraction; -0.0 entries keep it.
     centred = not np.any(xs) and not np.any(np.signbit(xs))
+    # lam and xs tiled to the shapes of recent inputs.  Against a broadcast
+    # (d,) operand numpy runs one d-element loop per row, several times
+    # slower than one loop over the whole input; the products are the same.
+    tiles = {}
+
+    def coefficients(x):
+        """(lam, xs) tiled to x's shape when x holds rows of d coordinates."""
+        if x.ndim < 2 or x.shape[-1] != d:
+            return lam, xs
+        tiled = tiles.get(x.shape)
+        if tiled is None:
+            if len(tiles) == 8:   # a run's inputs take a few shapes
+                tiles.clear()
+            tiled = tiles[x.shape] = (np.broadcast_to(lam, x.shape).copy(),
+                                      np.broadcast_to(xs, x.shape).copy())
+        return tiled
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        z = x if centred else x - xs
+        lam_x, xs_x = coefficients(x)
+        z = x if centred else x - xs_x
         # 0.5 * sum(lam * z ** 2) by the same float operations, in fewer calls.
         t = z * z
-        t *= lam
+        t *= lam_x
         f = np.add.reduce(t, axis=-1)
         f *= 0.5
         return f
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
-        return lam * (x if centred else x - xs)
+        lam_x, xs_x = coefficients(x)
+        return lam_x * (x if centred else x - xs_x)
 
     lmin = float(lam.min())
     if lmin > 0.0:
@@ -211,6 +232,12 @@ def least_squares_sum(design, targets) -> FiniteSumProblem:
     The aggregate is f = (1/S) sum_i f_i with smoothness
     lambda_max((1/S) A^T A), the top eigenvalue from `eigvalsh` inflated by
     1e-6 so the constant stays a certified upper bound.
+
+    The aggregate evaluates through BLAS (`tensordot`), whose rounding can
+    depend on the batch shape: a single row takes gemv, not gemm.  So its
+    `value` evaluates an input of more than 2 dimensions one (rows, dim)
+    slab at a time, and a (checkpoints, replicas, dim) block gets, row for
+    row, the bits of a call on each (replicas, dim) state.
     """
     a = np.asarray(design, dtype=float)
     b = np.asarray(targets, dtype=float)
@@ -253,6 +280,9 @@ def least_squares_sum(design, targets) -> FiniteSumProblem:
 
     def value(x):
         x = np.asarray(x, dtype=float)
+        if x.ndim > 2:
+            slabs = x.reshape((-1,) + x.shape[-2:])
+            return np.array([value(slab) for slab in slabs]).reshape(x.shape[:-1])
         r = np.tensordot(x, a, axes=([-1], [1])) - b
         return 0.5 * np.sum(r * r, axis=-1) / s_count
 

@@ -727,6 +727,42 @@ def test_an_interrupted_experiment_stops_its_checkpoint_helper(long_path, tmp_pa
         os.kill(int(pid_file.read_text()), 0)
 
 
+@pytest.mark.parametrize("command,path", [("experiment", "wide_path"),
+                                          ("lyapunov", "long_path")],
+                         ids=["worker", "checkpoint-helper"])
+def test_an_interrupt_inside_a_fork_stops_the_child(command, path, tmp_path, monkeypatch,
+                                                    request):
+    # A real SIGINT lands after the fork, before `_fork` returns the child
+    # to a caller that lists it; the child (a stalling split range, or a
+    # helper waiting for its first chunk) would run on if nothing held it.
+    monkeypatch.setattr("sgdlab.harness._SPLIT_MIN_WORK", 0)
+    _force_helper(monkeypatch)
+    if command == "experiment":
+        monkeypatch.setattr("sgdlab.harness._simulate", lambda *args: time.sleep(60))
+    real_fork = sgdlab.harness._fork
+    pids = []
+
+    def interrupted(*args, **kwargs):
+        child, conn = real_fork(*args, **kwargs)
+        pids.append(child.pid)
+        signal.raise_signal(signal.SIGINT)
+        return child, conn
+
+    monkeypatch.setattr("sgdlab.harness._fork", interrupted)
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            main([command, request.getfixturevalue(path), "--out", str(tmp_path / "out")])
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert time.monotonic() - t0 < 30
+    assert len(pids) == 1
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ProcessLookupError):   # terminated and reaped
+        os.kill(pids[0], 0)
+
+
 _KILLED_HELPER_CALLER = """
 import os, signal, sys, time
 import sgdlab.harness as harness

@@ -22,7 +22,7 @@ from sgdlab.optimizers import (DIVERGENCE_RADIUS, averaged_update, checkpoint_gr
                                run, vsgd_step)
 from sgdlab.oracles import GradientOracle
 from sgdlab.problems import least_squares_sum
-from sgdlab.rng import derive_key
+from sgdlab.rng import derive_key, replica_streams
 from sgdlab.schedules import PowerSchedule
 
 
@@ -545,6 +545,54 @@ def test_draw_buffer_stays_within_one_block_of_rows(monkeypatch):
     assert len(calls) == 200 * 3
 
 
+def _lsq_problem(dim: int) -> dict:
+    rng = np.random.default_rng(dim)
+    return {"kind": "least_squares", "design": rng.normal(size=(12, dim)).tolist(),
+            "targets": rng.normal(size=12).tolist()}
+
+
+def _stepped_replica_major(exp):
+    """`_steps`'s result when every replica draws its whole horizon in one
+    call into a replica-major (replicas, iterations, ...) array, and the
+    stepper reads iteration k as the strided slice of column k."""
+    raw = np.stack([exp.oracle.raw_block(g, exp.cfg.horizon)
+                    for g in replica_streams(exp.cfg.seed, exp.effective)])
+    stepper = harness._steps(*exp.engine_args(), exp.effective, None)
+    next(stepper)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StopIteration) as done:
+            stepper.send(raw.swapaxes(0, 1))
+    return done.value.value
+
+
+@pytest.mark.parametrize("replicas", [257, 513])
+@pytest.mark.parametrize("dim", [1, 2, 8])
+@pytest.mark.parametrize("oracle", ["gaussian", "relative_noise", "minibatch"])
+def test_iteration_major_draw_blocks_step_as_replica_major_draws(oracle, dim, replicas):
+    # 257 and 513 replicas leave a last staging block of one replica, and
+    # 1100 iterations take two and three refills of the draw buffer.
+    problem = {"kind": "quadratic", "spectrum": np.linspace(0.5, 4.0, dim).tolist()}
+    spec = {"gaussian": {"kind": "gaussian", "sigma": 0.5},
+            "relative_noise": {"kind": "relative_noise", "eta": 0.5},
+            "minibatch": {"kind": "minibatch", "batch": 3, "replace": False}}[oracle]
+    if oracle == "minibatch":
+        problem = _lsq_problem(dim)
+    exp = harness._prepare(make_cfg(
+        problem=problem, oracle=spec, x0=np.linspace(-2.0, 2.0, dim).tolist(),
+        averaged=True, schedule={"alpha_c": 0.1, "alpha_a": 0.6, **_CONSTANT_MU},
+        **dict(_LYAP_STRIDE1, replicas=replicas, horizon=1100)))
+    blocked = harness._simulate(*exp.engine_args(), exp.cfg.seed, replicas, None)
+    reference = _stepped_replica_major(exp)
+    counts, sums, diverged, final = blocked
+    assert np.array_equal(counts, reference[0])
+    assert sums.keys() == reference[1].keys()
+    for key, total in sums.items():
+        assert total.tobytes() == reference[1][key].tobytes(), key
+    assert diverged == reference[2]
+    for arr, ref in zip(final[:3] + (final[3].xbar,), reference[3][:3] + (reference[3][3].xbar,)):
+        assert arr.tobytes() == ref.tobytes()
+
+
 def test_fully_diverged_experiment_stops_drawing_within_one_raw_block(monkeypatch):
     # constant alpha = 3 on a unit quadratic: |x_k| ~ 2^k leaves the radius
     # near k = 40, inside the first block of 1024 raw draws
@@ -936,14 +984,13 @@ def test_alike_cells_draw_each_block_once(monkeypatch):
 def test_experiment_values_count_the_checkpoint_buffers_it_allocates(cfg):
     # A sweep batches cells by values(), so it must count exactly the arrays
     # that _Checkpoints allocates in-process: one private slot (x, grad f(x),
-    # and v and xbar as held), f(x), f(xbar) as held, the reduced rows and
-    # the totals.
+    # and v and xbar as held), the reduced rows and the totals.
     exp = harness._prepare(cfg)
     r, dim = exp.effective, len(cfg.x0)
     ck = harness._Checkpoints(exp.problem, exp.grid, exp.mus, exp.lyap_mode, cfg.averaged,
                               exp.problem.minimum.f_star, r, dim, fold=True)
     assert len(ck.slots) == 1
-    held = sum(buf.size for buf in ck.slots[0] + [ck.f, ck.a, ck.vals, ck.totals, ck.counts]
+    held = sum(buf.size for buf in ck.slots[0] + [ck.vals, ck.totals, ck.counts]
                if buf is not None)
     assert exp.values() == 2 * len(exp.alphas) + 5 * r * dim + held
     assert 1 < ck.chunk <= len(exp.grid)

@@ -48,11 +48,45 @@ def test_quadratic_equals_the_subtracting_formula_bitwise(x_star, x):
     p = quadratic(lam, x_star)
     xs = np.zeros(3) if x_star is None else np.broadcast_to(np.asarray(x_star, float), (3,))
     x = np.array(x, dtype=float)
+    # value and gradient tile lam and x_star to each input's shape, once per
+    # shape: the second round of calls reuses the tiles of the first.
     with np.errstate(over="ignore", invalid="ignore"):
-        for pts in (x, x[0]):
+        for pts in (x, x[0], np.stack([x, x[::-1]]), x, x[0], np.stack([x, x[::-1]])):
             assert p.value(pts).tobytes() == \
                 (0.5 * np.sum(lam * (pts - xs) ** 2, axis=-1)).tobytes()
             assert p.gradient(pts).tobytes() == (lam * (pts - xs)).tobytes()
+
+
+def _lsq_aggregate(dim: int):
+    rng = np.random.default_rng(dim)
+    return least_squares_sum(rng.normal(size=(12, dim)), rng.normal(size=12)).aggregate
+
+
+_BLOCK_PROBLEMS = {
+    "quadratic": lambda: quadratic([1.0, 4.0]),
+    "quadratic-signed-zero-minimizer": lambda: quadratic([1.0, 4.0, 0.5], [-0.0, 1.5, 0.0]),
+    "pseudo_huber": lambda: pseudo_huber(3),
+    "smooth_rastrigin": lambda: smooth_rastrigin(2, 0.06),
+    "least_squares": lambda: _lsq_aggregate(2),
+    "least_squares-8": lambda: _lsq_aggregate(8),
+}
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 200, 257])
+@pytest.mark.parametrize("name", list(_BLOCK_PROBLEMS))
+def test_value_on_a_block_of_checkpoints_equals_each_row_bitwise(name, replicas):
+    # The engine evaluates f once on a (checkpoints, replicas, dim) block of
+    # checkpoint states; each row must keep the bits of a call on its own
+    # (replicas, dim) state, as the least-squares BLAS path would not unless
+    # it goes one slab at a time.
+    p = _BLOCK_PROBLEMS[name]()
+    rng = np.random.default_rng(replicas)
+    for chunk in (1, 3, 81):
+        block = rng.normal(scale=3.0, size=(chunk, replicas, p.dim))
+        block[0, 0, 0] = -0.0
+        rows = np.stack([p.value(x) for x in block])
+        assert p.value(block).tobytes() == rows.tobytes()
+        assert p.value(block).shape == (chunk, replicas)
 
 
 @pytest.mark.parametrize("spectrum", [[], [-1.0], [np.inf], [[1.0, 2.0]]])
