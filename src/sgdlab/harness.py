@@ -8,8 +8,8 @@ experiment and a single run with the same seed are one computation.
 
 Execution model: the engine advances a range of replicas in lock-step as
 a single (replicas, dim) state; one process runs every replica, or each
-usable CPU runs one range, and a long one-range run hands its checkpoint
-work to a helper process (see Processes below).  It is a stepper
+usable CPU runs one range, and a long one-range run has its noise drawn
+in a helper process (see Processes below).  It is a stepper
 (`_steps`) that steps through one block of raw draws at a time, as
 `_step_together` hands them to it, and keeps its state, alive mask,
 checkpoint buffers and sums between blocks.  Each
@@ -56,10 +56,11 @@ caller folds the children's block sums in block order, so the sums are the
 same float additions in the same order as in one process.  Least-squares
 experiments stay in one process (see `_simulate_alone`).  An experiment
 that runs as one range, with a second usable CPU and at least
-`_HELPER_MIN_POINTS` replica-checkpoints, forks a checkpoint helper (see
-`_CheckpointHelper`): the caller keeps the draws, the steps, the gradient
-and the divergence test, and copies each checkpoint's state into a slot in
-a shared map, where the helper runs the same chunk reduction.
+`_HELPER_MIN_WORK` replica-steps, forks a draw helper (see
+`_step_together`).  The draws depend on no state, and a Philox stream
+gives the same bits in any process, so the helper owns the replica
+streams and draws each block of noise into one of two shared slots while
+the caller steps through the other, and reduces its own checkpoints.
 Batches of several sweep cells never start one.  The cells of a sweep
 share their noise on purpose (common random numbers): cells that draw
 alike step together, a memory-bounded batch at a time, and each batch
@@ -95,7 +96,7 @@ from .lyapunov import LyapunovSeries, descent_fit, select_lambda, select_zeta
 from .optimizers import (KERNELS, all_within_radius, averaged_update, checkpoint_grid,
                          init_average, within_radius)
 from .oracles import GradientOracle
-from .problems import Convexity, FiniteSumProblem, Problem
+from .problems import Convexity, FiniteSumProblem, Problem, row_dot
 from .rng import replica_streams
 from .schedules import PowerSchedule, classify
 
@@ -128,18 +129,21 @@ _GROUP_VALUES = 1 << 20
 # 768 and 1024 (8-9 pairs of 10 won); 512 replicas even at 2.3 M and 16%
 # faster at 3.1 M.
 _SPLIT_MIN_WORK = 2_000_000
-# An experiment of fewer replica-checkpoints than this (replicas x
-# checkpoints) reduces its checkpoints in-process.  The helper costs about
-# 15 ms to import multiprocessing, fork and join, plus copy-on-write faults,
-# and saves more per checkpoint on narrow runs than on wide ones.  Timed as
-# fresh stride-1 msgd_damped `sgdlab lyapunov` calls on a 2-vCPU host,
-# helper against `taskset -c 0`, with f evaluated once per chunk (medians of
-# 8-10 alternated pairs; two rounds at 1 M): at 0.5 M the helper was 8%
-# slower at 200 replicas, 14% at 2048 and 2% at 4096; at 0.75 M even at 200,
-# 9% slower at 2048 and 3% at 4096; at 1 M 6-10% faster at 200 and from 8%
-# faster to 5% slower at 2048 and 4096; at 1.85-2 M 7-9% faster at 200 and
-# 2048 and 2% slower at 4096.
-_HELPER_MIN_POINTS = 1_000_000
+# An experiment of less work than this (replicas x horizon) draws its noise
+# in-process.  In a fresh process the draw helper costs about 25-30 ms to
+# import multiprocessing, fork and wait for its first block; the caller
+# then no longer draws.  Timed as fresh msgd_damped `sgdlab experiment`
+# (stride 0) and `sgdlab lyapunov` (stride 1) calls at 200 and 1024
+# replicas on a 2-vCPU host, BLAS on one thread, the helper against the
+# same call without it on both CPUs (medians of 8 alternated pairs): at
+# 0.5 M 6-14% slower (0-2 pairs won) but 8% faster at 200 replicas and
+# stride 1 (4 won); at 1 M 4-6% faster (6-8 won) but 7% slower at 1024
+# replicas and stride 0 (3 won); at 1.9 M 4-23% faster (6-8 won).  Against
+# `taskset -c 0`, which also moves the run onto one particular CPU, the
+# same calls read from 6% faster to 15% slower at 0.25-0.5 M, from 5%
+# faster to 30% slower at 1 M, and 5-19% faster at 1.9 M but 15% slower at
+# 1024 replicas and stride 0.
+_HELPER_MIN_WORK = 1_000_000
 # Set in a forked child (see `_fork`), which forks no further: the other
 # CPUs already run its siblings or its caller.
 _forked = False
@@ -201,6 +205,23 @@ def _refill(buf, stage, oracle, gens, nb: int) -> None:
         np.copyto(draws[:nb, lo:lo + len(block)], staged[:len(block), :nb].T)
 
 
+def _draws(oracle, gens, horizon: int, slots: list, wait=None):
+    """Yield each successive block of every replica's raw noise, replica
+    i's from gens[i], as drawn by `_refill` into the (iterations, replicas,
+    ...) slots in turn.  A slot is refilled once the block it holds has been
+    stepped through: with one slot, when the next block is asked for; with
+    more, once wait() returns."""
+    nb_max = len(slots[0])
+    stage = np.empty((min(len(gens), _BLOCK_REPLICAS), nb_max) + slots[0].shape[2:],
+                     dtype=slots[0].dtype)
+    for i, lo in enumerate(range(0, horizon, nb_max)):
+        if wait is not None and i >= len(slots):
+            wait()
+        buf, nb = slots[i % len(slots)], min(nb_max, horizon - lo)
+        _refill(buf, stage, oracle, gens, nb)
+        yield buf[:nb]
+
+
 def _draw_items(a: np.ndarray) -> np.ndarray:
     """The C-contiguous (m, n, *raw_shape) array a as an (m, n) array of
     one np.void item per draw."""
@@ -249,43 +270,35 @@ def _chunk(points: int, r_count: int, dim: int) -> int:
 
 class _Checkpoints:
     """The per-checkpoint sums of one stepper (see `_steps`).  `record`
-    copies a checkpoint's state into the current slot, which holds up to
-    `chunk` checkpoints, and `reduce` evaluates f on a slot's checkpoints
+    copies a checkpoint's state into `buffers`, which hold up to `chunk`
+    checkpoints of x, grad f(x), v (None without energies) and xbar (None
+    unless averaged), and `reduce` evaluates f on the buffered checkpoints
     and reduces them into `totals` and `counts` with one set of numpy
-    calls.  A run reduces in-process through one private slot (`flush`);
-    with two `slots`, the slots, totals and counts live in one shared
-    anonymous map, where a forked helper reduces one slot while the caller
-    fills the other (see `_CheckpointHelper`).  A slot is (x, grad f(x), v
-    or None without energies, xbar or None unless averaged, alive mask or
-    None in a private slot)."""
+    calls."""
 
     def __init__(self, problem, grid, mus, lyap_mode, averaged: bool, f_star: float,
-                 r_count: int, dim: int, fold: bool, slots: int = 1):
+                 r_count: int, dim: int, fold: bool):
         squared = ["grad_sq", "gap"] + (["avg_gap"] if averaged else []) \
             + (["delta_ht"] if lyap_mode is not None else [])
         names = squared + (["ht", "hbar"] if lyap_mode is not None else [])
         self.keys = names + ["sq_" + name for name in squared]
         self.n_q, self.n_sq = len(names), len(squared)
         blocks = -(-r_count // _BLOCK_REPLICAS)
-        shape = (len(grid), len(self.keys)) + (() if fold else (blocks,))
+        self.totals = np.zeros((len(grid), len(self.keys)) + (() if fold else (blocks,)))
+        self.counts = np.zeros(len(grid), dtype=np.int64)
         self.problem, self.grid, self.mus = problem, grid, mus
         self.lyap_mode, self.f_star, self.fold = lyap_mode, f_star, fold
         self.chunk = _chunk(len(grid), r_count, dim)
-        rows = ((self.chunk, r_count, dim), float)
-        slot = [rows, rows, rows if lyap_mode is not None else None,
-                rows if averaged else None, ((r_count,), bool) if slots > 1 else None]
-        specs = [(shape, float), ((len(grid),), np.int64)] + slot * slots
-        arrays = _shared_arrays(*specs) if slots > 1 else \
-            [None if spec is None else np.zeros(*spec) for spec in specs]
-        self.totals, self.counts = arrays[:2]
-        self.slots = [arrays[i:i + len(slot)] for i in range(2, len(arrays), len(slot))]
-        self.slot = 0   # the slot being filled
+        rows = (self.chunk, r_count, dim)
+        self.buffers = [np.zeros(rows), np.zeros(rows),
+                        np.zeros(rows) if lyap_mode is not None else None,
+                        np.zeros(rows) if averaged else None]
         self.vals = np.empty((self.chunk, len(self.keys), r_count))   # quantities, squares
         self.ht_prev = None
 
     def record(self, j: int, x, gr, v, xbar) -> None:
-        """Copy checkpoint j of the current slot: x, grad f(x) = gr, v and xbar."""
-        xs, gs, vs, bs, _ = self.slots[self.slot]
+        """Copy checkpoint j of the buffers: x, grad f(x) = gr, v and xbar."""
+        xs, gs, vs, bs = self.buffers
         xs[j] = x
         gs[j] = gr
         if vs is not None:
@@ -293,21 +306,17 @@ class _Checkpoints:
         if bs is not None:
             bs[j] = xbar
 
-    def flush(self, first: int, c: int, alive) -> None:
-        """Reduce the current slot's first c checkpoints in this process."""
-        self.reduce(self.slot, first, c, alive)
-
-    def reduce(self, slot: int, first: int, c: int, alive) -> None:
-        """Reduce the first c checkpoints of `slot`, checkpoints
+    def reduce(self, first: int, c: int, alive) -> None:
+        """Reduce the first c buffered checkpoints, checkpoints
         first..first+c-1, which were all recorded under the alive mask
         `alive`.  f(x), and f(xbar) when averaged, are each one `value`
         call on the (c, replicas, dim) rows, which gives every checkpoint's
         row the bits a call on its (replicas, dim) state gives (see
         `problems`)."""
-        xs, gs, vs, bs, _ = self.slots[slot]
+        xs, gs, vs, bs = self.buffers
         gr = gs[:c]
         f_star, n_q, n_sq = self.f_star, self.n_q, self.n_sq
-        gsq = np.einsum("...i,...i->...", gr, gr)
+        gsq = row_dot(gr, gr)
         gap = self.problem.value(xs[:c]) - f_star
         rows = [gsq, gap]
         if bs is not None:
@@ -315,8 +324,8 @@ class _Checkpoints:
         if self.lyap_mode is not None:
             mode, coeff = self.lyap_mode
             vc = vs[:c]
-            vsq = np.einsum("...i,...i->...", vc, vc)
-            zt = np.einsum("...i,...i->...", vc, gr)
+            vsq = row_dot(vc, vc)
+            zt = row_dot(vc, gr)
             h = gap + 0.5 * vsq
             hbar = gsq + vsq
             tilt = coeff
@@ -332,7 +341,10 @@ class _Checkpoints:
             self.ht_prev = ht[-1]
         out = self.vals[:c]
         np.stack(rows, axis=1, out=out[:, :n_q])
-        np.multiply(out[:, :n_sq], out[:, :n_sq], out=out[:, n_q:])
+        # Squared from rows: columns of out squared into out would be
+        # checked for overlap and copied first.
+        for i, row in enumerate(rows[:n_sq]):
+            np.multiply(row, row, out=out[:, n_q + i])
         sums = _block_sums(out, alive, _frozen_blocks(alive))
         if self.fold:
             _fold(self.totals[first:first + c], sums)
@@ -341,21 +353,14 @@ class _Checkpoints:
         self.counts[first:first + c] = np.count_nonzero(alive)
 
 
-def _shared_arrays(*specs) -> list:
-    """Zeroed arrays of the given (shape, dtype)s, or None for a None spec,
-    in one anonymous shared map, which forked processes share; each starts
-    on a 64-byte boundary."""
+def _shared_array(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed array in an anonymous shared map, which forked processes
+    share."""
     import mmap
 
-    counts = [0 if spec is None else int(np.prod(spec[0])) for spec in specs]
-    offsets = [0]
-    for spec, count in zip(specs, counts):
-        size = 0 if spec is None else count * np.dtype(spec[1]).itemsize
-        offsets.append(offsets[-1] + -(-size // 64) * 64)
-    shared = mmap.mmap(-1, max(64, offsets[-1]))
-    return [None if spec is None else
-            np.frombuffer(shared, spec[1], count, offset).reshape(spec[0])
-            for spec, count, offset in zip(specs, counts, offsets)]
+    count = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype,
+                         count).reshape(shape)
 
 
 def _fork(target, args: tuple, duplex: bool = False, inherited: list = ()):
@@ -450,85 +455,9 @@ def _send_result(conn, job) -> None:
     conn.send(job())
 
 
-class _CheckpointHelper:
-    """`_Checkpoints.reduce` run in a forked helper process while the caller
-    steps.
-
-    The checkpoints hold two slots in a shared map.  `flush` copies the
-    chunk's alive mask into the slot being filled, sends the helper the
-    slot, the chunk's first checkpoint and its length, and turns the
-    checkpoints to the other slot, waiting only if the helper has not yet
-    reduced the chunk that slot holds.  The helper runs `_Checkpoints.reduce`
-    on the slot, which writes totals and counts into the shared map.
-    `finish` waits for the last chunk and lets the helper exit; `close`
-    terminates the helper if it still runs and reaps it.  The helper starts,
-    and its death raises ExperimentError, as a child of `_in_processes` does
-    (see `_fork`).
-
-    While the helper runs, it has one of this process's CPUs and the caller
-    the others.  Left to the scheduler, the two were seen to share one CPU
-    for whole runs, taking turns, while the other CPU idled."""
-
-    def __init__(self, checkpoints: _Checkpoints):
-        self.checkpoints = checkpoints
-        self.cpus = os.sched_getaffinity(0)
-        own = max(self.cpus)
-        self.proc, self.conn = _fork(_reduce_in_helper, (own, checkpoints), duplex=True)
-        os.sched_setaffinity(0, self.cpus - {own})
-        self.pending = 0   # chunks sent, unreduced
-
-    def flush(self, first: int, c: int, alive) -> None:
-        ck = self.checkpoints
-        ck.slots[ck.slot][-1][:] = alive
-        self._talk(self.conn.send, (ck.slot, first, c))
-        ck.slot ^= 1
-        self.pending += 1
-        if self.pending == 2:   # the slot to fill next holds the chunk before
-            self._talk(self.conn.recv)
-            self.pending -= 1
-
-    def finish(self) -> None:
-        for _ in range(self.pending):
-            self._talk(self.conn.recv)
-        self.pending = 0
-        self._talk(self.conn.send, None)
-        self.proc.join()
-
-    def close(self) -> None:
-        os.sched_setaffinity(0, self.cpus)
-        if self.proc.is_alive():
-            self.proc.terminate()
-        self.proc.join()
-        self.conn.close()
-
-    def _talk(self, call, *args):
-        try:
-            return call(*args)
-        except (EOFError, OSError):
-            raise _died(self.proc) from None
-
-
-def _reduce_in_helper(conn, cpu: int, checkpoints: _Checkpoints) -> None:
-    """The helper process's loop (see `_CheckpointHelper`), on CPU `cpu`:
-    reduce each chunk the caller sends, and acknowledge it; exit on None,
-    or once the caller has died."""
-    os.sched_setaffinity(0, {cpu})
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            try:
-                msg = conn.recv()
-            except EOFError:
-                return
-            if msg is None:
-                return
-            s, first, c = msg
-            checkpoints.reduce(s, first, c, checkpoints.slots[s][-1])
-            conn.send(s)   # the slot is free again
-
-
 def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
            averaged: bool, f_star: float, r_count: int, on_point, first: int = 0,
-           fold: bool = True, offload: bool = False):
+           fold: bool = True):
     """Stepper of replicas first..first+r_count-1, which advance in
     lock-step; `first` is a multiple of `_BLOCK_REPLICAS`.
 
@@ -544,9 +473,9 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     (replica, iteration) divergences; and the last (x, v, x_prev, running
     average or None).  Unless None, on_point(k, x, v, xbar, grad) sees
     every checkpoint's (replicas, ...) state, xbar (None unless averaged)
-    and grad f(x).  With offload (and no on_point), a forked helper
-    evaluates f and reduces the checkpoints (`_CheckpointHelper`); closing
-    the stepper stops it.  The stepper only reads the blocks it is handed.
+    and grad f(x).  The stepper buffers its checkpoints in `_Checkpoints`
+    and reduces them there, in this process.  It only reads the blocks it
+    is handed.
     """
     horizon = len(alphas)
     kernel = KERNELS[method]
@@ -558,8 +487,7 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     n_alive = r_count
     diverged = []
     checkpoints = _Checkpoints(problem, grid, mus, lyap_mode, averaged, f_star, r_count,
-                               x.shape[1], fold, 2 if offload else 1)
-    sink = checkpoints
+                               x.shape[1], fold)
     grad_cache = None
     ci = flushed = 0   # checkpoints recorded, and reduced
 
@@ -581,7 +509,7 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
         current alive mask."""
         nonlocal flushed
         if ci > flushed:
-            sink.flush(flushed, ci - flushed, alive)
+            checkpoints.reduce(flushed, ci - flushed, alive)
             flushed = ci
 
     def grad_at(point):
@@ -589,94 +517,139 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
         at the current state is reused from its checkpoint when recorded."""
         return oracle.stoch_grad(point, raw_t, grad=grad_cache if point is x else None)
 
-    try:
-        if offload:
-            with _interrupt_held():   # see _in_processes
-                sink = _CheckpointHelper(checkpoints)
-        if grid[ci] == 0:
-            grad_cache = record()
+    if grid[ci] == 0:
+        grad_cache = record()
 
-        k = 0
-        while k < horizon and n_alive:
-            for raw_t in (yield):
-                k += 1
-                alpha = alphas[k - 1]
-                if averaged:
-                    avg = averaged_update(avg, x, alpha)
-                x_new, v = kernel(x, v, x_prev, grad_at, alpha,
-                                  alphas[k - 2] if k >= 2 else alpha, mus[k - 1], beta)
-                x_prev, x = x, x_new
-                grad_cache = None
+    k = 0
+    while k < horizon and n_alive:
+        for raw_t in (yield):
+            k += 1
+            alpha = alphas[k - 1]
+            if averaged:
+                avg = averaged_update(avg, x, alpha)
+            x_new, v = kernel(x, v, x_prev, grad_at, alpha,
+                              alphas[k - 2] if k >= 2 else alpha, mus[k - 1], beta)
+            x_prev, x = x, x_new
+            grad_cache = None
 
-                # One reduction clears every replica, frozen ones included
-                # (they keep stepping); only when it fails is each replica
-                # tested.  Frozen replicas are never flagged again.
-                if not all_within_radius(x) and not (ok := within_radius(x) | ~alive).all():
-                    flush()   # the buffered checkpoints keep the old alive mask
-                    bad = ~ok
-                    diverged += [(first + int(i), k) for i in np.nonzero(bad)[0]]
-                    alive &= ok
-                    n_alive = int(alive.sum())
-                    if n_alive == 0:
-                        break
-                    for arr in (x, v, x_prev) + ((avg.xbar,) if averaged else ()):
-                        arr[bad] = 0.0
+            # One reduction clears every replica, frozen ones included
+            # (they keep stepping); only when it fails is each replica
+            # tested.  Frozen replicas are never flagged again.
+            if not all_within_radius(x) and not (ok := within_radius(x) | ~alive).all():
+                flush()   # the buffered checkpoints keep the old alive mask
+                bad = ~ok
+                diverged += [(first + int(i), k) for i in np.nonzero(bad)[0]]
+                alive &= ok
+                n_alive = int(alive.sum())
+                if n_alive == 0:
+                    break
+                for arr in (x, v, x_prev) + ((avg.xbar,) if averaged else ()):
+                    arr[bad] = 0.0
 
-                if ci < len(grid) and k == grid[ci]:
-                    grad_cache = record()
-        flush()
-        if offload:
-            sink.finish()
-    finally:
-        if sink is not checkpoints:
-            sink.close()
+            if ci < len(grid) and k == grid[ci]:
+                grad_cache = record()
+    flush()
     sums = dict(zip(checkpoints.keys, np.moveaxis(checkpoints.totals, 1, 0)))
     return checkpoints.counts, sums, diverged, (x, v, x_prev, avg)
 
 
-def _step_together(oracle, gens: list, horizon: int, steppers: list) -> list:
+def _step_together(oracle, gens: list, horizon: int, steppers: list,
+                   ahead: bool = False) -> list:
     """Drive steppers (see `_steps`) of len(gens) replicas each over the
-    same horizon through one draw buffer: each block of raw noise is drawn
-    once, replica i's from gens[i], and handed to every stepper still
-    running, until the last one is done.  Returns their results in order."""
+    same horizon through one draw of each block of raw noise (see
+    `_draws`), replica i's from gens[i]: each block goes to every stepper
+    still running, until the last one is done.  Returns their results in
+    order.
+
+    With ahead, a forked draw helper (`_draw_ahead`) owns the streams and
+    draws every block into two shared slots in turn, one block ahead: while
+    the steppers step through one slot it fills the other, and sends each
+    block's length once drawn.  This process tells it that a slot is free
+    only when a later block still needs that slot.  The helper starts, and
+    its death raises ExperimentError, as a child of `_in_processes` does
+    (see `_fork`); it is terminated and reaped once the steppers are done
+    or on an error.
+
+    While the helper runs, it has one of this process's CPUs and the caller
+    the others.  Left to the scheduler, the two were seen to share one CPU
+    for whole benchmark runs, taking turns, while the other CPU idled."""
     for stepper in steppers:
         next(stepper)
     results = [None] * len(steppers)
     running = list(range(len(steppers)))
-    r_count = len(gens)
     # Deep enough for _RAW_BLOCK iterations of _BLOCK_REPLICAS replicas.
-    nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // r_count, horizon))
-    buf = np.empty((nb_max, r_count) + oracle.raw_shape, dtype=oracle.raw_dtype)
-    stage = np.empty((min(r_count, _BLOCK_REPLICAS), nb_max) + oracle.raw_shape,
-                     dtype=oracle.raw_dtype)
-    drawn = 0
+    nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // len(gens), horizon))
+    shape = (nb_max, len(gens)) + oracle.raw_shape
+    helper = None
     try:
+        if ahead:
+            slots = list(_shared_array((2,) + shape, oracle.raw_dtype))
+            cpus = os.sched_getaffinity(0)
+            with _interrupt_held():   # see _in_processes
+                helper, conn = _fork(_draw_ahead, (max(cpus), oracle, gens, horizon, slots),
+                                     duplex=True)
+            os.sched_setaffinity(0, cpus - {max(cpus)})
+            blocks = _drawn_ahead(helper, conn, slots, -(-horizon // nb_max))
+        else:
+            blocks = _draws(oracle, gens, horizon, [np.empty(shape, dtype=oracle.raw_dtype)])
         with np.errstate(over="ignore", invalid="ignore"):
-            while running:
-                nb = min(nb_max, horizon - drawn)
-                _refill(buf, stage, oracle, gens, nb)
-                drawn += nb
+            for block in blocks:
                 for i in list(running):
                     try:
-                        steppers[i].send(buf[:nb])
+                        steppers[i].send(block)
                     except StopIteration as done:
                         results[i] = done.value
                         running.remove(i)
+                if not running:
+                    break
     finally:
-        for stepper in steppers:   # a no-op for those done; stops a helper (see _steps)
+        for stepper in steppers:   # a no-op for those done
             stepper.close()
+        if helper is not None:
+            os.sched_setaffinity(0, cpus)
+            if helper.is_alive():
+                helper.terminate()
+            helper.join()
+            conn.close()
     return results
+
+
+def _drawn_ahead(helper, conn, slots: list, count: int):
+    """Yield the count blocks that the draw helper sends (see
+    `_step_together`), each once drawn; asking for the next block frees the
+    slot of the last, if a later block needs it."""
+    try:
+        for i in range(count):
+            yield slots[i % 2][:conn.recv()]
+            if i + 2 < count:
+                conn.send(None)
+    except (EOFError, OSError):
+        raise _died(helper) from None
+
+
+def _draw_ahead(conn, cpu: int, oracle, gens: list, horizon: int, slots: list) -> None:
+    """The draw helper's loop (see `_step_together`), on CPU `cpu`: draw the
+    blocks into the two slots in turn and send each block's length,
+    refilling a slot only once the caller has freed it; exit after the last
+    block, or once the caller has died."""
+    os.sched_setaffinity(0, {cpu})
+    try:
+        for block in _draws(oracle, gens, horizon, slots, conn.recv):
+            conn.send(len(block))
+    except (EOFError, OSError):   # the caller died
+        pass
 
 
 def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
               averaged: bool, f_star: float, master_seed: int, r_count: int, on_point,
-              first: int = 0, fold: bool = True, offload: bool = False):
+              first: int = 0, fold: bool = True, ahead: bool = False):
     """The result of `_steps` for replicas first..first+r_count-1, each
-    drawing from its own stream under master_seed."""
+    drawing from its own stream under master_seed, in a draw helper with
+    ahead (see `_step_together`)."""
     stepper = _steps(problem, oracle, method, beta, alphas, mus, x0, grid, lyap_mode,
-                     averaged, f_star, r_count, on_point, first, fold, offload)
+                     averaged, f_star, r_count, on_point, first, fold)
     return _step_together(oracle, replica_streams(master_seed, r_count, first), len(alphas),
-                          [stepper])[0]
+                          [stepper], ahead)[0]
 
 
 def _mean_se(s, q, n):
@@ -704,13 +677,12 @@ def _replica_ranges(r_count: int, horizon: int, n_points: int) -> list:
     return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _offloads(r_count: int, n_points: int) -> bool:
-    """Whether an experiment that runs as one replica range reduces its
-    checkpoints in a helper process (see `_CheckpointHelper`): only with a
-    second usable CPU that the platform lets it pin the helper to, outside
-    a forked child, and for at least `_HELPER_MIN_POINTS`
-    replica-checkpoints."""
-    return (not _forked and r_count * n_points >= _HELPER_MIN_POINTS
+def _draws_ahead(r_count: int, horizon: int) -> bool:
+    """Whether an experiment that runs as one replica range draws its noise
+    in a draw helper (see `_step_together`): only with a second usable CPU
+    that the platform lets it pin the helper to, outside a forked child,
+    and for at least `_HELPER_MIN_WORK` replica-steps."""
+    return (not _forked and r_count * horizon >= _HELPER_MIN_WORK
             and hasattr(os, "sched_setaffinity") and _usable_cpus() >= 2)
 
 
@@ -738,8 +710,8 @@ class _Experiment:
     def values(self) -> int:
         """About how many floats it holds while it steps in this process:
         schedules and state, and exactly the arrays of its `_Checkpoints`,
-        one private slot of x, grad f(x), v and xbar as held, the reduced
-        rows and the per-checkpoint sums."""
+        the buffers of x, grad f(x), v and xbar as held, the reduced rows
+        and the per-checkpoint sums."""
         r, dim, points = self.effective, len(self.cfg.x0), len(self.grid)
         lyap, avg = self.lyap_mode is not None, self.cfg.averaged
         sums = 4 + 2 * avg + 4 * lyap
@@ -781,11 +753,11 @@ def _simulate_alone(exp: _Experiment):
     ranges = [(0, exp.effective)] if exp.fsp is not None else \
         _replica_ranges(exp.effective, exp.cfg.horizon, len(exp.grid))
     whole = len(ranges) == 1
-    offload = whole and _offloads(exp.effective, len(exp.grid))
+    ahead = whole and _draws_ahead(exp.effective, exp.cfg.horizon)
 
     def simulate(first, count):
         return _simulate(*exp.engine_args(), exp.cfg.seed, count, None, first, whole,
-                         offload)[:3]
+                         ahead)[:3]
 
     results = _in_processes([partial(simulate, *r) for r in ranges])
     if whole:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .problems import FiniteSumProblem, Problem
+from .problems import FiniteSumProblem, Problem, row_sum
 from .rng import stream, derive_key
 
 
@@ -154,9 +154,11 @@ class _RelativeNoiseOracle(GradientOracle):
 
     def _apply(self, x, grad, raw):
         # xi = eta * ||grad|| * u with u uniform on the sphere.
-        nrm = np.linalg.norm(raw, axis=-1, keepdims=True)
+        # np.linalg.norm(., axis=-1, keepdims=True) bit for bit.
+        nrm = np.sqrt(row_sum(raw * raw))[..., None]
         u = np.divide(raw, nrm, out=np.zeros_like(raw), where=nrm > 0)
-        gnorm = np.linalg.norm(np.asarray(grad, dtype=float), axis=-1, keepdims=True)
+        grad = np.asarray(grad, dtype=float)
+        gnorm = np.sqrt(row_sum(grad * grad))[..., None]
         return grad - self.eta * gnorm * u
 
 

@@ -73,6 +73,30 @@ class FiniteSumProblem:
     targets: Optional[np.ndarray] = None
 
 
+def row_sum(t: np.ndarray) -> np.ndarray:
+    """np.add.reduce(t, axis=-1) bit for bit.  On a last axis of at most 2
+    it adds the columns onto +0.0, as the reduction does, in one pass each
+    where the reduction would run one short loop per row; longer axes, which
+    the reduction may associate otherwise, go through it."""
+    if t.shape[-1] > 2:
+        return np.add.reduce(t, axis=-1)
+    s = t[..., 0] + 0.0
+    if t.shape[-1] == 2:
+        s += t[..., 1]
+    return s
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.einsum("...i,...i->...", a, b) bit for bit, but for the sign of
+    a NaN: for a last axis of at most 2, einsum adds the products onto +0.0
+    as `row_sum` does.  The product of two NaNs of opposite signs may take
+    either sign (numpy fixes no NaN's sign); the engine excludes NaN rows,
+    the states of diverged replicas, from every sum."""
+    if a.shape[-1] > 2:
+        return np.einsum("...i,...i->...", a, b)
+    return row_sum(a * b)
+
+
 def quadratic(spectrum, x_star=None) -> Problem:
     """f(x) = 1/2 * sum_i lambda_i * (x_i - x_star_i)^2.
 
@@ -118,7 +142,7 @@ def quadratic(spectrum, x_star=None) -> Problem:
         # 0.5 * sum(lam * z ** 2) by the same float operations, in fewer calls.
         t = z * z
         t *= lam_x
-        f = np.add.reduce(t, axis=-1)
+        f = row_sum(t)
         f *= 0.5
         return f
 

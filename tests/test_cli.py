@@ -473,9 +473,8 @@ def wide_path(tmp_path):
                          ids=["config_path", "wide_path", "lyapunov-config_path"])
 def test_a_small_experiment_loads_no_process_module(command, path, tmp_path, request):
     # wide_path holds two blocks but 25 600 replica-steps, below the work
-    # that pays for a worker process; `lyapunov` runs config_path at stride
-    # 1, 4 replicas x 51 checkpoints, below the size that pays for a
-    # checkpoint helper.
+    # that pays for a worker process or a draw helper; `lyapunov` runs
+    # config_path at stride 1, 4 replicas x 50 steps.
     src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", _POOL_MODULES, "-", command, request.getfixturevalue(path),
@@ -654,29 +653,29 @@ def test_pooled_sweep_cells_run_each_experiment_in_one_process(wide_path, tmp_pa
 
 @pytest.fixture
 def long_path(tmp_path):
-    """A narrow experiment of 5000 iterations: 4 replicas x 5001 checkpoints
-    under `lyapunov`."""
+    """A narrow experiment of 5000 iterations, five blocks of draws: 4
+    replicas x 5001 checkpoints under `lyapunov`."""
     path = tmp_path / "long.ini"
     path.write_text(INI.replace("horizon = 50", "horizon = 5000"))
     return str(path)
 
 
 def _force_helper(monkeypatch):
-    monkeypatch.setattr("sgdlab.harness._HELPER_MIN_POINTS", 0)
+    monkeypatch.setattr("sgdlab.harness._HELPER_MIN_WORK", 0)
     monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
 
 
-def test_a_dead_checkpoint_helper_fails_the_experiment(long_path, tmp_path, monkeypatch,
-                                                       capsys):
+def test_a_dead_draw_helper_fails_the_experiment(long_path, tmp_path, monkeypatch, capsys):
     _force_helper(monkeypatch)
-    marker = tmp_path / "received"
+    marker = tmp_path / "drawn"
 
-    def dying(conn, cpu, checkpoints):
-        conn.recv()   # the first chunk
+    def dying(conn, cpu, oracle, gens, horizon, slots):
+        # Sends the first block, then dies while drawing the second.
+        conn.send(len(next(sgdlab.harness._draws(oracle, gens, horizon, slots))))
         marker.touch()
         os._exit(1)
 
-    monkeypatch.setattr("sgdlab.harness._reduce_in_helper", dying)
+    monkeypatch.setattr("sgdlab.harness._draw_ahead", dying)
     out = tmp_path / "out"
     assert main(["lyapunov", long_path, "--out", str(out)]) == 3
     # The fake ran as the helper, rather than failing on its signature.
@@ -688,8 +687,8 @@ def test_a_dead_checkpoint_helper_fails_the_experiment(long_path, tmp_path, monk
 
 
 def _reporting_helper(pid_file):
-    """`_reduce_in_helper` that first writes its process id to pid_file."""
-    real = sgdlab.harness._reduce_in_helper
+    """`_draw_ahead` that first writes its process id to pid_file."""
+    real = sgdlab.harness._draw_ahead
 
     def reporting(*args):
         with open(f"{pid_file}.tmp", "w") as fh:
@@ -700,24 +699,22 @@ def _reporting_helper(pid_file):
     return reporting
 
 
-def test_an_interrupted_experiment_stops_its_checkpoint_helper(long_path, tmp_path,
-                                                               monkeypatch):
+def test_an_interrupted_experiment_stops_its_draw_helper(long_path, tmp_path, monkeypatch):
     _force_helper(monkeypatch)
     pid_file = tmp_path / "pid"
-    monkeypatch.setattr("sgdlab.harness._reduce_in_helper", _reporting_helper(pid_file))
-    real_refill = sgdlab.harness._refill
-    refills = []
+    monkeypatch.setattr("sgdlab.harness._draw_ahead", _reporting_helper(pid_file))
+    real_drawn = sgdlab.harness._drawn_ahead
 
     def interrupted(*args):   # the third block of draws, with the helper running
-        refills.append(1)
-        if len(refills) == 3:
-            deadline = time.monotonic() + 20
-            while not pid_file.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            raise KeyboardInterrupt
-        real_refill(*args)
+        for i, block in enumerate(real_drawn(*args)):
+            if i == 2:
+                deadline = time.monotonic() + 20
+                while not pid_file.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise KeyboardInterrupt
+            yield block
 
-    monkeypatch.setattr("sgdlab.harness._refill", interrupted)
+    monkeypatch.setattr("sgdlab.harness._drawn_ahead", interrupted)
     # `info` keeps the traceback, and with it the stepper: the helper must be
     # stopped as the interrupt propagates, not when the stepper is collected.
     with pytest.raises(KeyboardInterrupt) as info:
@@ -729,12 +726,13 @@ def test_an_interrupted_experiment_stops_its_checkpoint_helper(long_path, tmp_pa
 
 @pytest.mark.parametrize("command,path", [("experiment", "wide_path"),
                                           ("lyapunov", "long_path")],
-                         ids=["worker", "checkpoint-helper"])
+                         ids=["worker", "draw-helper"])
 def test_an_interrupt_inside_a_fork_stops_the_child(command, path, tmp_path, monkeypatch,
                                                     request):
     # A real SIGINT lands after the fork, before `_fork` returns the child
     # to a caller that lists it; the child (a stalling split range, or a
-    # helper waiting for its first chunk) would run on if nothing held it.
+    # draw helper waiting for a slot to refill) would run on if nothing held
+    # it.
     monkeypatch.setattr("sgdlab.harness._SPLIT_MIN_WORK", 0)
     _force_helper(monkeypatch)
     if command == "experiment":
@@ -769,31 +767,29 @@ import sgdlab.harness as harness
 from sgdlab.cli import main
 pid_file, config, out = sys.argv[1:]
 harness._usable_cpus = lambda: 2
-harness._HELPER_MIN_POINTS = 0
-real_reduce, real_refill = harness._reduce_in_helper, harness._refill
+harness._HELPER_MIN_WORK = 0
+real_draw_ahead, real_drawn = harness._draw_ahead, harness._drawn_ahead
 
-def reduce_in_helper(*args):
+def draw_ahead(*args):
     with open(pid_file + ".tmp", "w") as fh:
         fh.write(str(os.getpid()))
     os.replace(pid_file + ".tmp", pid_file)
-    real_reduce(*args)
+    real_draw_ahead(*args)
 
-refills = []
+def drawn_ahead(*args):   # the second block of draws, with the helper running
+    for i, block in enumerate(real_drawn(*args)):
+        if i == 1:
+            while not os.path.exists(pid_file):
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield block
 
-def refill(*args):   # the second block of draws, with the helper running
-    refills.append(1)
-    if len(refills) == 2:
-        while not os.path.exists(pid_file):
-            time.sleep(0.01)
-        os.kill(os.getpid(), signal.SIGKILL)
-    real_refill(*args)
-
-harness._reduce_in_helper, harness._refill = reduce_in_helper, refill
+harness._draw_ahead, harness._drawn_ahead = draw_ahead, drawn_ahead
 main(["lyapunov", config, "--out", out])
 """
 
 
-def test_a_checkpoint_helper_whose_caller_was_killed_exits(long_path, tmp_path):
+def test_a_draw_helper_whose_caller_was_killed_exits(long_path, tmp_path):
     pid_file = tmp_path / "pid"
     src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
     with open(tmp_path / "stderr", "w") as err:
@@ -809,11 +805,11 @@ def test_a_checkpoint_helper_whose_caller_was_killed_exits(long_path, tmp_path):
         time.sleep(0.05)
     if _running(helper):
         os.kill(helper, signal.SIGKILL)
-        pytest.fail("the checkpoint helper outlived its killed caller")
+        pytest.fail("the draw helper outlived its killed caller")
 
 
-def test_split_children_and_pool_workers_start_no_checkpoint_helper(wide_path, tmp_path,
-                                                                     monkeypatch):
+def test_split_children_and_pool_workers_start_no_draw_helper(wide_path, tmp_path,
+                                                              monkeypatch):
     # Forks in every process append a line, so a helper started by a split
     # child or a sweep worker would add one from that process.
     log = tmp_path / "forks"

@@ -414,18 +414,18 @@ def _results_bytes(cfg):
 
 
 def _helper_and_in_process(cfg, monkeypatch):
-    """(checkpoint helpers started, results with the helper, results in one
+    """(draw helpers started, results with the helper, results in one
     process) of cfg (see `_results_bytes`, which runs it twice): the helper
     at any size on two CPUs, then one CPU, where no helper starts."""
     started = []
+    real = harness._drawn_ahead
 
-    class Recording(harness._CheckpointHelper):
-        def __init__(self, checkpoints):
-            started.append(1)
-            super().__init__(checkpoints)
+    def recording(*args):
+        started.append(1)
+        return real(*args)
 
-    monkeypatch.setattr(harness, "_CheckpointHelper", Recording)
-    monkeypatch.setattr(harness, "_HELPER_MIN_POINTS", 0)
+    monkeypatch.setattr(harness, "_drawn_ahead", recording)
+    monkeypatch.setattr(harness, "_HELPER_MIN_WORK", 0)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     helper = _results_bytes(cfg)
     helpers = len(started)
@@ -441,6 +441,9 @@ _LYAP_STRIDE1 = dict(method="msgd_damped", lyapunov=True, checkpoint_stride=1,
 
 @pytest.mark.parametrize("cfg", [
     make_cfg(schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU}, **_LYAP_STRIDE1),
+    # 5000 iterations take five blocks of 1024, so each slot is refilled.
+    make_cfg(schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU},
+             **dict(_LYAP_STRIDE1, horizon=5000)),
     make_cfg(schedule={"alpha_c": 0.3, "alpha_a": 0.6, **_VANISHING_MU},
              **dict(_LYAP_STRIDE1, method="nasgd", averaged=True)),
     make_cfg(method="vsgd", averaged=True, checkpoint_stride=1, replicas=300, horizon=500),
@@ -452,9 +455,9 @@ _LYAP_STRIDE1 = dict(method="msgd_damped", lyapunov=True, checkpoint_stride=1,
              schedule={"alpha_c": 0.3, "alpha_a": 0.6, **_CONSTANT_MU}, **_LYAP_STRIDE1),
     make_cfg(oracle={"kind": "gaussian", "sigma": 0.0}, averaged=True,
              schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU}, **_LYAP_STRIDE1),
-], ids=["constant-tilt", "vanishing-tilt-averaged", "averaged-stride1", "averaged-stride7",
+], ids=["constant-tilt", "constant-tilt-five-blocks", "vanishing-tilt-averaged", "averaged-stride1", "averaged-stride7",
         "lsq-gaussian", "lsq-minibatch-lyapunov", "zero-noise"])
-def test_the_checkpoint_helper_gives_the_in_process_results_bitwise(cfg, monkeypatch):
+def test_the_draw_helper_gives_the_in_process_results_bitwise(cfg, monkeypatch):
     helpers, helper, whole = _helper_and_in_process(cfg, monkeypatch)
     assert helpers == 2   # one per run
     assert helper == whole
@@ -468,7 +471,7 @@ _DIVERGING_LYAPUNOV = make_cfg(
 
 
 @pytest.mark.parametrize("chunk", [27, 29], ids=["mid-chunk", "chunk-boundary"])
-def test_the_checkpoint_helper_keeps_partial_divergence_bitwise(chunk, monkeypatch):
+def test_the_draw_helper_keeps_partial_divergence_bitwise(chunk, monkeypatch):
     # Chunks of 600 one-coordinate replicas hold _CHUNK_VALUES // 1200
     # checkpoints (27 by default).  The first divergence, at iteration 87,
     # comes with 6 checkpoints buffered in chunks of 27 and none in chunks
@@ -481,7 +484,7 @@ def test_the_checkpoint_helper_keeps_partial_divergence_bitwise(chunk, monkeypat
     assert first == 87 and (first % chunk == 0) == (chunk == 29)
 
 
-def test_the_checkpoint_helper_stops_when_every_replica_dies(monkeypatch):
+def test_the_draw_helper_stops_when_every_replica_dies(monkeypatch):
     cfg = make_cfg(schedule={"alpha_c": 3.0, "alpha_a": 0.0}, checkpoint_stride=1,
                    oracle={"kind": "gaussian", "sigma": 0.1},
                    problem={"kind": "quadratic", "spectrum": [1.0]},
@@ -494,15 +497,15 @@ def test_the_checkpoint_helper_stops_when_every_replica_dies(monkeypatch):
     assert counts[0] == 4 and counts[-1] == 0
 
 
-def test_the_checkpoint_helper_starts_only_for_one_range_and_enough_points(monkeypatch):
+def test_the_draw_helper_starts_only_for_one_range_and_enough_work(monkeypatch):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    limit = harness._HELPER_MIN_POINTS
-    assert harness._offloads(limit // 100, 100) and not harness._offloads(1, limit - 1)
+    limit = harness._HELPER_MIN_WORK
+    assert harness._draws_ahead(limit // 100, 100) and not harness._draws_ahead(1, limit - 1)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    assert not harness._offloads(limit, 100)
+    assert not harness._draws_ahead(limit, 100)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(harness, "_forked", True)   # a forked child
-    assert not harness._offloads(limit, 100)
+    assert not harness._draws_ahead(limit, 100)
 
 
 def _record_draws(monkeypatch):
@@ -615,6 +618,33 @@ def test_fully_diverged_experiment_stops_drawing_within_one_raw_block(monkeypatc
     with pytest.raises(ExperimentError, match="^no replica survived to some checkpoint$"):
         run_experiment(cfg)
     assert sum(n for _, n in calls) == 4 * 1024
+
+
+def test_a_fully_diverged_experiment_stops_its_draw_helper_one_block_ahead(monkeypatch,
+                                                                          tmp_path):
+    # The run above with its draws in a draw helper: this process draws
+    # nothing, and the helper, which draws one block ahead, has drawn at
+    # most the block after the first when it is stopped.
+    calls = _record_draws(monkeypatch)   # in this process only
+    log = tmp_path / "refills"
+    real_refill = harness._refill
+
+    def logging_refill(buf, stage, oracle, gens, nb):
+        with open(log, "a") as fh:
+            fh.write(f"{len(gens)}x{nb}\n")
+        real_refill(buf, stage, oracle, gens, nb)
+
+    monkeypatch.setattr(harness, "_refill", logging_refill)
+    monkeypatch.setattr(harness, "_HELPER_MIN_WORK", 0)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    cfg = make_cfg(schedule={"alpha_c": 3.0, "alpha_a": 0.0},
+                   oracle={"kind": "gaussian", "sigma": 0.1},
+                   problem={"kind": "quadratic", "spectrum": [1.0]},
+                   x0=[1.0], horizon=100_000, replicas=4, divergence_tolerance=1.0)
+    with pytest.raises(ExperimentError, match="^no replica survived to some checkpoint$"):
+        run_experiment(cfg)
+    assert calls == []
+    assert log.read_text().split() in (["4x1024"], ["4x1024"] * 2)
 
 
 def test_checkpoint_buffers_stay_within_16384_replica_checkpoints(monkeypatch):
@@ -983,14 +1013,13 @@ def test_alike_cells_draw_each_block_once(monkeypatch):
 ], ids=["chunk-of-the-whole-grid", "one-coordinate", "three-coordinates"])
 def test_experiment_values_count_the_checkpoint_buffers_it_allocates(cfg):
     # A sweep batches cells by values(), so it must count exactly the arrays
-    # that _Checkpoints allocates in-process: one private slot (x, grad f(x),
-    # and v and xbar as held), the reduced rows and the totals.
+    # that _Checkpoints allocates: its buffers (x, grad f(x), and v and xbar
+    # as held), the reduced rows and the totals.
     exp = harness._prepare(cfg)
     r, dim = exp.effective, len(cfg.x0)
     ck = harness._Checkpoints(exp.problem, exp.grid, exp.mus, exp.lyap_mode, cfg.averaged,
                               exp.problem.minimum.f_star, r, dim, fold=True)
-    assert len(ck.slots) == 1
-    held = sum(buf.size for buf in ck.slots[0] + [ck.vals, ck.totals, ck.counts]
+    held = sum(buf.size for buf in ck.buffers + [ck.vals, ck.totals, ck.counts]
                if buf is not None)
     assert exp.values() == 2 * len(exp.alphas) + 5 * r * dim + held
     assert 1 < ck.chunk <= len(exp.grid)

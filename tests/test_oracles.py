@@ -116,6 +116,30 @@ def test_relative_noise_magnitude_is_exactly_proportional():
         assert float(np.linalg.norm(s.noise)) == pytest.approx(eta * gnorm, rel=1e-12)
 
 
+def _relative_noise_by_linalg_norm(eta, grad, raw):
+    """The relative-noise gradient with both norms taken by np.linalg.norm."""
+    nrm = np.linalg.norm(raw, axis=-1, keepdims=True)
+    u = np.divide(raw, nrm, out=np.zeros_like(raw), where=nrm > 0)
+    return grad - eta * np.linalg.norm(grad, axis=-1, keepdims=True) * u
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_relative_noise_norms_keep_the_bits_of_linalg_norm(dim):
+    orc = relative_noise_oracle(quadratic(np.linspace(0.5, 4.0, dim)), 0.7, seed=1)
+    rng = np.random.default_rng(dim)
+    raw, grad = rng.normal(size=(2, 2048, dim))
+    # zero rows, signed zeros, and rows whose squares underflow or overflow
+    raw[:5] = grad[3:8] = 0.0
+    raw[10:20][rng.random((10, dim)) < 0.5] = -0.0
+    grad[10:20][rng.random((10, dim)) < 0.5] = -0.0
+    raw[20:30] *= 1e-160
+    grad[25:35] *= 1e160
+    with np.errstate(all="ignore"):
+        for r, g in ((raw, grad), (raw[0], grad[0]), (raw[12], grad[12])):
+            got = orc.stoch_grad(None, r, grad=g)
+            assert got.tobytes() == _relative_noise_by_linalg_norm(0.7, g, r).tobytes()
+
+
 def test_relative_noise_at_the_minimum_is_zero():
     p = pseudo_huber(2)
     orc = relative_noise_oracle(p, 0.5, seed=4)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sgdlab.errors import ParameterError
 from sgdlab.problems import (Convexity, Problem, check_gradient, least_squares_sum,
-                             pseudo_huber, quadratic, smooth_rastrigin)
+                             pseudo_huber, quadratic, row_dot, row_sum, smooth_rastrigin)
 from sgdlab.rng import stream
 
 
@@ -87,6 +87,34 @@ def test_value_on_a_block_of_checkpoints_equals_each_row_bitwise(name, replicas)
         rows = np.stack([p.value(x) for x in block])
         assert p.value(block).tobytes() == rows.tobytes()
         assert p.value(block).shape == (chunk, replicas)
+
+
+def _special_rows(shape, seed):
+    """Normal values with +-0.0, +-inf and NaNs of both signs at half the
+    entries, so that many rows hold only signed zeros or specials."""
+    rng = np.random.default_rng(seed)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    pick = rng.integers(0, 2 * len(specials), size=shape)
+    return np.where(pick < len(specials), specials[pick % len(specials)],
+                    rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (81, 200), (3, 257)])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_row_sum_and_row_dot_keep_the_bits_of_add_reduce_and_einsum(dim, shape):
+    # Columns are added at dim <= 2; dim 3 takes the reduction itself.
+    a, b = _special_rows(shape + (dim,), 1), _special_rows(shape + (dim,), 2)
+    with np.errstate(invalid="ignore"):
+        assert row_sum(a).tobytes() == np.add.reduce(a, axis=-1).tobytes()
+        assert np.shape(row_sum(a)) == shape
+        for u, w in ((a, a), (b, b)):
+            assert row_dot(u, w).tobytes() == np.einsum("...i,...i->...", u, w).tobytes()
+        # Two NaNs of opposite signs may multiply to a NaN of either sign.
+        for u, w in ((a, b), (b, a)):
+            got, want = row_dot(u, w), np.einsum("...i,...i->...", u, w)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.asarray(got)[~nan].tobytes() == np.asarray(want)[~nan].tobytes()
 
 
 @pytest.mark.parametrize("spectrum", [[], [-1.0], [np.inf], [[1.0, 2.0]]])
