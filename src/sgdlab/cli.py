@@ -31,10 +31,11 @@ Overrides: `--set section.key=value` (repeatable) applies after parsing;
 numbers): cells that draw alike step together in memory-bounded batches,
 each of which draws each block of noise once, and each usable CPU runs a
 share of the cells in a worker process.  `experiment` and `lyapunov`
-split a wide experiment's replicas over the CPUs, and hand a long narrow
-run's checkpoint reductions to a helper process on a second CPU.  The
-output does not depend on their number; small runs stay in one process,
-and a worker or helper that dies fails the command with exit code 3.
+split a wide experiment's replicas over the CPUs, and have a helper
+process on a second CPU draw a long narrow run's noise while the command
+steps and reduces.  The output does not depend on their number; small
+runs stay in one process, and a worker or helper that dies fails the
+command with exit code 3.
 """
 
 from __future__ import annotations

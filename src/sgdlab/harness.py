@@ -46,28 +46,28 @@ in replica order, and the block sums are folded in block order, so the
 reductions depend neither on the replica array's width nor on the chunk
 length.
 
-Processes: every process the engine starts is a child forked by `_fork`,
-and a child forks no further.  `_in_processes` runs a list of jobs, each
-in its own child if there are two or more, and collects their results in
-order.  An experiment of at least two blocks and enough work runs one
-contiguous, block-aligned range of replicas per usable CPU in a child (see
-`_replica_ranges`); a replica's stream depends only on its index, and the
-caller folds the children's block sums in block order, so the sums are the
-same float additions in the same order as in one process.  Least-squares
-experiments stay in one process (see `_simulate_alone`).  An experiment
-that runs as one range, with a second usable CPU and at least
-`_HELPER_MIN_WORK` replica-steps, forks a draw helper (see
-`_step_together`).  The draws depend on no state, and a Philox stream
-gives the same bits in any process, so the helper owns the replica
-streams and draws each block of noise into one of two shared slots while
-the caller steps through the other, and reduces its own checkpoints.
-Batches of several sweep cells never start one.  The cells of a sweep
-share their noise on purpose (common random numbers): cells that draw
-alike step together, a memory-bounded batch at a time, and each batch
-draws each block of noise once.  Once its total work pays for them, a
-sweep runs an interleaved share of every group per usable CPU, each in a
-child (see `sweep`).  A child that dies raises ExperimentError, and a
-child whose caller dies fails its next send or receive and exits.
+Processes: every process the engine starts is a child forked by `_fork`
+in `_children`, which stops and reaps it however the caller exits, and a
+child forks no further.  `_in_processes` runs a list of jobs, each in its
+own child if there are two or more, and collects their results in order.
+`_plan` decides how experiments use the CPUs.  One of at least two blocks
+and enough work runs one contiguous, block-aligned range of replicas per
+usable CPU in a child; a replica's stream depends only on its index, and
+the caller folds the children's block sums in block order, so the sums
+are the same float additions in the same order as in one process.  A lone
+experiment that runs as one range (a least-squares one always does), with
+a second usable CPU and at least `_HELPER_MIN_WORK` replica-steps, forks a
+draw helper (see `_step_together`).  The draws depend on no state, and a
+Philox stream gives the same bits in any process, so the helper owns the
+replica streams and draws each block of noise into one of two shared
+slots while the caller steps through the other, and reduces its own
+checkpoints.  The cells of a sweep share their noise on purpose (common
+random numbers): cells that draw alike step together as one range, a
+memory-bounded batch at a time, and each batch draws each block of noise
+once.  Once its total work pays for them, a sweep runs an interleaved
+share of every group per usable CPU, each in a child (see `sweep`).  A
+child that dies raises ExperimentError, and a child whose caller dies
+fails its next send or receive and exits.
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
@@ -393,10 +393,45 @@ def _child(conn, inherited: list, target, args: tuple) -> None:
     target(conn, *args)
 
 
-def _died(child) -> ExperimentError:
-    """The error for a forked child whose pipe broke: it died."""
-    child.join()
-    return ExperimentError(f"a worker process died: exit code {child.exitcode}")
+class _Died(Exception):
+    """The pipe of a forked child, args[0], broke: it died."""
+
+
+@contextmanager
+def _children(target, arg_lists: list, duplex: bool = False):
+    """Fork a child that runs target(conn, *args) for each args of
+    arg_lists (see `_fork`), and yield the (child, conn) pairs.  An
+    interrupt is held while a child is forked and listed, lest it leave a
+    child that nothing stops.  However the block exits, every child still
+    running is terminated and each is reaped; one that died (see
+    `_received`) then raises ExperimentError."""
+    children, dead = [], None
+    try:
+        for args in arg_lists:
+            with _interrupt_held():
+                children.append(_fork(target, args, duplex, [c for _, c in children]))
+        yield children
+    except _Died as died:
+        dead = died.args[0]
+    finally:
+        for child, _ in children:
+            child.terminate()   # a no-op for a child that has exited
+        for child, conn in children:
+            child.join()
+            conn.close()
+    if dead is not None:
+        raise ExperimentError(f"a worker process died: exit code {dead.exitcode}")
+
+
+def _received(child, conn, reply: bool = False):
+    """The next message from child on conn, after sending it None if reply;
+    raises `_Died` if the pipe broke."""
+    try:
+        if reply:
+            conn.send(None)
+        return conn.recv()
+    except (EOFError, OSError):
+        raise _Died(child) from None
 
 
 @contextmanager
@@ -421,34 +456,12 @@ def _interrupt_held():
 
 def _in_processes(jobs: list) -> list:
     """The results of calling each of jobs, in order.  A single job runs in
-    this process; otherwise each runs in its own forked child (see `_fork`)
-    and sends its result back.  A child that dies raises ExperimentError;
-    an error or interrupt here terminates every child, and each is reaped.
-    An interrupt is held while a child is forked and listed: one that
-    landed in between would leave a child that nothing stops or reaps."""
+    this process; otherwise each runs in its own forked child (see
+    `_children`) and sends its result back."""
     if len(jobs) < 2:
         return [job() for job in jobs]
-    children = []
-    try:
-        for job in jobs:
-            with _interrupt_held():
-                children.append(_fork(_send_result, (job,),
-                                      inherited=[c for _, c in children]))
-        results = []
-        for child, conn in children:
-            try:
-                results.append(conn.recv())
-            except EOFError:
-                raise _died(child) from None
-        return results
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
-    finally:
-        for child, conn in children:
-            child.join()
-            conn.close()
+    with _children(_send_result, [(job,) for job in jobs]) as children:
+        return [_received(child, conn) for child, conn in children]
 
 
 def _send_result(conn, job) -> None:
@@ -565,10 +578,8 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list,
     draws every block into two shared slots in turn, one block ahead: while
     the steppers step through one slot it fills the other, and sends each
     block's length once drawn.  This process tells it that a slot is free
-    only when a later block still needs that slot.  The helper starts, and
-    its death raises ExperimentError, as a child of `_in_processes` does
-    (see `_fork`); it is terminated and reaped once the steppers are done
-    or on an error.
+    only when a later block still needs that slot.  The helper is a child
+    of `_children`, stopped once the steppers are done or on an error.
 
     While the helper runs, it has one of this process's CPUs and the caller
     the others.  Left to the scheduler, the two were seen to share one CPU
@@ -580,37 +591,34 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list,
     # Deep enough for _RAW_BLOCK iterations of _BLOCK_REPLICAS replicas.
     nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // len(gens), horizon))
     shape = (nb_max, len(gens)) + oracle.raw_shape
-    helper = None
+    helpers = []
+    if ahead:
+        slots = list(_shared_array((2,) + shape, oracle.raw_dtype))
+        cpus = os.sched_getaffinity(0)
+        helpers = [(max(cpus), oracle, gens, horizon, slots)]
     try:
-        if ahead:
-            slots = list(_shared_array((2,) + shape, oracle.raw_dtype))
-            cpus = os.sched_getaffinity(0)
-            with _interrupt_held():   # see _in_processes
-                helper, conn = _fork(_draw_ahead, (max(cpus), oracle, gens, horizon, slots),
-                                     duplex=True)
-            os.sched_setaffinity(0, cpus - {max(cpus)})
-            blocks = _drawn_ahead(helper, conn, slots, -(-horizon // nb_max))
-        else:
-            blocks = _draws(oracle, gens, horizon, [np.empty(shape, dtype=oracle.raw_dtype)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for block in blocks:
-                for i in list(running):
-                    try:
-                        steppers[i].send(block)
-                    except StopIteration as done:
-                        results[i] = done.value
-                        running.remove(i)
-                if not running:
-                    break
+        with _children(_draw_ahead, helpers, duplex=True) as children:
+            if ahead:
+                os.sched_setaffinity(0, cpus - {max(cpus)})
+                blocks = _drawn_ahead(*children[0], slots, -(-horizon // nb_max))
+            else:
+                blocks = _draws(oracle, gens, horizon,
+                                [np.empty(shape, dtype=oracle.raw_dtype)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                for block in blocks:
+                    for i in list(running):
+                        try:
+                            steppers[i].send(block)
+                        except StopIteration as done:
+                            results[i] = done.value
+                            running.remove(i)
+                    if not running:
+                        break
     finally:
         for stepper in steppers:   # a no-op for those done
             stepper.close()
-        if helper is not None:
+        if ahead:
             os.sched_setaffinity(0, cpus)
-            if helper.is_alive():
-                helper.terminate()
-            helper.join()
-            conn.close()
     return results
 
 
@@ -618,13 +626,8 @@ def _drawn_ahead(helper, conn, slots: list, count: int):
     """Yield the count blocks that the draw helper sends (see
     `_step_together`), each once drawn; asking for the next block frees the
     slot of the last, if a later block needs it."""
-    try:
-        for i in range(count):
-            yield slots[i % 2][:conn.recv()]
-            if i + 2 < count:
-                conn.send(None)
-    except (EOFError, OSError):
-        raise _died(helper) from None
+    for i in range(count):
+        yield slots[i % 2][:_received(helper, conn, reply=0 < i < count - 1)]
 
 
 def _draw_ahead(conn, cpu: int, oracle, gens: list, horizon: int, slots: list) -> None:
@@ -641,15 +644,13 @@ def _draw_ahead(conn, cpu: int, oracle, gens: list, horizon: int, slots: list) -
 
 
 def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
-              averaged: bool, f_star: float, master_seed: int, r_count: int, on_point,
-              first: int = 0, fold: bool = True, ahead: bool = False):
-    """The result of `_steps` for replicas first..first+r_count-1, each
-    drawing from its own stream under master_seed, in a draw helper with
-    ahead (see `_step_together`)."""
+              averaged: bool, f_star: float, master_seed: int, r_count: int, on_point):
+    """The result of `_steps` for replicas 0..r_count-1, each drawing from
+    its own stream under master_seed, in this process."""
     stepper = _steps(problem, oracle, method, beta, alphas, mus, x0, grid, lyap_mode,
-                     averaged, f_star, r_count, on_point, first, fold)
-    return _step_together(oracle, replica_streams(master_seed, r_count, first), len(alphas),
-                          [stepper], ahead)[0]
+                     averaged, f_star, r_count, on_point)
+    return _step_together(oracle, replica_streams(master_seed, r_count), len(alphas),
+                          [stepper])[0]
 
 
 def _mean_se(s, q, n):
@@ -659,31 +660,6 @@ def _mean_se(s, q, n):
         var = np.where(n > 1, np.maximum(q - s * s / n, 0.0) / np.maximum(n - 1, 1), 0.0)
         se = np.sqrt(var / n)
     return mean, se
-
-
-def _replica_ranges(r_count: int, horizon: int, n_points: int) -> list:
-    """Contiguous (first, count) replica ranges split at block boundaries,
-    one per usable CPU; a single range unless the run has at least two
-    blocks and `_SPLIT_MIN_WORK` replica-steps, and each range's unfolded
-    sums (see `_steps`) hold at most `_CHUNK_VALUES` checkpoint-blocks
-    per quantity."""
-    blocks = -(-r_count // _BLOCK_REPLICAS)
-    if blocks < 2 or r_count * horizon < _SPLIT_MIN_WORK or _forked:
-        return [(0, r_count)]
-    parts = min(_usable_cpus(), blocks)
-    if parts < 2 or n_points * -(-blocks // parts) > _CHUNK_VALUES:
-        return [(0, r_count)]
-    bounds = [_BLOCK_REPLICAS * (blocks * p // parts) for p in range(parts)] + [r_count]
-    return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _draws_ahead(r_count: int, horizon: int) -> bool:
-    """Whether an experiment that runs as one replica range draws its noise
-    in a draw helper (see `_step_together`): only with a second usable CPU
-    that the platform lets it pin the helper to, outside a forked child,
-    and for at least `_HELPER_MIN_WORK` replica-steps."""
-    return (not _forked and r_count * horizon >= _HELPER_MIN_WORK
-            and hasattr(os, "sched_setaffinity") and _usable_cpus() >= 2)
 
 
 @dataclass
@@ -702,7 +678,7 @@ class _Experiment:
 
     def engine_args(self) -> tuple:
         """The leading arguments of `_steps` and `_simulate`, up to the
-        seed that `_simulate` takes next."""
+        replica count of `_steps` and the seed of `_simulate`."""
         c = self.cfg
         return (self.problem, self.oracle, c.method, c.beta, self.alphas, self.mus, c.x0,
                 self.grid, self.lyap_mode, c.averaged, self.problem.minimum.f_star)
@@ -741,56 +717,79 @@ def _prepare(cfg: ExperimentConfig, like: Optional[_Experiment] = None) -> _Expe
                        1 if oracle.zero_noise else cfg.replicas)
 
 
-def _simulate_alone(exp: _Experiment):
-    """(counts, sums, diverged) of one experiment, over one replica range
-    per process (see `_replica_ranges`).  Split ranges each send back their
-    unfolded block sums, which are folded onto zeros in block order: the
-    same float additions in the same order as one range over every
-    replica."""
-    # Least-squares sums evaluate through BLAS, whose rounding depends on the
-    # batch's row count (a single row takes gemv, not gemm), so they run in
-    # one process: a range of other rows could change their last bits.
-    ranges = [(0, exp.effective)] if exp.fsp is not None else \
-        _replica_ranges(exp.effective, exp.cfg.horizon, len(exp.grid))
+def _plan(exps: list) -> tuple:
+    """(ranges, ahead) for experiments that draw alike (see `_draw_groups`):
+    contiguous, block-aligned (first, count) replica ranges, one per usable
+    CPU and each stepped in its own child, and whether a single range draws
+    its noise in a draw helper (see `_step_together`).  Only a lone
+    experiment of at least two blocks and `_SPLIT_MIN_WORK` replica-steps
+    splits, if each range's unfolded sums (see `_steps`) hold at most
+    `_CHUNK_VALUES` checkpoint-blocks per quantity; a least-squares one
+    never does: its sums evaluate through BLAS, whose rounding depends on
+    the batch's row count (one row takes gemv, not gemm).  A lone range draws
+    ahead from `_HELPER_MIN_WORK` replica-steps with a second usable CPU
+    that the platform lets it pin the helper to.  A forked child does
+    neither."""
+    exp = exps[0]
+    r_count, work = exp.effective, exp.effective * exp.cfg.horizon
+    whole = [(0, r_count)]
+    if _forked:
+        return whole, False
+    cpus = _usable_cpus()
+    blocks = -(-r_count // _BLOCK_REPLICAS)
+    parts = min(cpus, blocks)
+    if (len(exps) == 1 and exp.fsp is None and parts >= 2 and work >= _SPLIT_MIN_WORK
+            and len(exp.grid) * -(-blocks // parts) <= _CHUNK_VALUES):
+        bounds = [_BLOCK_REPLICAS * (blocks * p // parts) for p in range(parts)] + [r_count]
+        return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])], False
+    return whole, (len(exps) == 1 and work >= _HELPER_MIN_WORK and cpus >= 2
+                   and hasattr(os, "sched_setaffinity"))
+
+
+def _stepped(exps: list) -> list:
+    """(counts, sums, diverged) of each of exps, experiments that draw alike
+    (see `_draw_groups`), stepped together over the replica ranges of
+    `_plan`, each block of noise drawn once for all.  Split ranges each send
+    back their unfolded block sums, which are folded onto zeros in block
+    order: the same float additions in the same order as one range over
+    every replica."""
+    ranges, ahead = _plan(exps)
     whole = len(ranges) == 1
-    ahead = whole and _draws_ahead(exp.effective, exp.cfg.horizon)
-
-    def simulate(first, count):
-        return _simulate(*exp.engine_args(), exp.cfg.seed, count, None, first, whole,
-                         ahead)[:3]
-
-    results = _in_processes([partial(simulate, *r) for r in ranges])
+    parts = _in_processes([partial(_step_range, exps, first, count, whole, ahead)
+                           for first, count in ranges])
     if whole:
-        return results[0]
-    sums = {key: np.zeros(block_sums.shape[:-1]) for key, block_sums in results[0][1].items()}
-    for _, block_sums, _ in results:
-        for key, total in sums.items():
-            _fold(total, block_sums[key])
-    return sum(r[0] for r in results), sums, [d for r in results for d in r[2]]
+        return parts[0]
+    results = []
+    for ranged in zip(*parts):
+        sums = {key: np.zeros(block_sums.shape[:-1])
+                for key, block_sums in ranged[0][1].items()}
+        for _, block_sums, _ in ranged:
+            for key, total in sums.items():
+                _fold(total, block_sums[key])
+        results.append((sum(r[0] for r in ranged), sums, [d for r in ranged for d in r[2]]))
+    return results
 
 
-def _simulate_batch(exps: list) -> list:
-    """(counts, sums, diverged) of each of experiments that draw alike (see
-    `_draw_groups`).  A lone one runs as `run_experiment` runs it; several
-    step together in this process, each block of noise drawn once for all."""
-    if len(exps) == 1:
-        return [_simulate_alone(exps[0])]
+def _step_range(exps: list, first: int, count: int, fold: bool, ahead: bool) -> list:
+    """(counts, sums, diverged) of each of exps over replicas
+    first..first+count-1 (see `_steps`), stepped through one draw of each
+    block, in a draw helper with ahead (see `_step_together`)."""
+    steppers = [_steps(*e.engine_args(), count, None, first, fold) for e in exps]
     lead = exps[0]
-    steppers = [_steps(*e.engine_args(), e.effective, None) for e in exps]
-    results = _step_together(lead.oracle, replica_streams(lead.cfg.seed, lead.effective),
-                             lead.cfg.horizon, steppers)
+    results = _step_together(lead.oracle, replica_streams(lead.cfg.seed, count, first),
+                             lead.cfg.horizon, steppers, ahead)
     return [r[:3] for r in results]
 
 
 def run_experiment(cfg: ExperimentConfig, stepped=None) -> MonteCarloEstimate:
     """The estimates of cfg's experiment.  A sweep passes `stepped`, the
     cell's prepared experiment and its (counts, sums, diverged) from its
-    draw group, and only the tolerance check and aggregation run here."""
+    batch (see `_stepped`), and only the tolerance check and aggregation
+    run here."""
     if stepped is None:
         exp = _prepare(cfg)
-        n, sums, diverged = _simulate_alone(exp)
-    else:
-        exp, (n, sums, diverged) = stepped
+        stepped = exp, _stepped([exp])[0]
+    exp, (n, sums, diverged) = stepped
     cfg, grid, lyap_mode, schedule = exp.cfg, exp.grid, exp.lyap_mode, exp.schedule
     diverged = sorted(diverged)
     diverged_count = len(diverged) if not exp.oracle.zero_noise else \
@@ -1073,12 +1072,12 @@ def _draw_groups(configs: list) -> list:
 def _sweep_cells(configs: list) -> list:
     """Rows of configs, in order, computed in this process.  The cells of
     each draw group that pass validation share one problem and oracle and
-    step together (`_simulate_batch`) in batches whose experiments hold at
+    step together (`_stepped`) in batches whose experiments hold at
     most `_GROUP_VALUES` floats; a cell's failure is recorded in its row."""
     rows = [None] * len(configs)
 
     def finish(batch):
-        for (i, exp), result in zip(batch, _simulate_batch([e for _, e in batch])):
+        for (i, exp), result in zip(batch, _stepped([e for _, e in batch])):
             try:
                 rows[i] = _sweep_row(configs[i], run_experiment(configs[i], (exp, result)))
             except _CELL_ERRORS as e:

@@ -10,9 +10,10 @@ of a finite sum (unbiased by construction), and relative noise of magnitude
 proportional to the gradient.  `verify_bound` checks the declared constants
 against empirical moments.
 
-Each oracle owns one counter-based random stream; `with_key` clones an
-oracle onto a fresh stream so replicas stay independent while every stream
-remains replayable.  Raw randomness (normals, index draws) is separated
+Each oracle owns one counter-based random stream, from which `sample`
+draws.  The experiment engine keeps replicas independent, and every stream
+replayable, by drawing replica i's noise from its own stream
+(`rng.replica_streams`).  Raw randomness (normals, index draws) is separated
 from its deterministic application to a point, which lets the experiment
 driver pre-draw blocks per replica without changing any stream's contents.
 `raw_block` is the one way to draw it: it fills a caller's (n, *raw_shape)
@@ -73,18 +74,7 @@ class GradientOracle:
         self.problem = problem
         self.bound = bound
         self.raw_shape = (problem.dim,)
-        self._key = int(key)
-        self._rng = stream(self._key)
-
-    # -- stream management -------------------------------------------------
-
-    def with_key(self, key: int) -> "GradientOracle":
-        """Clone onto a fresh stream with the given 128-bit key."""
-        clone = self.__class__.__new__(self.__class__)
-        clone.__dict__.update(self.__dict__)
-        clone._key = int(key)
-        clone._rng = stream(clone._key)
-        return clone
+        self._rng = stream(int(key))
 
     # -- sampling ----------------------------------------------------------
 
@@ -200,17 +190,11 @@ class _MinibatchOracle(GradientOracle):
         xs = x[None, :] if x.ndim == 1 else x
         if xs.shape[0] == 1 and idx.shape[0] != 1:
             xs = np.broadcast_to(xs, (idx.shape[0], xs.shape[1]))
-        if self.fsp.design is not None:
-            # Vectorized least-squares rows: one gather + two contractions.
-            a_sel = np.take(self.fsp.design, idx, axis=0)     # (R, batch, d)
-            b_sel = np.take(self.fsp.targets, idx)            # (R, batch)
-            resid = np.einsum("rbd,rd->rb", a_sel, xs) - b_sel
-            out = np.einsum("rb,rbd->rd", resid, a_sel) / self.batch
-        else:
-            out = np.stack([
-                np.mean([self.fsp.components[j].gradient(xs[r]) for j in idx[r]], axis=0)
-                for r in range(xs.shape[0])
-            ])
+        # Least-squares rows: one gather + two contractions.
+        a_sel = np.take(self.fsp.design, idx, axis=0)     # (R, batch, d)
+        b_sel = np.take(self.fsp.targets, idx)            # (R, batch)
+        resid = np.einsum("rbd,rd->rb", a_sel, xs) - b_sel
+        out = np.einsum("rb,rbd->rd", resid, a_sel) / self.batch
         return out[0] if single_draw else out
 
 
@@ -230,8 +214,8 @@ def _minibatch_bound(fsp: FiniteSumProblem, batch: int, replace: bool) -> NoiseB
     """
     agg = fsp.aggregate
     lmin = agg.strong_convexity_mu
-    if fsp.design is not None and lmin is not None:
-        a, b = fsp.design, fsp.targets
+    a, b = fsp.design, fsp.targets
+    if lmin is not None:
         row_sq = np.sum(a * a, axis=1)
         x_hat = agg.minimum.x_star
         resid = a @ x_hat - b
@@ -240,17 +224,18 @@ def _minibatch_bound(fsp: FiniteSumProblem, batch: int, replace: bool) -> NoiseB
         return NoiseBound(m_const=m_const, v_const=v_const, empirical=False)
 
     # Empirical fallback: exact conditional second moments on a fixed grid.
+    # At each point the (S, dim) component gradients (a_i . x - b_i) a_i are
+    # one elementwise expression, with no BLAS call, and grad f is their mean.
     pts = stream(derive_key(0xB0D5, 0)).standard_normal((64, agg.dim)) * 3.0
-    s_count = len(fsp.components)
+    s_count = len(b)
+    fpc = 1.0 if replace else 1.0 - (batch - 1.0) / max(s_count - 1.0, 1.0)
     e2 = np.empty(len(pts))
     gsq = np.empty(len(pts))
     for i, x in enumerate(pts):
-        comp = np.stack([c.gradient(x) for c in fsp.components])
-        g = agg.gradient(x)
-        pop_var = float(np.mean(np.sum((comp - g) ** 2, axis=1)))
-        fpc = 1.0 if replace else 1.0 - (batch - 1.0) / max(s_count - 1.0, 1.0)
-        e2[i] = fpc * pop_var / batch
-        gsq[i] = float(g @ g)
+        comp = (np.sum(a * x, axis=1) - b)[:, None] * a
+        g = comp.mean(axis=0)
+        e2[i] = fpc * float(np.mean(np.sum((comp - g) ** 2, axis=1))) / batch
+        gsq[i] = float(np.sum(g * g))
     m_const, v_const = _nonneg_line_fit(gsq, e2)
     slack = e2 - (m_const + v_const * gsq)
     m_const += max(0.0, float(slack.max()))

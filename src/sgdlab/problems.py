@@ -62,15 +62,15 @@ class Problem:
 class FiniteSumProblem:
     """f = (1/S) * sum_i f_i with per-component Problems and the aggregate.
 
-    design/targets keep the raw (A, b) data when the components are
-    least-squares rows; the minibatch oracle uses them for vectorized
-    subsampled gradients.
+    The components are least-squares rows, f_i(x) = 1/2 * (a_i . x - b_i)^2;
+    design and targets keep their raw (A, b) data, from which the minibatch
+    oracle computes subsampled gradients.
     """
 
     components: tuple
     aggregate: Problem
-    design: Optional[np.ndarray] = None
-    targets: Optional[np.ndarray] = None
+    design: np.ndarray
+    targets: np.ndarray
 
 
 def row_sum(t: np.ndarray) -> np.ndarray:

@@ -485,8 +485,8 @@ def test_a_small_experiment_loads_no_process_module(command, path, tmp_path, req
 
 
 def _first_replica(args, kwargs) -> int:
-    """The first replica of the range a `_simulate` call runs."""
-    return inspect.signature(sgdlab.harness._simulate).bind(*args, **kwargs).arguments["first"]
+    """The first replica of the range a `_step_range` call runs."""
+    return inspect.signature(sgdlab.harness._step_range).bind(*args, **kwargs).arguments["first"]
 
 
 def test_a_dead_experiment_worker_fails_the_experiment(wide_path, tmp_path, monkeypatch,
@@ -494,16 +494,16 @@ def test_a_dead_experiment_worker_fails_the_experiment(wide_path, tmp_path, monk
     monkeypatch.setattr("sgdlab.harness._SPLIT_MIN_WORK", 0)
     monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
     parent = os.getpid()
-    real_simulate = sgdlab.harness._simulate
+    real_step_range = sgdlab.harness._step_range
 
     def dying(*args, **kwargs):   # the first range's child dies, the other stalls
         assert os.getpid() != parent, "a range ran in the test process"
         if _first_replica(args, kwargs) == 0:
             os._exit(1)
         time.sleep(60)
-        return real_simulate(*args, **kwargs)
+        return real_step_range(*args, **kwargs)
 
-    monkeypatch.setattr("sgdlab.harness._simulate", dying)
+    monkeypatch.setattr("sgdlab.harness._step_range", dying)
     out = tmp_path / "out"
     t0 = time.monotonic()
     assert main(["experiment", wide_path, "--out", str(out)]) == 3
@@ -532,7 +532,7 @@ def test_an_interrupted_experiment_stops_its_workers(wide_path, tmp_path, monkey
             time.sleep(0.01)
         os.kill(os.getpid(), signal.SIGINT)
 
-    monkeypatch.setattr("sgdlab.harness._simulate", stalling)
+    monkeypatch.setattr("sgdlab.harness._step_range", stalling)
     handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     interrupter = threading.Thread(target=interrupt)
     t0 = time.monotonic()
@@ -559,18 +559,18 @@ import sgdlab.harness as harness
 from sgdlab.cli import main
 pid_dir, config, out = sys.argv[1:]
 harness._usable_cpus = lambda: 2
-real_simulate = harness._simulate
+real_step_range = harness._step_range
 
-def simulate(*args):   # a child: report, then run its range
+def step_range(*args):   # a child: report, then run its range
     open(os.path.join(pid_dir, str(os.getpid())), "w").close()
-    first = inspect.signature(real_simulate).bind(*args).arguments["first"]
+    first = inspect.signature(real_step_range).bind(*args).arguments["first"]
     if first > 0:   # the last child kills the caller once both have reported
         while len(os.listdir(pid_dir)) < 2:
             time.sleep(0.01)
         os.kill(os.getppid(), signal.SIGKILL)
-    return real_simulate(*args)
+    return real_step_range(*args)
 
-harness._simulate = simulate
+harness._step_range = step_range
 main(["experiment", config, "--out", out])
 """
 
@@ -736,7 +736,7 @@ def test_an_interrupt_inside_a_fork_stops_the_child(command, path, tmp_path, mon
     monkeypatch.setattr("sgdlab.harness._SPLIT_MIN_WORK", 0)
     _force_helper(monkeypatch)
     if command == "experiment":
-        monkeypatch.setattr("sgdlab.harness._simulate", lambda *args: time.sleep(60))
+        monkeypatch.setattr("sgdlab.harness._step_range", lambda *args: time.sleep(60))
     real_fork = sgdlab.harness._fork
     pids = []
 

@@ -1,6 +1,9 @@
 """Monte Carlo engine: exactness, replica accounting, probes, serialization."""
 
+import copy
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from sgdlab.errors import DivergenceError, ExperimentError
 from sgdlab.harness import (MonteCarloEstimate, averaged_bound_probe, default_burn_in,
                             estimates_csv, liminf_probe, lyapunov_csv, nasgd_hypothesis,
                             resolve_lyapunov, run_experiment, summary_dict, sweep,
-                            sweep_csv)
+                            SweepResult, sweep_csv)
 from sgdlab.lyapunov import LyapunovSeries, select_lambda, select_zeta
 from sgdlab.optimizers import (DIVERGENCE_RADIUS, averaged_update, checkpoint_grid,
                                init_average, init_state, msgd_classical_step,
@@ -22,7 +25,7 @@ from sgdlab.optimizers import (DIVERGENCE_RADIUS, averaged_update, checkpoint_gr
                                run, vsgd_step)
 from sgdlab.oracles import GradientOracle
 from sgdlab.problems import least_squares_sum
-from sgdlab.rng import derive_key, replica_streams
+from sgdlab.rng import replica_stream, replica_streams
 from sgdlab.schedules import PowerSchedule
 
 
@@ -63,7 +66,8 @@ def _replica_states(cfg):
     states = {k: [None] * cfg.replicas for k in grid}
     diverged = []
     for i in range(cfg.replicas):
-        orc = oracle.with_key(derive_key(cfg.seed, i))
+        orc = copy.copy(oracle)
+        orc._rng = replica_stream(cfg.seed, i)
         state = init_state(cfg.x0)
         avg = init_average(cfg.x0)
         alpha_prev = None
@@ -303,23 +307,23 @@ def _outputs(est):
 
 
 def _split_and_whole(cfg, monkeypatch, cpus=2):
-    """(replica ranges or None if it asked for none, outputs) of cfg run
-    split over `cpus` CPUs whatever its work, then the outputs of the same
-    run in one process."""
+    """(planned replica ranges, outputs) of cfg run split over `cpus` CPUs
+    whatever its work, then the outputs of the same run in one process."""
     ranges = []
-    real_ranges = harness._replica_ranges
+    real_plan = harness._plan
 
     def recording(*args):
-        ranges.append(real_ranges(*args))
-        return ranges[-1]
+        plan = real_plan(*args)
+        ranges.append(plan[0])
+        return plan
 
-    monkeypatch.setattr(harness, "_replica_ranges", recording)
+    monkeypatch.setattr(harness, "_plan", recording)
     monkeypatch.setattr(harness, "_SPLIT_MIN_WORK", 0)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     split = _outputs(run_experiment(cfg))
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     whole = _outputs(run_experiment(cfg))
-    return (ranges[0] if ranges else None), split, whole
+    return ranges[0], split, whole
 
 
 @pytest.mark.parametrize("cpus,ranges", [
@@ -376,35 +380,74 @@ def test_a_split_lyapunov_run_with_a_vanishing_tilt_equals_the_whole_run(monkeyp
 @pytest.mark.parametrize("oracle", [{"kind": "gaussian", "sigma": 0.5},
                                     {"kind": "minibatch", "batch": 2}],
                          ids=["gaussian", "minibatch"])
-def test_least_squares_experiments_run_in_one_process(oracle, monkeypatch):
+def test_least_squares_experiments_run_as_one_range(oracle, monkeypatch):
     # BLAS evaluates a one-row batch (gemv) differently from a row of a
     # larger one (gemm), so a one-replica range could change the last bits.
     cfg = make_cfg(problem=_LSQ, oracle=oracle, replicas=257, horizon=200,
                    checkpoint_stride=20, x0=[2.0, -1.0])
     ranges, split, whole = _split_and_whole(cfg, monkeypatch)
-    assert ranges is None
+    assert ranges == [(0, 257)]
     assert split == whole
 
 
-def test_replica_ranges_need_two_blocks_enough_work_and_small_child_sums(monkeypatch):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    assert harness._replica_ranges(256, 10 ** 6, 41) == [(0, 256)]
-    assert harness._replica_ranges(257, 10 ** 6, 41) == [(0, 256), (256, 1)]
-    assert harness._replica_ranges(512, 3906, 41) == [(0, 512)]   # 1 999 872 replica-steps
-    assert harness._replica_ranges(512, 3907, 41) == [(0, 256), (256, 256)]
+_LIMIT = harness._HELPER_MIN_WORK
+
+
+@pytest.mark.parametrize("cpus,replicas,horizon,points,kind,ranges,ahead", [
+    # A lone experiment splits with two blocks, enough work and small child
+    # sums; one range draws ahead with enough work and a second CPU.
+    (2, 256, 10 ** 6, 41, "alone", [(0, 256)], True),
+    (2, 257, 10 ** 6, 41, "alone", [(0, 256), (256, 1)], False),
+    (2, 512, 3906, 41, "alone", [(0, 512)], True),   # 1 999 872 replica-steps
+    (2, 512, 3907, 41, "alone", [(0, 256), (256, 256)], False),
     # each range holds 8 blocks: 4096 checkpoints x 8 = 32768 values per quantity
-    assert harness._replica_ranges(4096, 4095, 4096) == [(0, 2048), (2048, 2048)]
-    assert harness._replica_ranges(4096, 4096, 4097) == [(0, 4096)]
+    (2, 4096, 4095, 4096, "alone", [(0, 2048), (2048, 2048)], False),
+    (2, 4096, 4096, 4097, "alone", [(0, 4096)], True),
+    (1, 4096, 1000, 41, "alone", [(0, 4096)], False),
+    (64, 600, 3400, 41, "alone", [(0, 256), (256, 256), (512, 88)], False),
+    (2, _LIMIT // 100, 100, 41, "alone", [(0, _LIMIT // 100)], True),
+    (2, 1, _LIMIT - 1, 41, "alone", [(0, 1)], False),
+    (1, _LIMIT, 100, 41, "alone", [(0, _LIMIT)], False),
+    (2, _LIMIT, 100, 41, "forked", [(0, _LIMIT)], False),   # in a forked child
+    # A least-squares experiment runs as one range and may draw ahead; a
+    # batch of several cells runs as one range and never does.
+    (2, 600, 3400, 41, "least-squares", [(0, 600)], True),
+    (2, 600, 3400, 41, "batch", [(0, 600)], False),
+])
+def test_plan_splits_or_draws_ahead_only_where_it_pays(cpus, replicas, horizon, points, kind,
+                                                       ranges, ahead, monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "_forked", kind == "forked")
+    exp = SimpleNamespace(effective=replicas, cfg=SimpleNamespace(horizon=horizon),
+                          grid=range(points), fsp=object() if kind == "least-squares" else None)
+    assert harness._plan([exp] * (3 if kind == "batch" else 1)) == (ranges, ahead)
+
+
+def test_a_batch_of_alike_cells_forks_nothing(monkeypatch):
+    # With every threshold at 0 a lone cell would split or start a draw
+    # helper; cells that step together in this process do neither.
+    cells = [make_cfg(replicas=300, horizon=200, checkpoint_stride=20,
+                      schedule={"alpha_c": 0.5, "alpha_a": a}) for a in (0.5, 0.6, 0.7)]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    assert harness._replica_ranges(4096, 1000, 41) == [(0, 4096)]
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
-    assert harness._replica_ranges(600, 3400, 41) == [(0, 256), (256, 256), (512, 88)]
+    alone = sweep(cells)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 10 ** 9)   # one share, in this process
+    monkeypatch.setattr(harness, "_SPLIT_MIN_WORK", 0)
+    monkeypatch.setattr(harness, "_HELPER_MIN_WORK", 0)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert sweep(cells) == alone
+    assert forks == []
+    # The cells' lone twins do fork: one split child per range.
+    assert sweep(cells[:1]) == SweepResult(rows=alone.rows[:1])
+    assert forks == [1, 1]
 
 
 def _results_bytes(cfg):
     """cfg's (counts, sums, diverged) as computed by `run_experiment`, with
     every array as its bytes, and its outputs or the error that failed it."""
-    counts, sums, diverged = harness._simulate_alone(harness._prepare(cfg))
+    counts, sums, diverged = harness._stepped([harness._prepare(cfg)])[0]
     raw = (counts.tobytes(), {key: total.tobytes() for key, total in sums.items()},
            sorted(diverged))
     try:
@@ -495,17 +538,6 @@ def test_the_draw_helper_stops_when_every_replica_dies(monkeypatch):
     assert whole[1] == "no replica survived to some checkpoint"
     counts = np.frombuffer(whole[0][0], dtype=np.int64)
     assert counts[0] == 4 and counts[-1] == 0
-
-
-def test_the_draw_helper_starts_only_for_one_range_and_enough_work(monkeypatch):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    limit = harness._HELPER_MIN_WORK
-    assert harness._draws_ahead(limit // 100, 100) and not harness._draws_ahead(1, limit - 1)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    assert not harness._draws_ahead(limit, 100)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(harness, "_forked", True)   # a forked child
-    assert not harness._draws_ahead(limit, 100)
 
 
 def _record_draws(monkeypatch):

@@ -9,7 +9,7 @@ from sgdlab.errors import ParameterError
 from sgdlab.oracles import (NoiseBound, _nonneg_line_fit, gaussian_oracle,
                             minibatch_oracle, relative_noise_oracle, verify_bound)
 from sgdlab.problems import least_squares_sum, pseudo_huber, quadratic
-from sgdlab.rng import derive_key, replica_stream, stream
+from sgdlab.rng import replica_stream, stream
 
 
 def test_same_seed_reproduces_samples():
@@ -19,16 +19,6 @@ def test_same_seed_reproduces_samples():
     x = np.array([1.0, -1.0])
     for _ in range(5):
         assert np.array_equal(a.sample(x).stoch_grad, b.sample(x).stoch_grad)
-
-
-def test_with_key_rewinds_to_a_fresh_stream():
-    p = quadratic([1.0, 2.0])
-    orc = gaussian_oracle(p, 0.3, seed=5)
-    x = np.array([0.5, 0.5])
-    first = orc.sample(x).stoch_grad
-    orc.sample(x)  # advance
-    again = orc.with_key(derive_key(5, 0)).sample(x).stoch_grad
-    assert np.array_equal(first, again)
 
 
 def test_sample_decomposition_is_exact():
