@@ -13,9 +13,9 @@ from .errors import (ConfigError, DivergenceError, ExperimentError,
                      ParameterError)
 from .schedules import (PowerSchedule, ScheduleClass, PartialSumReport,
                         make_power_schedule, classify, numeric_probe)
-from .problems import (Problem, FiniteSumProblem, Convexity, Minimum,
-                       WeakConvexityCertificate, quadratic, pseudo_huber,
-                       smooth_rastrigin, least_squares_sum, check_gradient)
+from .problems import (Problem, Convexity, Minimum, WeakConvexityCertificate,
+                       quadratic, pseudo_huber, smooth_rastrigin,
+                       least_squares_sum, check_gradient)
 from .oracles import (GradientOracle, NoiseBound, OracleSample,
                       gaussian_oracle, relative_noise_oracle,
                       minibatch_oracle, verify_bound)
@@ -39,9 +39,9 @@ __all__ = [
     "ConfigError", "DivergenceError", "ExperimentError", "ParameterError",
     "PowerSchedule", "ScheduleClass", "PartialSumReport",
     "make_power_schedule", "classify", "numeric_probe",
-    "Problem", "FiniteSumProblem", "Convexity", "Minimum",
-    "WeakConvexityCertificate", "quadratic", "pseudo_huber",
-    "smooth_rastrigin", "least_squares_sum", "check_gradient",
+    "Problem", "Convexity", "Minimum", "WeakConvexityCertificate",
+    "quadratic", "pseudo_huber", "smooth_rastrigin", "least_squares_sum",
+    "check_gradient",
     "GradientOracle", "NoiseBound", "OracleSample", "gaussian_oracle",
     "relative_noise_oracle", "minibatch_oracle", "verify_bound",
     "METHODS", "IterState", "AveragedState", "Trajectory", "init_state",

@@ -112,8 +112,8 @@ def cmd_classify(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    problem, fsp, schedule = validate_config(cfg)
-    oracle = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
+    problem, schedule = validate_config(cfg)
+    oracle = build_oracle(cfg.oracle, problem, seed=cfg.seed)
     lyap = resolve_lyapunov(cfg, problem, schedule)
     traj = run(cfg.method, problem, oracle, schedule, cfg.horizon, cfg.seed,
                cfg.x0, checkpoint_stride=cfg.checkpoint_stride, beta=cfg.beta,
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ExperimentError, DivergenceError) as e:

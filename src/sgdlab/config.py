@@ -34,8 +34,8 @@ from .errors import ConfigError
 from .optimizers import METHODS
 from .oracles import (GradientOracle, gaussian_oracle, minibatch_oracle,
                       relative_noise_oracle)
-from .problems import (FiniteSumProblem, Problem, least_squares_sum,
-                       pseudo_huber, quadratic, smooth_rastrigin)
+from .problems import (Problem, least_squares_sum, pseudo_huber, quadratic,
+                       smooth_rastrigin)
 from .schedules import PowerSchedule, make_power_schedule
 
 MANIFEST_FORMAT = "sgdlab-experiment"
@@ -68,20 +68,19 @@ def build_schedule(spec: dict) -> PowerSchedule:
         raise ConfigError(f"[schedule] {e}") from e
 
 
-def build_problem(spec: dict):
-    """Returns (Problem, FiniteSumProblem or None)."""
+def build_problem(spec: dict) -> Problem:
+    """The [problem] section's Problem; kind = least_squares gives a
+    least-squares sum, the one kind a minibatch oracle samples."""
     kind = spec.get("kind")
     try:
         if kind == "quadratic":
-            p = quadratic(spec["spectrum"], spec.get("x_star"))
-            return p, None
+            return quadratic(spec["spectrum"], spec.get("x_star"))
         if kind == "pseudo_huber":
-            return pseudo_huber(int(spec["dim"])), None
+            return pseudo_huber(int(spec["dim"]))
         if kind == "smooth_rastrigin":
-            return smooth_rastrigin(int(spec["dim"]), float(spec["amplitude"])), None
+            return smooth_rastrigin(int(spec["dim"]), float(spec["amplitude"]))
         if kind == "least_squares":
-            fsp = least_squares_sum(spec["design"], spec["targets"])
-            return fsp.aggregate, fsp
+            return least_squares_sum(spec["design"], spec["targets"])
     except KeyError as e:
         raise ConfigError(f"[problem] kind {kind!r} is missing key {e.args[0]!r}") from e
     except (ValueError, TypeError) as e:   # ParameterError, or not a number
@@ -89,19 +88,15 @@ def build_problem(spec: dict):
     raise ConfigError(f"[problem] unknown kind {kind!r}")
 
 
-def build_oracle(spec: dict, problem: Problem,
-                 fsp: FiniteSumProblem | None, seed: int) -> GradientOracle:
+def build_oracle(spec: dict, problem: Problem, seed: int) -> GradientOracle:
     kind = spec.get("kind")
-    if kind == "minibatch" and fsp is None:
-        raise ConfigError("[oracle] minibatch requires a finite-sum problem "
-                          "(kind = least_squares)")
     try:
         if kind == "gaussian":
             return gaussian_oracle(problem, float(spec["sigma"]), seed=seed)
         if kind == "relative_noise":
             return relative_noise_oracle(problem, float(spec["eta"]), seed=seed)
         if kind == "minibatch":
-            return minibatch_oracle(fsp, int(spec["batch"]),
+            return minibatch_oracle(problem, int(spec["batch"]),
                                     replace=bool(spec.get("replace", True)), seed=seed)
     except KeyError as e:
         raise ConfigError(f"[oracle] kind {kind!r} is missing key {e.args[0]!r}") from e
@@ -112,9 +107,9 @@ def build_oracle(spec: dict, problem: Problem,
 
 def validate_config(cfg: ExperimentConfig, built=None):
     """Static checks with messages naming the violated constraint.  Returns
-    the (problem, finite sum or None, schedule) built to check them; unless
-    None, `built` is the (problem, finite sum or None) that an equal
-    [problem] section built, and serves as cfg's own."""
+    the (problem, schedule) built to check them; unless None, `built` is
+    the Problem that an equal [problem] section built, and serves as cfg's
+    own."""
     if cfg.method not in METHODS:
         raise ConfigError(f"[run] method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.horizon < 1:
@@ -132,7 +127,7 @@ def validate_config(cfg: ExperimentConfig, built=None):
         raise ConfigError("[run] lyapunov = true requires checkpoint_stride = 1 "
                           "(the descent fit needs consecutive checkpoints)")
     schedule = build_schedule(cfg.schedule)
-    problem, fsp = build_problem(cfg.problem) if built is None else built
+    problem = build_problem(cfg.problem) if built is None else built
     if len(cfg.x0) != problem.dim:
         raise ConfigError(f"[run] x0 has length {len(cfg.x0)}, problem dim is {problem.dim}")
     if problem.minimum is None:
@@ -143,7 +138,7 @@ def validate_config(cfg: ExperimentConfig, built=None):
             raise ConfigError(
                 f"[schedule] mu_1 * alpha_1 = {worst} exceeds 1; the velocity "
                 "decay factor 1 - mu_k * alpha_k would be negative")
-    return problem, fsp, schedule
+    return problem, schedule
 
 
 def validate_replicas(cfg: ExperimentConfig) -> None:
@@ -204,12 +199,10 @@ def _ini_errors(parse):
     return wrapped
 
 
-@_ini_errors
-def parse_config_file(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Read an experiment config, applying `section.key=value` overrides."""
+def _read_ini(path: str, overrides: list[str] | None) -> configparser.ConfigParser:
+    """The config file at path, with its `section.key=value` overrides applied."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
     for ov in overrides or []:
         if "=" not in ov or "." not in ov.split("=", 1)[0]:
@@ -222,6 +215,22 @@ def parse_config_file(path: str, overrides: list[str] | None = None) -> Experime
             cp.set(section.strip(), name.strip(), value.strip())
         except ValueError as e:   # a bad % interpolation, or the DEFAULT section
             raise ConfigError(f"override {ov!r}: {e}") from e
+    return cp
+
+
+def _reject_unknown(cp: configparser.ConfigParser, section: str, known: tuple) -> None:
+    unknown = sorted(set(cp.options(section)) - set(known))
+    if unknown:
+        raise ConfigError(f"[{section}] unknown keys: {unknown}")
+
+
+@_ini_errors
+def parse_config_file(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
+    """Read an experiment config, applying `section.key=value` overrides."""
+    return _experiment_config(_read_ini(path, overrides))
+
+
+def _experiment_config(cp: configparser.ConfigParser) -> ExperimentConfig:
     for section in ("problem", "oracle", "schedule", "run"):
         if not cp.has_section(section):
             raise ConfigError(f"config file is missing the [{section}] section")
@@ -237,6 +246,7 @@ def parse_config_file(path: str, overrides: list[str] | None = None) -> Experime
 
     orac = {key: _parse_scalar(raw) for key, raw in cp.items("oracle")}
 
+    _reject_unknown(cp, "schedule", ("alpha", "mu"))
     sched: dict = {}
     for key, raw in cp.items("schedule"):
         if key == "alpha":
@@ -249,8 +259,6 @@ def parse_config_file(path: str, overrides: list[str] | None = None) -> Experime
             if len(pair) != 2:
                 raise ConfigError("[schedule] mu must be a pair: m, b")
             sched["mu_m"], sched["mu_b"] = pair
-        else:
-            sched[key] = _parse_scalar(raw)
 
     run = dict(cp.items("run"))
 
@@ -350,19 +358,16 @@ def parse_sweep_file(path: str, overrides: list[str] | None = None) -> SweepSpec
     """A sweep file is an experiment config plus a [sweep] section whose
     methods / alpha_a / mu_b lists span a cartesian grid.  The base config
     is validated here, so a bad base fails before any cell runs."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not cp.read(path):
-        raise ConfigError(f"cannot read config file {path!r}")
+    cp = _read_ini(path, overrides)
     if not cp.has_section("sweep"):
         raise ConfigError("sweep requires a [sweep] section")
-    base = parse_config_file(path, overrides)
+    _reject_unknown(cp, "sweep", ("methods", "alpha_a", "mu_b"))
+    base = _experiment_config(cp)
     validate_config(base)
     validate_replicas(base)
     methods = [m.strip() for m in cp.get("sweep", "methods", fallback="").split(",") if m.strip()]
-    alpha_a = _parse_floats(cp.get("sweep", "alpha_a", fallback=""), "[sweep] alpha_a") \
-        if cp.has_option("sweep", "alpha_a") else []
-    mu_b = _parse_floats(cp.get("sweep", "mu_b", fallback=""), "[sweep] mu_b") \
-        if cp.has_option("sweep", "mu_b") else []
+    alpha_a = _parse_floats(cp.get("sweep", "alpha_a", fallback=""), "[sweep] alpha_a")
+    mu_b = _parse_floats(cp.get("sweep", "mu_b", fallback=""), "[sweep] mu_b")
     return SweepSpec(base=base, methods=methods or [base.method],
                      alpha_a=alpha_a or [float(base.schedule.get("alpha_a", 0.0))],
                      mu_b=mu_b or [float(base.schedule.get("mu_b", 0.0))])

@@ -96,7 +96,7 @@ from .lyapunov import LyapunovSeries, descent_fit, select_lambda, select_zeta
 from .optimizers import (KERNELS, all_within_radius, averaged_update, checkpoint_grid,
                          init_average, within_radius)
 from .oracles import GradientOracle
-from .problems import Convexity, FiniteSumProblem, Problem, row_dot
+from .problems import Convexity, Problem, row_dot
 from .rng import replica_streams
 from .schedules import PowerSchedule, classify
 
@@ -667,7 +667,6 @@ class _Experiment:
     """A validated experiment, built and ready to step."""
     cfg: ExperimentConfig
     problem: Problem
-    fsp: Optional[FiniteSumProblem]
     schedule: PowerSchedule
     oracle: GradientOracle
     lyap_mode: Optional[tuple]
@@ -702,15 +701,15 @@ def _prepare(cfg: ExperimentConfig, like: Optional[_Experiment] = None) -> _Expe
     whose problem and oracle, built from equal configs, serve as cfg's."""
     validate_replicas(cfg)
     if like is None:
-        problem, fsp, schedule = validate_config(cfg)
-        oracle = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
+        problem, schedule = validate_config(cfg)
+        oracle = build_oracle(cfg.oracle, problem, seed=cfg.seed)
     else:
-        problem, fsp, schedule = validate_config(cfg, (like.problem, like.fsp))
+        problem, schedule = validate_config(cfg, like.problem)
         oracle = like.oracle
     # Zero-noise oracles make every replica identical: one trajectory gives
     # the exact means, and with n = 1 `_mean_se` gives standard errors of
     # exactly 0.
-    return _Experiment(cfg, problem, fsp, schedule, oracle,
+    return _Experiment(cfg, problem, schedule, oracle,
                        resolve_lyapunov(cfg, problem, schedule),
                        checkpoint_grid(cfg.horizon, cfg.checkpoint_stride),
                        schedule.alphas(cfg.horizon), schedule.mus(cfg.horizon),
@@ -724,12 +723,12 @@ def _plan(exps: list) -> tuple:
     its noise in a draw helper (see `_step_together`).  Only a lone
     experiment of at least two blocks and `_SPLIT_MIN_WORK` replica-steps
     splits, if each range's unfolded sums (see `_steps`) hold at most
-    `_CHUNK_VALUES` checkpoint-blocks per quantity; a least-squares one
-    never does: its sums evaluate through BLAS, whose rounding depends on
-    the batch's row count (one row takes gemv, not gemm).  A lone range draws
-    ahead from `_HELPER_MIN_WORK` replica-steps with a second usable CPU
-    that the platform lets it pin the helper to.  A forked child does
-    neither."""
+    `_CHUNK_VALUES` checkpoint-blocks per quantity; a least-squares one,
+    whose problem has a `design`, never does: its sums evaluate through
+    BLAS, whose rounding depends on the batch's row count (one row takes
+    gemv, not gemm).  A lone range draws ahead from `_HELPER_MIN_WORK`
+    replica-steps with a second usable CPU that the platform lets it pin
+    the helper to.  A forked child does neither."""
     exp = exps[0]
     r_count, work = exp.effective, exp.effective * exp.cfg.horizon
     whole = [(0, r_count)]
@@ -738,7 +737,8 @@ def _plan(exps: list) -> tuple:
     cpus = _usable_cpus()
     blocks = -(-r_count // _BLOCK_REPLICAS)
     parts = min(cpus, blocks)
-    if (len(exps) == 1 and exp.fsp is None and parts >= 2 and work >= _SPLIT_MIN_WORK
+    if (len(exps) == 1 and exp.problem.design is None and parts >= 2
+            and work >= _SPLIT_MIN_WORK
             and len(exp.grid) * -(-blocks // parts) <= _CHUNK_VALUES):
         bounds = [_BLOCK_REPLICAS * (blocks * p // parts) for p in range(parts)] + [r_count]
         return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])], False

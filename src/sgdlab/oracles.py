@@ -6,7 +6,8 @@ conditional mean and declared second-moment bound
     E[ ||xi||^2 | x ] <= m_const + v_const * ||grad f(x)||^2.
 
 Three families are provided: additive Gaussian noise, minibatch subsampling
-of a finite sum (unbiased by construction), and relative noise of magnitude
+of the rows of a least-squares sum (unbiased by construction; it reads the
+problem's `design` and `targets`), and relative noise of magnitude
 proportional to the gradient.  `verify_bound` checks the declared constants
 against empirical moments.
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .problems import FiniteSumProblem, Problem, row_sum
+from .problems import Problem, row_sum
 from .rng import stream, derive_key
 
 
@@ -157,21 +158,23 @@ class _MinibatchOracle(GradientOracle):
     needs_gradient = False
     raw_dtype = np.int64
 
-    def __init__(self, fsp: FiniteSumProblem, batch: int, replace: bool, key: int):
+    def __init__(self, problem: Problem, batch: int, replace: bool, key: int):
+        if problem.design is None:
+            raise ParameterError("minibatch requires a finite-sum problem "
+                                 "(kind = least_squares)")
         batch = int(batch)
-        s_count = len(fsp.components)
+        s_count = len(problem.targets)
         if not 1 <= batch <= s_count:
             raise ParameterError(f"batch must lie in [1, {s_count}], got {batch}")
-        self.fsp = fsp
         self.batch = batch
         self.replace = bool(replace)
-        bound = _minibatch_bound(fsp, batch, self.replace)
-        super().__init__(fsp.aggregate, bound, key)
+        bound = _minibatch_bound(problem, batch, self.replace)
+        super().__init__(problem, bound, key)
         self.raw_shape = (batch,)
 
     def _raw(self, rng, out):
         # integers takes no out=, and the permutation needs all S uniforms.
-        s_count = len(self.fsp.components)
+        s_count = len(self.problem.targets)
         if self.replace:
             out[...] = rng.integers(0, s_count, size=out.shape, dtype=np.int64)
             return
@@ -191,19 +194,19 @@ class _MinibatchOracle(GradientOracle):
         if xs.shape[0] == 1 and idx.shape[0] != 1:
             xs = np.broadcast_to(xs, (idx.shape[0], xs.shape[1]))
         # Least-squares rows: one gather + two contractions.
-        a_sel = np.take(self.fsp.design, idx, axis=0)     # (R, batch, d)
-        b_sel = np.take(self.fsp.targets, idx)            # (R, batch)
+        a_sel = np.take(self.problem.design, idx, axis=0)     # (R, batch, d)
+        b_sel = np.take(self.problem.targets, idx)            # (R, batch)
         resid = np.einsum("rbd,rd->rb", a_sel, xs) - b_sel
         out = np.einsum("rb,rbd->rd", resid, a_sel) / self.batch
         return out[0] if single_draw else out
 
 
-def _minibatch_bound(fsp: FiniteSumProblem, batch: int, replace: bool) -> NoiseBound:
+def _minibatch_bound(problem: Problem, batch: int, replace: bool) -> NoiseBound:
     """Declared (M, V) for subsampling noise.
 
     With replacement, E||xi||^2 = (1/batch) * (mean_i ||grad f_i||^2 - ||grad f||^2),
     and sampling without replacement only shrinks it, so one bound covers both.
-    For least-squares rows whose aggregate is strongly convex (the
+    For a least-squares sum that is strongly convex (the
     `strong_convexity_mu` that `least_squares_sum` sets from its Gram
     eigenvalues, lmin = mu) there is a closed form: writing x_hat for the
     least-squares solution and r for its residual,
@@ -212,21 +215,20 @@ def _minibatch_bound(fsp: FiniteSumProblem, batch: int, replace: bool) -> NoiseB
     non-negative least-squares fit (`_nonneg_line_fit`) to exact per-point
     second moments on a fixed point grid, inflated by 50%, flagged empirical.
     """
-    agg = fsp.aggregate
-    lmin = agg.strong_convexity_mu
-    a, b = fsp.design, fsp.targets
+    lmin = problem.strong_convexity_mu
+    a, b = problem.design, problem.targets
     if lmin is not None:
         row_sq = np.sum(a * a, axis=1)
-        x_hat = agg.minimum.x_star
+        x_hat = problem.minimum.x_star
         resid = a @ x_hat - b
         m_const = (2.0 / batch) * float(row_sq.max()) * float(np.max(resid ** 2))
         v_const = (2.0 / batch) * float(row_sq.max()) ** 2 / lmin ** 2
         return NoiseBound(m_const=m_const, v_const=v_const, empirical=False)
 
     # Empirical fallback: exact conditional second moments on a fixed grid.
-    # At each point the (S, dim) component gradients (a_i . x - b_i) a_i are
+    # At each point the (S, dim) row gradients (a_i . x - b_i) a_i are
     # one elementwise expression, with no BLAS call, and grad f is their mean.
-    pts = stream(derive_key(0xB0D5, 0)).standard_normal((64, agg.dim)) * 3.0
+    pts = stream(derive_key(0xB0D5, 0)).standard_normal((64, problem.dim)) * 3.0
     s_count = len(b)
     fpc = 1.0 if replace else 1.0 - (batch - 1.0) / max(s_count - 1.0, 1.0)
     e2 = np.empty(len(pts))
@@ -273,10 +275,11 @@ def relative_noise_oracle(p: Problem, eta: float, seed: int = 0) -> GradientOrac
     return _RelativeNoiseOracle(p, eta, derive_key(seed, 0))
 
 
-def minibatch_oracle(fsp: FiniteSumProblem, batch: int, replace: bool = True,
+def minibatch_oracle(problem: Problem, batch: int, replace: bool = True,
                      seed: int = 0) -> GradientOracle:
-    """Average of `batch` uniformly sampled component gradients (unbiased)."""
-    return _MinibatchOracle(fsp, batch, replace, derive_key(seed, 0))
+    """Average of the gradients of `batch` uniformly sampled rows of a
+    least-squares sum from `least_squares_sum` (unbiased)."""
+    return _MinibatchOracle(problem, batch, replace, derive_key(seed, 0))
 
 
 @dataclass(frozen=True)

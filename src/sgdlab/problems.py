@@ -12,6 +12,10 @@ carry a weak-convexity certificate: constants (k0, delta) such that
 dim) block gives each (rows, dim) slab the bits of a call on that slab
 alone, so the experiment engine evaluates a chunk of checkpoint states in
 one call.
+
+A least-squares sum is a Problem like any other; it also keeps its raw
+(A, b) data in `design` and `targets`, from which the minibatch oracle
+computes subsampled gradients.  Every other problem leaves them None.
 """
 
 from __future__ import annotations
@@ -56,21 +60,8 @@ class Problem:
     strong_convexity_mu: Optional[float] = None
     minimum: Optional[Minimum] = None
     weak_convexity: Optional[WeakConvexityCertificate] = None
-
-
-@dataclass(frozen=True)
-class FiniteSumProblem:
-    """f = (1/S) * sum_i f_i with per-component Problems and the aggregate.
-
-    The components are least-squares rows, f_i(x) = 1/2 * (a_i . x - b_i)^2;
-    design and targets keep their raw (A, b) data, from which the minibatch
-    oracle computes subsampled gradients.
-    """
-
-    components: tuple
-    aggregate: Problem
-    design: np.ndarray
-    targets: np.ndarray
+    design: Optional[np.ndarray] = None    # (S, dim) rows of a least-squares sum
+    targets: Optional[np.ndarray] = None   # its (S,) targets
 
 
 def row_sum(t: np.ndarray) -> np.ndarray:
@@ -250,18 +241,17 @@ def smooth_rastrigin(dim: int, amplitude: float) -> Problem:
     )
 
 
-def least_squares_sum(design, targets) -> FiniteSumProblem:
-    """Finite sum of least-squares rows: f_i(x) = 1/2 * (a_i . x - b_i)^2.
+def least_squares_sum(design, targets) -> Problem:
+    """f = (1/S) sum_i f_i over least-squares rows f_i(x) = 1/2 * (a_i . x - b_i)^2,
+    with smoothness lambda_max((1/S) A^T A), the top eigenvalue from
+    `eigvalsh` inflated by 1e-6 so the constant stays a certified upper
+    bound.  The read-only A and b are its `design` and `targets`.
 
-    The aggregate is f = (1/S) sum_i f_i with smoothness
-    lambda_max((1/S) A^T A), the top eigenvalue from `eigvalsh` inflated by
-    1e-6 so the constant stays a certified upper bound.
-
-    The aggregate evaluates through BLAS (`tensordot`), whose rounding can
-    depend on the batch shape: a single row takes gemv, not gemm.  So its
-    `value` evaluates an input of more than 2 dimensions one (rows, dim)
-    slab at a time, and a (checkpoints, replicas, dim) block gets, row for
-    row, the bits of a call on each (replicas, dim) state.
+    It evaluates through BLAS (`tensordot`), whose rounding can depend on
+    the batch shape: a single row takes gemv, not gemm.  So its `value`
+    evaluates an input of more than 2 dimensions one (rows, dim) slab at a
+    time, and a (checkpoints, replicas, dim) block gets, row for row, the
+    bits of a call on each (replicas, dim) state.
     """
     a = np.asarray(design, dtype=float)
     b = np.asarray(targets, dtype=float)
@@ -274,31 +264,6 @@ def least_squares_sum(design, targets) -> FiniteSumProblem:
         raise ParameterError("design and targets must be finite")
     a.setflags(write=False)
     b.setflags(write=False)
-
-    def component(i: int) -> Problem:
-        ai = a[i]
-        bi = float(b[i])
-
-        def value(x, ai=ai, bi=bi):
-            x = np.asarray(x, dtype=float)
-            r = np.tensordot(x, ai, axes=([-1], [0])) - bi
-            return 0.5 * r * r
-
-        def gradient(x, ai=ai, bi=bi):
-            x = np.asarray(x, dtype=float)
-            r = np.tensordot(x, ai, axes=([-1], [0])) - bi
-            return np.multiply.outer(r, ai)
-
-        return Problem(
-            name=f"least_squares_row_{i}",
-            dim=d,
-            value=value,
-            gradient=gradient,
-            smoothness_l=float(ai @ ai),
-            convexity=Convexity.CONVEX,
-        )
-
-    components = tuple(component(i) for i in range(s_count))
 
     gram = (a.T @ a) / s_count
 
@@ -324,7 +289,7 @@ def least_squares_sum(design, targets) -> FiniteSumProblem:
         conv, mu = Convexity.CONVEX, None
     x_star = np.linalg.lstsq(a, b, rcond=None)[0]
     f_star = float(value(x_star))
-    aggregate = Problem(
+    return Problem(
         name="least_squares_sum",
         dim=d,
         value=value,
@@ -333,9 +298,9 @@ def least_squares_sum(design, targets) -> FiniteSumProblem:
         convexity=conv,
         strong_convexity_mu=mu,
         minimum=Minimum(x_star, f_star),
+        design=a,
+        targets=b,
     )
-    return FiniteSumProblem(components=components, aggregate=aggregate,
-                            design=a, targets=b)
 
 
 def check_gradient(p: Problem, x, step: float | None = None) -> float:

@@ -133,10 +133,10 @@ def _at(est, ks):
 
 def test_criterion_01_gradients_certified_at_seeded_points():
     t0 = time.perf_counter()
-    fsp = least_squares_sum([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]],
+    lsq = least_squares_sum([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]],
                             [1.0, -0.5, 2.0])
     problems = [quadratic([1.0, 4.0]), pseudo_huber(3),
-                smooth_rastrigin(2, 10.0), fsp.aggregate, fsp.components[1]]
+                smooth_rastrigin(2, 10.0), lsq]
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for p in problems:
@@ -211,7 +211,7 @@ def test_criterion_06_damped_momentum_drives_gradients_down(
 def test_criterion_07_energy_descent_bound_fits(const_damping_run,
                                                 noiseless_damping_run):
     est, _ = const_damping_run
-    problem, _ = build_problem(est.config.problem)
+    problem = build_problem(est.config.problem)
     mode, coeff = resolve_lyapunov(est.config, problem,
                                    build_schedule(est.config.schedule))
     assert mode == "constant"
@@ -257,7 +257,7 @@ def test_criterion_10_noise_bounds_hold_empirically():
     rng = np.random.default_rng(SEED)
     quad = quadratic([1.0, 4.0])
     hub = pseudo_huber(2)
-    fsp = least_squares_sum([[1.0], [1.0]], [1.0, -1.0])
+    lsq = least_squares_sum([[1.0], [1.0]], [1.0, -1.0])
     # One seed per oracle: a shared seed would hand the gaussian and
     # relative-noise oracles identical raw normal streams.
     suites = [
@@ -265,7 +265,7 @@ def test_criterion_10_noise_bounds_hold_empirically():
          rng.uniform(-3.0, 3.0, size=(20, 2))),
         (relative_noise_oracle(hub, 0.5, seed=SEED + 1), hub,
          rng.uniform(-3.0, 3.0, size=(20, 2))),
-        (minibatch_oracle(fsp, 1, seed=SEED + 2), fsp.aggregate,
+        (minibatch_oracle(lsq, 1, seed=SEED + 2), lsq,
          rng.uniform(-3.0, 3.0, size=(20, 1))),
     ]
     for orc, p, pts in suites:
@@ -273,7 +273,7 @@ def test_criterion_10_noise_bounds_hold_empirically():
     # Two equal rows with opposite targets: at x = 0 the aggregate gradient
     # is 0 while every single-row draw returns -1 or +1, so the noise has
     # squared norm 1 on each draw and the empirical second moment is exact.
-    rep = verify_bound(minibatch_oracle(fsp, 1, seed=SEED + 2), fsp.aggregate,
+    rep = verify_bound(minibatch_oracle(lsq, 1, seed=SEED + 2), lsq,
                        [[0.0]], 100_000)
     chk = rep.checks[0]
     assert chk.passed

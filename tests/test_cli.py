@@ -94,14 +94,18 @@ def test_experiment_writes_manifest_estimates_summary(config_path, tmp_path, cap
 
 
 def test_experiment_replays_a_manifest_byte_identically(config_path, tmp_path):
-    first = tmp_path / "a"
-    again = tmp_path / "b"
-    assert main(["experiment", config_path, "--out", str(first), "--seed", "23"]) == 0
-    manifest = json.loads((first / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == 23
-    assert main(["experiment", "--from-manifest", str(first / "manifest.json"),
-                 "--out", str(again)]) == 0
-    assert (first / "estimates.csv").read_bytes() == (again / "estimates.csv").read_bytes()
+    lsq_path = tmp_path / "lsq.ini"
+    lsq_path.write_text(LSQ_INI)   # a least-squares sum with a minibatch oracle
+    for name, path in (("quadratic", config_path), ("lsq", str(lsq_path))):
+        first = tmp_path / name / "a"
+        again = tmp_path / name / "b"
+        assert main(["experiment", path, "--out", str(first), "--seed", "23"]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 23
+        assert main(["experiment", "--from-manifest", str(first / "manifest.json"),
+                     "--out", str(again)]) == 0
+        assert (first / "estimates.csv").read_bytes() == \
+            (again / "estimates.csv").read_bytes(), name
 
 
 # One wrong-typed value for each field of a manifest's config block.
@@ -873,6 +877,23 @@ def test_exit_codes(config_path, tmp_path, capsys):
     bad_csv.write_text("k,v\n1,2\n")
     assert main(["plot", str(bad_csv)]) == 2
     assert main(["plot", str(tmp_path / "absent.csv")]) == 2
+    capsys.readouterr()
+    # OS errors other than a missing file: a directory read as a file, and
+    # an output directory that is an existing file.
+    assert main(["plot", str(tmp_path)]) == 2
+    assert main(["experiment", "--from-manifest", str(tmp_path),
+                 "--out", str(tmp_path / "y")]) == 2
+    assert main(["experiment", config_path, "--out", str(bad_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 3 and "Traceback" not in err
+    # Unknown [schedule] and [sweep] keys are usage errors that name the key.
+    assert main(["experiment", config_path, "--out", str(tmp_path / "z"),
+                 "--set", "schedule.step=0.25, 0.6"]) == 2
+    assert "step" in capsys.readouterr().err
+    sweep_ini = tmp_path / "sweep.ini"
+    sweep_ini.write_text(INI + "\n[sweep]\nmethod = vsgd, msgd_damped\n")
+    assert main(["sweep", str(sweep_ini), "--out", str(tmp_path / "z")]) == 2
+    assert "'method'" in capsys.readouterr().err
 
 
 def test_cleanup_tolerates_missing_files(tmp_path):
@@ -909,8 +930,8 @@ config, out = sys.argv[1:]
 assert main(["lyapunov", config, "--out", out, "--json",
              "--set", "run.method=msgd_damped", "--set", "schedule.mu=1.0, 0.0",
              "--set", "schedule.alpha=0.3, 0.7"]) == 0
-fsp = least_squares_sum([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], [1.0, 0.0, -1.0])
-assert minibatch_oracle(fsp, 1, seed=0).bound.empirical
+lsq = least_squares_sum([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], [1.0, 0.0, -1.0])
+assert minibatch_oracle(lsq, 1, seed=0).bound.empirical
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

@@ -78,6 +78,9 @@ def test_malformed_files_are_rejected(tmp_path):
     unknown = BASE_INI + "momentum = 0.9\n"
     with pytest.raises(ConfigError, match="unknown keys.*momentum"):
         parse_config_file(_write(tmp_path, unknown))
+    misspelled = BASE_INI.replace("mu = 1.0, 0.2", "mu = 1.0, 0.2\nstep = 0.25, 0.6")
+    with pytest.raises(ConfigError, match=r"\[schedule\] unknown keys.*step"):
+        parse_config_file(_write(tmp_path, misspelled))
 
 
 def test_default_x0_is_the_origin(tmp_path):
@@ -111,9 +114,9 @@ x0 = 0.0, 0.0
     cfg = parse_config_file(_write(tmp_path, text))
     assert cfg.problem["design"] == [[1.0, 0.0], [0.0, 2.0]]
     assert cfg.problem["targets"] == [1.0, -1.0]
-    problem, fsp = build_problem(cfg.problem)
-    assert fsp is not None and len(fsp.components) == 2
-    orc = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
+    problem = build_problem(cfg.problem)
+    assert problem.design is not None and len(problem.targets) == 2
+    orc = build_oracle(cfg.oracle, problem, seed=cfg.seed)
     assert not orc.zero_noise
 
 
@@ -146,13 +149,13 @@ def test_validate_accepts_the_damping_boundary():
 
 
 def test_unknown_oracle_kind_is_a_config_error():
-    problem, _ = build_problem({"kind": "quadratic", "spectrum": [1.0]})
+    problem = build_problem({"kind": "quadratic", "spectrum": [1.0]})
     with pytest.raises(ConfigError, match="unknown kind"):
-        build_oracle({"kind": "uniform"}, problem, None, seed=0)
+        build_oracle({"kind": "uniform"}, problem, seed=0)
     with pytest.raises(ConfigError, match="missing key 'sigma'"):
-        build_oracle({"kind": "gaussian"}, problem, None, seed=0)
+        build_oracle({"kind": "gaussian"}, problem, seed=0)
     with pytest.raises(ConfigError, match="finite-sum"):
-        build_oracle({"kind": "minibatch", "batch": 1}, problem, None, seed=0)
+        build_oracle({"kind": "minibatch", "batch": 1}, problem, seed=0)
 
 
 def test_sweep_file_spans_a_grid(tmp_path):
@@ -175,6 +178,22 @@ alpha_a = 0.4, 0.6
     assert grid[1].schedule["alpha_a"] == 0.6
     with pytest.raises(ConfigError, match=r"\[sweep\] section"):
         parse_sweep_file(_write(tmp_path, BASE_INI, name="plain.ini"))
+
+
+def test_sweep_overrides_set_the_grid(tmp_path):
+    path = _write(tmp_path, BASE_INI + "\n[sweep]\nmethods = vsgd\n")
+    spec = parse_sweep_file(path, ["sweep.alpha_a=0.5, 0.7", "sweep.methods=vsgd, nasgd",
+                                   "run.horizon=60"])
+    assert spec.methods == ["vsgd", "nasgd"]
+    assert spec.alpha_a == [0.5, 0.7]
+    assert spec.base.horizon == 60
+    assert len(sweep_grid(spec)) == 4
+
+
+def test_unknown_sweep_keys_are_rejected(tmp_path):
+    path = _write(tmp_path, BASE_INI + "\n[sweep]\nmethod = vsgd, msgd_damped\n")
+    with pytest.raises(ConfigError, match=r"\[sweep\] unknown keys.*'method'"):
+        parse_sweep_file(path)
 
 
 def test_a_sweep_leaves_its_base_config_unchanged(tmp_path):

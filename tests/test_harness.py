@@ -33,8 +33,8 @@ def test_zero_noise_experiment_equals_the_single_trajectory():
     cfg = make_cfg(oracle={"kind": "gaussian", "sigma": 0.0}, replicas=16,
                    horizon=100, checkpoint_stride=10, averaged=True)
     est = run_experiment(cfg)
-    problem, _ = build_problem(cfg.problem)
-    orc = build_oracle(cfg.oracle, problem, None, seed=cfg.seed)
+    problem = build_problem(cfg.problem)
+    orc = build_oracle(cfg.oracle, problem, seed=cfg.seed)
     s = build_schedule(cfg.schedule)
     traj = run("vsgd", problem, orc, s, cfg.horizon, cfg.seed, cfg.x0,
                checkpoint_stride=10, averaged=True)
@@ -59,8 +59,8 @@ def _replica_states(cfg):
     functions.  Returns {k: [(x, v, xbar) or None, one per replica]} over the
     checkpoint grid, an entry being None from the iteration its replica
     diverged at, and the (replica, iteration) divergences in replica order."""
-    problem, fsp = build_problem(cfg.problem)
-    oracle = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
+    problem = build_problem(cfg.problem)
+    oracle = build_oracle(cfg.oracle, problem, seed=cfg.seed)
     s = build_schedule(cfg.schedule)
     grid = [int(k) for k in checkpoint_grid(cfg.horizon, cfg.checkpoint_stride)]
     states = {k: [None] * cfg.replicas for k in grid}
@@ -107,7 +107,7 @@ def _reference_estimate(cfg):
     """Per-checkpoint means and standard errors from `_replica_states`: each
     block's alive replicas summed in replica order, block sums folded in
     block order."""
-    problem, _ = build_problem(cfg.problem)
+    problem = build_problem(cfg.problem)
     s = build_schedule(cfg.schedule)
     lyap = resolve_lyapunov(cfg, problem, s)
     f_star = problem.minimum.f_star
@@ -208,8 +208,8 @@ def test_zero_noise_averaged_experiment_equals_the_single_run_for_every_method(
                    beta=beta, oracle={"kind": "gaussian", "sigma": 0.0}, replicas=4,
                    horizon=90, checkpoint_stride=7, averaged=True)
     est = run_experiment(cfg)
-    problem, _ = build_problem(cfg.problem)
-    orc = build_oracle(cfg.oracle, problem, None, seed=cfg.seed)
+    problem = build_problem(cfg.problem)
+    orc = build_oracle(cfg.oracle, problem, seed=cfg.seed)
     traj = run(method, problem, orc, build_schedule(cfg.schedule), cfg.horizon, cfg.seed,
                cfg.x0, checkpoint_stride=7, beta=beta, averaged=True)
     f_star = problem.minimum.f_star
@@ -237,8 +237,8 @@ def test_run_is_replica_zero_at_every_point(method, sched_extra, beta, problem, 
                    checkpoint_stride=7, averaged=True)
     states, diverged = _replica_states(cfg)
     assert diverged == []
-    built, fsp = build_problem(cfg.problem)
-    orc = build_oracle(cfg.oracle, built, fsp, seed=cfg.seed)
+    built = build_problem(cfg.problem)
+    orc = build_oracle(cfg.oracle, built, seed=cfg.seed)
     traj = run(method, built, orc, build_schedule(cfg.schedule), cfg.horizon, cfg.seed,
                cfg.x0, checkpoint_stride=7, beta=beta, averaged=True)
     assert [p.k for p in traj.points] == list(states)
@@ -419,7 +419,9 @@ def test_plan_splits_or_draws_ahead_only_where_it_pays(cpus, replicas, horizon, 
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(harness, "_forked", kind == "forked")
     exp = SimpleNamespace(effective=replicas, cfg=SimpleNamespace(horizon=horizon),
-                          grid=range(points), fsp=object() if kind == "least-squares" else None)
+                          grid=range(points),
+                          problem=SimpleNamespace(design=object() if kind == "least-squares"
+                                                  else None))
     assert harness._plan([exp] * (3 if kind == "batch" else 1)) == (ranges, ahead)
 
 
@@ -556,8 +558,8 @@ def _record_draws(monkeypatch):
 def _simulate_in_one_process(cfg):
     """`harness._simulate` over every replica of cfg in this process, as
     `run_experiment` calls it when it does not split the replicas."""
-    problem, fsp, s = validate_config(cfg)
-    oracle = build_oracle(cfg.oracle, problem, fsp, seed=cfg.seed)
+    problem, s = validate_config(cfg)
+    oracle = build_oracle(cfg.oracle, problem, seed=cfg.seed)
     return harness._simulate(problem, oracle, cfg.method, cfg.beta, s.alphas(cfg.horizon),
                              s.mus(cfg.horizon), cfg.x0,
                              checkpoint_grid(cfg.horizon, cfg.checkpoint_stride),
@@ -736,12 +738,12 @@ def test_zero_noise_energy_series_matches_the_single_run():
     ser = est.lyap
     assert ser is not None and not ser.vanishing
     assert np.array_equal(ser.se_delta_ht, np.zeros(61))
-    problem, _ = build_problem(cfg.problem)
+    problem = build_problem(cfg.problem)
     s = build_schedule(cfg.schedule)
     mode, coeff = resolve_lyapunov(cfg, problem, s)
     assert mode == "constant"
     assert coeff == select_zeta(problem.smoothness_l, 1.0, 1.0)
-    orc = build_oracle(cfg.oracle, problem, None, seed=cfg.seed)
+    orc = build_oracle(cfg.oracle, problem, seed=cfg.seed)
     traj = run("msgd_damped", problem, orc, s, 60, cfg.seed, cfg.x0,
                checkpoint_stride=1, lyapunov_coeff=coeff)
     assert np.array_equal(ser.mean_ht, [p.lyap.h_tilde for p in traj.points])
@@ -752,7 +754,7 @@ def test_zero_noise_energy_series_matches_the_single_run():
 
 
 def test_resolve_lyapunov_modes():
-    problem, _ = build_problem({"kind": "quadratic", "spectrum": [1.0, 4.0]})
+    problem = build_problem({"kind": "quadratic", "spectrum": [1.0, 4.0]})
     off = make_cfg()
     assert resolve_lyapunov(off, problem, build_schedule(off.schedule)) is None
     const = make_cfg(method="msgd_damped", lyapunov=True, checkpoint_stride=1,
@@ -773,7 +775,7 @@ def _fake_estimate(ks, mean_gsq, mean_avg=None, cfg=None, schedule=None):
     n = len(ks)
     zeros = np.zeros(n)
     cfg = cfg or make_cfg()
-    problem, _, built = validate_config(cfg)
+    problem, built = validate_config(cfg)
     return MonteCarloEstimate(
         checkpoints=np.asarray(ks), mean_grad_sq=np.asarray(mean_gsq, dtype=float),
         se_grad_sq=zeros, mean_gap=zeros.copy(), se_gap=zeros.copy(),

@@ -15,7 +15,7 @@ from sgdlab.errors import ParameterError
 from sgdlab import lyapunov
 from sgdlab.lyapunov import (LyapunovSeries, descent_fit, scalars, select_lambda,
                              select_zeta, triplet_probe)
-from sgdlab.problems import least_squares_sum, quadratic
+from sgdlab.problems import quadratic
 from sgdlab.rng import stream
 from sgdlab.schedules import PowerSchedule
 
@@ -32,9 +32,9 @@ def test_energy_scalars_hand_values():
 
 
 def test_energy_scalars_require_a_known_minimum():
-    component = least_squares_sum([[1.0], [2.0]], [0.0, 1.0]).components[0]
+    unknown = dataclasses.replace(quadratic([1.0]), minimum=None)
     with pytest.raises(ParameterError):
-        scalars(component, np.zeros(1), np.zeros(1), 0.1)
+        scalars(unknown, np.zeros(1), np.zeros(1), 0.1)
 
 
 def test_tilt_selection_frozen_values():

@@ -1,5 +1,7 @@
 """Update rules, iterate averaging, the single-run driver, trajectory formats."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -13,7 +15,7 @@ from sgdlab.optimizers import (DIVERGENCE_RADIUS, METHODS, all_within_radius,
                                nasgd_step, nesterov_classical_step, run, trajectory_csv,
                                trajectory_json, vsgd_step, within_radius)
 from sgdlab.oracles import gaussian_oracle
-from sgdlab.problems import least_squares_sum, pseudo_huber, quadratic
+from sgdlab.problems import pseudo_huber, quadratic
 from sgdlab.rng import stream
 from sgdlab.schedules import PowerSchedule
 
@@ -236,11 +238,10 @@ def test_run_validates_method_requirements():
 
 
 def test_run_rejects_energy_tracking_without_a_known_minimum():
-    fsp = least_squares_sum([[1.0], [2.0]], [0.5, -0.5])
-    component = fsp.components[0]  # no recorded minimum
-    orc = gaussian_oracle(component, 0.1, seed=0)
+    unknown = dataclasses.replace(quadratic([1.0]), minimum=None)
+    orc = gaussian_oracle(unknown, 0.1, seed=0)
     with pytest.raises(ParameterError):
-        run("vsgd", component, orc, PowerSchedule(0.5, 0.6), 10, seed=0, x0=[0.0],
+        run("vsgd", unknown, orc, PowerSchedule(0.5, 0.6), 10, seed=0, x0=[0.0],
             lyapunov_coeff=0.1)
 
 

@@ -33,7 +33,7 @@ def test_block_draws_equal_sequential_and_in_place_draws():
     # pre-drawing raw noise for many iterations, in one block, in chunks or
     # into the rows of a replica-major buffer, must not change any stream
     p = quadratic([1.0, 2.0, 3.0])
-    fsp = least_squares_sum(stream(1).normal(size=(8, 3)), stream(2).normal(size=8))
+    lsq = least_squares_sum(stream(1).normal(size=(8, 3)), stream(2).normal(size=8))
     sized = {  # the draws each oracle made before it filled arrays in place
         "gaussian": replica_stream(3, 7).standard_normal((50, 3)),
         "relative_noise": replica_stream(3, 7).standard_normal((50, 3)),
@@ -42,8 +42,8 @@ def test_block_draws_equal_sequential_and_in_place_draws():
     }
     oracles = [gaussian_oracle(p, 0.5, seed=3),
                relative_noise_oracle(p, 0.2, seed=3),
-               minibatch_oracle(fsp, 3, replace=True, seed=3),
-               minibatch_oracle(fsp, 3, replace=False, seed=3)]
+               minibatch_oracle(lsq, 3, replace=True, seed=3),
+               minibatch_oracle(lsq, 3, replace=False, seed=3)]
     for orc in oracles:
         name = orc.kind if orc.kind != "minibatch" else f"minibatch-{orc.replace}"
         block = orc.raw_block(replica_stream(3, 7), 50)
@@ -69,10 +69,10 @@ def test_batched_apply_matches_single_rows_bitwise():
     # one state per raw row: the batched path must equal row-at-a-time exactly,
     # since the experiment engine relies on it for replica vectorization
     p = quadratic([1.0, 4.0])
-    fsp = least_squares_sum(stream(21).normal(size=(5, 2)), stream(22).normal(size=5))
+    lsq = least_squares_sum(stream(21).normal(size=(5, 2)), stream(22).normal(size=5))
     oracles = [gaussian_oracle(p, 0.7, seed=9),
                relative_noise_oracle(p, 0.3, seed=9),
-               minibatch_oracle(fsp, 2, seed=9)]
+               minibatch_oracle(lsq, 2, seed=9)]
     xs = stream(4).normal(size=(6, 2))
     for orc in oracles:
         raws = orc.raw_block(replica_stream(9, 0), 6)
@@ -149,29 +149,29 @@ def test_zero_noise_flags_and_exact_gradients():
 
 def test_minibatch_is_unbiased():
     rng = stream(5)
-    fsp = least_squares_sum(rng.normal(size=(9, 2)), rng.normal(size=9))
-    orc = minibatch_oracle(fsp, 2, seed=17)
+    lsq = least_squares_sum(rng.normal(size=(9, 2)), rng.normal(size=9))
+    orc = minibatch_oracle(lsq, 2, seed=17)
     x = np.array([0.7, -1.1])
     raws = orc.raw_block(replica_stream(17, 0), 40000)
     sg = orc.stoch_grad(np.broadcast_to(x, (40000, 2)).copy(), raws)
-    err = sg.mean(axis=0) - fsp.aggregate.gradient(x)
+    err = sg.mean(axis=0) - lsq.gradient(x)
     se = sg.std(axis=0, ddof=1) / np.sqrt(len(sg))
     assert np.all(np.abs(err) <= 4.0 * se + 1e-12)
 
 
 def test_full_batch_without_replacement_recovers_the_exact_gradient():
     rng = stream(6)
-    fsp = least_squares_sum(rng.normal(size=(6, 2)), rng.normal(size=6))
-    orc = minibatch_oracle(fsp, 6, replace=False, seed=1)
+    lsq = least_squares_sum(rng.normal(size=(6, 2)), rng.normal(size=6))
+    orc = minibatch_oracle(lsq, 6, replace=False, seed=1)
     x = np.array([1.3, 0.2])
     s = orc.sample(x)
-    assert np.allclose(s.stoch_grad, fsp.aggregate.gradient(x), rtol=1e-12, atol=1e-12)
+    assert np.allclose(s.stoch_grad, lsq.gradient(x), rtol=1e-12, atol=1e-12)
     assert float(np.linalg.norm(s.noise)) < 1e-12
 
 
 def test_minibatch_two_point_bound_closed_form():
-    fsp = least_squares_sum([[1.0], [1.0]], [1.0, -1.0])
-    orc = minibatch_oracle(fsp, 1, seed=0)
+    lsq = least_squares_sum([[1.0], [1.0]], [1.0, -1.0])
+    orc = minibatch_oracle(lsq, 1, seed=0)
     assert not orc.bound.empirical
     assert orc.bound.m_const == pytest.approx(2.0, rel=1e-12)
     assert orc.bound.v_const == pytest.approx(2.0, rel=1e-12)
@@ -179,10 +179,10 @@ def test_minibatch_two_point_bound_closed_form():
 
 def test_minibatch_degenerate_gram_falls_back_to_an_empirical_bound():
     # rank-deficient design: no closed-form variance transfer constant exists
-    fsp = least_squares_sum([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], [1.0, 0.0, -1.0])
-    orc = minibatch_oracle(fsp, 1, seed=0)
+    lsq = least_squares_sum([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], [1.0, 0.0, -1.0])
+    orc = minibatch_oracle(lsq, 1, seed=0)
     assert orc.bound.empirical
-    report = verify_bound(orc, fsp.aggregate, stream(8).normal(size=(5, 2)), samples=5000)
+    report = verify_bound(orc, lsq, stream(8).normal(size=(5, 2)), samples=5000)
     assert report.all_passed
 
 
@@ -190,11 +190,11 @@ def test_minibatch_ill_conditioned_gram_gets_an_empirical_bound():
     # lambda_min = 5e-9 passes an absolute 1e-12 test but fails the problem's
     # relative one (1e-12 * lambda_max = 6.7e-7): the closed form would
     # divide by lambda_min^2 and declare V near 1e29.
-    fsp = least_squares_sum([[1e3, 0.0], [0.0, 1e-4], [1e3, 1e-4]], [1.0, 0.0, -1.0])
-    assert fsp.aggregate.strong_convexity_mu is None
-    orc = minibatch_oracle(fsp, 1, seed=0)
+    lsq = least_squares_sum([[1e3, 0.0], [0.0, 1e-4], [1e3, 1e-4]], [1.0, 0.0, -1.0])
+    assert lsq.strong_convexity_mu is None
+    orc = minibatch_oracle(lsq, 1, seed=0)
     assert orc.bound.empirical
-    report = verify_bound(orc, fsp.aggregate, stream(8).normal(size=(5, 2)), samples=5000)
+    report = verify_bound(orc, lsq, stream(8).normal(size=(5, 2)), samples=5000)
     assert report.all_passed
 
 
@@ -202,8 +202,8 @@ def test_least_squares_minibatch_build_makes_one_eigendecomposition(monkeypatch)
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
-    fsp = least_squares_sum([[1.0, 0.5], [0.2, 2.0], [1.5, -1.0]], [1.0, 0.0, -1.0])
-    assert not minibatch_oracle(fsp, 2, seed=0).bound.empirical
+    lsq = least_squares_sum([[1.0, 0.5], [0.2, 2.0], [1.5, -1.0]], [1.0, 0.0, -1.0])
+    assert not minibatch_oracle(lsq, 2, seed=0).bound.empirical
     assert len(calls) == 1
 
 
@@ -223,11 +223,16 @@ def test_two_column_fit_matches_nnls(seed):
 
 
 def test_minibatch_rejects_out_of_range_batches():
-    fsp = least_squares_sum([[1.0], [1.0]], [1.0, -1.0])
+    lsq = least_squares_sum([[1.0], [1.0]], [1.0, -1.0])
     with pytest.raises(ParameterError):
-        minibatch_oracle(fsp, 0)
+        minibatch_oracle(lsq, 0)
     with pytest.raises(ParameterError):
-        minibatch_oracle(fsp, 3)
+        minibatch_oracle(lsq, 3)
+
+
+def test_minibatch_requires_a_least_squares_sum():
+    with pytest.raises(ParameterError, match="finite-sum"):
+        minibatch_oracle(quadratic([1.0, 4.0]), 1)
 
 
 @pytest.mark.parametrize("sigma_or_eta", [-0.1, float("nan")])

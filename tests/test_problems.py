@@ -57,9 +57,9 @@ def test_quadratic_equals_the_subtracting_formula_bitwise(x_star, x):
             assert p.gradient(pts).tobytes() == (lam * (pts - xs)).tobytes()
 
 
-def _lsq_aggregate(dim: int):
+def _lsq_sum(dim: int):
     rng = np.random.default_rng(dim)
-    return least_squares_sum(rng.normal(size=(12, dim)), rng.normal(size=12)).aggregate
+    return least_squares_sum(rng.normal(size=(12, dim)), rng.normal(size=12))
 
 
 _BLOCK_PROBLEMS = {
@@ -67,8 +67,8 @@ _BLOCK_PROBLEMS = {
     "quadratic-signed-zero-minimizer": lambda: quadratic([1.0, 4.0, 0.5], [-0.0, 1.5, 0.0]),
     "pseudo_huber": lambda: pseudo_huber(3),
     "smooth_rastrigin": lambda: smooth_rastrigin(2, 0.06),
-    "least_squares": lambda: _lsq_aggregate(2),
-    "least_squares-8": lambda: _lsq_aggregate(8),
+    "least_squares": lambda: _lsq_sum(2),
+    "least_squares-8": lambda: _lsq_sum(8),
 }
 
 
@@ -189,8 +189,7 @@ def test_least_squares_aggregate_matches_direct_formulas():
     rng = stream(7)
     a = rng.normal(size=(12, 3))
     b = rng.normal(size=12)
-    fsp = least_squares_sum(a, b)
-    agg = fsp.aggregate
+    agg = least_squares_sum(a, b)
     x = rng.normal(size=3)
     r = a @ x - b
     assert float(agg.value(x)) == pytest.approx(0.5 * float(np.mean(r * r)))
@@ -207,14 +206,16 @@ def test_least_squares_components_average_to_the_aggregate():
     rng = stream(13)
     a = rng.normal(size=(6, 2))
     b = rng.normal(size=6)
-    fsp = least_squares_sum(a, b)
+    p = least_squares_sum(a, b)
+    assert np.array_equal(p.design, a)
+    assert np.array_equal(p.targets, b)
     x = np.array([0.3, -1.2])
-    comp_grads = np.stack([c.gradient(x) for c in fsp.components])
-    assert np.allclose(comp_grads.mean(axis=0), fsp.aggregate.gradient(x))
-    comp_vals = [float(c.value(x)) for c in fsp.components]
-    assert float(np.mean(comp_vals)) == pytest.approx(float(fsp.aggregate.value(x)))
-    assert np.array_equal(fsp.design, a)
-    assert np.array_equal(fsp.targets, b)
+    # per-row f_i(x) = 1/2 * (a_i . x - b_i)^2 and grad f_i(x) = (a_i . x - b_i) a_i
+    rows = [(float(ai @ x) - bi, ai) for ai, bi in zip(p.design, p.targets)]
+    comp_grads = np.stack([r * ai for r, ai in rows])
+    assert np.allclose(comp_grads.mean(axis=0), p.gradient(x))
+    comp_vals = [0.5 * r * r for r, _ in rows]
+    assert float(np.mean(comp_vals)) == pytest.approx(float(p.value(x)))
 
 
 @pytest.mark.parametrize("design,targets", [
