@@ -68,41 +68,56 @@ def build_schedule(spec: dict) -> PowerSchedule:
         raise ConfigError(f"[schedule] {e}") from e
 
 
+# Each kind of [problem] and [oracle]: the keys it reads besides `kind`,
+# and how it builds from the section (and, for an oracle, the problem and
+# seed).
+_PROBLEMS = {
+    "quadratic": (("spectrum", "x_star"),
+                  lambda spec: quadratic(spec["spectrum"], spec.get("x_star"))),
+    "pseudo_huber": (("dim",), lambda spec: pseudo_huber(int(spec["dim"]))),
+    "smooth_rastrigin": (("dim", "amplitude"), lambda spec: smooth_rastrigin(
+        int(spec["dim"]), float(spec["amplitude"]))),
+    "least_squares": (("design", "targets"),
+                      lambda spec: least_squares_sum(spec["design"], spec["targets"])),
+}
+_ORACLES = {
+    "gaussian": (("sigma",), lambda spec, problem, seed: gaussian_oracle(
+        problem, float(spec["sigma"]), seed=seed)),
+    "relative_noise": (("eta",), lambda spec, problem, seed: relative_noise_oracle(
+        problem, float(spec["eta"]), seed=seed)),
+    "minibatch": (("batch", "replace"), lambda spec, problem, seed: minibatch_oracle(
+        problem, int(spec["batch"]), replace=bool(spec.get("replace", True)), seed=seed)),
+}
+
+
+def _build(section: str, kinds: dict, spec: dict, *args):
+    """What the [section] spec's kind builds from spec and args.  A key the
+    kind does not read is rejected, lest a misspelled optional key silently
+    take its default; so are an unknown kind, a missing key and a bad
+    value."""
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"[{section}] unknown kind {kind!r}")
+    keys, build = kinds[kind]
+    unread = sorted(set(spec) - {"kind", *keys})
+    if unread:
+        raise ConfigError(f"[{section}] unknown keys for kind {kind!r}: {unread}")
+    try:
+        return build(spec, *args)
+    except KeyError as e:
+        raise ConfigError(f"[{section}] kind {kind!r} is missing key {e.args[0]!r}") from e
+    except (ValueError, TypeError) as e:   # ParameterError, or not a number
+        raise ConfigError(f"[{section}] {e}") from e
+
+
 def build_problem(spec: dict) -> Problem:
     """The [problem] section's Problem; kind = least_squares gives a
     least-squares sum, the one kind a minibatch oracle samples."""
-    kind = spec.get("kind")
-    try:
-        if kind == "quadratic":
-            return quadratic(spec["spectrum"], spec.get("x_star"))
-        if kind == "pseudo_huber":
-            return pseudo_huber(int(spec["dim"]))
-        if kind == "smooth_rastrigin":
-            return smooth_rastrigin(int(spec["dim"]), float(spec["amplitude"]))
-        if kind == "least_squares":
-            return least_squares_sum(spec["design"], spec["targets"])
-    except KeyError as e:
-        raise ConfigError(f"[problem] kind {kind!r} is missing key {e.args[0]!r}") from e
-    except (ValueError, TypeError) as e:   # ParameterError, or not a number
-        raise ConfigError(f"[problem] {e}") from e
-    raise ConfigError(f"[problem] unknown kind {kind!r}")
+    return _build("problem", _PROBLEMS, spec)
 
 
 def build_oracle(spec: dict, problem: Problem, seed: int) -> GradientOracle:
-    kind = spec.get("kind")
-    try:
-        if kind == "gaussian":
-            return gaussian_oracle(problem, float(spec["sigma"]), seed=seed)
-        if kind == "relative_noise":
-            return relative_noise_oracle(problem, float(spec["eta"]), seed=seed)
-        if kind == "minibatch":
-            return minibatch_oracle(problem, int(spec["batch"]),
-                                    replace=bool(spec.get("replace", True)), seed=seed)
-    except KeyError as e:
-        raise ConfigError(f"[oracle] kind {kind!r} is missing key {e.args[0]!r}") from e
-    except (ValueError, TypeError) as e:   # ParameterError, or not a number
-        raise ConfigError(f"[oracle] {e}") from e
-    raise ConfigError(f"[oracle] unknown kind {kind!r}")
+    return _build("oracle", _ORACLES, spec, problem, seed)
 
 
 def validate_config(cfg: ExperimentConfig, built=None):

@@ -9,10 +9,10 @@ experiment and a single run with the same seed are one computation.
 Execution model: the engine advances a range of replicas in lock-step as
 a single (replicas, dim) state; one process runs every replica, or each
 usable CPU runs one range, and a long one-range run has its noise drawn
-in a helper process (see Processes below).  It is a stepper
-(`_steps`) that steps through one block of raw draws at a time, as
-`_step_together` hands them to it, and keeps its state, alive mask,
-checkpoint buffers and sums between blocks.  Each
+and its checkpoints reduced in a helper process (see Processes below).
+It is a stepper (`_steps`) that steps through one block of raw draws at a
+time, as `_step_together` hands them to it, and keeps its state, alive
+mask, checkpoint buffers and sums between blocks.  Each
 iteration calls the method's kernel from
 `optimizers.KERNELS` and folds the running average with
 `optimizers.averaged_update`, the same code the step functions call on one
@@ -39,7 +39,8 @@ term, the energies and their increments (the last tilted energy carries
 into the next chunk), their squares and the block sums.  A chunk is
 reduced when it is full, before a divergence changes the alive mask (so
 one mask holds for every checkpoint of a chunk), and at the end of the
-run.  None of this checkpoint work but the gradient feeds a later step.
+run, in order: by the stepper's process, or by the draw helper.  None of
+this checkpoint work but the gradient feeds a later step.
 Sums run over fixed consecutive blocks of `_BLOCK_REPLICAS`
 replicas: each block's sum is numpy's pairwise sum of its alive replicas
 in replica order, and the block sums are folded in block order, so the
@@ -60,8 +61,12 @@ a second usable CPU and at least `_HELPER_MIN_WORK` replica-steps, forks a
 draw helper (see `_step_together`).  The draws depend on no state, and a
 Philox stream gives the same bits in any process, so the helper owns the
 replica streams and draws each block of noise into one of two shared
-slots while the caller steps through the other, and reduces its own
-checkpoints.  The cells of a sweep share their noise on purpose (common
+slots while the caller steps through the other.  Nor does a step depend
+on a reduced checkpoint, so the caller records its checkpoints into one
+of two shared chunk slots and hands each chunk over, and the helper
+reduces it between two replicas' draws: the same `_Checkpoints.reduce`
+on the same chunks in the same order, so the same sums.  The caller only
+steps.  The cells of a sweep share their noise on purpose (common
 random numbers): cells that draw alike step together as one range, a
 memory-bounded batch at a time, and each batch draws each block of noise
 once.  Once its total work pays for them, a sweep runs an interleaved
@@ -102,6 +107,11 @@ from .schedules import PowerSchedule, classify
 
 _BLOCK_REPLICAS = 256   # fixed reduction grid, independent of the array width
 _RAW_BLOCK = 1024       # iterations of raw noise pre-drawn per replica, at most
+# Iterations of a staging block moved into the draw buffer per copy, so
+# that a draw helper serves a waiting reduction within about one replica's
+# draw (some 40 us), where one copy of 1024 iterations of 200 replicas
+# takes about 0.6 ms.
+_COPY_ITERATIONS = 32
 # A checkpoint slot's state buffers (x, grad f(x), ...) each hold at most
 # this many replica-checkpoint coordinates (counting at least 2 per state),
 # so chunk x replicas <= 16384; and an experiment splits only if each
@@ -130,19 +140,18 @@ _GROUP_VALUES = 1 << 20
 # faster at 3.1 M.
 _SPLIT_MIN_WORK = 2_000_000
 # An experiment of less work than this (replicas x horizon) draws its noise
-# in-process.  In a fresh process the draw helper costs about 25-30 ms to
-# import multiprocessing, fork and wait for its first block; the caller
-# then no longer draws.  Timed as fresh msgd_damped `sgdlab experiment`
-# (stride 0) and `sgdlab lyapunov` (stride 1) calls at 200 and 1024
-# replicas on a 2-vCPU host, BLAS on one thread, the helper against the
-# same call without it on both CPUs (medians of 8 alternated pairs): at
-# 0.5 M 6-14% slower (0-2 pairs won) but 8% faster at 200 replicas and
-# stride 1 (4 won); at 1 M 4-6% faster (6-8 won) but 7% slower at 1024
-# replicas and stride 0 (3 won); at 1.9 M 4-23% faster (6-8 won).  Against
-# `taskset -c 0`, which also moves the run onto one particular CPU, the
-# same calls read from 6% faster to 15% slower at 0.25-0.5 M, from 5%
-# faster to 30% slower at 1 M, and 5-19% faster at 1.9 M but 15% slower at
-# 1024 replicas and stride 0.
+# and reduces its checkpoints in-process.  In a fresh process the draw
+# helper costs about 25-30 ms to import multiprocessing, fork and wait for
+# its first block; the caller then only steps.  Timed as fresh msgd_damped
+# `sgdlab experiment` (stride 0) and `sgdlab lyapunov` (stride 1) calls at
+# 200 and 1024 replicas on a 2-vCPU host, BLAS on one thread, the helper
+# against the same call with `_plan` denying it (not under `taskset -c 0`,
+# which also moves the run onto one particular CPU), in two rounds of 10
+# alternated pairs: at 0.5 M the medians read from 5% slower to 1% faster
+# (2-6 pairs won); at 1 M from 9% slower to 10% faster (3-9 won), slower at
+# 1024 replicas in 3 of 4 readings; at 2 M from 5% slower to 10% faster
+# (5-9 won), faster in 7 of 8 readings.  It lost at most 7 pairs of 10 at
+# 1 M and won at most 6 at 0.5 M, so the threshold stays.
 _HELPER_MIN_WORK = 1_000_000
 # Set in a forked child (see `_fork`), which forks no further: the other
 # CPUs already run its siblings or its caller.
@@ -190,27 +199,35 @@ def resolve_lyapunov(cfg: ExperimentConfig, problem: Problem,
     return ("constant", 0.0)
 
 
-def _refill(buf, stage, oracle, gens, nb: int) -> None:
+def _refill(buf, stage, oracle, gens, nb: int, serve=None) -> None:
     """Draw the next nb iterations of every replica's raw noise into
     buf[:nb], where buf is shaped (iterations, replicas, ...), one block of
     replicas at a time: each replica's stream fills its C-contiguous rows
-    of stage, shaped (block, iterations, ...), in place, and one copy moves
-    them into the block's columns of buf.  Both are viewed as arrays of one
-    np.void item per draw, so the copy moves whole draws in one loop."""
+    of stage, shaped (block, iterations, ...), in place, and copies of
+    `_COPY_ITERATIONS` iterations move them into the block's columns of
+    buf.  Both are viewed as arrays of one np.void item per draw, so a copy
+    moves whole draws in one loop.  Unless None, serve() runs after each
+    replica's draw and each copy."""
     draws, staged = _draw_items(buf), _draw_items(stage)
     for lo in range(0, len(gens), len(stage)):
         block = gens[lo:lo + len(stage)]
         for rows, g in zip(stage, block):
             oracle.raw_block(g, nb, out=rows[:nb])
-        np.copyto(draws[:nb, lo:lo + len(block)], staged[:len(block), :nb].T)
+            if serve is not None:
+                serve()
+        for k in range(0, nb, _COPY_ITERATIONS):
+            hi = min(k + _COPY_ITERATIONS, nb)
+            np.copyto(draws[k:hi, lo:lo + len(block)], staged[:len(block), k:hi].T)
+            if serve is not None:
+                serve()
 
 
-def _draws(oracle, gens, horizon: int, slots: list, wait=None):
+def _draws(oracle, gens, horizon: int, slots: list, wait=None, serve=None):
     """Yield each successive block of every replica's raw noise, replica
-    i's from gens[i], as drawn by `_refill` into the (iterations, replicas,
-    ...) slots in turn.  A slot is refilled once the block it holds has been
-    stepped through: with one slot, when the next block is asked for; with
-    more, once wait() returns."""
+    i's from gens[i], as drawn by `_refill` (which calls serve) into the
+    (iterations, replicas, ...) slots in turn.  A slot is refilled once the
+    block it holds has been stepped through: with one slot, when the next
+    block is asked for; with more, once wait() returns."""
     nb_max = len(slots[0])
     stage = np.empty((min(len(gens), _BLOCK_REPLICAS), nb_max) + slots[0].shape[2:],
                      dtype=slots[0].dtype)
@@ -218,7 +235,7 @@ def _draws(oracle, gens, horizon: int, slots: list, wait=None):
         if wait is not None and i >= len(slots):
             wait()
         buf, nb = slots[i % len(slots)], min(nb_max, horizon - lo)
-        _refill(buf, stage, oracle, gens, nb)
+        _refill(buf, stage, oracle, gens, nb, serve)
         yield buf[:nb]
 
 
@@ -270,11 +287,18 @@ def _chunk(points: int, r_count: int, dim: int) -> int:
 
 class _Checkpoints:
     """The per-checkpoint sums of one stepper (see `_steps`).  `record`
-    copies a checkpoint's state into `buffers`, which hold up to `chunk`
-    checkpoints of x, grad f(x), v (None without energies) and xbar (None
-    unless averaged), and `reduce` evaluates f on the buffered checkpoints
-    and reduces them into `totals` and `counts` with one set of numpy
-    calls."""
+    copies a checkpoint's state into the current one of `slots`, each of
+    which holds up to `chunk` checkpoints of x, grad f(x), v (None without
+    energies) and xbar (None unless averaged), and `flush` has `reduce`
+    evaluate f on a slot's checkpoints and reduce them into `totals` and
+    `counts` with one set of numpy calls.
+
+    In this process there is one slot, reduced in place.  A draw helper
+    (see `_step_together`) reduces instead once `share` has put two slots,
+    the sums and an alive mask per slot in shared maps and `helper` is set:
+    `flush` hands the slot over and recording moves on to the other slot,
+    waiting first, if need be, until the helper has reduced the chunk that
+    slot held.  `results` waits for the last chunk."""
 
     def __init__(self, problem, grid, mus, lyap_mode, averaged: bool, f_star: float,
                  r_count: int, dim: int, fold: bool):
@@ -289,16 +313,34 @@ class _Checkpoints:
         self.problem, self.grid, self.mus = problem, grid, mus
         self.lyap_mode, self.f_star, self.fold = lyap_mode, f_star, fold
         self.chunk = _chunk(len(grid), r_count, dim)
-        rows = (self.chunk, r_count, dim)
-        self.buffers = [np.zeros(rows), np.zeros(rows),
-                        np.zeros(rows) if lyap_mode is not None else None,
-                        np.zeros(rows) if averaged else None]
+        self.averaged, self.rows = averaged, (self.chunk, r_count, dim)
+        self.slots = [self._slot(np.zeros)]
+        self.masks = self.helper = None
+        self.flushes = 0   # chunks flushed
         self.vals = np.empty((self.chunk, len(self.keys), r_count))   # quantities, squares
         self.ht_prev = None
 
+    def _slot(self, alloc) -> list:
+        """Buffers for one chunk of x, grad f(x), v and xbar, from alloc."""
+        rows, lyap = self.rows, self.lyap_mode is not None
+        return [alloc(rows), alloc(rows), alloc(rows) if lyap else None,
+                alloc(rows) if self.averaged else None]
+
+    def share(self) -> None:
+        """Hold two slots, the sums and the slots' alive masks in shared
+        maps, for a draw helper forked after this to reduce; nothing may be
+        recorded yet."""
+        self.slots = [self._slot(_shared_array) for _ in range(2)]
+        self.masks = _shared_array((2, self.rows[1]), bool)
+        self.totals = _shared_array(self.totals.shape)
+        self.counts = _shared_array(self.counts.shape, np.int64)
+
     def record(self, j: int, x, gr, v, xbar) -> None:
-        """Copy checkpoint j of the buffers: x, grad f(x) = gr, v and xbar."""
-        xs, gs, vs, bs = self.buffers
+        """Copy checkpoint j of the current chunk: x, grad f(x) = gr, v and
+        xbar."""
+        if j == 0 and self.helper is not None:
+            self.helper.wait_reduced(self.flushes - 1)   # the slot's last chunk
+        xs, gs, vs, bs = self.slots[self.flushes % len(self.slots)]
         xs[j] = x
         gs[j] = gr
         if vs is not None:
@@ -306,14 +348,32 @@ class _Checkpoints:
         if bs is not None:
             bs[j] = xbar
 
-    def reduce(self, first: int, c: int, alive) -> None:
-        """Reduce the first c buffered checkpoints, checkpoints
+    def flush(self, first: int, c: int, alive) -> None:
+        """Reduce the current chunk, checkpoints first..first+c-1, all
+        recorded under the alive mask `alive`: here, or by handing it over
+        to the helper."""
+        slot = self.flushes % len(self.slots)
+        self.flushes += 1
+        if self.helper is None:
+            self.reduce(slot, first, c, alive)
+        else:
+            self.masks[slot] = alive
+            self.helper.send((slot, first, c))
+
+    def results(self) -> tuple:
+        """(counts, sums keyed by quantity) once every chunk is reduced."""
+        if self.helper is not None:
+            self.helper.wait_reduced(self.flushes)
+        return self.counts, dict(zip(self.keys, np.moveaxis(self.totals, 1, 0)))
+
+    def reduce(self, slot: int, first: int, c: int, alive) -> None:
+        """Reduce the first c checkpoints of the slot, checkpoints
         first..first+c-1, which were all recorded under the alive mask
         `alive`.  f(x), and f(xbar) when averaged, are each one `value`
         call on the (c, replicas, dim) rows, which gives every checkpoint's
         row the bits a call on its (replicas, dim) state gives (see
         `problems`)."""
-        xs, gs, vs, bs = self.buffers
+        xs, gs, vs, bs = self.slots[slot]
         gr = gs[:c]
         f_star, n_q, n_sq = self.f_star, self.n_q, self.n_sq
         gsq = row_dot(gr, gr)
@@ -353,7 +413,7 @@ class _Checkpoints:
         self.counts[first:first + c] = np.count_nonzero(alive)
 
 
-def _shared_array(shape: tuple, dtype) -> np.ndarray:
+def _shared_array(shape: tuple, dtype=float) -> np.ndarray:
     """A zeroed array in an anonymous shared map, which forked processes
     share."""
     import mmap
@@ -423,12 +483,10 @@ def _children(target, arg_lists: list, duplex: bool = False):
         raise ExperimentError(f"a worker process died: exit code {dead.exitcode}")
 
 
-def _received(child, conn, reply: bool = False):
-    """The next message from child on conn, after sending it None if reply;
-    raises `_Died` if the pipe broke."""
+def _received(child, conn):
+    """The next message from child on conn; raises `_Died` if the pipe
+    broke."""
     try:
-        if reply:
-            conn.send(None)
         return conn.recv()
     except (EOFError, OSError):
         raise _Died(child) from None
@@ -474,21 +532,22 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     """Stepper of replicas first..first+r_count-1, which advance in
     lock-step; `first` is a multiple of `_BLOCK_REPLICAS`.
 
-    A generator: `next` records checkpoint 0 if the grid holds it, then
-    each `send` hands it an (iterations, replicas, ...) block of raw draws
-    and it steps through the block's iterations, each a C-contiguous
-    (replicas, ...) slice, until the horizon or until
-    none of its replicas is alive.  It then returns (as StopIteration's
-    value) (counts, sums, diverged, final): alive replicas per checkpoint; a
-    dict of per-checkpoint sums over alive replicas keyed by quantity (sums
-    of squares under "sq_" + name), each with the block sums folded in
-    block order or, unless fold, shaped (checkpoints, blocks); the
-    (replica, iteration) divergences; and the last (x, v, x_prev, running
-    average or None).  Unless None, on_point(k, x, v, xbar, grad) sees
-    every checkpoint's (replicas, ...) state, xbar (None unless averaged)
-    and grad f(x).  The stepper buffers its checkpoints in `_Checkpoints`
-    and reduces them there, in this process.  It only reads the blocks it
-    is handed.
+    A generator: `next` returns its `_Checkpoints`, which the caller may
+    `share` with a draw helper, then each `send` hands it an (iterations,
+    replicas, ...) block of raw draws and it steps through the block's
+    iterations, each a C-contiguous (replicas, ...) slice, until the
+    horizon or until none of its replicas is alive; the first records
+    checkpoint 0 first if the grid holds it.  It then returns (as
+    StopIteration's value) (counts, sums, diverged, final): alive replicas
+    per checkpoint; a dict of per-checkpoint sums over alive replicas keyed
+    by quantity (sums of squares under "sq_" + name), each with the block
+    sums folded in block order or, unless fold, shaped (checkpoints,
+    blocks); the (replica, iteration) divergences; and the last (x, v,
+    x_prev, running average or None).  Unless None, on_point(k, x, v, xbar,
+    grad) sees every checkpoint's (replicas, ...) state, xbar (None unless
+    averaged) and grad f(x).  The stepper records its checkpoints in its
+    `_Checkpoints` and flushes them there, which reduces them in this
+    process or in the draw helper.  It only reads the blocks it is handed.
     """
     horizon = len(alphas)
     kernel = KERNELS[method]
@@ -522,7 +581,7 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
         current alive mask."""
         nonlocal flushed
         if ci > flushed:
-            checkpoints.reduce(flushed, ci - flushed, alive)
+            checkpoints.flush(flushed, ci - flushed, alive)
             flushed = ci
 
     def grad_at(point):
@@ -530,12 +589,13 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
         at the current state is reused from its checkpoint when recorded."""
         return oracle.stoch_grad(point, raw_t, grad=grad_cache if point is x else None)
 
+    block = yield checkpoints
     if grid[ci] == 0:
         grad_cache = record()
 
     k = 0
-    while k < horizon and n_alive:
-        for raw_t in (yield):
+    while True:
+        for raw_t in block:
             k += 1
             alpha = alphas[k - 1]
             if averaged:
@@ -561,9 +621,11 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
 
             if ci < len(grid) and k == grid[ci]:
                 grad_cache = record()
+        if k == horizon or not n_alive:
+            break
+        block = yield
     flush()
-    sums = dict(zip(checkpoints.keys, np.moveaxis(checkpoints.totals, 1, 0)))
-    return checkpoints.counts, sums, diverged, (x, v, x_prev, avg)
+    return (*checkpoints.results(), diverged, (x, v, x_prev, avg))
 
 
 def _step_together(oracle, gens: list, horizon: int, steppers: list,
@@ -574,18 +636,23 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list,
     still running, until the last one is done.  Returns their results in
     order.
 
-    With ahead, a forked draw helper (`_draw_ahead`) owns the streams and
-    draws every block into two shared slots in turn, one block ahead: while
-    the steppers step through one slot it fills the other, and sends each
-    block's length once drawn.  This process tells it that a slot is free
-    only when a later block still needs that slot.  The helper is a child
-    of `_children`, stopped once the steppers are done or on an error.
+    With ahead, steppers is one stepper, and a forked draw helper
+    (`_draw_ahead`) owns the streams and the stepper's checkpoint
+    reductions.  It draws every block into two shared slots in turn, one
+    block ahead: while the stepper steps through one slot it fills the
+    other, and sends each block's length once drawn.  This process tells
+    it that a slot is free only when a later block still needs that slot.
+    The stepper records its checkpoints into two shared chunk slots in turn
+    and hands each full or flushed chunk over (see `_Checkpoints`); the
+    helper reduces it between two replicas' draws, or at once if it is
+    waiting, and acknowledges it.  So this process only steps.  The helper
+    is a child of `_children`, stopped once the stepper is done or on an
+    error.
 
     While the helper runs, it has one of this process's CPUs and the caller
     the others.  Left to the scheduler, the two were seen to share one CPU
     for whole benchmark runs, taking turns, while the other CPU idled."""
-    for stepper in steppers:
-        next(stepper)
+    books = [next(stepper) for stepper in steppers]
     results = [None] * len(steppers)
     running = list(range(len(steppers)))
     # Deep enough for _RAW_BLOCK iterations of _BLOCK_REPLICAS replicas.
@@ -594,26 +661,29 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list,
     helpers = []
     if ahead:
         slots = list(_shared_array((2,) + shape, oracle.raw_dtype))
+        books[0].share()
         cpus = os.sched_getaffinity(0)
-        helpers = [(max(cpus), oracle, gens, horizon, slots)]
+        helpers = [(max(cpus), oracle, gens, horizon, slots, books[0])]
     try:
-        with _children(_draw_ahead, helpers, duplex=True) as children:
+        # A helper forked in here reduces under the same error state.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                _children(_draw_ahead, helpers, duplex=True) as children:
             if ahead:
                 os.sched_setaffinity(0, cpus - {max(cpus)})
-                blocks = _drawn_ahead(*children[0], slots, -(-horizon // nb_max))
+                books[0].helper = _Helper(*children[0])
+                blocks = _drawn_ahead(books[0].helper, slots, -(-horizon // nb_max))
             else:
                 blocks = _draws(oracle, gens, horizon,
                                 [np.empty(shape, dtype=oracle.raw_dtype)])
-            with np.errstate(over="ignore", invalid="ignore"):
-                for block in blocks:
-                    for i in list(running):
-                        try:
-                            steppers[i].send(block)
-                        except StopIteration as done:
-                            results[i] = done.value
-                            running.remove(i)
-                    if not running:
-                        break
+            for block in blocks:
+                for i in list(running):
+                    try:
+                        steppers[i].send(block)
+                    except StopIteration as done:
+                        results[i] = done.value
+                        running.remove(i)
+                if not running:
+                    break
     finally:
         for stepper in steppers:   # a no-op for those done
             stepper.close()
@@ -622,23 +692,92 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list,
     return results
 
 
-def _drawn_ahead(helper, conn, slots: list, count: int):
-    """Yield the count blocks that the draw helper sends (see
+class _Helper:
+    """This process's end of the draw helper's pipe (see `_step_together`).
+    It sends the helper None for a draw slot freed and (slot, first, count)
+    for a chunk handed over, and sorts what comes back: a block's length
+    once drawn, None once a chunk is reduced."""
+
+    def __init__(self, child, conn):
+        self.child, self.conn = child, conn
+        self.drawn = []        # lengths of blocks drawn and not yet stepped
+        self.reduced = 0       # chunks reduced
+
+    def send(self, message) -> None:
+        try:
+            self.conn.send(message)
+        except OSError:
+            raise _Died(self.child) from None
+
+    def _receive(self) -> None:
+        message = _received(self.child, self.conn)
+        if message is None:
+            self.reduced += 1
+        else:
+            self.drawn.append(message)
+
+    def next_block(self) -> int:
+        """The length of the next block, once drawn."""
+        while not self.drawn:
+            self._receive()
+        return self.drawn.pop(0)
+
+    def wait_reduced(self, chunks: int) -> None:
+        """Return once the helper has reduced `chunks` chunks."""
+        while self.reduced < chunks:
+            self._receive()
+
+
+def _drawn_ahead(helper: _Helper, slots: list, count: int):
+    """Yield the count blocks that the draw helper draws (see
     `_step_together`), each once drawn; asking for the next block frees the
     slot of the last, if a later block needs it."""
     for i in range(count):
-        yield slots[i % 2][:_received(helper, conn, reply=0 < i < count - 1)]
+        if 0 < i < count - 1:
+            helper.send(None)
+        yield slots[i % 2][:helper.next_block()]
 
 
-def _draw_ahead(conn, cpu: int, oracle, gens: list, horizon: int, slots: list) -> None:
+def _draw_ahead(conn, cpu: int, oracle, gens: list, horizon: int, slots: list,
+                books: _Checkpoints) -> None:
     """The draw helper's loop (see `_step_together`), on CPU `cpu`: draw the
     blocks into the two slots in turn and send each block's length,
-    refilling a slot only once the caller has freed it; exit after the last
-    block, or once the caller has died."""
+    refilling a slot only once the caller has freed it.  Between two
+    replicas' draws, while it waits for a slot and after the last block,
+    reduce each chunk of books that the caller hands over, in order, and
+    send None for it.  Exit once the caller has died; otherwise the caller
+    stops it."""
+    import select   # only a draw helper polls
+
     os.sched_setaffinity(0, {cpu})
+    pending = select.poll()
+    pending.register(conn, select.POLLIN)
+    freed = 0   # draw slots freed and not yet refilled
+
+    def take(message):
+        nonlocal freed
+        if message is None:
+            freed += 1
+        else:
+            slot, first, c = message
+            books.reduce(slot, first, c, books.masks[slot])
+            conn.send(None)
+
+    def serve():
+        while pending.poll(0):
+            take(conn.recv())
+
+    def wait():
+        nonlocal freed
+        while not freed:
+            take(conn.recv())
+        freed -= 1
+
     try:
-        for block in _draws(oracle, gens, horizon, slots, conn.recv):
+        for block in _draws(oracle, gens, horizon, slots, wait, serve):
             conn.send(len(block))
+        while True:
+            take(conn.recv())
     except (EOFError, OSError):   # the caller died
         pass
 

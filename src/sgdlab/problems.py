@@ -245,7 +245,7 @@ def least_squares_sum(design, targets) -> Problem:
     """f = (1/S) sum_i f_i over least-squares rows f_i(x) = 1/2 * (a_i . x - b_i)^2,
     with smoothness lambda_max((1/S) A^T A), the top eigenvalue from
     `eigvalsh` inflated by 1e-6 so the constant stays a certified upper
-    bound.  The read-only A and b are its `design` and `targets`.
+    bound.  Read-only copies of A and b are its `design` and `targets`.
 
     It evaluates through BLAS (`tensordot`), whose rounding can depend on
     the batch shape: a single row takes gemv, not gemm.  So its `value`
@@ -253,8 +253,8 @@ def least_squares_sum(design, targets) -> Problem:
     time, and a (checkpoints, replicas, dim) block gets, row for row, the
     bits of a call on each (replicas, dim) state.
     """
-    a = np.asarray(design, dtype=float)
-    b = np.asarray(targets, dtype=float)
+    a = np.array(design, dtype=float)
+    b = np.array(targets, dtype=float)
     if a.ndim != 2 or a.shape[0] == 0:
         raise ParameterError("design must be a non-empty (S, dim) matrix")
     s_count, d = a.shape

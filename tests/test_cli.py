@@ -202,6 +202,34 @@ def test_a_file_configparser_rejects_is_a_usage_error(command, kind, extra, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["file", "set", "manifest"])
+def test_a_key_its_kind_does_not_read_is_a_usage_error(source, config_path, tmp_path,
+                                                       capsys):
+    # A misspelled x_star would leave the minimum at the origin.
+    message = "[problem] unknown keys for kind 'quadratic': ['xstar']"
+    extra = []
+    if source == "file":
+        text = pathlib.Path(config_path).read_text()
+        pathlib.Path(config_path).write_text(
+            text.replace("spectrum = 1.0, 4.0", "spectrum = 1.0, 4.0\nxstar = 1.0, 1.0"))
+        argv = ["experiment", config_path]
+    elif source == "set":
+        extra = ["--set", "oracle.sigmas=0.5"]
+        message = "[oracle] unknown keys for kind 'gaussian': ['sigmas']"
+        argv = ["experiment", config_path]
+    else:
+        manifest = manifest_dict(make_cfg(problem={"kind": "quadratic",
+                                                   "spectrum": [1.0, 4.0],
+                                                   "xstar": [1.0, 1.0]}))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        argv = ["experiment", "--from-manifest", str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)] + extra) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_requires_a_source(capsys):
     assert main(["experiment"]) == 2
     assert "config file or --from-manifest" in capsys.readouterr().err
@@ -673,7 +701,7 @@ def test_a_dead_draw_helper_fails_the_experiment(long_path, tmp_path, monkeypatc
     _force_helper(monkeypatch)
     marker = tmp_path / "drawn"
 
-    def dying(conn, cpu, oracle, gens, horizon, slots):
+    def dying(conn, cpu, oracle, gens, horizon, slots, books):
         # Sends the first block, then dies while drawing the second.
         conn.send(len(next(sgdlab.harness._draws(oracle, gens, horizon, slots))))
         marker.touch()
@@ -688,6 +716,72 @@ def test_a_dead_draw_helper_fails_the_experiment(long_path, tmp_path, monkeypatc
             in capsys.readouterr().err)
     assert not out.exists() or not os.listdir(out)
     assert multiprocessing.active_children() == []
+
+
+def _in_helper(caller: int, action):
+    """`_Checkpoints.reduce` that runs action(*args) first in any process
+    but `caller`, that is, in the draw helper."""
+    real = sgdlab.harness._Checkpoints.reduce
+
+    def reduce(*args):
+        if os.getpid() != caller:
+            action(*args)
+        real(*args)
+
+    return reduce
+
+
+def test_a_draw_helper_that_dies_while_reducing_fails_the_experiment(long_path, tmp_path,
+                                                                     monkeypatch, capsys):
+    _force_helper(monkeypatch)
+    marker = tmp_path / "reducing"
+
+    def die(*args):
+        marker.touch()
+        os._exit(1)
+
+    monkeypatch.setattr("sgdlab.harness._Checkpoints.reduce", _in_helper(os.getpid(), die))
+    out = tmp_path / "out"
+    assert main(["lyapunov", long_path, "--out", str(out)]) == 3
+    assert marker.exists()
+    assert ("experiment failed: a worker process died: exit code 1"
+            in capsys.readouterr().err)
+    assert not out.exists() or not os.listdir(out)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_while_the_draw_helper_reduces_stops_it(long_path, tmp_path,
+                                                             monkeypatch):
+    _force_helper(monkeypatch)
+    pid_file = tmp_path / "pid"
+
+    def stall(*args):   # the helper: report, then stall in its first reduce
+        with open(f"{pid_file}.tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(f"{pid_file}.tmp", pid_file)
+        time.sleep(60)
+
+    def interrupt():   # a real SIGINT once the helper reduces
+        deadline = time.monotonic() + 20
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(os.getpid(), signal.SIGINT)
+
+    monkeypatch.setattr("sgdlab.harness._Checkpoints.reduce", _in_helper(os.getpid(), stall))
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    interrupter = threading.Thread(target=interrupt)
+    t0 = time.monotonic()
+    try:
+        interrupter.start()
+        with pytest.raises(KeyboardInterrupt):
+            main(["lyapunov", long_path, "--out", str(tmp_path / "out")])
+    finally:
+        interrupter.join(30)
+        signal.signal(signal.SIGINT, handler)
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ProcessLookupError):   # terminated and reaped
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def _reporting_helper(pid_file):

@@ -158,6 +158,25 @@ def test_unknown_oracle_kind_is_a_config_error():
         build_oracle({"kind": "minibatch", "batch": 1}, problem, seed=0)
 
 
+def test_keys_a_kind_does_not_read_are_rejected():
+    # Misspelled optional keys: without the check the minimum would sit at
+    # the origin, and the minibatch would sample with replacement.
+    with pytest.raises(ConfigError,
+                       match=r"\[problem\] unknown keys for kind 'quadratic': \['xstar'\]"):
+        build_problem({"kind": "quadratic", "spectrum": [1, 4], "xstar": [1, 1]})
+    lsq = build_problem({"kind": "least_squares", "design": [[1.0, 0.0], [0.0, 2.0]],
+                         "targets": [1.0, -1.0]})
+    with pytest.raises(ConfigError, match=r"\[oracle\] unknown keys for kind "
+                                          r"'minibatch': \['replacement'\]"):
+        build_oracle({"kind": "minibatch", "batch": 2, "replacement": False}, lsq, seed=0)
+    # The keys each kind reads still pass.
+    assert build_problem({"kind": "quadratic", "spectrum": [1, 4], "x_star": [1, 1]}).dim == 2
+    assert not build_oracle({"kind": "minibatch", "batch": 2, "replace": False}, lsq,
+                            seed=0).replace
+    with pytest.raises(ConfigError, match="unknown kind"):
+        build_problem({"kind": "cubic", "spectrum": [1]})
+
+
 def test_sweep_file_spans_a_grid(tmp_path):
     text = BASE_INI + """
 [sweep]

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -500,13 +501,83 @@ _LYAP_STRIDE1 = dict(method="msgd_damped", lyapunov=True, checkpoint_stride=1,
              schedule={"alpha_c": 0.3, "alpha_a": 0.6, **_CONSTANT_MU}, **_LYAP_STRIDE1),
     make_cfg(oracle={"kind": "gaussian", "sigma": 0.0}, averaged=True,
              schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU}, **_LYAP_STRIDE1),
+    # 1000 two-coordinate replicas: chunks of 16 checkpoints and blocks of
+    # 262 iterations, so the helper reduces 16 or 17 chunks per block; 704
+    # checkpoints fill 44 chunks, and 701 leave a last chunk of 13.
+    make_cfg(schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU},
+             **dict(_LYAP_STRIDE1, replicas=1000, horizon=703)),
+    make_cfg(schedule={"alpha_c": 0.3, "alpha_a": 0.6, **_VANISHING_MU},
+             **dict(_LYAP_STRIDE1, method="nasgd", averaged=True, replicas=1000,
+                    horizon=700)),
 ], ids=["constant-tilt", "constant-tilt-five-blocks", "vanishing-tilt-averaged", "averaged-stride1", "averaged-stride7",
-        "lsq-gaussian", "lsq-minibatch-lyapunov", "zero-noise"])
+        "lsq-gaussian", "lsq-minibatch-lyapunov", "zero-noise", "many-chunks-per-block",
+        "partial-last-chunk"])
 def test_the_draw_helper_gives_the_in_process_results_bitwise(cfg, monkeypatch):
     helpers, helper, whole = _helper_and_in_process(cfg, monkeypatch)
     assert helpers == 2   # one per run
     assert helper == whole
     assert isinstance(whole[1], str) and "," in whole[1]   # the run succeeded
+
+
+def test_the_draw_helper_reduces_a_chunk_handed_over_mid_block(monkeypatch, tmp_path):
+    # The helper logs the events: "draw" before each replica's draw (through
+    # the oracle that `_refill` is handed), "reduce" for each chunk.  It
+    # draws block 1 while this process steps block 0, and holds its first
+    # draw of block 1 until this process has handed chunk 0 (checkpoints
+    # 0..80) over; that chunk must then be reduced before the block's last
+    # replica is drawn, not once the block is drawn.
+    log, handed = tmp_path / "events", tmp_path / "handed"
+    real_refill, real_reduce = harness._refill, harness._Checkpoints.reduce
+    real_send = harness._Helper.send
+
+    def event(text):
+        with open(log, "a") as fh:
+            fh.write(text + "\n")
+
+    refills = []   # in the helper, which alone draws
+
+    class LoggingOracle:
+        def __init__(self, oracle):
+            self.oracle, self.drawn = oracle, 0
+
+        def raw_block(self, g, n, out):
+            if len(refills) == 2 and not self.drawn:   # block 1's first draw
+                deadline = time.monotonic() + 20
+                while not handed.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            self.drawn += 1
+            event("draw")
+            return self.oracle.raw_block(g, n, out=out)
+
+    def logging_refill(buf, stage, oracle, gens, nb, serve):
+        refills.append(nb)
+        event("refill")
+        real_refill(buf, stage, LoggingOracle(oracle), gens, nb, serve)
+
+    def logging_reduce(self, slot, first, c, alive):
+        event(f"reduce:{first}")
+        real_reduce(self, slot, first, c, alive)
+
+    def marking_send(self, message):
+        real_send(self, message)
+        if message is not None:
+            handed.touch()
+
+    monkeypatch.setattr(harness, "_refill", logging_refill)
+    monkeypatch.setattr(harness._Checkpoints, "reduce", logging_reduce)
+    monkeypatch.setattr(harness._Helper, "send", marking_send)
+    monkeypatch.setattr(harness, "_HELPER_MIN_WORK", 0)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    run_experiment(make_cfg(schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU},
+                            **dict(_LYAP_STRIDE1, horizon=3000)))
+    events = log.read_text().split()
+    starts = [i for i, e in enumerate(events) if e == "refill"]
+    assert len(starts) == 3   # blocks of 1024 iterations
+    block1 = events[starts[1] + 1:starts[2]]
+    draws = [i for i, e in enumerate(block1) if e == "draw"]
+    assert len(draws) == 200
+    assert block1.index("reduce:0") < draws[-1]
+    assert "reduce:0" not in events[:starts[1]]
 
 
 _DIVERGING_LYAPUNOV = make_cfg(
@@ -663,10 +734,10 @@ def test_a_fully_diverged_experiment_stops_its_draw_helper_one_block_ahead(monke
     log = tmp_path / "refills"
     real_refill = harness._refill
 
-    def logging_refill(buf, stage, oracle, gens, nb):
+    def logging_refill(buf, stage, oracle, gens, nb, serve):
         with open(log, "a") as fh:
             fh.write(f"{len(gens)}x{nb}\n")
-        real_refill(buf, stage, oracle, gens, nb)
+        real_refill(buf, stage, oracle, gens, nb, serve)
 
     monkeypatch.setattr(harness, "_refill", logging_refill)
     monkeypatch.setattr(harness, "_HELPER_MIN_WORK", 0)
@@ -1053,7 +1124,7 @@ def test_experiment_values_count_the_checkpoint_buffers_it_allocates(cfg):
     r, dim = exp.effective, len(cfg.x0)
     ck = harness._Checkpoints(exp.problem, exp.grid, exp.mus, exp.lyap_mode, cfg.averaged,
                               exp.problem.minimum.f_star, r, dim, fold=True)
-    held = sum(buf.size for buf in ck.buffers + [ck.vals, ck.totals, ck.counts]
+    held = sum(buf.size for buf in ck.slots[0] + [ck.vals, ck.totals, ck.counts]
                if buf is not None)
     assert exp.values() == 2 * len(exp.alphas) + 5 * r * dim + held
     assert 1 < ck.chunk <= len(exp.grid)

@@ -218,6 +218,16 @@ def test_least_squares_components_average_to_the_aggregate():
     assert float(np.mean(comp_vals)) == pytest.approx(float(p.value(x)))
 
 
+def test_least_squares_freezes_copies_not_the_callers_arrays():
+    a = np.array([[1.0, 0.0], [0.0, 2.0]])
+    b = np.array([1.0, -1.0])
+    p = least_squares_sum(a, b)
+    assert a.flags.writeable and b.flags.writeable
+    assert not p.design.flags.writeable and not p.targets.flags.writeable
+    a[0, 0] = 5.0
+    assert p.design[0, 0] == 1.0
+
+
 @pytest.mark.parametrize("design,targets", [
     (np.zeros((0, 2)), np.zeros(0)),
     (np.ones((3, 2)), np.ones(2)),
