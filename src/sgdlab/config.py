@@ -59,11 +59,39 @@ class ExperimentConfig:
     divergence_tolerance: float = 0.01
 
 
+def _number(value, key: str):
+    """value, the config value of key, unless it is or holds a boolean: a
+    value of true is not the number 1."""
+    if _holds_bool(value):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+
+
+def _integer(value, key: str) -> int:
+    """value, the config value of key, which must be an integer."""
+    if not _is_int(value):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, key: str) -> bool:
+    """value, the config value of key, which must be a boolean."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def build_schedule(spec: dict) -> PowerSchedule:
     try:
         return make_power_schedule(
-            float(spec.get("alpha_c", 1.0)), float(spec.get("alpha_a", 0.0)),
-            float(spec.get("mu_m", 0.0)), float(spec.get("mu_b", 0.0)))
+            float(_number(spec.get("alpha_c", 1.0), "alpha_c")),
+            float(_number(spec.get("alpha_a", 0.0), "alpha_a")),
+            float(_number(spec.get("mu_m", 0.0), "mu_m")),
+            float(_number(spec.get("mu_b", 0.0), "mu_b")))
     except (ValueError, TypeError) as e:   # ParameterError, or not a number
         raise ConfigError(f"[schedule] {e}") from e
 
@@ -72,21 +100,22 @@ def build_schedule(spec: dict) -> PowerSchedule:
 # and how it builds from the section (and, for an oracle, the problem and
 # seed).
 _PROBLEMS = {
-    "quadratic": (("spectrum", "x_star"),
-                  lambda spec: quadratic(spec["spectrum"], spec.get("x_star"))),
-    "pseudo_huber": (("dim",), lambda spec: pseudo_huber(int(spec["dim"]))),
+    "quadratic": (("spectrum", "x_star"), lambda spec: quadratic(
+        _number(spec["spectrum"], "spectrum"), _number(spec.get("x_star"), "x_star"))),
+    "pseudo_huber": (("dim",), lambda spec: pseudo_huber(_integer(spec["dim"], "dim"))),
     "smooth_rastrigin": (("dim", "amplitude"), lambda spec: smooth_rastrigin(
-        int(spec["dim"]), float(spec["amplitude"]))),
-    "least_squares": (("design", "targets"),
-                      lambda spec: least_squares_sum(spec["design"], spec["targets"])),
+        _integer(spec["dim"], "dim"), float(_number(spec["amplitude"], "amplitude")))),
+    "least_squares": (("design", "targets"), lambda spec: least_squares_sum(
+        _number(spec["design"], "design"), _number(spec["targets"], "targets"))),
 }
 _ORACLES = {
     "gaussian": (("sigma",), lambda spec, problem, seed: gaussian_oracle(
-        problem, float(spec["sigma"]), seed=seed)),
+        problem, float(_number(spec["sigma"], "sigma")), seed=seed)),
     "relative_noise": (("eta",), lambda spec, problem, seed: relative_noise_oracle(
-        problem, float(spec["eta"]), seed=seed)),
+        problem, float(_number(spec["eta"], "eta")), seed=seed)),
     "minibatch": (("batch", "replace"), lambda spec, problem, seed: minibatch_oracle(
-        problem, int(spec["batch"]), replace=bool(spec.get("replace", True)), seed=seed)),
+        problem, _integer(spec["batch"], "batch"),
+        replace=_boolean(spec.get("replace", True), "replace"), seed=seed)),
 }
 
 
@@ -293,9 +322,9 @@ def _experiment_config(cp: configparser.ConfigParser) -> ExperimentConfig:
             seed=int(run_get("seed", 0)),
             x0=_parse_floats(run_get("x0", "0"), "x0"),
             checkpoint_stride=int(run_get("checkpoint_stride", 0)),
-            lyapunov=bool(_parse_scalar(run_get("lyapunov", "false"))),
+            lyapunov=_boolean(_parse_scalar(run_get("lyapunov", "false")), "lyapunov"),
             lyap_coeff=None if lyap_coeff_raw is None else float(lyap_coeff_raw),
-            averaged=bool(_parse_scalar(run_get("averaged", "false"))),
+            averaged=_boolean(_parse_scalar(run_get("averaged", "false")), "averaged"),
             beta=None if beta_raw is None else float(beta_raw),
             divergence_tolerance=float(run_get("divergence_tolerance", 0.01)),
         )

@@ -31,16 +31,17 @@ checkpoint the engine evaluates grad f on the live state (the gradient is
 reused by the next step), passes it with the state to the caller's
 checkpoint hook if there is one (this is how `run` records its
 trajectory), and copies x, grad f(x), v and xbar into a preallocated
-(chunk, replicas, dim) slot of `_Checkpoints`, with chunk x replicas <=
-16384 (fewer for states of more than 2 coordinates).  Reducing a chunk
-evaluates f(x), and f(xbar), in one call each on the whole chunk, then one
-set of numpy calls reduces it: gradient and velocity norms, the cross
-term, the energies and their increments (the last tilted energy carries
-into the next chunk), their squares and the block sums.  A chunk is
-reduced when it is full, before a divergence changes the alive mask (so
-one mask holds for every checkpoint of a chunk), and at the end of the
-run, in order: by the stepper's process, or by the draw helper.  None of
-this checkpoint work but the gradient feeds a later step.
+(chunk, replicas, dim) slot of `_Checkpoints`, which keeps its place in
+the current chunk, with chunk x replicas <= 16384 (fewer for states of
+more than 2 coordinates).  Reducing a chunk evaluates f(x), and f(xbar),
+in one call each on the whole chunk, then one set of numpy calls reduces
+it: gradient and velocity norms, the cross term, the energies and their
+increments (the last tilted energy carries into the next chunk), their
+squares and the block sums.  A chunk is reduced when it is full, before a
+divergence changes the alive mask (so one mask holds for every checkpoint
+of a chunk), and at the end of the run, in order: by the stepper's
+process, or by the draw helper.  None of this checkpoint work but the
+gradient feeds a later step.
 Sums run over fixed consecutive blocks of `_BLOCK_REPLICAS`
 replicas: each block's sum is numpy's pairwise sum of its alive replicas
 in replica order, and the block sums are folded in block order, so the
@@ -63,16 +64,20 @@ Philox stream gives the same bits in any process, so the helper owns the
 replica streams and draws each block of noise into one of two shared
 slots while the caller steps through the other.  Nor does a step depend
 on a reduced checkpoint, so the caller records its checkpoints into one
-of two shared chunk slots and hands each chunk over, and the helper
-reduces it between two replicas' draws: the same `_Checkpoints.reduce`
-on the same chunks in the same order, so the same sums.  The caller only
-steps.  The cells of a sweep share their noise on purpose (common
-random numbers): cells that draw alike step together as one range, a
-memory-bounded batch at a time, and each batch draws each block of noise
-once.  Once its total work pays for them, a sweep runs an interleaved
-share of every group per usable CPU, each in a child (see `sweep`).  A
-child that dies raises ExperimentError, and a child whose caller dies
-fails its next send or receive and exits.
+of two shared chunk slots and hands each chunk over, in a message that
+carries its alive mask, and the helper reduces it between two replicas'
+draws: the same `_Checkpoints.reduce` on the same chunks in the same
+order, so the same sums.  The caller only steps, and `_Helper`, its end
+of the helper's pipe, frees draw slots, receives block lengths and
+counts the chunks reduced.  The cells of a sweep share their noise on
+purpose (common random numbers): cells that draw alike step together as
+one range, a memory-bounded batch at a time, and each batch draws each
+block of noise once.  Once its total work pays for them, a sweep runs an
+interleaved share of every group per usable CPU, each in a child (see
+`sweep`).  Every child has a duplex pipe to its caller, which waits on it
+in short polls, so that an interrupt ends any wait for a child.  A child
+that dies raises ExperimentError, and a child whose caller dies fails its
+next send or receive and exits.
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
@@ -107,11 +112,6 @@ from .schedules import PowerSchedule, classify
 
 _BLOCK_REPLICAS = 256   # fixed reduction grid, independent of the array width
 _RAW_BLOCK = 1024       # iterations of raw noise pre-drawn per replica, at most
-# Iterations of a staging block moved into the draw buffer per copy, so
-# that a draw helper serves a waiting reduction within about one replica's
-# draw (some 40 us), where one copy of 1024 iterations of 200 replicas
-# takes about 0.6 ms.
-_COPY_ITERATIONS = 32
 # A checkpoint slot's state buffers (x, grad f(x), ...) each hold at most
 # this many replica-checkpoint coordinates (counting at least 2 per state),
 # so chunk x replicas <= 16384; and an experiment splits only if each
@@ -203,11 +203,10 @@ def _refill(buf, stage, oracle, gens, nb: int, serve=None) -> None:
     """Draw the next nb iterations of every replica's raw noise into
     buf[:nb], where buf is shaped (iterations, replicas, ...), one block of
     replicas at a time: each replica's stream fills its C-contiguous rows
-    of stage, shaped (block, iterations, ...), in place, and copies of
-    `_COPY_ITERATIONS` iterations move them into the block's columns of
-    buf.  Both are viewed as arrays of one np.void item per draw, so a copy
-    moves whole draws in one loop.  Unless None, serve() runs after each
-    replica's draw and each copy."""
+    of stage, shaped (block, iterations, ...), in place, and one copy moves
+    them into the block's columns of buf.  Both are viewed as arrays of one
+    np.void item per draw, so the copy moves whole draws in one loop.
+    Unless None, serve() runs after each replica's draw."""
     draws, staged = _draw_items(buf), _draw_items(stage)
     for lo in range(0, len(gens), len(stage)):
         block = gens[lo:lo + len(stage)]
@@ -215,11 +214,7 @@ def _refill(buf, stage, oracle, gens, nb: int, serve=None) -> None:
             oracle.raw_block(g, nb, out=rows[:nb])
             if serve is not None:
                 serve()
-        for k in range(0, nb, _COPY_ITERATIONS):
-            hi = min(k + _COPY_ITERATIONS, nb)
-            np.copyto(draws[k:hi, lo:lo + len(block)], staged[:len(block), k:hi].T)
-            if serve is not None:
-                serve()
+        np.copyto(draws[:nb, lo:lo + len(block)], staged[:len(block), :nb].T)
 
 
 def _draws(oracle, gens, horizon: int, slots: list, wait=None, serve=None):
@@ -287,18 +282,19 @@ def _chunk(points: int, r_count: int, dim: int) -> int:
 
 class _Checkpoints:
     """The per-checkpoint sums of one stepper (see `_steps`).  `record`
-    copies a checkpoint's state into the current one of `slots`, each of
+    copies each checkpoint's state into the current one of `slots`, each of
     which holds up to `chunk` checkpoints of x, grad f(x), v (None without
     energies) and xbar (None unless averaged), and `flush` has `reduce`
-    evaluate f on a slot's checkpoints and reduce them into `totals` and
-    `counts` with one set of numpy calls.
+    evaluate f on the checkpoints buffered and reduce them into `totals`
+    and `counts` with one set of numpy calls.
 
     In this process there is one slot, reduced in place.  A draw helper
-    (see `_step_together`) reduces instead once `share` has put two slots,
-    the sums and an alive mask per slot in shared maps and `helper` is set:
-    `flush` hands the slot over and recording moves on to the other slot,
-    waiting first, if need be, until the helper has reduced the chunk that
-    slot held.  `results` waits for the last chunk."""
+    (see `_step_together`) reduces instead once `share` has put two slots
+    and the sums in shared maps and `helper` is set: `flush` hands the
+    chunk over, as the message (slot, first, count, alive) that `reduce`
+    takes, and recording moves on to the other slot, waiting first, if need
+    be, until the helper has reduced the chunk that slot held.  `results`
+    waits for the last chunk."""
 
     def __init__(self, problem, grid, mus, lyap_mode, averaged: bool, f_star: float,
                  r_count: int, dim: int, fold: bool):
@@ -315,8 +311,9 @@ class _Checkpoints:
         self.chunk = _chunk(len(grid), r_count, dim)
         self.averaged, self.rows = averaged, (self.chunk, r_count, dim)
         self.slots = [self._slot(np.zeros)]
-        self.masks = self.helper = None
+        self.helper = None
         self.flushes = 0   # chunks flushed
+        self.first = self.held = 0   # the current chunk's first checkpoint, and its count
         self.vals = np.empty((self.chunk, len(self.keys), r_count))   # quantities, squares
         self.ht_prev = None
 
@@ -327,17 +324,17 @@ class _Checkpoints:
                 alloc(rows) if self.averaged else None]
 
     def share(self) -> None:
-        """Hold two slots, the sums and the slots' alive masks in shared
-        maps, for a draw helper forked after this to reduce; nothing may be
-        recorded yet."""
+        """Hold two slots and the sums in shared maps, for a draw helper
+        forked after this to reduce; nothing may be recorded yet."""
         self.slots = [self._slot(_shared_array) for _ in range(2)]
-        self.masks = _shared_array((2, self.rows[1]), bool)
         self.totals = _shared_array(self.totals.shape)
         self.counts = _shared_array(self.counts.shape, np.int64)
 
-    def record(self, j: int, x, gr, v, xbar) -> None:
-        """Copy checkpoint j of the current chunk: x, grad f(x) = gr, v and
-        xbar."""
+    def record(self, x, gr, v, xbar, alive) -> None:
+        """Copy the next checkpoint, x, grad f(x) = gr, v and xbar, into the
+        current chunk, and flush the chunk once full; `alive` is the alive
+        mask it was recorded under."""
+        j = self.held
         if j == 0 and self.helper is not None:
             self.helper.wait_reduced(self.flushes - 1)   # the slot's last chunk
         xs, gs, vs, bs = self.slots[self.flushes % len(self.slots)]
@@ -347,18 +344,23 @@ class _Checkpoints:
             vs[j] = v
         if bs is not None:
             bs[j] = xbar
+        self.held = j + 1
+        if self.held == self.chunk:
+            self.flush(alive)
 
-    def flush(self, first: int, c: int, alive) -> None:
-        """Reduce the current chunk, checkpoints first..first+c-1, all
-        recorded under the alive mask `alive`: here, or by handing it over
-        to the helper."""
-        slot = self.flushes % len(self.slots)
+    def flush(self, alive) -> None:
+        """Reduce the checkpoints buffered, if any, all recorded under the
+        alive mask `alive`: here, or by handing them over to the helper."""
+        if not self.held:
+            return
+        message = (self.flushes % len(self.slots), self.first, self.held, alive)
         self.flushes += 1
+        self.first += self.held
+        self.held = 0
         if self.helper is None:
-            self.reduce(slot, first, c, alive)
+            self.reduce(*message)
         else:
-            self.masks[slot] = alive
-            self.helper.send((slot, first, c))
+            self.helper.send(message)
 
     def results(self) -> tuple:
         """(counts, sums keyed by quantity) once every chunk is reduced."""
@@ -423,20 +425,20 @@ def _shared_array(shape: tuple, dtype=float) -> np.ndarray:
                          count).reshape(shape)
 
 
-def _fork(target, args: tuple, duplex: bool = False, inherited: list = ()):
+def _fork(target, args: tuple, inherited: list = ()):
     """Start a forked daemon child that runs target(conn, *args), and return
-    it with this process's end of a new pipe whose other end is conn (with
-    duplex False, the child only sends).  The child first closes this
-    process's end and `inherited`, ends of other pipes this process reads,
-    so that once this process dies the child's sends and receives fail and
-    it exits, rather than wait on a pipe that it holds open itself."""
+    it with this process's end of a new duplex pipe whose other end is
+    conn.  The child first closes this process's end and `inherited`, ends
+    of other pipes this process reads, so that once this process dies the
+    child's sends and receives fail and it exits, rather than wait on a
+    pipe that it holds open itself."""
     # Imported here so that runs in one process never load it.  Fork rather
     # than spawn: the child inherits the problem and oracle, whose closures
     # do not pickle, and every module this process has loaded.
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    ours, theirs = ctx.Pipe(duplex)
+    ours, theirs = ctx.Pipe()
     child = ctx.Process(target=_child, args=(theirs, [ours, *inherited], target, args),
                         daemon=True)
     child.start()
@@ -458,7 +460,7 @@ class _Died(Exception):
 
 
 @contextmanager
-def _children(target, arg_lists: list, duplex: bool = False):
+def _children(target, arg_lists: list):
     """Fork a child that runs target(conn, *args) for each args of
     arg_lists (see `_fork`), and yield the (child, conn) pairs.  An
     interrupt is held while a child is forked and listed, lest it leave a
@@ -469,7 +471,7 @@ def _children(target, arg_lists: list, duplex: bool = False):
     try:
         for args in arg_lists:
             with _interrupt_held():
-                children.append(_fork(target, args, duplex, [c for _, c in children]))
+                children.append(_fork(target, args, [c for _, c in children]))
         yield children
     except _Died as died:
         dead = died.args[0]
@@ -485,8 +487,13 @@ def _children(target, arg_lists: list, duplex: bool = False):
 
 def _received(child, conn):
     """The next message from child on conn; raises `_Died` if the pipe
-    broke."""
+    broke.  It waits in short polls, not in one blocking read: a SIGINT
+    that lands just before such a read, or in another thread, runs its
+    handler only once the read returns, which may be when the child next
+    sends."""
     try:
+        while not conn.poll(0.05):
+            pass
         return conn.recv()
     except (EOFError, OSError):
         raise _Died(child) from None
@@ -561,28 +568,18 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     checkpoints = _Checkpoints(problem, grid, mus, lyap_mode, averaged, f_star, r_count,
                                x.shape[1], fold)
     grad_cache = None
-    ci = flushed = 0   # checkpoints recorded, and reduced
+    ci = 0   # checkpoints recorded
 
     def record():
         """Buffer checkpoint ci's state; return grad f(x)."""
         nonlocal ci
         gr = problem.gradient(x)
         xbar = (x if avg.weight_sum == 0.0 else avg.xbar) if averaged else None
-        checkpoints.record(ci - flushed, x, gr, v, xbar)
+        checkpoints.record(x, gr, v, xbar, alive)
         if on_point is not None:
             on_point(int(grid[ci]), x, v, xbar, gr)
         ci += 1
-        if ci - flushed == checkpoints.chunk:
-            flush()
         return gr
-
-    def flush():
-        """Reduce the buffered checkpoints; all were recorded under the
-        current alive mask."""
-        nonlocal flushed
-        if ci > flushed:
-            checkpoints.flush(flushed, ci - flushed, alive)
-            flushed = ci
 
     def grad_at(point):
         """Stochastic gradients at point from this iteration's draws; grad f
@@ -609,7 +606,7 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
             # (they keep stepping); only when it fails is each replica
             # tested.  Frozen replicas are never flagged again.
             if not all_within_radius(x) and not (ok := within_radius(x) | ~alive).all():
-                flush()   # the buffered checkpoints keep the old alive mask
+                checkpoints.flush(alive)   # the buffered checkpoints keep the old mask
                 bad = ~ok
                 diverged += [(first + int(i), k) for i in np.nonzero(bad)[0]]
                 alive &= ok
@@ -624,7 +621,7 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
         if k == horizon or not n_alive:
             break
         block = yield
-    flush()
+    checkpoints.flush(alive)
     return (*checkpoints.results(), diverged, (x, v, x_prev, avg))
 
 
@@ -640,14 +637,15 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list,
     (`_draw_ahead`) owns the streams and the stepper's checkpoint
     reductions.  It draws every block into two shared slots in turn, one
     block ahead: while the stepper steps through one slot it fills the
-    other, and sends each block's length once drawn.  This process tells
-    it that a slot is free only when a later block still needs that slot.
-    The stepper records its checkpoints into two shared chunk slots in turn
-    and hands each full or flushed chunk over (see `_Checkpoints`); the
-    helper reduces it between two replicas' draws, or at once if it is
-    waiting, and acknowledges it.  So this process only steps.  The helper
-    is a child of `_children`, stopped once the stepper is done or on an
-    error.
+    other, and sends each block's length once drawn.  This process's end
+    of its pipe, a `_Helper`, yields each block once drawn and tells the
+    helper that a slot is free only when a later block still needs that
+    slot.  The stepper records its checkpoints into two shared chunk slots
+    in turn and hands each full or flushed chunk over with its alive mask
+    (see `_Checkpoints`); the helper reduces it between two replicas'
+    draws, or at once if it is waiting, and acknowledges it.  So this
+    process only steps.  The helper is a child of `_children`, stopped
+    once the stepper is done or on an error.
 
     While the helper runs, it has one of this process's CPUs and the caller
     the others.  Left to the scheduler, the two were seen to share one CPU
@@ -667,11 +665,11 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list,
     try:
         # A helper forked in here reduces under the same error state.
         with np.errstate(over="ignore", invalid="ignore"), \
-                _children(_draw_ahead, helpers, duplex=True) as children:
+                _children(_draw_ahead, helpers) as children:
             if ahead:
                 os.sched_setaffinity(0, cpus - {max(cpus)})
                 books[0].helper = _Helper(*children[0])
-                blocks = _drawn_ahead(books[0].helper, slots, -(-horizon // nb_max))
+                blocks = books[0].helper.blocks(slots, -(-horizon // nb_max))
             else:
                 blocks = _draws(oracle, gens, horizon,
                                 [np.empty(shape, dtype=oracle.raw_dtype)])
@@ -694,9 +692,10 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list,
 
 class _Helper:
     """This process's end of the draw helper's pipe (see `_step_together`).
-    It sends the helper None for a draw slot freed and (slot, first, count)
-    for a chunk handed over, and sorts what comes back: a block's length
-    once drawn, None once a chunk is reduced."""
+    It sends the helper None for a draw slot freed and a chunk's (slot,
+    first, count, alive) for a chunk handed over (see `_Checkpoints`), and
+    sorts what comes back: a block's length once drawn, None once a chunk
+    is reduced."""
 
     def __init__(self, child, conn):
         self.child, self.conn = child, conn
@@ -716,26 +715,21 @@ class _Helper:
         else:
             self.drawn.append(message)
 
-    def next_block(self) -> int:
-        """The length of the next block, once drawn."""
-        while not self.drawn:
-            self._receive()
-        return self.drawn.pop(0)
+    def blocks(self, slots: list, count: int):
+        """Yield the count blocks that the helper draws into the two slots
+        in turn, each once drawn; asking for the next block frees the slot
+        of the last, if a later block needs it."""
+        for i in range(count):
+            if 0 < i < count - 1:
+                self.send(None)
+            while not self.drawn:
+                self._receive()
+            yield slots[i % 2][:self.drawn.pop(0)]
 
     def wait_reduced(self, chunks: int) -> None:
         """Return once the helper has reduced `chunks` chunks."""
         while self.reduced < chunks:
             self._receive()
-
-
-def _drawn_ahead(helper: _Helper, slots: list, count: int):
-    """Yield the count blocks that the draw helper draws (see
-    `_step_together`), each once drawn; asking for the next block frees the
-    slot of the last, if a later block needs it."""
-    for i in range(count):
-        if 0 < i < count - 1:
-            helper.send(None)
-        yield slots[i % 2][:helper.next_block()]
 
 
 def _draw_ahead(conn, cpu: int, oracle, gens: list, horizon: int, slots: list,
@@ -759,8 +753,7 @@ def _draw_ahead(conn, cpu: int, oracle, gens: list, horizon: int, slots: list,
         if message is None:
             freed += 1
         else:
-            slot, first, c = message
-            books.reduce(slot, first, c, books.masks[slot])
+            books.reduce(*message)
             conn.send(None)
 
     def serve():
@@ -780,16 +773,6 @@ def _draw_ahead(conn, cpu: int, oracle, gens: list, horizon: int, slots: list,
             take(conn.recv())
     except (EOFError, OSError):   # the caller died
         pass
-
-
-def _simulate(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
-              averaged: bool, f_star: float, master_seed: int, r_count: int, on_point):
-    """The result of `_steps` for replicas 0..r_count-1, each drawing from
-    its own stream under master_seed, in this process."""
-    stepper = _steps(problem, oracle, method, beta, alphas, mus, x0, grid, lyap_mode,
-                     averaged, f_star, r_count, on_point)
-    return _step_together(oracle, replica_streams(master_seed, r_count), len(alphas),
-                          [stepper])[0]
 
 
 def _mean_se(s, q, n):
@@ -815,8 +798,7 @@ class _Experiment:
     effective: int   # replicas simulated
 
     def engine_args(self) -> tuple:
-        """The leading arguments of `_steps` and `_simulate`, up to the
-        replica count of `_steps` and the seed of `_simulate`."""
+        """The leading arguments of `_steps`, up to its replica count."""
         c = self.cfg
         return (self.problem, self.oracle, c.method, c.beta, self.alphas, self.mus, c.x0,
                 self.grid, self.lyap_mode, c.averaged, self.problem.minimum.f_star)
@@ -888,25 +870,22 @@ def _plan(exps: list) -> tuple:
 def _stepped(exps: list) -> list:
     """(counts, sums, diverged) of each of exps, experiments that draw alike
     (see `_draw_groups`), stepped together over the replica ranges of
-    `_plan`, each block of noise drawn once for all.  Split ranges each send
-    back their unfolded block sums, which are folded onto zeros in block
-    order: the same float additions in the same order as one range over
-    every replica."""
+    `_plan`, each block of noise drawn once for all.  Only a lone experiment
+    splits; its ranges each send back their unfolded block sums, which are
+    folded onto zeros in block order: the same float additions in the same
+    order as one range over every replica."""
     ranges, ahead = _plan(exps)
     whole = len(ranges) == 1
     parts = _in_processes([partial(_step_range, exps, first, count, whole, ahead)
                            for first, count in ranges])
     if whole:
         return parts[0]
-    results = []
-    for ranged in zip(*parts):
-        sums = {key: np.zeros(block_sums.shape[:-1])
-                for key, block_sums in ranged[0][1].items()}
-        for _, block_sums, _ in ranged:
-            for key, total in sums.items():
-                _fold(total, block_sums[key])
-        results.append((sum(r[0] for r in ranged), sums, [d for r in ranged for d in r[2]]))
-    return results
+    ranged = [result for result, in parts]   # each range's one result
+    sums = {key: np.zeros(block_sums.shape[:-1]) for key, block_sums in ranged[0][1].items()}
+    for _, block_sums, _ in ranged:
+        for key, total in sums.items():
+            _fold(total, block_sums[key])
+    return [(sum(r[0] for r in ranged), sums, [d for r in ranged for d in r[2]])]
 
 
 def _step_range(exps: list, first: int, count: int, fold: bool, ahead: bool) -> list:

@@ -31,9 +31,10 @@ the step size applied to the *previous* iterate.
 Each rule's arithmetic is written once, as a kernel in `KERNELS` acting on
 arrays of shape (d,) or (replicas, d) with scalar coefficients.  The step
 functions and the Monte Carlo engine in `harness` call these kernels.  `run`
-has no loop of its own: it is that engine at one replica, recording each
-checkpoint from the state, f and grad f the engine has evaluated, so a
-single run is replica 0 of an experiment by construction.
+has no loop of its own: it builds that engine's stepper for one replica and
+drives it through the engine's draws, recording each checkpoint from the
+state, f and grad f the engine has evaluated, so a single run is replica 0
+of an experiment by construction.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .errors import DivergenceError, ParameterError
 from .lyapunov import LyapunovScalars, scalars_at
 from .oracles import GradientOracle, OracleSample
 from .problems import Problem
+from .rng import replica_streams
 from .schedules import PowerSchedule
 
 METHODS = ("vsgd", "msgd_damped", "msgd_classical", "nasgd", "nesterov_classical")
@@ -289,14 +291,15 @@ def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
         lyapunov_vanishing: bool = False, averaged: bool = False) -> Trajectory:
     """Run one trajectory, recording checkpoints.
 
-    This is the experiment engine (`harness._simulate`) at one replica on
-    stream (seed, 0), so a single run is replica 0 of an experiment with the
-    same master seed.  With lyapunov_coeff set, energy scalars are recorded
+    This is the experiment engine at one replica on stream (seed, 0): a
+    `harness._steps` stepper driven by `harness._step_together`, in this
+    process, so a single run is replica 0 of an experiment with the same
+    master seed.  With lyapunov_coeff set, energy scalars are recorded
     at each checkpoint; the coefficient multiplies mu_k when
     lyapunov_vanishing is true.  Raises DivergenceError with the offending
     iteration on blow-up.
     """
-    from .harness import _simulate   # harness imports this module
+    from .harness import _step_together, _steps   # harness imports this module
 
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -336,9 +339,10 @@ def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
             f=f, grad_sq=float(np.einsum("...i,...i->...", grad, grad)),
             lyap=lyap, xbar=None if xbar is None else xbar[0].copy()))
 
-    _, _, diverged, (x, v, x_prev, avg) = _simulate(
-        problem, oracle, method, beta, alphas, mus, x0,
-        checkpoint_grid(iters, checkpoint_stride), None, averaged, f_star, seed, 1, record)
+    stepper = _steps(problem, oracle, method, beta, alphas, mus, x0,
+                     checkpoint_grid(iters, checkpoint_stride), None, averaged, f_star, 1, record)
+    _, _, diverged, (x, v, x_prev, avg) = _step_together(
+        oracle, replica_streams(seed, 1), iters, [stepper])[0]
     if diverged:
         raise DivergenceError(diverged[0][1])
     traj.final = IterState(k=iters, x=x[0], v=v[0], x_prev=x_prev[0])

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import configparser
 import inspect
 import json
 import multiprocessing
@@ -18,7 +19,7 @@ import pytest
 import sgdlab
 from conftest import INVALID_CONFIGS, make_cfg
 from sgdlab.cli import _cleanup, main
-from sgdlab.config import ExperimentConfig, manifest_dict
+from sgdlab.config import ExperimentConfig, manifest_dict, parse_config_file
 from sgdlab.problems import least_squares_sum
 
 INI = """\
@@ -221,6 +222,55 @@ def test_a_key_its_kind_does_not_read_is_a_usage_error(source, config_path, tmp_
         manifest = manifest_dict(make_cfg(problem={"kind": "quadratic",
                                                    "spectrum": [1.0, 4.0],
                                                    "xstar": [1.0, 1.0]}))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        argv = ["experiment", "--from-manifest", str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)] + extra) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (section, key, INI text, manifest value) of a value of the wrong type,
+# which would otherwise be coerced: a boolean that is not true or false, an
+# integer key given a fraction or a boolean, a number given a boolean.
+WRONG_VALUES = [
+    ("run", "averaged", "maybe", "maybe"),
+    ("oracle", "replace", "1", "false"),
+    ("problem", "dim", "2.9", 2.9),
+    ("oracle", "batch", "2.5", 2.5),
+    ("oracle", "batch", "true", True),
+    ("oracle", "sigma", "true", True),
+]
+
+
+@pytest.mark.parametrize("source", ["file", "set", "manifest"])
+@pytest.mark.parametrize("section,key,text,value", WRONG_VALUES,
+                         ids=["averaged", "replace", "dim", "batch-fraction",
+                              "batch-boolean", "sigma-boolean"])
+def test_a_value_of_the_wrong_type_is_a_usage_error(section, key, text, value, source,
+                                                   tmp_path, capsys):
+    base = LSQ_INI if key in ("replace", "batch") else INI
+    if key == "dim":
+        base = base.replace("kind = quadratic\nspectrum = 1.0, 4.0",
+                            "kind = pseudo_huber\ndim = 2")
+    path = tmp_path / "exp.ini"
+    path.write_text(base)
+    argv, extra = ["experiment", str(path)], []
+    message = f"[{section}] {key} must be"
+    if source == "file":
+        cp = configparser.ConfigParser()
+        cp.read_string(base)
+        cp.set(section, key, text)
+        with open(path, "w") as fh:
+            cp.write(fh)
+    elif source == "set":
+        extra = ["--set", f"{section}.{key}={text}"]
+    else:
+        manifest = manifest_dict(parse_config_file(str(path)))
+        (manifest["config"] if section == "run" else manifest["config"][section])[key] = value
+        if section == "run":   # checked with every field of the manifest
+            message = f"manifest field {key!r} must be"
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
         argv = ["experiment", "--from-manifest", str(path)]
@@ -585,6 +635,29 @@ def test_an_interrupted_experiment_stops_its_workers(wide_path, tmp_path, monkey
             os.kill(pid, 0)
 
 
+def test_an_interrupt_ends_a_wait_on_children_in_fresh_processes(tmp_path):
+    # A SIGINT only sets a flag that the main thread reads between two
+    # bytecodes, so one that lands just before the caller blocks on a child,
+    # or in another thread, ends no single blocking read: the caller would
+    # see it once a child sends, here after 60 s.  Landing just before the
+    # read is a matter of microseconds, so `interrupted_caller.py` runs in
+    # 20 fresh processes, every other one interrupted in another thread.
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "interrupted_caller.py")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
+    for i in range(20):
+        workdir = tmp_path / str(i)
+        try:
+            proc = subprocess.run(
+                [sys.executable, script, str(workdir), ("process", "thread")[i % 2]],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                timeout=10)
+        except subprocess.TimeoutExpired:
+            for name in os.listdir(workdir / "pids"):   # the stalling children
+                os.kill(int(name), signal.SIGKILL)
+            pytest.fail(f"run {i} was still waiting on its children after 10 s")
+        assert proc.returncode == 0, proc.stderr
+
+
 _KILLED_PARENT = """
 import inspect, os, signal, sys, time
 import sgdlab.harness as harness
@@ -801,10 +874,10 @@ def test_an_interrupted_experiment_stops_its_draw_helper(long_path, tmp_path, mo
     _force_helper(monkeypatch)
     pid_file = tmp_path / "pid"
     monkeypatch.setattr("sgdlab.harness._draw_ahead", _reporting_helper(pid_file))
-    real_drawn = sgdlab.harness._drawn_ahead
+    real_blocks = sgdlab.harness._Helper.blocks
 
     def interrupted(*args):   # the third block of draws, with the helper running
-        for i, block in enumerate(real_drawn(*args)):
+        for i, block in enumerate(real_blocks(*args)):
             if i == 2:
                 deadline = time.monotonic() + 20
                 while not pid_file.exists() and time.monotonic() < deadline:
@@ -812,7 +885,7 @@ def test_an_interrupted_experiment_stops_its_draw_helper(long_path, tmp_path, mo
                 raise KeyboardInterrupt
             yield block
 
-    monkeypatch.setattr("sgdlab.harness._drawn_ahead", interrupted)
+    monkeypatch.setattr("sgdlab.harness._Helper.blocks", interrupted)
     # `info` keeps the traceback, and with it the stepper: the helper must be
     # stopped as the interrupt propagates, not when the stepper is collected.
     with pytest.raises(KeyboardInterrupt) as info:
@@ -866,7 +939,7 @@ from sgdlab.cli import main
 pid_file, config, out = sys.argv[1:]
 harness._usable_cpus = lambda: 2
 harness._HELPER_MIN_WORK = 0
-real_draw_ahead, real_drawn = harness._draw_ahead, harness._drawn_ahead
+real_draw_ahead, real_blocks = harness._draw_ahead, harness._Helper.blocks
 
 def draw_ahead(*args):
     with open(pid_file + ".tmp", "w") as fh:
@@ -874,15 +947,15 @@ def draw_ahead(*args):
     os.replace(pid_file + ".tmp", pid_file)
     real_draw_ahead(*args)
 
-def drawn_ahead(*args):   # the second block of draws, with the helper running
-    for i, block in enumerate(real_drawn(*args)):
+def blocks(*args):   # the second block of draws, with the helper running
+    for i, block in enumerate(real_blocks(*args)):
         if i == 1:
             while not os.path.exists(pid_file):
                 time.sleep(0.01)
             os.kill(os.getpid(), signal.SIGKILL)
         yield block
 
-harness._draw_ahead, harness._drawn_ahead = draw_ahead, drawn_ahead
+harness._draw_ahead, harness._Helper.blocks = draw_ahead, blocks
 main(["lyapunov", config, "--out", out])
 """
 

@@ -464,13 +464,13 @@ def _helper_and_in_process(cfg, monkeypatch):
     process) of cfg (see `_results_bytes`, which runs it twice): the helper
     at any size on two CPUs, then one CPU, where no helper starts."""
     started = []
-    real = harness._drawn_ahead
+    real = harness._Helper.blocks
 
     def recording(*args):
         started.append(1)
         return real(*args)
 
-    monkeypatch.setattr(harness, "_drawn_ahead", recording)
+    monkeypatch.setattr(harness._Helper, "blocks", recording)
     monkeypatch.setattr(harness, "_HELPER_MIN_WORK", 0)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     helper = _results_bytes(cfg)
@@ -490,6 +490,9 @@ _LYAP_STRIDE1 = dict(method="msgd_damped", lyapunov=True, checkpoint_stride=1,
     # 5000 iterations take five blocks of 1024, so each slot is refilled.
     make_cfg(schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU},
              **dict(_LYAP_STRIDE1, horizon=5000)),
+    # 1025 iterations take two blocks, of 1024 and 1, so no slot is freed.
+    make_cfg(schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU},
+             **dict(_LYAP_STRIDE1, horizon=1025)),
     make_cfg(schedule={"alpha_c": 0.3, "alpha_a": 0.6, **_VANISHING_MU},
              **dict(_LYAP_STRIDE1, method="nasgd", averaged=True)),
     make_cfg(method="vsgd", averaged=True, checkpoint_stride=1, replicas=300, horizon=500),
@@ -509,7 +512,8 @@ _LYAP_STRIDE1 = dict(method="msgd_damped", lyapunov=True, checkpoint_stride=1,
     make_cfg(schedule={"alpha_c": 0.3, "alpha_a": 0.6, **_VANISHING_MU},
              **dict(_LYAP_STRIDE1, method="nasgd", averaged=True, replicas=1000,
                     horizon=700)),
-], ids=["constant-tilt", "constant-tilt-five-blocks", "vanishing-tilt-averaged", "averaged-stride1", "averaged-stride7",
+], ids=["constant-tilt", "constant-tilt-five-blocks", "constant-tilt-two-blocks",
+        "vanishing-tilt-averaged", "averaged-stride1", "averaged-stride7",
         "lsq-gaussian", "lsq-minibatch-lyapunov", "zero-noise", "many-chunks-per-block",
         "partial-last-chunk"])
 def test_the_draw_helper_gives_the_in_process_results_bitwise(cfg, monkeypatch):
@@ -626,16 +630,25 @@ def _record_draws(monkeypatch):
     return calls
 
 
+def _stepped_in_one_process(engine_args, seed, replicas):
+    """The result of `_steps` for replicas 0..replicas-1 of an experiment
+    whose leading `_steps` arguments are engine_args, each drawing from its
+    own stream under seed, driven by `_step_together` in this process."""
+    stepper = harness._steps(*engine_args, replicas, None)
+    return harness._step_together(engine_args[1], replica_streams(seed, replicas),
+                                  len(engine_args[4]), [stepper])[0]
+
+
 def _simulate_in_one_process(cfg):
-    """`harness._simulate` over every replica of cfg in this process, as
-    `run_experiment` calls it when it does not split the replicas."""
+    """`_stepped_in_one_process` over every replica of cfg, as
+    `run_experiment` steps it when it does not split the replicas."""
     problem, s = validate_config(cfg)
     oracle = build_oracle(cfg.oracle, problem, seed=cfg.seed)
-    return harness._simulate(problem, oracle, cfg.method, cfg.beta, s.alphas(cfg.horizon),
-                             s.mus(cfg.horizon), cfg.x0,
-                             checkpoint_grid(cfg.horizon, cfg.checkpoint_stride),
-                             resolve_lyapunov(cfg, problem, s), cfg.averaged,
-                             problem.minimum.f_star, cfg.seed, cfg.replicas, None)
+    return _stepped_in_one_process(
+        (problem, oracle, cfg.method, cfg.beta, s.alphas(cfg.horizon), s.mus(cfg.horizon),
+         cfg.x0, checkpoint_grid(cfg.horizon, cfg.checkpoint_stride),
+         resolve_lyapunov(cfg, problem, s), cfg.averaged, problem.minimum.f_star),
+        cfg.seed, cfg.replicas)
 
 
 def test_draw_buffer_stays_within_one_block_of_rows(monkeypatch):
@@ -689,7 +702,7 @@ def test_iteration_major_draw_blocks_step_as_replica_major_draws(oracle, dim, re
         problem=problem, oracle=spec, x0=np.linspace(-2.0, 2.0, dim).tolist(),
         averaged=True, schedule={"alpha_c": 0.1, "alpha_a": 0.6, **_CONSTANT_MU},
         **dict(_LYAP_STRIDE1, replicas=replicas, horizon=1100)))
-    blocked = harness._simulate(*exp.engine_args(), exp.cfg.seed, replicas, None)
+    blocked = _stepped_in_one_process(exp.engine_args(), exp.cfg.seed, replicas)
     reference = _stepped_replica_major(exp)
     counts, sums, diverged, final = blocked
     assert np.array_equal(counts, reference[0])
