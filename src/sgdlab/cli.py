@@ -19,8 +19,8 @@ Config grammar (INI sections; `#`/`;` start inline comments):
     [run]       method = vsgd | msgd_damped | msgd_classical | nasgd
                          | nesterov_classical
                 horizon = 100000   replicas = 200   seed = 1   x0 = 3, -2
-                checkpoint_stride = 0   lyapunov = false   averaged = false
-                beta = 0.9   divergence_tolerance = 0.01
+                checkpoint_stride = 0   lyapunov = false   lyap_coeff = 0.1
+                averaged = false   beta = 0.9   divergence_tolerance = 0.01
     [sweep]     methods = vsgd, msgd_damped   alpha_a = 0.6, 0.7   mu_b = 0, 0.2
 
 Overrides: `--set section.key=value` (repeatable) applies after parsing;

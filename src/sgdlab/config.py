@@ -9,12 +9,16 @@ Config files are INI-style with four sections:
                 plus sigma / batch, replace / eta
     [schedule]  alpha = c, a   and   mu = m, b   (pairs; braces optional)
     [run]       method, horizon, replicas, seed, x0, checkpoint_stride,
-                lyapunov, averaged, beta, divergence_tolerance
+                lyapunov, lyap_coeff, averaged, beta, divergence_tolerance
 
 A manifest is the fully resolved config as JSON; re-running from a manifest
 reproduces the experiment byte for byte.
 
-Parsing checks the grammar only.  `validate_config` checks the constraints
+Each key's type is declared once, in `_PROBLEMS`, `_ORACLES`, `_SCHEDULE`,
+`_RUN` and `_SWEEP`.  A config file (with its `--set` overrides) is read
+through them, and a manifest or a config built in Python is checked
+against them, so the builders take checked values.  Parsing checks the
+grammar and the types only.  `validate_config` checks the constraints
 between fields and builds the problem to do so; a command calls it once, on
 the config it finally runs, and uses what it built.  The replica count
 matters only to experiments, which check it with `validate_replicas`; a
@@ -26,6 +30,7 @@ from __future__ import annotations
 import configparser
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -59,84 +64,142 @@ class ExperimentConfig:
     divergence_tolerance: float = 0.01
 
 
-def _number(value, key: str):
-    """value, the config value of key, unless it is or holds a boolean: a
-    value of true is not the number 1."""
-    if _holds_bool(value):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    return value
+# A type is (what a value must be, the test a value of it passes, how INI
+# text reads as it).  A number is finite, and never a boolean: true is not
+# the number 1.
+
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
-def _holds_bool(value) -> bool:
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+def _is_numbers(v, depth: int = 1) -> bool:
+    """v is a sequence of numbers, nested depth deep.  An array is checked
+    whole, which takes microseconds for a 4096 x 8 design."""
+    if isinstance(v, np.ndarray):
+        return v.ndim == depth and v.dtype.kind in "iuf" and bool(np.isfinite(v).all())
+    return isinstance(v, (list, tuple)) and (all(map(_is_number, v)) if depth == 1 else
+                                             all(_is_numbers(row, depth - 1) for row in v))
 
 
-def _integer(value, key: str) -> int:
-    """value, the config value of key, which must be an integer."""
-    if not _is_int(value):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _boolean(value, key: str) -> bool:
-    """value, the config value of key, which must be a boolean."""
-    if not isinstance(value, bool):
-        raise TypeError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def build_schedule(spec: dict) -> PowerSchedule:
+def _read_number(text: str):
+    """An integer-looking number stays an int, as the manifest records it."""
     try:
-        return make_power_schedule(
-            float(_number(spec.get("alpha_c", 1.0), "alpha_c")),
-            float(_number(spec.get("alpha_a", 0.0), "alpha_a")),
-            float(_number(spec.get("mu_m", 0.0), "mu_m")),
-            float(_number(spec.get("mu_b", 0.0), "mu_b")))
-    except (ValueError, TypeError) as e:   # ParameterError, or not a number
-        raise ConfigError(f"[schedule] {e}") from e
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
-# Each kind of [problem] and [oracle]: the keys it reads besides `kind`,
-# and how it builds from the section (and, for an oracle, the problem and
-# seed).
+def _read_numbers(text: str) -> list:
+    """A list of floats: JSON, or comma/space separated, braces tolerated."""
+    if text.startswith("["):
+        return [float(v) for v in json.loads(text)]
+    return [float(p) for p in text.strip("{}()").replace(",", " ").split()]
+
+
+_NUMBER = ("a finite number", _is_number, _read_number)
+_FLOAT = ("a finite number", _is_number, float)
+_FLOAT_OR_NONE = ("a finite number or null", lambda v: v is None or _is_number(v), float)
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int)
+_BOOLEAN = ("true or false", lambda v: isinstance(v, bool), lambda text: {
+    "true": True, "yes": True, "on": True,
+    "false": False, "no": False, "off": False}[text.lower()])
+_STRING = ("a string", lambda v: isinstance(v, str), str)
+_NUMBERS = ("a list of numbers, all finite", _is_numbers, _read_numbers)
+_MATRIX = ("a list of lists of numbers, all finite", lambda v: _is_numbers(v, 2), json.loads)
+_NAMES = ("a list of names", lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+          lambda text: [n.strip() for n in text.split(",") if n.strip()])
+_OBJECT = ("an object", lambda v: isinstance(v, dict), None)   # a section, in a manifest
+
+# Each kind of [problem] and [oracle]: the type of each key it reads
+# besides `kind`, and how it builds from the checked section (and, for an
+# oracle, the problem and seed).
 _PROBLEMS = {
-    "quadratic": (("spectrum", "x_star"), lambda spec: quadratic(
-        _number(spec["spectrum"], "spectrum"), _number(spec.get("x_star"), "x_star"))),
-    "pseudo_huber": (("dim",), lambda spec: pseudo_huber(_integer(spec["dim"], "dim"))),
-    "smooth_rastrigin": (("dim", "amplitude"), lambda spec: smooth_rastrigin(
-        _integer(spec["dim"], "dim"), float(_number(spec["amplitude"], "amplitude")))),
-    "least_squares": (("design", "targets"), lambda spec: least_squares_sum(
-        _number(spec["design"], "design"), _number(spec["targets"], "targets"))),
+    "quadratic": ({"spectrum": _NUMBERS, "x_star": _NUMBERS},
+                  lambda spec: quadratic(spec["spectrum"], spec.get("x_star"))),
+    "pseudo_huber": ({"dim": _INTEGER}, lambda spec: pseudo_huber(spec["dim"])),
+    "smooth_rastrigin": ({"dim": _INTEGER, "amplitude": _NUMBER},
+                         lambda spec: smooth_rastrigin(spec["dim"], spec["amplitude"])),
+    "least_squares": ({"design": _MATRIX, "targets": _NUMBERS},
+                      lambda spec: least_squares_sum(spec["design"], spec["targets"])),
 }
 _ORACLES = {
-    "gaussian": (("sigma",), lambda spec, problem, seed: gaussian_oracle(
-        problem, float(_number(spec["sigma"], "sigma")), seed=seed)),
-    "relative_noise": (("eta",), lambda spec, problem, seed: relative_noise_oracle(
-        problem, float(_number(spec["eta"], "eta")), seed=seed)),
-    "minibatch": (("batch", "replace"), lambda spec, problem, seed: minibatch_oracle(
-        problem, _integer(spec["batch"], "batch"),
-        replace=_boolean(spec.get("replace", True), "replace"), seed=seed)),
+    "gaussian": ({"sigma": _NUMBER}, lambda spec, problem, seed: gaussian_oracle(
+        problem, spec["sigma"], seed=seed)),
+    "relative_noise": ({"eta": _NUMBER}, lambda spec, problem, seed: relative_noise_oracle(
+        problem, spec["eta"], seed=seed)),
+    "minibatch": ({"batch": _INTEGER, "replace": _BOOLEAN},
+                  lambda spec, problem, seed: minibatch_oracle(
+                      problem, spec["batch"], replace=spec.get("replace", True), seed=seed)),
 }
+# [schedule]: each key of a config file is a pair of numbers, which sets
+# two keys of the config, each a number.
+_SCHEDULE = {"alpha": ("alpha_c", "alpha_a"), "mu": ("mu_m", "mu_b")}
+_RUN = {
+    "method": _STRING, "horizon": _INTEGER, "replicas": _INTEGER, "seed": _INTEGER,
+    "x0": _NUMBERS, "checkpoint_stride": _INTEGER, "lyapunov": _BOOLEAN,
+    "lyap_coeff": _FLOAT_OR_NONE, "averaged": _BOOLEAN, "beta": _FLOAT_OR_NONE,
+    "divergence_tolerance": _FLOAT,
+}
+_SWEEP = {"methods": _NAMES, "alpha_a": _NUMBERS, "mu_b": _NUMBERS}
 
 
-def _build(section: str, kinds: dict, spec: dict, *args):
-    """What the [section] spec's kind builds from spec and args.  A key the
-    kind does not read is rejected, lest a misspelled optional key silently
-    take its default; so are an unknown kind, a missing key and a bad
-    value."""
+def _value(label: str, typ: tuple, value, read: bool = False):
+    """value, which must be of the type `typ`; with read, it is INI text,
+    and what it reads as is returned.  label names the value in the
+    ConfigError raised otherwise."""
+    what, ok, parse = typ
+    try:
+        if read:
+            value = parse(value)
+        if ok(value):
+            return value
+    except (ArithmeticError, LookupError, TypeError, ValueError):
+        pass
+    raise ConfigError(f"{label} must be {what}, got {value!r}")
+
+
+def _checked(section: str, types: dict, spec: dict, read: bool = False, kind=None) -> dict:
+    """spec, the [section] values by key, each checked (or with read, read
+    from INI text) as the type that `types` gives its key.  A key without a
+    type is rejected, lest a misspelled optional key silently take its
+    default."""
+    unknown = sorted(set(spec) - set(types))
+    if unknown:
+        of = "" if kind is None else f" for kind {kind!r}"
+        raise ConfigError(f"[{section}] unknown keys{of}: {unknown}")
+    return {key: _value(f"[{section}] {key}", types[key], value, read)
+            for key, value in spec.items()}
+
+
+def _of_kind(section: str, kinds: dict, spec: dict, read: bool = False) -> dict:
+    """The [section] spec checked, or read, as the keys of its kind, which
+    must be one of kinds."""
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"[{section}] unknown kind {kind!r}")
-    keys, build = kinds[kind]
-    unread = sorted(set(spec) - {"kind", *keys})
-    if unread:
-        raise ConfigError(f"[{section}] unknown keys for kind {kind!r}: {unread}")
+    return _checked(section, {"kind": _STRING, **kinds[kind][0]}, spec, read, kind)
+
+
+def _build(section: str, kinds: dict, spec: dict, *args):
+    """What the [section] spec's kind builds from spec and args; a missing
+    key and a value the builder rejects are ConfigErrors too."""
+    spec = _of_kind(section, kinds, spec)
     try:
-        return build(spec, *args)
+        return kinds[spec["kind"]][1](spec, *args)
     except KeyError as e:
-        raise ConfigError(f"[{section}] kind {kind!r} is missing key {e.args[0]!r}") from e
-    except (ValueError, TypeError) as e:   # ParameterError, or not a number
+        raise ConfigError(f"[{section}] kind {spec['kind']!r} is missing key {e.args[0]!r}") from e
+    except (ValueError, TypeError) as e:   # ParameterError
         raise ConfigError(f"[{section}] {e}") from e
+
+
+def build_schedule(spec: dict) -> PowerSchedule:
+    _checked("schedule", {key: _FLOAT for pair in _SCHEDULE.values() for key in pair}, spec)
+    try:
+        return make_power_schedule(spec.get("alpha_c", 1.0), spec.get("alpha_a", 0.0),
+                                   spec.get("mu_m", 0.0), spec.get("mu_b", 0.0))
+    except ValueError as e:   # ParameterError
+        raise ConfigError(f"[schedule] {e}") from e
 
 
 def build_problem(spec: dict) -> Problem:
@@ -154,13 +217,18 @@ def validate_config(cfg: ExperimentConfig, built=None):
     the (problem, schedule) built to check them; unless None, `built` is
     the Problem that an equal [problem] section built, and serves as cfg's
     own."""
+    for name, typ in _RUN.items():
+        _value(f"[run] {name}", typ, getattr(cfg, name))
     if cfg.method not in METHODS:
         raise ConfigError(f"[run] method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.horizon < 1:
         raise ConfigError(f"[run] horizon must be >= 1, got {cfg.horizon}")
+    if cfg.checkpoint_stride < 0:
+        raise ConfigError(f"[run] checkpoint_stride must be >= 0, got {cfg.checkpoint_stride}")
     if not 0.0 <= cfg.divergence_tolerance <= 1.0:
         raise ConfigError("[run] divergence_tolerance must lie in [0, 1]")
-    if cfg.method in ("msgd_damped", "nasgd") and float(cfg.schedule.get("mu_m", 0.0)) <= 0:
+    schedule = build_schedule(cfg.schedule)
+    if cfg.method in ("msgd_damped", "nasgd") and schedule.coeff_mu <= 0:
         raise ConfigError(f"[run] method {cfg.method} requires a positive damping "
                           "coefficient: set [schedule] mu = m, b with m > 0")
     if cfg.method in ("msgd_classical", "nesterov_classical") and cfg.beta is None:
@@ -170,7 +238,6 @@ def validate_config(cfg: ExperimentConfig, built=None):
     if cfg.lyapunov and cfg.checkpoint_stride != 1:
         raise ConfigError("[run] lyapunov = true requires checkpoint_stride = 1 "
                           "(the descent fit needs consecutive checkpoints)")
-    schedule = build_schedule(cfg.schedule)
     problem = build_problem(cfg.problem) if built is None else built
     if len(cfg.x0) != problem.dim:
         raise ConfigError(f"[run] x0 has length {len(cfg.x0)}, problem dim is {problem.dim}")
@@ -193,42 +260,6 @@ def validate_replicas(cfg: ExperimentConfig) -> None:
 
 # ---------------------------------------------------------------------------
 # File parsing
-
-
-def _parse_scalar(text: str):
-    t = text.strip()
-    low = t.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        return t
-
-
-def _parse_floats(text: str, where: str) -> list:
-    """A list of floats: JSON, or comma/space separated, braces tolerated.
-    `where` names the value in the ConfigError raised for anything else."""
-    t = text.strip()
-    try:
-        if t.startswith("["):
-            return [float(v) for v in json.loads(t)]
-        return [float(p) for p in t.strip("{}()").replace(",", " ").split()]
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{where} must be a list of numbers, got {text!r}") from e
-
-
-def _parse_nested(text: str, where: str):
-    try:
-        return json.loads(text.strip())
-    except ValueError as e:
-        raise ConfigError(f"{where} is not JSON: {e}") from e
 
 
 def _ini_errors(parse):
@@ -262,12 +293,6 @@ def _read_ini(path: str, overrides: list[str] | None) -> configparser.ConfigPars
     return cp
 
 
-def _reject_unknown(cp: configparser.ConfigParser, section: str, known: tuple) -> None:
-    unknown = sorted(set(cp.options(section)) - set(known))
-    if unknown:
-        raise ConfigError(f"[{section}] unknown keys: {unknown}")
-
-
 @_ini_errors
 def parse_config_file(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
     """Read an experiment config, applying `section.key=value` overrides."""
@@ -278,61 +303,20 @@ def _experiment_config(cp: configparser.ConfigParser) -> ExperimentConfig:
     for section in ("problem", "oracle", "schedule", "run"):
         if not cp.has_section(section):
             raise ConfigError(f"config file is missing the [{section}] section")
-
-    prob: dict = {}
-    for key, raw in cp.items("problem"):
-        if key in ("spectrum", "x_star", "targets"):
-            prob[key] = _parse_floats(raw, f"[problem] {key}")
-        elif key == "design":
-            prob[key] = _parse_nested(raw, "[problem] design")
-        else:
-            prob[key] = _parse_scalar(raw)
-
-    orac = {key: _parse_scalar(raw) for key, raw in cp.items("oracle")}
-
-    _reject_unknown(cp, "schedule", ("alpha", "mu"))
-    sched: dict = {}
-    for key, raw in cp.items("schedule"):
-        if key == "alpha":
-            pair = _parse_floats(raw, "[schedule] alpha")
-            if len(pair) != 2:
-                raise ConfigError("[schedule] alpha must be a pair: c, a")
-            sched["alpha_c"], sched["alpha_a"] = pair
-        elif key == "mu":
-            pair = _parse_floats(raw, "[schedule] mu")
-            if len(pair) != 2:
-                raise ConfigError("[schedule] mu must be a pair: m, b")
-            sched["mu_m"], sched["mu_b"] = pair
-
-    run = dict(cp.items("run"))
-
-    def run_get(key, default=None):
-        return run.pop(key) if key in run else default
-
-    lyap_coeff_raw = run_get("lyap_coeff")
-    beta_raw = run_get("beta")
-    try:
-        cfg = ExperimentConfig(
-            problem=prob,
-            oracle=orac,
-            schedule=sched,
-            method=str(run_get("method", "")),
-            horizon=int(run_get("horizon", 0)),
-            replicas=int(run_get("replicas", 0)),
-            seed=int(run_get("seed", 0)),
-            x0=_parse_floats(run_get("x0", "0"), "x0"),
-            checkpoint_stride=int(run_get("checkpoint_stride", 0)),
-            lyapunov=_boolean(_parse_scalar(run_get("lyapunov", "false")), "lyapunov"),
-            lyap_coeff=None if lyap_coeff_raw is None else float(lyap_coeff_raw),
-            averaged=_boolean(_parse_scalar(run_get("averaged", "false")), "averaged"),
-            beta=None if beta_raw is None else float(beta_raw),
-            divergence_tolerance=float(run_get("divergence_tolerance", 0.01)),
-        )
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"[run] {e}") from e
-    if run:
-        raise ConfigError(f"[run] unknown keys: {sorted(run)}")
-    return cfg
+    problem = _of_kind("problem", _PROBLEMS, dict(cp.items("problem")), read=True)
+    oracle = _of_kind("oracle", _ORACLES, dict(cp.items("oracle")), read=True)
+    pairs = _checked("schedule", dict.fromkeys(_SCHEDULE, _NUMBERS),
+                     dict(cp.items("schedule")), read=True)
+    schedule: dict = {}
+    for key, pair in pairs.items():
+        if len(pair) != 2:
+            raise ConfigError(f"[schedule] {key} must be a pair: {', '.join(_SCHEDULE[key])}")
+        schedule.update(zip(_SCHEDULE[key], pair))
+    # The fields that ExperimentConfig gives no default, as a file that
+    # leaves them out reads.
+    run = {"method": "", "horizon": "0", "replicas": "0", "seed": "0", "x0": "0",
+           **dict(cp.items("run"))}
+    return ExperimentConfig(problem, oracle, schedule, **_checked("run", _RUN, run, read=True))
 
 
 def manifest_dict(cfg: ExperimentConfig) -> dict:
@@ -345,34 +329,9 @@ def manifest_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-# (description, check) for each field of a manifest's config block.
-_MANIFEST_TYPES = {
-    "problem": ("an object", lambda v: isinstance(v, dict)),
-    "oracle": ("an object", lambda v: isinstance(v, dict)),
-    "schedule": ("an object", lambda v: isinstance(v, dict)),
-    "method": ("a string", lambda v: isinstance(v, str)),
-    "horizon": ("an integer", _is_int),
-    "replicas": ("an integer", _is_int),
-    "seed": ("an integer", _is_int),
-    "x0": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
-    "checkpoint_stride": ("an integer", _is_int),
-    "lyapunov": ("a boolean", lambda v: isinstance(v, bool)),
-    "lyap_coeff": ("a number or null", lambda v: v is None or _is_number(v)),
-    "averaged": ("a boolean", lambda v: isinstance(v, bool)),
-    "beta": ("a number or null", lambda v: v is None or _is_number(v)),
-    "divergence_tolerance": ("a number", _is_number),
-}
-
-
 def config_from_manifest(manifest: dict) -> ExperimentConfig:
+    """The config a manifest records, its fields checked as the types of
+    `_RUN`; the sections are checked when they build."""
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ConfigError(f"manifest format must be {MANIFEST_FORMAT!r}")
     raw = manifest.get("config")
@@ -382,10 +341,9 @@ def config_from_manifest(manifest: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(**raw)
     except TypeError as e:
         raise ConfigError(f"manifest config mismatch: {e}") from e
-    for name, (kind, ok) in _MANIFEST_TYPES.items():
-        value = getattr(cfg, name)
-        if not ok(value):
-            raise ConfigError(f"manifest field {name!r} must be {kind}, got {value!r}")
+    for name, typ in {"problem": _OBJECT, "oracle": _OBJECT, "schedule": _OBJECT,
+                      **_RUN}.items():
+        _value(f"manifest field {name!r}", typ, getattr(cfg, name))
     return cfg
 
 
@@ -405,16 +363,13 @@ def parse_sweep_file(path: str, overrides: list[str] | None = None) -> SweepSpec
     cp = _read_ini(path, overrides)
     if not cp.has_section("sweep"):
         raise ConfigError("sweep requires a [sweep] section")
-    _reject_unknown(cp, "sweep", ("methods", "alpha_a", "mu_b"))
+    grid = _checked("sweep", _SWEEP, dict(cp.items("sweep")), read=True)
     base = _experiment_config(cp)
     validate_config(base)
     validate_replicas(base)
-    methods = [m.strip() for m in cp.get("sweep", "methods", fallback="").split(",") if m.strip()]
-    alpha_a = _parse_floats(cp.get("sweep", "alpha_a", fallback=""), "[sweep] alpha_a")
-    mu_b = _parse_floats(cp.get("sweep", "mu_b", fallback=""), "[sweep] mu_b")
-    return SweepSpec(base=base, methods=methods or [base.method],
-                     alpha_a=alpha_a or [float(base.schedule.get("alpha_a", 0.0))],
-                     mu_b=mu_b or [float(base.schedule.get("mu_b", 0.0))])
+    return SweepSpec(base=base, methods=grid.get("methods") or [base.method],
+                     alpha_a=grid.get("alpha_a") or [base.schedule.get("alpha_a", 0.0)],
+                     mu_b=grid.get("mu_b") or [base.schedule.get("mu_b", 0.0)])
 
 
 def sweep_grid(spec: SweepSpec) -> list[ExperimentConfig]:

@@ -29,6 +29,9 @@ INVALID_CONFIGS = [
     (dict(method="msgd_classical"), "requires .run. beta"),
     (dict(method="msgd_classical", beta=1.0), "beta must lie"),
     (dict(lyapunov=True, checkpoint_stride=10), "checkpoint_stride = 1"),
+    (dict(checkpoint_stride=-3), "checkpoint_stride must be >= 0"),
+    (dict(x0=[float("nan"), 1.0]), "x0'? must be a list of numbers"),
+    (dict(lyap_coeff=float("inf")), "lyap_coeff'? must be a finite number"),
     (dict(x0=[1.0]), "x0 has length"),
     (dict(method="msgd_damped",
           schedule={"alpha_c": 2.0, "alpha_a": 0.0, "mu_m": 1.0, "mu_b": 0.0}),

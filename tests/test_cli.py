@@ -153,10 +153,10 @@ def test_experiment_rejects_a_malformed_manifest(data, message, tmp_path, capsys
 
 
 @pytest.mark.parametrize("command,extra,message", [
-    ("experiment", ["--set", "oracle.sigma=abc"], "[oracle] could not convert"),
+    ("experiment", ["--set", "oracle.sigma=abc"], "[oracle] sigma must be a finite number"),
     ("experiment", ["--set", "problem.spectrum=1.0, x"],
      "[problem] spectrum must be a list of numbers"),
-    ("run", ["--set", "problem.design=[1,"], "[problem] design is not JSON"),
+    ("run", ["--set", "problem.design=[1,"], "[problem] unknown keys for kind 'quadratic'"),
     ("lyapunov", ["--set", "schedule.alpha=0.5, x"],
      "[schedule] alpha must be a list of numbers"),
     ("run", ["--set", "run.x0=2.0, x"], "[run] x0 must be a list of numbers"),
@@ -241,16 +241,18 @@ WRONG_VALUES = [
     ("oracle", "batch", "2.5", 2.5),
     ("oracle", "batch", "true", True),
     ("oracle", "sigma", "true", True),
+    ("problem", "design", "[[1.0, 0.0], [0.0, 2.0], [1.0, x]]",
+     [[1.0, 0.0], [0.0, 2.0], [1.0, "x"]]),
 ]
 
 
 @pytest.mark.parametrize("source", ["file", "set", "manifest"])
 @pytest.mark.parametrize("section,key,text,value", WRONG_VALUES,
                          ids=["averaged", "replace", "dim", "batch-fraction",
-                              "batch-boolean", "sigma-boolean"])
+                              "batch-boolean", "sigma-boolean", "design"])
 def test_a_value_of_the_wrong_type_is_a_usage_error(section, key, text, value, source,
                                                    tmp_path, capsys):
-    base = LSQ_INI if key in ("replace", "batch") else INI
+    base = LSQ_INI if key in ("replace", "batch", "design") else INI
     if key == "dim":
         base = base.replace("kind = quadratic\nspectrum = 1.0, 4.0",
                             "kind = pseudo_huber\ndim = 2")
@@ -278,6 +280,63 @@ def test_a_value_of_the_wrong_type_is_a_usage_error(section, key, text, value, s
     assert main(argv + ["--out", str(out)] + extra) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# (make_cfg overrides, section, key, a JSON string in its place): a number
+# written as a string is not taken as the number.
+STRING_NUMBERS = [
+    ({}, "oracle", "sigma", "0.5"),
+    (dict(oracle={"kind": "relative_noise", "eta": 0.1}), "oracle", "eta", "0.1"),
+    (dict(problem={"kind": "smooth_rastrigin", "dim": 2, "amplitude": 1.0}),
+     "problem", "amplitude", "1.0"),
+    ({}, "schedule", "alpha_c", "0.5"),
+    ({}, "problem", "spectrum", ["1", "4"]),
+    (dict(problem={"kind": "least_squares", "design": [[1.0, 0.0], [0.0, 2.0]],
+                   "targets": [1.0, -1.0]}),
+     "problem", "design", [["1.0", "0.0"], ["0.0", "2.0"]]),
+]
+
+
+@pytest.mark.parametrize("overrides,section,key,value", STRING_NUMBERS,
+                         ids=[row[2] for row in STRING_NUMBERS])
+def test_a_manifest_number_written_as_a_string_is_a_usage_error(overrides, section, key,
+                                                                value, tmp_path, capsys):
+    manifest = manifest_dict(make_cfg(**overrides))
+    manifest["config"][section][key] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    assert main(["experiment", "--from-manifest", str(path), "--out", str(out)]) == 2
+    assert f"[{section}] {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["set", "manifest"])
+@pytest.mark.parametrize("key,text,value", [("x0", "nan, 1.0", [float("nan"), 1.0]),
+                                            ("lyap_coeff", "inf", float("inf"))])
+def test_a_non_finite_value_fails_before_any_step(key, text, value, source, config_path,
+                                                 tmp_path, monkeypatch, capsys):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr("sgdlab.harness._steps", no_step)
+    energy = ["--set", "run.lyapunov=true", "--set", "run.checkpoint_stride=1"]
+    if source == "set":
+        commands = [[command, config_path, "--set", f"run.{key}={text}"] + energy
+                    for command in ("run", "experiment", "lyapunov")]
+        message = f"[run] {key} must be"
+    else:
+        manifest = manifest_dict(make_cfg(lyapunov=True, checkpoint_stride=1))
+        manifest["config"][key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        commands = [["experiment", "--from-manifest", str(path)]]
+        message = f"manifest field {key!r} must be"
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"out{i}"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 def test_experiment_requires_a_source(capsys):

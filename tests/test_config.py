@@ -1,10 +1,18 @@
 """Config file grammar, static validation, manifests, sweep specs."""
 
 import copy
+import json
+import os
+import pathlib
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import INVALID_CONFIGS, make_cfg
+from sgdlab import config
 from sgdlab.config import (build_oracle, build_problem, config_from_manifest,
                            manifest_dict, parse_config_file, parse_sweep_file,
                            sweep_grid, validate_config)
@@ -224,3 +232,81 @@ def test_a_sweep_leaves_its_base_config_unchanged(tmp_path):
     assert spec.base == base
     schedules = [spec.base.schedule] + [c.schedule for c in grid]
     assert len({id(s) for s in schedules}) == len(schedules)
+
+
+def test_the_readme_grammar_names_exactly_the_keys_of_the_type_table():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config grammar", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    named, section = {}, None
+    for line in block.splitlines():
+        header, key = re.match(r"\[(\w+)\]", line), re.match(r"#?\s*(\w+)\s*=", line)
+        if header:
+            section = header.group(1)
+            named[section] = set()
+        elif key:
+            named[section].add(key.group(1))
+    kinds = lambda table: {"kind"}.union(*(keys for keys, _ in table.values()))
+    assert named == {"problem": kinds(config._PROBLEMS), "oracle": kinds(config._ORACLES),
+                     "schedule": set(config._SCHEDULE), "run": set(config._RUN),
+                     "sweep": set(config._SWEEP)}
+    # ... and is itself a sweep file the grammar accepts.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "readme.ini"
+        path.write_text(block)
+        assert parse_sweep_file(str(path)).base.method == "vsgd"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBER_TEXT = st.one_of(st.integers(-10 ** 18, 10 ** 18).map(str), _FINITE.map(repr))
+
+
+def _list_text(xs):
+    return st.sampled_from([", ".join(map(repr, xs)), " ".join(map(repr, xs)),
+                            "{" + ", ".join(map(repr, xs)) + "}", json.dumps(xs)])
+
+
+# INI text of each type in the config's type table.
+_TEXT = {
+    config._NUMBER: _NUMBER_TEXT,
+    config._FLOAT: _NUMBER_TEXT,
+    config._FLOAT_OR_NONE: _NUMBER_TEXT,
+    config._INTEGER: st.integers(-10 ** 18, 10 ** 18).map(str),
+    config._BOOLEAN: st.sampled_from(["true", "Yes", "ON", "false", "no", "Off"]),
+    config._STRING: st.text("abcdefghijklmnopqrstuvwxyz_0123456789", max_size=12),
+    config._NUMBERS: st.lists(_FINITE, max_size=4).flatmap(_list_text),
+    config._MATRIX: st.lists(st.lists(st.one_of(st.integers(-99, 99), _FINITE), max_size=3),
+                             max_size=3).map(json.dumps),
+}
+
+
+def _keys(types):
+    """Some of the keys of `types`, each with INI text of its type."""
+    return st.fixed_dictionaries({}, optional={key: _TEXT[kind] for key, kind in types.items()})
+
+
+@st.composite
+def _config_texts(draw) -> str:
+    sections = {}
+    for name, kinds in (("problem", config._PROBLEMS), ("oracle", config._ORACLES)):
+        kind = draw(st.sampled_from(sorted(kinds)))
+        sections[name] = {"kind": kind, **draw(_keys(kinds[kind][0]))}
+    pair = st.lists(_FINITE, min_size=2, max_size=2).flatmap(_list_text)
+    sections["schedule"] = draw(st.fixed_dictionaries({}, optional=dict.fromkeys(
+        config._SCHEDULE, pair)))
+    sections["run"] = draw(_keys(config._RUN))
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {text}\n" for key, text in keys.items())
+                   for name, keys in sections.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_config_texts())
+def test_every_config_the_grammar_accepts_replays_from_its_manifest(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        cfg = parse_config_file(path)
+    dumped = json.dumps(manifest_dict(cfg), indent=2)
+    again = config_from_manifest(json.loads(dumped))
+    assert again == cfg
+    assert json.dumps(manifest_dict(again), indent=2) == dumped
