@@ -55,7 +55,7 @@ from .harness import (default_burn_in, estimates_csv, lyapunov_csv,
                       sweep_csv)
 from .lyapunov import descent_fit
 from .optimizers import run, trajectory_csv, trajectory_json
-from .plotting import parse_estimates_csv, svg_plot
+from .plotting import parse_estimates_csv, plot_file, svg_plot
 from .schedules import classify, make_power_schedule, numeric_probe
 
 
@@ -114,12 +114,9 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     problem, schedule = validate_config(cfg)
     oracle = build_oracle(cfg.oracle, problem, seed=cfg.seed)
-    lyap = resolve_lyapunov(cfg, problem, schedule)
     traj = run(cfg.method, problem, oracle, schedule, cfg.horizon, cfg.seed,
                cfg.x0, checkpoint_stride=cfg.checkpoint_stride, beta=cfg.beta,
-               lyapunov_coeff=None if lyap is None else lyap[1],
-               lyapunov_vanishing=lyap is not None and lyap[0] == "vanishing",
-               averaged=cfg.averaged)
+               lyap_mode=resolve_lyapunov(cfg, problem, schedule), averaged=cfg.averaged)
     written = _write_outputs(args.out, {"trajectory.csv": trajectory_csv(traj)})
     last = traj.points[-1]
     if args.json:
@@ -204,12 +201,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    with open(args.csv, "r", encoding="utf-8") as fh:
-        cols = parse_estimates_csv(fh.read())
-    svg = svg_plot(cols, title=args.title)
     out = args.out or os.path.join(os.path.dirname(args.csv) or ".", "curve.svg")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    plot_file(args.csv, out, title=args.title)
     if args.json:
         print(json.dumps({"input": args.csv, "output": out}))
     else:

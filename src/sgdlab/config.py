@@ -20,9 +20,10 @@ through them, and a manifest or a config built in Python is checked
 against them, so the builders take checked values.  Parsing checks the
 grammar and the types only.  `validate_config` checks the constraints
 between fields and builds the problem to do so; a command calls it once, on
-the config it finally runs, and uses what it built.  The replica count
-matters only to experiments, which check it with `validate_replicas`; a
-single run ignores it.
+the config it finally runs, and uses what it built.  Its method constraints
+are `optimizers.validate_run`, which `optimizers.run` applies too.  The
+replica count matters only to experiments, which check it with
+`validate_replicas`; a single run ignores it.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
-from .optimizers import METHODS
+from .errors import ConfigError, ParameterError
+from .optimizers import validate_run
 from .oracles import (GradientOracle, gaussian_oracle, minibatch_oracle,
                       relative_noise_oracle)
 from .problems import (Problem, least_squares_sum, pseudo_huber, quadratic,
@@ -219,36 +220,21 @@ def validate_config(cfg: ExperimentConfig, built=None):
     own."""
     for name, typ in _RUN.items():
         _value(f"[run] {name}", typ, getattr(cfg, name))
-    if cfg.method not in METHODS:
-        raise ConfigError(f"[run] method must be one of {METHODS}, got {cfg.method!r}")
-    if cfg.horizon < 1:
-        raise ConfigError(f"[run] horizon must be >= 1, got {cfg.horizon}")
     if cfg.checkpoint_stride < 0:
         raise ConfigError(f"[run] checkpoint_stride must be >= 0, got {cfg.checkpoint_stride}")
     if not 0.0 <= cfg.divergence_tolerance <= 1.0:
         raise ConfigError("[run] divergence_tolerance must lie in [0, 1]")
-    schedule = build_schedule(cfg.schedule)
-    if cfg.method in ("msgd_damped", "nasgd") and schedule.coeff_mu <= 0:
-        raise ConfigError(f"[run] method {cfg.method} requires a positive damping "
-                          "coefficient: set [schedule] mu = m, b with m > 0")
-    if cfg.method in ("msgd_classical", "nesterov_classical") and cfg.beta is None:
-        raise ConfigError(f"[run] method {cfg.method} requires [run] beta")
-    if cfg.beta is not None and not 0.0 <= cfg.beta < 1.0:
-        raise ConfigError(f"[run] beta must lie in [0, 1), got {cfg.beta}")
     if cfg.lyapunov and cfg.checkpoint_stride != 1:
         raise ConfigError("[run] lyapunov = true requires checkpoint_stride = 1 "
                           "(the descent fit needs consecutive checkpoints)")
+    schedule = build_schedule(cfg.schedule)
     problem = build_problem(cfg.problem) if built is None else built
-    if len(cfg.x0) != problem.dim:
-        raise ConfigError(f"[run] x0 has length {len(cfg.x0)}, problem dim is {problem.dim}")
+    try:
+        validate_run(cfg.method, schedule, cfg.horizon, cfg.beta, cfg.x0, problem.dim)
+    except ParameterError as e:
+        raise ConfigError(f"[run] {e}") from e
     if problem.minimum is None:
         raise ConfigError("[problem] experiments require a problem with a known minimum")
-    if cfg.method in ("msgd_damped", "nasgd"):
-        worst = schedule.alpha(1) * schedule.mu(1)
-        if worst > 1.0:
-            raise ConfigError(
-                f"[schedule] mu_1 * alpha_1 = {worst} exceeds 1; the velocity "
-                "decay factor 1 - mu_k * alpha_k would be negative")
     return problem, schedule
 
 

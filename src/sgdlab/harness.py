@@ -102,7 +102,8 @@ import numpy as np
 
 from .config import ExperimentConfig, build_oracle, validate_config, validate_replicas
 from .errors import ConfigError, DivergenceError, ExperimentError, ParameterError
-from .lyapunov import LyapunovSeries, descent_fit, select_lambda, select_zeta
+from .lyapunov import (LyapunovSeries, checkpoint_coefficients, descent_fit, energies,
+                       select_lambda, select_zeta)
 from .optimizers import (KERNELS, all_within_radius, averaged_update, checkpoint_grid,
                          init_average, within_radius)
 from .oracles import GradientOracle
@@ -286,7 +287,8 @@ class _Checkpoints:
     which holds up to `chunk` checkpoints of x, grad f(x), v (None without
     energies) and xbar (None unless averaged), and `flush` has `reduce`
     evaluate f on the checkpoints buffered and reduce them into `totals`
-    and `counts` with one set of numpy calls.
+    and `counts` with one set of numpy calls; `tilts` holds each
+    checkpoint's energy tilt (None without energies).
 
     In this process there is one slot, reduced in place.  A draw helper
     (see `_step_together`) reduces instead once `share` has put two slots
@@ -296,18 +298,17 @@ class _Checkpoints:
     be, until the helper has reduced the chunk that slot held.  `results`
     waits for the last chunk."""
 
-    def __init__(self, problem, grid, mus, lyap_mode, averaged: bool, f_star: float,
+    def __init__(self, problem, grid, tilts, averaged: bool, f_star: float,
                  r_count: int, dim: int, fold: bool):
         squared = ["grad_sq", "gap"] + (["avg_gap"] if averaged else []) \
-            + (["delta_ht"] if lyap_mode is not None else [])
-        names = squared + (["ht", "hbar"] if lyap_mode is not None else [])
+            + (["delta_ht"] if tilts is not None else [])
+        names = squared + (["ht", "hbar"] if tilts is not None else [])
         self.keys = names + ["sq_" + name for name in squared]
         self.n_q, self.n_sq = len(names), len(squared)
         blocks = -(-r_count // _BLOCK_REPLICAS)
         self.totals = np.zeros((len(grid), len(self.keys)) + (() if fold else (blocks,)))
         self.counts = np.zeros(len(grid), dtype=np.int64)
-        self.problem, self.grid, self.mus = problem, grid, mus
-        self.lyap_mode, self.f_star, self.fold = lyap_mode, f_star, fold
+        self.problem, self.tilts, self.f_star, self.fold = problem, tilts, f_star, fold
         self.chunk = _chunk(len(grid), r_count, dim)
         self.averaged, self.rows = averaged, (self.chunk, r_count, dim)
         self.slots = [self._slot(np.zeros)]
@@ -319,7 +320,7 @@ class _Checkpoints:
 
     def _slot(self, alloc) -> list:
         """Buffers for one chunk of x, grad f(x), v and xbar, from alloc."""
-        rows, lyap = self.rows, self.lyap_mode is not None
+        rows, lyap = self.rows, self.tilts is not None
         return [alloc(rows), alloc(rows), alloc(rows) if lyap else None,
                 alloc(rows) if self.averaged else None]
 
@@ -383,19 +384,8 @@ class _Checkpoints:
         rows = [gsq, gap]
         if bs is not None:
             rows.append(self.problem.value(bs[:c]) - f_star)
-        if self.lyap_mode is not None:
-            mode, coeff = self.lyap_mode
-            vc = vs[:c]
-            vsq = row_dot(vc, vc)
-            zt = row_dot(vc, gr)
-            h = gap + 0.5 * vsq
-            hbar = gsq + vsq
-            tilt = coeff
-            if mode == "vanishing":
-                # k = 0 records mu = 0, so the vanishing tilt starts at plain H.
-                ks = self.grid[first:first + c]
-                tilt = (coeff * np.where(ks >= 1, self.mus[ks - 1], 0.0))[:, None]
-            ht = h + tilt * zt
+        if self.tilts is not None:
+            _, hbar, _, ht = energies(gap, gsq, gr, vs[:c], self.tilts[first:first + c, None])
             dht = np.empty_like(ht)
             dht[0] = 0.0 if self.ht_prev is None else ht[0] - self.ht_prev
             np.subtract(ht[1:], ht[:-1], out=dht[1:])
@@ -565,8 +555,9 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     alive = np.ones(r_count, dtype=bool)
     n_alive = r_count
     diverged = []
-    checkpoints = _Checkpoints(problem, grid, mus, lyap_mode, averaged, f_star, r_count,
-                               x.shape[1], fold)
+    tilts = checkpoint_coefficients(grid, alphas, mus, lyap_mode)[2]
+    checkpoints = _Checkpoints(problem, grid, tilts, averaged, f_star, r_count, x.shape[1],
+                               fold)
     grad_cache = None
     ci = 0   # checkpoints recorded
 
@@ -806,14 +797,14 @@ class _Experiment:
     def values(self) -> int:
         """About how many floats it holds while it steps in this process:
         schedules and state, and exactly the arrays of its `_Checkpoints`,
-        the buffers of x, grad f(x), v and xbar as held, the reduced rows
-        and the per-checkpoint sums."""
+        the buffers of x, grad f(x), v and xbar as held, the reduced rows,
+        and the per-checkpoint sums and tilts."""
         r, dim, points = self.effective, len(self.cfg.x0), len(self.grid)
         lyap, avg = self.lyap_mode is not None, self.cfg.averaged
         sums = 4 + 2 * avg + 4 * lyap
         return (2 * len(self.alphas) + 5 * r * dim
                 + _chunk(points, r, dim) * r * (sums + (2 + lyap + avg) * dim)
-                + points * (sums + 1))
+                + points * (sums + 1 + lyap))
 
 
 def _prepare(cfg: ExperimentConfig, like: Optional[_Experiment] = None) -> _Experiment:
@@ -929,12 +920,9 @@ def run_experiment(cfg: ExperimentConfig, stepped=None) -> MonteCarloEstimate:
 
     lyap_series = None
     if lyap_mode is not None:
-        alpha_at = np.where(grid > 0, schedule.alpha(np.maximum(grid, 1)), 0.0)
-        mu_at = np.where(grid > 0, schedule.mu(np.maximum(grid, 1)), 0.0)
+        alphas, mus, _ = checkpoint_coefficients(grid, exp.alphas, exp.mus)
         lyap_series = LyapunovSeries(
-            checkpoints=grid.copy(),
-            alphas=alpha_at,
-            mus=mu_at,
+            checkpoints=grid.copy(), alphas=alphas, mus=mus,
             mean_ht=sums["ht"] / n,
             mean_hbar=sums["hbar"] / n,
             se_delta_ht=_mean_se(sums["delta_ht"], sums["sq_delta_ht"], n)[1],

@@ -16,18 +16,18 @@ with K, C >= 0, where the rate weight w_k is alpha_k for constant damping
 and alpha_k * mu_k for vanishing damping.  `descent_fit` recovers (K, C)
 from recorded checkpoint means, and `triplet_probe` checks the generic
 almost-supermartingale recursion X_k <= X_{k-1} - alpha_k Y_k + alpha_k Z_k
-on observed series.
+on observed series.  `energies` and `checkpoint_coefficients` define the
+energies and what a checkpoint records for a single run and the engine alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError
-from .problems import Problem
+from .problems import Problem, row_dot
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,35 @@ def scalars(p: Problem, x, v, coeff: float) -> LyapunovScalars:
 
 def scalars_at(gap: float, grad, v, coeff: float) -> LyapunovScalars:
     """Energy scalars from an already evaluated gap f(x) - f_star and grad f(x)."""
-    # einsum keeps the reduction kernel identical between single states and
-    # replica batches, so energies agree bitwise across both code paths.
-    vsq = float(np.einsum("...i,...i->...", v, v))
-    gsq = float(np.einsum("...i,...i->...", grad, grad))
+    h, h_bar, z, h_tilde = energies(gap, row_dot(grad, grad), grad, v, coeff)
+    return LyapunovScalars(h=float(h), h_bar=float(h_bar), z_tilde=float(z),
+                           h_tilde=float(h_tilde))
+
+
+def energies(gap, grad_sq, grad, v, tilt):
+    """(H, H_bar, Z~, H~) of the states whose gradients and velocities lie
+    along the last axis of grad and v, given their gaps f(x) - f_star,
+    squared gradient norms and tilts; by `row_dot`, so a state has the
+    same energies alone and in a batch."""
+    vsq = row_dot(v, v)
+    z = row_dot(v, grad)
     h = gap + 0.5 * vsq
-    z = float(np.einsum("...i,...i->...", v, grad))
-    return LyapunovScalars(h=h, h_bar=gsq + vsq, z_tilde=z, h_tilde=h + coeff * z)
+    return h, grad_sq + vsq, z, h + tilt * z
+
+
+def checkpoint_coefficients(ks, alphas, mus, lyap_mode=None):
+    """(alpha, mu, tilt) at each checkpoint of ks, from alphas and mus, a
+    schedule's alpha_1..alpha_horizon and mu_1..mu_horizon.  Checkpoint k
+    records alpha_k and mu_k, with 0 at k = 0, before any step.  Under
+    lyap_mode = (mode, coeff) its energy's tilt is coeff * mu_k for mode
+    "vanishing" and coeff for "constant"; without it, tilt is None."""
+    alpha_at, mu_at = (np.where(ks >= 1, a[ks - 1], 0.0) for a in (alphas, mus))
+    if lyap_mode is None:
+        return alpha_at, mu_at, None
+    mode, coeff = lyap_mode
+    if mode not in ("constant", "vanishing"):
+        raise ParameterError(f"energy mode must be 'constant' or 'vanishing', got {mode!r}")
+    return alpha_at, mu_at, coeff * mu_at if mode == "vanishing" else np.full(len(ks), coeff)
 
 
 def select_zeta(l_smooth: float, mu_lo: float, mu_hi: float) -> float:

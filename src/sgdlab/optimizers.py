@@ -34,7 +34,10 @@ functions and the Monte Carlo engine in `harness` call these kernels.  `run`
 has no loop of its own: it builds that engine's stepper for one replica and
 drives it through the engine's draws, recording each checkpoint from the
 state, f and grad f the engine has evaluated, so a single run is replica 0
-of an experiment by construction.
+of an experiment by construction.  The two share each rule: the method
+constraints are `validate_run` (which `config.validate_config` calls), the
+divergence rule `within_radius`, the energies `lyapunov.energies`, and what
+a checkpoint records `lyapunov.checkpoint_coefficients`.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .lyapunov import LyapunovScalars, scalars_at
+from .lyapunov import LyapunovScalars, checkpoint_coefficients, scalars_at
 from .oracles import GradientOracle, OracleSample
-from .problems import Problem
+from .problems import Problem, row_dot
 from .rng import replica_streams
 from .schedules import PowerSchedule
 
@@ -144,9 +147,8 @@ def _step(state: IterState, method: str, grad_at, alpha: float, alpha_prev=None,
           mu=None, beta=None) -> IterState:
     x, v = KERNELS[method](state.x, state.v, state.x_prev, grad_at, alpha, alpha_prev,
                            mu, beta)
-    # Only single trajectories raise; replica batches are masked by the
-    # experiment engine instead.
-    if x.ndim == 1 and not np.all(np.isfinite(x)):
+    # A single state raises on the engine's divergence rule.
+    if x.ndim == 1 and not within_radius(x):
         raise DivergenceError(state.k + 1)
     return IterState(k=state.k + 1, x=x, v=v, x_prev=state.x)
 
@@ -228,6 +230,32 @@ def _validate_damping(alpha: float, mu: float):
             f"mu * alpha = {mu * alpha} exceeds 1; the velocity update would flip sign")
 
 
+def validate_run(method: str, s: PowerSchedule, horizon: int, beta: Optional[float],
+                 x0, dim: int) -> None:
+    """Raise ParameterError unless method is known, horizon >= 1, a damped
+    method has a positive damping schedule with mu_1 * alpha_1 <= 1, a
+    classical one has beta, beta (if any) lies in [0, 1) and x0 has shape
+    (dim,).  The messages name the config keys."""
+    if method not in METHODS:
+        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+    if horizon < 1:
+        raise ParameterError(f"horizon must be >= 1, got {horizon}")
+    if method in ("msgd_damped", "nasgd"):
+        if s.coeff_mu <= 0:
+            raise ParameterError(f"method {method} requires a positive damping "
+                                 "coefficient: set [schedule] mu = m, b with m > 0")
+        # alpha_k * mu_k is non-increasing, so k = 1 bounds every step.
+        _validate_damping(s.alpha(1), s.mu(1))
+    if beta is not None:
+        _validate_beta(beta)
+    elif method in ("msgd_classical", "nesterov_classical"):
+        raise ParameterError(f"method {method} requires [run] beta")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (dim,):
+        got = f"length {x0.size}" if x0.ndim == 1 else f"shape {x0.shape}"
+        raise ParameterError(f"x0 has {got}, problem dim is {dim}")
+
+
 def averaged_update(avg: AveragedState, x_prev_iterate, alpha: float) -> AveragedState:
     """Fold iterate x_{k-1} with weight alpha_k into the running average."""
     _validate_alpha(alpha)
@@ -287,60 +315,44 @@ def checkpoint_grid(horizon: int, stride: int = 0) -> np.ndarray:
 
 def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
         iters: int, seed: int, x0, *, checkpoint_stride: int = 0,
-        beta: Optional[float] = None, lyapunov_coeff: Optional[float] = None,
-        lyapunov_vanishing: bool = False, averaged: bool = False) -> Trajectory:
+        beta: Optional[float] = None, lyap_mode: Optional[tuple] = None,
+        averaged: bool = False) -> Trajectory:
     """Run one trajectory, recording checkpoints.
 
     This is the experiment engine at one replica on stream (seed, 0): a
     `harness._steps` stepper driven by `harness._step_together`, in this
     process, so a single run is replica 0 of an experiment with the same
-    master seed.  With lyapunov_coeff set, energy scalars are recorded
-    at each checkpoint; the coefficient multiplies mu_k when
-    lyapunov_vanishing is true.  Raises DivergenceError with the offending
-    iteration on blow-up.
+    master seed.  With lyap_mode, the (mode, coeff) pair that
+    `harness.resolve_lyapunov` returns, energy scalars are recorded at each
+    checkpoint with the tilt of `lyapunov.checkpoint_coefficients`.  Raises
+    ParameterError for what `validate_run` rejects, and DivergenceError
+    with the offending iteration on blow-up.
     """
     from .harness import _step_together, _steps   # harness imports this module
 
-    if method not in METHODS:
-        raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
     iters = int(iters)
-    if iters < 1:
-        raise ParameterError(f"iters must be >= 1, got {iters}")
-    if method in ("msgd_damped", "nasgd"):
-        if s.coeff_mu <= 0:
-            raise ParameterError(f"{method} requires a positive damping schedule (coeff_mu > 0)")
-        # alpha_k * mu_k is non-increasing, so k = 1 bounds every step.
-        _validate_damping(s.alpha(1), s.mu(1))
-    if method in ("msgd_classical", "nesterov_classical"):
-        if beta is None:
-            raise ParameterError(f"{method} requires a momentum factor beta")
-        _validate_beta(beta)
-    if lyapunov_coeff is not None and problem.minimum is None:
+    validate_run(method, s, iters, beta, x0, problem.dim)
+    if lyap_mode is not None and problem.minimum is None:
         raise ParameterError("energy recording requires a problem with a known minimum")
 
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.dim,):
-        raise ParameterError(f"x0 must have shape ({problem.dim},)")
     alphas, mus = s.alphas(iters), s.mus(iters)
+    grid = checkpoint_grid(iters, checkpoint_stride)
+    alpha_at, mu_at, tilts = checkpoint_coefficients(grid, alphas, mus, lyap_mode)
     f_star = 0.0 if problem.minimum is None else problem.minimum.f_star
     traj = Trajectory(method=method, checkpoint_stride=checkpoint_stride, seed=seed)
 
     def record(k, x, v, xbar, grad):
-        # k = 0 records alpha = mu = 0.
-        alpha, mu = (float(alphas[k - 1]), float(mus[k - 1])) if k else (0.0, 0.0)
+        i = len(traj.points)
         f = float(problem.value(x)[0])
         x, v, grad = x[0].copy(), v[0].copy(), grad[0]
-        lyap = None
-        if lyapunov_coeff is not None:
-            coeff = lyapunov_coeff * mu if lyapunov_vanishing else lyapunov_coeff
-            lyap = scalars_at(f - f_star, grad, v, coeff)
         traj.points.append(TrajectoryPoint(
-            k=k, x=x, v=v, alpha=alpha, mu=mu,
-            f=f, grad_sq=float(np.einsum("...i,...i->...", grad, grad)),
-            lyap=lyap, xbar=None if xbar is None else xbar[0].copy()))
+            k=k, x=x, v=v, alpha=float(alpha_at[i]), mu=float(mu_at[i]),
+            f=f, grad_sq=float(row_dot(grad, grad)),
+            lyap=None if tilts is None else scalars_at(f - f_star, grad, v, tilts[i]),
+            xbar=None if xbar is None else xbar[0].copy()))
 
-    stepper = _steps(problem, oracle, method, beta, alphas, mus, x0,
-                     checkpoint_grid(iters, checkpoint_stride), None, averaged, f_star, 1, record)
+    stepper = _steps(problem, oracle, method, beta, alphas, mus, x0, grid, None, averaged,
+                     f_star, 1, record)
     _, _, diverged, (x, v, x_prev, avg) = _step_together(
         oracle, replica_streams(seed, 1), iters, [stepper])[0]
     if diverged:
@@ -361,17 +373,13 @@ def trajectory_csv(traj: Trajectory) -> str:
     lines = [",".join(cols)]
     for p in traj.points:
         row = [str(p.k), repr(p.alpha), repr(p.mu), repr(p.f), repr(p.grad_sq)]
-        if with_lyap:
-            if p.lyap is None:
-                row += ["", "", ""]
-            else:
-                row += [repr(p.lyap.h), repr(p.lyap.z_tilde), repr(p.lyap.h_tilde)]
+        if p.lyap is not None:   # recorded at every checkpoint or none
+            row += [repr(p.lyap.h), repr(p.lyap.z_tilde), repr(p.lyap.h_tilde)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
 def trajectory_json(traj: Trajectory) -> dict:
-    with_lyap = any(p.lyap is not None for p in traj.points)
     out = {
         "method": traj.method,
         "seed": traj.seed,
@@ -380,7 +388,7 @@ def trajectory_json(traj: Trajectory) -> dict:
     }
     for p in traj.points:
         row = {"k": p.k, "alpha": p.alpha, "mu": p.mu, "f": p.f, "grad_sq": p.grad_sq}
-        if with_lyap and p.lyap is not None:
+        if p.lyap is not None:
             row.update({"H": p.lyap.h, "Zt": p.lyap.z_tilde, "Ht": p.lyap.h_tilde})
         out["points"].append(row)
     return out

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from conftest import INVALID_CONFIGS, make_cfg
 from sgdlab import config
-from sgdlab.config import (build_oracle, build_problem, config_from_manifest,
-                           manifest_dict, parse_config_file, parse_sweep_file,
-                           sweep_grid, validate_config)
-from sgdlab.errors import ConfigError
+from sgdlab.config import (build_oracle, build_problem, build_schedule,
+                           config_from_manifest, manifest_dict, parse_config_file,
+                           parse_sweep_file, sweep_grid, validate_config)
+from sgdlab.errors import ConfigError, ParameterError
 from sgdlab.harness import sweep
+from sgdlab.optimizers import run
 
 BASE_INI = """\
 [problem]
@@ -148,6 +149,26 @@ def test_manifest_round_trip():
 def test_validate_config_rejections(overrides, message):
     with pytest.raises(ConfigError, match=message):
         validate_config(make_cfg(**overrides))
+
+
+# The rows of INVALID_CONFIGS that `optimizers.validate_run` decides, plus a
+# beta out of [0, 1) on a method that does not use it.
+_METHOD_PATTERNS = ("method must be one of", "horizon", "positive damping",
+                    "requires .run. beta", "beta must lie", "x0 has length", "exceeds 1")
+METHOD_CONFIGS = [row for row in INVALID_CONFIGS if row[1] in _METHOD_PATTERNS] \
+    + [(dict(method="vsgd", beta=1.5), "beta must lie")]
+
+
+@pytest.mark.parametrize("overrides,message", METHOD_CONFIGS)
+def test_a_run_and_an_experiment_reject_the_same_methods(overrides, message):
+    cfg = make_cfg(**overrides)
+    with pytest.raises(ConfigError, match=message):
+        validate_config(cfg)
+    problem = build_problem(cfg.problem)
+    oracle = build_oracle(cfg.oracle, problem, seed=cfg.seed)
+    with pytest.raises(ParameterError, match=message):
+        run(cfg.method, problem, oracle, build_schedule(cfg.schedule), cfg.horizon, cfg.seed,
+            cfg.x0, beta=cfg.beta)
 
 
 def test_validate_accepts_the_damping_boundary():

@@ -824,12 +824,11 @@ def test_zero_noise_energy_series_matches_the_single_run():
     assert np.array_equal(ser.se_delta_ht, np.zeros(61))
     problem = build_problem(cfg.problem)
     s = build_schedule(cfg.schedule)
-    mode, coeff = resolve_lyapunov(cfg, problem, s)
-    assert mode == "constant"
-    assert coeff == select_zeta(problem.smoothness_l, 1.0, 1.0)
+    lyap_mode = resolve_lyapunov(cfg, problem, s)
+    assert lyap_mode == ("constant", select_zeta(problem.smoothness_l, 1.0, 1.0))
     orc = build_oracle(cfg.oracle, problem, seed=cfg.seed)
     traj = run("msgd_damped", problem, orc, s, 60, cfg.seed, cfg.x0,
-               checkpoint_stride=1, lyapunov_coeff=coeff)
+               checkpoint_stride=1, lyap_mode=lyap_mode)
     assert np.array_equal(ser.mean_ht, [p.lyap.h_tilde for p in traj.points])
     assert np.array_equal(ser.mean_hbar, [p.lyap.h_bar for p in traj.points])
     assert ser.alphas[0] == 0.0 and ser.mus[0] == 0.0
@@ -1135,9 +1134,8 @@ def test_experiment_values_count_the_checkpoint_buffers_it_allocates(cfg):
     # as held), the reduced rows and the totals.
     exp = harness._prepare(cfg)
     r, dim = exp.effective, len(cfg.x0)
-    ck = harness._Checkpoints(exp.problem, exp.grid, exp.mus, exp.lyap_mode, cfg.averaged,
-                              exp.problem.minimum.f_star, r, dim, fold=True)
-    held = sum(buf.size for buf in ck.slots[0] + [ck.vals, ck.totals, ck.counts]
+    ck = next(harness._steps(*exp.engine_args(), r, None))
+    held = sum(buf.size for buf in ck.slots[0] + [ck.vals, ck.totals, ck.counts, ck.tilts]
                if buf is not None)
     assert exp.values() == 2 * len(exp.alphas) + 5 * r * dim + held
     assert 1 < ck.chunk <= len(exp.grid)

@@ -218,6 +218,22 @@ def test_run_raises_divergence_with_the_offending_iteration():
     assert err.value.iteration == 40
 
 
+@pytest.mark.parametrize("step", [
+    lambda state, g: vsgd_step(state, g, 0.5),
+    lambda state, g: msgd_damped_step(state, g, 0.5, 1.0),
+    lambda state, g: msgd_classical_step(state, g, 0.5, 0.5),
+], ids=["vsgd", "msgd_damped", "msgd_classical"])
+def test_a_step_diverges_on_leaving_the_radius_as_the_engine_does(step):
+    # A finite iterate outside the 1e12 ball has diverged, as in `run` and
+    # every experiment: within_radius decides for a single state too.
+    far = init_state([2e12])
+    assert np.isfinite(far.x).all() and not within_radius(far.x)
+    with pytest.raises(DivergenceError) as err:
+        step(far, np.array([0.0]))
+    assert err.value.iteration == 1
+    assert step(init_state([0.5e12]), np.array([0.0])).x[0] == 0.5e12
+
+
 def test_run_validates_method_requirements():
     p = quadratic([1.0])
     orc = gaussian_oracle(p, 0.1, seed=0)
@@ -242,7 +258,7 @@ def test_run_rejects_energy_tracking_without_a_known_minimum():
     orc = gaussian_oracle(unknown, 0.1, seed=0)
     with pytest.raises(ParameterError):
         run("vsgd", unknown, orc, PowerSchedule(0.5, 0.6), 10, seed=0, x0=[0.0],
-            lyapunov_coeff=0.1)
+            lyap_mode=("constant", 0.1))
 
 
 def test_run_records_vanishing_tilt_energies():
@@ -251,7 +267,7 @@ def test_run_records_vanishing_tilt_energies():
     s = PowerSchedule(0.5, 0.7, 1.0, 0.2)
     lam = 0.125
     traj = run("msgd_damped", p, orc, s, 20, seed=3, x0=[1.0, 1.0],
-               checkpoint_stride=1, lyapunov_coeff=lam, lyapunov_vanishing=True)
+               checkpoint_stride=1, lyap_mode=("vanishing", lam))
     for point in traj.points:
         expected = scalars(p, point.x, point.v, lam * point.mu)
         assert point.lyap == expected
@@ -280,7 +296,7 @@ def test_trajectory_csv_gains_energy_columns_when_tracked():
     p = quadratic([1.0])
     orc = gaussian_oracle(p, 0.0, seed=1)
     traj = run("vsgd", p, orc, PowerSchedule(0.5, 0.6), 8, seed=1, x0=[1.0],
-               checkpoint_stride=1, lyapunov_coeff=0.2)
+               checkpoint_stride=1, lyap_mode=("constant", 0.2))
     lines = trajectory_csv(traj).strip().split("\n")
     assert lines[0] == "k,alpha,mu,f,grad_sq,H,Zt,Ht"
     out = trajectory_json(traj)
