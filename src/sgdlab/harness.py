@@ -71,13 +71,20 @@ order, so the same sums.  The caller only steps, and `_Helper`, its end
 of the helper's pipe, frees draw slots, receives block lengths and
 counts the chunks reduced.  The cells of a sweep share their noise on
 purpose (common random numbers): cells that draw alike step together as
-one range, a memory-bounded batch at a time, and each batch draws each
-block of noise once.  Once its total work pays for them, a sweep runs an
-interleaved share of every group per usable CPU, each in a child (see
-`sweep`).  Every child has a duplex pipe to its caller, which waits on it
-in short polls, so that an interrupt ends any wait for a child.  A child
-that dies raises ExperimentError, and a child whose caller dies fails its
-next send or receive and exits.
+one range, a memory-bounded batch at a time, each batch draws each block
+of noise once, and cells that would step alike are stepped once.  Once
+its work pays for them, a sweep runs one worker per usable CPU, each in a
+child (see `sweep`).  The workers share a group of at least as many cells
+as there are of them: for each block of a batch, each draws its
+contiguous part of the replicas into one shared slot, all wait at a
+barrier, each steps its share of the cells through the whole block, and
+all wait again before the slot is refilled.  The cells of smaller groups
+are dealt out, and each worker draws for itself.  Every child has a
+duplex pipe to its caller, which waits on all of them at once, in short
+polls, so that an interrupt ends any wait for a child and a child that
+dies is seen even while its siblings block at the barrier.  A child that
+dies raises ExperimentError, and a child whose caller dies fails its next
+send or receive and exits.
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
@@ -104,8 +111,8 @@ from .config import ExperimentConfig, build_oracle, validate_config, validate_re
 from .errors import ConfigError, DivergenceError, ExperimentError, ParameterError
 from .lyapunov import (LyapunovSeries, checkpoint_coefficients, descent_fit, energies,
                        select_lambda, select_zeta)
-from .optimizers import (KERNELS, all_within_radius, averaged_update, checkpoint_grid,
-                         init_average, within_radius)
+from .optimizers import (DAMPED, KERNELS, all_within_radius, averaged_update,
+                         checkpoint_grid, init_average, within_radius)
 from .oracles import GradientOracle
 from .problems import Convexity, Problem, row_dot
 from .rng import replica_streams
@@ -119,15 +126,15 @@ _RAW_BLOCK = 1024       # iterations of raw noise pre-drawn per replica, at most
 # range's unfolded sums hold at most this many checkpoint-blocks per
 # quantity.
 _CHUNK_VALUES = 32768
-# A sweep of less work than this (replicas x horizon summed over its cells)
-# runs in-process: below it, starting workers (about 25 ms on a 2-vCPU host
-# to import multiprocessing, fork two and join them) can cost more than two
-# workers save on small least-squares cells, which run about 0.6 M
-# replica-steps/s.
+# A sweep of less work than this (replicas simulated x horizon summed over
+# the cells it steps, each distinct cell once) runs in-process: below it,
+# starting workers (about 25 ms on a 2-vCPU host to import
+# multiprocessing, fork two and join them) can cost more than two workers
+# save on small least-squares cells, which run about 0.6 M replica-steps/s.
 _POOL_MIN_WORK = 100_000
-# A sweep steps the cells of a draw group together in batches whose
-# experiments hold at most this many floats (8 MB), each batch drawing the
-# group's noise once.
+# A sweep steps the cells of a draw group together in batches in which each
+# worker's experiments hold at most this many floats (8 MB), each batch
+# drawing the group's noise once.
 _GROUP_VALUES = 1 << 20
 # An experiment of less work than this (replicas x horizon) runs in one
 # process.  The split costs an import of multiprocessing, a fork and a join
@@ -206,11 +213,12 @@ def _refill(buf, stage, oracle, gens, nb: int, serve=None) -> None:
     replicas at a time: each replica's stream fills its C-contiguous rows
     of stage, shaped (block, iterations, ...), in place, and one copy moves
     them into the block's columns of buf.  Both are viewed as arrays of one
-    np.void item per draw, so the copy moves whole draws in one loop.
-    Unless None, serve() runs after each replica's draw."""
+    np.void item per draw, so the copy moves whole draws in one loop.  buf
+    may be a view of some columns of a wider buffer.  Unless None, serve()
+    runs after each replica's draw."""
     draws, staged = _draw_items(buf), _draw_items(stage)
-    for lo in range(0, len(gens), len(stage)):
-        block = gens[lo:lo + len(stage)]
+    for lo in range(0, len(gens), _BLOCK_REPLICAS):
+        block = gens[lo:lo + _BLOCK_REPLICAS]
         for rows, g in zip(stage, block):
             oracle.raw_block(g, nb, out=rows[:nb])
             if serve is not None:
@@ -235,11 +243,19 @@ def _draws(oracle, gens, horizon: int, slots: list, wait=None, serve=None):
         yield buf[:nb]
 
 
+def _block_shape(oracle, r_count: int, horizon: int) -> tuple:
+    """The shape of a buffer of one block of r_count replicas' raw draws
+    (see `_draws`): deep enough for `_RAW_BLOCK` iterations of
+    `_BLOCK_REPLICAS` replicas, and no deeper than the horizon."""
+    nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // r_count, horizon))
+    return (nb_max, r_count) + oracle.raw_shape
+
+
 def _draw_items(a: np.ndarray) -> np.ndarray:
     """The C-contiguous (m, n, *raw_shape) array a as an (m, n) array of
     one np.void item per draw."""
-    item = np.dtype((np.void, a.itemsize * int(np.prod(a.shape[2:]))))
-    return a.reshape(a.shape[:2] + (-1,)).view(item)[..., 0]
+    size = int(np.prod(a.shape[2:]))
+    return a.reshape(a.shape[:2] + (size,)).view((np.void, a.itemsize * size))[..., 0]
 
 
 def _block_sums(vals: np.ndarray, alive: np.ndarray, frozen_blocks) -> np.ndarray:
@@ -512,11 +528,22 @@ def _interrupt_held():
 def _in_processes(jobs: list) -> list:
     """The results of calling each of jobs, in order.  A single job runs in
     this process; otherwise each runs in its own forked child (see
-    `_children`) and sends its result back."""
+    `_children`) and sends its result back.  It waits on every child's
+    pipe at once, in short polls (see `_received`), so that a child that
+    dies fails the call even while a sibling blocks waiting for it, as the
+    workers of a pooled sweep do at their barrier (see `sweep`)."""
     if len(jobs) < 2:
         return [job() for job in jobs]
+    from multiprocessing.connection import wait
+
+    results = [None] * len(jobs)
     with _children(_send_result, [(job,) for job in jobs]) as children:
-        return [_received(child, conn) for child, conn in children]
+        waiting = {conn: i for i, (_, conn) in enumerate(children)}
+        while waiting:
+            for conn in wait(list(waiting), 0.05):
+                i = waiting.pop(conn)
+                results[i] = _received(*children[i])
+    return results
 
 
 def _send_result(conn, job) -> None:
@@ -617,12 +644,19 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
 
 
 def _step_together(oracle, gens: list, horizon: int, steppers: list,
-                   ahead: bool = False) -> list:
+                   ahead: bool = False, share=None) -> list:
     """Drive steppers (see `_steps`) of len(gens) replicas each over the
     same horizon through one draw of each block of raw noise (see
     `_draws`), replica i's from gens[i]: each block goes to every stepper
     still running, until the last one is done.  Returns their results in
     order.
+
+    With share, this process is a worker of a pooled sweep: its steppers
+    step every replica, gens are the streams of its part of them, and
+    share(oracle, gens, horizon, done) yields the blocks that the workers
+    draw together (see `_Exchange.blocks`), done() telling whether every
+    stepper here is done.  This process draws its part of each block until
+    every worker's steppers are done, its own perhaps long before.
 
     With ahead, steppers is one stepper, and a forked draw helper
     (`_draw_ahead`) owns the streams and the stepper's checkpoint
@@ -644,12 +678,10 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list,
     books = [next(stepper) for stepper in steppers]
     results = [None] * len(steppers)
     running = list(range(len(steppers)))
-    # Deep enough for _RAW_BLOCK iterations of _BLOCK_REPLICAS replicas.
-    nb_max = max(1, min(_RAW_BLOCK, _BLOCK_REPLICAS * _RAW_BLOCK // len(gens), horizon))
-    shape = (nb_max, len(gens)) + oracle.raw_shape
     helpers = []
     if ahead:
-        slots = list(_shared_array((2,) + shape, oracle.raw_dtype))
+        slots = list(_shared_array((2,) + _block_shape(oracle, len(gens), horizon),
+                                   oracle.raw_dtype))
         books[0].share()
         cpus = os.sched_getaffinity(0)
         helpers = [(max(cpus), oracle, gens, horizon, slots, books[0])]
@@ -660,10 +692,12 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list,
             if ahead:
                 os.sched_setaffinity(0, cpus - {max(cpus)})
                 books[0].helper = _Helper(*children[0])
-                blocks = books[0].helper.blocks(slots, -(-horizon // nb_max))
+                blocks = books[0].helper.blocks(slots, -(-horizon // len(slots[0])))
+            elif share is not None:
+                blocks = share(oracle, gens, horizon, lambda: not running)
             else:
-                blocks = _draws(oracle, gens, horizon,
-                                [np.empty(shape, dtype=oracle.raw_dtype)])
+                blocks = _draws(oracle, gens, horizon, [
+                    np.empty(_block_shape(oracle, len(gens), horizon), oracle.raw_dtype)])
             for block in blocks:
                 for i in list(running):
                     try:
@@ -671,7 +705,7 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list,
                     except StopIteration as done:
                         results[i] = done.value
                         running.remove(i)
-                if not running:
+                if not running and share is None:
                     break
     finally:
         for stepper in steppers:   # a no-op for those done
@@ -777,22 +811,48 @@ def _mean_se(s, q, n):
 
 @dataclass
 class _Experiment:
-    """A validated experiment, built and ready to step."""
+    """A validated experiment, built and ready to step.  Its schedules and
+    checkpoint grid are computed when asked for, so that the prepared cells
+    of a sweep hold no horizon-long array until they step."""
     cfg: ExperimentConfig
     problem: Problem
     schedule: PowerSchedule
     oracle: GradientOracle
     lyap_mode: Optional[tuple]
-    grid: np.ndarray
-    alphas: np.ndarray
-    mus: np.ndarray
     effective: int   # replicas simulated
+
+    @property
+    def grid(self) -> np.ndarray:
+        return checkpoint_grid(self.cfg.horizon, self.cfg.checkpoint_stride)
+
+    @property
+    def alphas(self) -> np.ndarray:
+        return self.schedule.alphas(self.cfg.horizon)
+
+    @property
+    def mus(self) -> np.ndarray:
+        return self.schedule.mus(self.cfg.horizon)
 
     def engine_args(self) -> tuple:
         """The leading arguments of `_steps`, up to its replica count."""
         c = self.cfg
         return (self.problem, self.oracle, c.method, c.beta, self.alphas, self.mus, c.x0,
                 self.grid, self.lyap_mode, c.averaged, self.problem.minimum.f_star)
+
+    def steps_key(self) -> tuple:
+        """What `_steps` reads of this experiment besides the problem,
+        oracle and replica count that its draw group shares (see
+        `_draw_groups`): experiments of one group with equal keys are one
+        computation.  The damping schedule counts only where the update
+        (`optimizers.DAMPED`) or the energy's tilt (vanishing mode) reads
+        mu_k."""
+        c, s = self.cfg, self.schedule
+        reads_mu = c.method in DAMPED or (self.lyap_mode is not None
+                                          and self.lyap_mode[0] == "vanishing")
+        return (c.method, c.beta, s.coeff_alpha, s.exp_alpha,
+                (s.coeff_mu, s.exp_mu) if reads_mu else None,
+                np.asarray(c.x0, dtype=float).tobytes(), c.checkpoint_stride, self.lyap_mode,
+                c.averaged)
 
     def values(self) -> int:
         """About how many floats it holds while it steps in this process:
@@ -802,7 +862,7 @@ class _Experiment:
         r, dim, points = self.effective, len(self.cfg.x0), len(self.grid)
         lyap, avg = self.lyap_mode is not None, self.cfg.averaged
         sums = 4 + 2 * avg + 4 * lyap
-        return (2 * len(self.alphas) + 5 * r * dim
+        return (2 * self.cfg.horizon + 5 * r * dim
                 + _chunk(points, r, dim) * r * (sums + (2 + lyap + avg) * dim)
                 + points * (sums + 1 + lyap))
 
@@ -823,8 +883,6 @@ def _prepare(cfg: ExperimentConfig, like: Optional[_Experiment] = None) -> _Expe
     # exactly 0.
     return _Experiment(cfg, problem, schedule, oracle,
                        resolve_lyapunov(cfg, problem, schedule),
-                       checkpoint_grid(cfg.horizon, cfg.checkpoint_stride),
-                       schedule.alphas(cfg.horizon), schedule.mus(cfg.horizon),
                        1 if oracle.zero_noise else cfg.replicas)
 
 
@@ -887,6 +945,62 @@ def _step_range(exps: list, first: int, count: int, fold: bool, ahead: bool) -> 
     lead = exps[0]
     results = _step_together(lead.oracle, replica_streams(lead.cfg.seed, count, first),
                              lead.cfg.horizon, steppers, ahead)
+    return [r[:3] for r in results]
+
+
+class _Exchange:
+    """What the W workers of a pooled sweep share (see `sweep`), made
+    before they are forked: a buffer that holds one block of raw draws of
+    any group they share, a barrier of W parties, and each worker's flag
+    that its steppers are done."""
+
+    def __init__(self, exps: list, workers: int):
+        """Room for a block of each of exps, the lead experiments of the
+        groups shared."""
+        import multiprocessing
+
+        self.draws = _shared_array((max(map(self._bytes, exps)),), np.uint8)
+        self.done = _shared_array((workers,), bool)
+        self.barrier = multiprocessing.get_context("fork").Barrier(workers)
+
+    @staticmethod
+    def _bytes(exp: _Experiment) -> int:
+        shape = _block_shape(exp.oracle, exp.effective, exp.cfg.horizon)
+        return int(np.prod(shape)) * np.dtype(exp.oracle.raw_dtype).itemsize
+
+    def blocks(self, w: int, first: int, r_count: int, oracle, gens: list, horizon: int,
+               done):
+        """Yield each successive block of the raw noise of r_count
+        replicas, drawn by the workers together into one slot: worker w's
+        gens, the streams of replicas first..first+len(gens)-1, fill those
+        columns (see `_draws`).  A block is yielded once every worker has
+        drawn its part, and the slot is refilled once every worker has
+        stepped through it, until the horizon or until done() held in
+        every worker after the same block."""
+        shape = _block_shape(oracle, r_count, horizon)
+        slot = np.frombuffer(self.draws, oracle.raw_dtype, int(np.prod(shape))).reshape(shape)
+        for drawn in _draws(oracle, gens, horizon, [slot[:, first:first + len(gens)]]):
+            self.barrier.wait()   # every part drawn
+            yield slot[:len(drawn)]
+            self.done[w] = done()
+            self.barrier.wait()   # every worker through the block
+            if self.done.all():
+                return
+
+
+def _step_share(exps: list, w: int, exchange: _Exchange) -> list:
+    """(counts, sums, diverged) of exps[w::W], worker w's share of a batch
+    of experiments that draw alike, where W = len(exchange.done): each
+    steps every replica through the blocks that the W workers draw
+    together, worker w those of the w-th of W contiguous parts of the
+    replicas (see `_Exchange.blocks`)."""
+    lead, workers = exps[0], len(exchange.done)
+    r_count = lead.effective
+    first, end = r_count * w // workers, r_count * (w + 1) // workers
+    steppers = [_steps(*e.engine_args(), r_count, None) for e in exps[w::workers]]
+    results = _step_together(lead.oracle, replica_streams(lead.cfg.seed, end - first, first),
+                             lead.cfg.horizon, steppers,
+                             share=partial(exchange.blocks, w, first, r_count))
     return [r[:3] for r in results]
 
 
@@ -1175,36 +1289,55 @@ def _draw_groups(configs: list) -> list:
     return groups
 
 
-def _sweep_cells(configs: list) -> list:
-    """Rows of configs, in order, computed in this process.  The cells of
-    each draw group that pass validation share one problem and oracle and
-    step together (`_stepped`) in batches whose experiments hold at
-    most `_GROUP_VALUES` floats; a cell's failure is recorded in its row."""
-    rows = [None] * len(configs)
+def _batches(cells: list, workers: int):
+    """Consecutive batches of cells, each cell a list of (index, prepared
+    experiment) members that step alike (see `sweep`), in which each of
+    workers' shares, batch[w::workers], holds at most `_GROUP_VALUES`
+    floats as it steps, or one cell."""
+    batch, held = [], [0] * workers
+    for cell in cells:
+        values, w = cell[0][1].values(), len(batch) % workers
+        if held[w] and held[w] + values > _GROUP_VALUES:
+            yield batch
+            batch, held, w = [], [0] * workers, 0
+        batch.append(cell)
+        held[w] += values
+    if batch:
+        yield batch
 
-    def finish(batch):
-        for (i, exp), result in zip(batch, _stepped([e for _, e in batch])):
-            try:
-                rows[i] = _sweep_row(configs[i], run_experiment(configs[i], (exp, result)))
-            except _CELL_ERRORS as e:
-                rows[i] = _sweep_row(configs[i], error=e)
 
-    for group in _draw_groups(configs):
-        like, batch, held = None, [], 0
-        for i in group:
+def _rows(cells: list, results: list) -> list:
+    """(index, row) of every member of each of cells (see `_batches`),
+    from the (counts, sums, diverged) that its members share."""
+    rows = []
+    for members, result in zip(cells, results):
+        for i, exp in members:
             try:
-                exp = _prepare(configs[i], like)
+                rows.append((i, _sweep_row(exp.cfg, run_experiment(exp.cfg, (exp, result)))))
             except _CELL_ERRORS as e:
-                rows[i] = _sweep_row(configs[i], error=e)
-                continue
-            like = like or exp
-            if batch and held + exp.values() > _GROUP_VALUES:
-                finish(batch)
-                batch, held = [], 0
-            batch.append((i, exp))
-            held += exp.values()
-        if batch:
-            finish(batch)
+                rows.append((i, _sweep_row(exp.cfg, error=e)))
+    return rows
+
+
+def _sweep_share(groups: list, w: int, workers: int, exchange) -> list:
+    """(index, row) of each cell that worker w of workers computes (see
+    `sweep`).  groups holds each draw group's cells (see `_batches`).  A
+    group of at least workers cells, if there are two or more, steps in
+    batches, and worker w steps cells w, w + workers, ... of each through
+    blocks that the workers draw together (`_step_share`).  The cells of
+    smaller groups are dealt out in turn, group after group, and each
+    worker steps its cells of a group in batches (`_stepped`)."""
+    rows = []
+    dealt = 0   # cells of the smaller groups dealt out so far
+    for cells in groups:
+        if len(cells) >= workers > 1:
+            for batch in _batches(cells, workers):
+                rows += _rows(batch[w::workers],
+                              _step_share([m[0][1] for m in batch], w, exchange))
+        else:
+            for batch in _batches(cells[(w - dealt) % workers::workers], 1):
+                rows += _rows(batch, _stepped([m[0][1] for m in batch]))
+            dealt += len(cells)
     return rows
 
 
@@ -1220,27 +1353,47 @@ def _usable_cpus() -> int:
 def sweep(configs: list[ExperimentConfig]) -> SweepResult:
     """Run a grid of configs; per-cell failures are recorded, not raised.
 
-    Cells that draw alike (see `_draw_groups`; all cells of `sweep_grid`
-    do) step together through one draw of each block (`_sweep_cells`).
-    Each of up to one process per CPU this process may use takes an
-    interleaved share of each group (`_in_processes`).  Rows keep the
-    grid's order, and a cell's arithmetic is the same in a group or alone,
-    so the result does not depend on the number of shares.  A grid of less
-    than `_POOL_MIN_WORK` replica-steps is one share, as is any grid when
-    one CPU is usable; only there, in this process, may a batch of one
-    cell split its replicas over the CPUs.  A process that dies raises
-    ExperimentError.
+    This process validates and prepares every cell.  Cells that draw
+    alike (see `_draw_groups`; all cells of `sweep_grid` do) share one
+    problem and oracle, and those of a group that `_steps` would step
+    alike (see `_Experiment.steps_key`) are one cell, stepped once; each
+    of them is still aggregated by `run_experiment` with its own config,
+    so each keeps its own tolerance check and row.  The work runs in up to
+    one process per CPU this process may use and per cell stepped, each
+    computing a share (`_sweep_share`), and each block of a group's noise
+    is drawn once per batch: the workers share a group of at least as many
+    cells as there are of them, each drawing its part of every block into
+    a shared slot and stepping its share of the cells (`_Exchange`), and
+    are dealt the cells of smaller groups, each drawing for itself.  Rows
+    keep the grid's order, and a cell's arithmetic is the same in a group
+    or alone, so the result does not depend on the number of workers.  A
+    grid of less than `_POOL_MIN_WORK` replica-steps stepped is one
+    share, as is any grid when one CPU is usable; only there, in this
+    process, may a batch of one cell split its replicas over the CPUs.  A
+    worker that dies raises ExperimentError.
     """
-    workers = min(_usable_cpus(), len(configs))
-    if sum(c.replicas * c.horizon for c in configs) < _POOL_MIN_WORK:
-        workers = 1
-    order = [i for group in _draw_groups(configs) for i in group]
-    shares = [order[w::workers] for w in range(workers)]
     rows = [None] * len(configs)
-    done = _in_processes([partial(_sweep_cells, [configs[i] for i in share])
-                          for share in shares])
-    for share, share_rows in zip(shares, done):
-        for i, row in zip(share, share_rows):
+    groups = []
+    for group in _draw_groups(configs):
+        like, cells = None, {}
+        for i in group:
+            try:
+                exp = _prepare(configs[i], like)
+            except _CELL_ERRORS as e:
+                rows[i] = _sweep_row(configs[i], error=e)
+                continue
+            like = like or exp
+            cells.setdefault(exp.steps_key(), []).append((i, exp))
+        groups.append(list(cells.values()))
+    stepped = [cell[0][1] for cells in groups for cell in cells]
+    workers = min(_usable_cpus(), len(stepped))
+    if sum(e.effective * e.cfg.horizon for e in stepped) < _POOL_MIN_WORK:
+        workers = 1
+    shared = [cells[0][0][1] for cells in groups if len(cells) >= workers > 1]
+    exchange = _Exchange(shared, workers) if shared else None
+    for share in _in_processes([partial(_sweep_share, groups, w, workers, exchange)
+                                for w in range(workers)]):
+        for i, row in share:
             rows[i] = row
     return SweepResult(rows=tuple(rows))
 

@@ -55,6 +55,8 @@ from .rng import replica_streams
 from .schedules import PowerSchedule
 
 METHODS = ("vsgd", "msgd_damped", "msgd_classical", "nasgd", "nesterov_classical")
+# The methods whose update reads the damping mu_k.
+DAMPED = ("msgd_damped", "nasgd")
 
 # A trajectory is declared divergent as soon as an iterate has a non-finite
 # coordinate or leaves the ball of this radius.
@@ -240,7 +242,7 @@ def validate_run(method: str, s: PowerSchedule, horizon: int, beta: Optional[flo
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    if method in ("msgd_damped", "nasgd"):
+    if method in DAMPED:
         if s.coeff_mu <= 0:
             raise ParameterError(f"method {method} requires a positive damping "
                                  "coefficient: set [schedule] mu = m, b with m > 0")

@@ -255,7 +255,7 @@ def least_squares_sum(design, targets) -> Problem:
     """
     a = np.array(design, dtype=float)
     b = np.array(targets, dtype=float)
-    if a.ndim != 2 or a.shape[0] == 0:
+    if a.ndim != 2 or 0 in a.shape:
         raise ParameterError("design must be a non-empty (S, dim) matrix")
     s_count, d = a.shape
     if b.shape != (s_count,):

@@ -282,6 +282,40 @@ def test_a_value_of_the_wrong_type_is_a_usage_error(section, key, text, value, s
     assert not out.exists()
 
 
+# A nested design that is checked as one array must still be rejected for
+# any one bad entry: a boolean, a string, a non-finite number, or a row of
+# another length.
+BAD_DESIGNS = [
+    ("boolean", [[1.0, 0.0], [0.0, True], [1.0, 1.0]]),
+    ("string", [[1.0, 0.0], [0.0, "2.0"], [1.0, 1.0]]),
+    ("non-finite", [[1.0, 0.0], [0.0, float("inf")], [1.0, 1.0]]),
+    ("ragged", [[1.0, 0.0], [0.0], [1.0, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("source", ["file", "manifest"])
+@pytest.mark.parametrize("design", [d for _, d in BAD_DESIGNS],
+                         ids=[name for name, _ in BAD_DESIGNS])
+def test_a_bad_entry_of_a_nested_design_is_a_usage_error(design, source, tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(LSQ_INI)
+    if source == "file":
+        path.write_text(LSQ_INI.replace("[[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]",
+                                        json.dumps(design)))
+        argv = ["experiment", str(path)]
+    else:
+        manifest = manifest_dict(parse_config_file(str(path)))
+        manifest["config"]["problem"]["design"] = design
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        argv = ["experiment", "--from-manifest", str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "[problem] design must be a list of lists of numbers, all finite" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 # (make_cfg overrides, section, key, a JSON string in its place): a number
 # written as a string is not taken as the number.
 STRING_NUMBERS = [
@@ -535,9 +569,9 @@ def test_sweep_output_does_not_depend_on_the_worker_count(sweep_path, tmp_path, 
     monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)   # workers for any grid
     real_cpus = sgdlab.harness._usable_cpus()
     outputs = {}
-    for cpus in (1, 2, real_cpus):
+    for cpus in sorted({1, 2, 3, real_cpus}):
         monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: cpus)
-        workers = min(6, cpus)
+        workers = min(4, cpus)   # one per valid cell at most
         for flag in ([], ["--json"]):
             out = tmp_path / f"out{len(outputs)}"
             forks.clear()
@@ -555,17 +589,51 @@ def test_a_dead_sweep_worker_fails_the_sweep(sweep_path, tmp_path, monkeypatch, 
     monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)
     monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
     parent = os.getpid()
-    real_prepare = sgdlab.harness._prepare
+    real_steps = sgdlab.harness._steps
 
-    def dying(cfg, like=None):
-        if cfg.method == "msgd_classical" and cfg.schedule["alpha_a"] == 0.4:
+    def dying(problem, oracle, method, beta, alphas, *args):
+        if method == "msgd_classical" and alphas[1] == 0.9 * 2.0 ** -0.4:   # alpha_a 0.4
             assert os.getpid() != parent, "the cell ran in the test process"
             os._exit(1)
-        return real_prepare(cfg, like)
+        return real_steps(problem, oracle, method, beta, alphas, *args)
 
-    monkeypatch.setattr("sgdlab.harness._prepare", dying)
+    monkeypatch.setattr("sgdlab.harness._steps", dying)
     out = tmp_path / "out"
     assert main(["sweep", sweep_path, "--out", str(out)]) == 3
+    assert ("experiment failed: a worker process died: exit code 1"
+            in capsys.readouterr().err)
+    assert not (out / "sweep.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_sweep_worker_that_dies_while_its_sibling_waits_at_the_barrier_fails_the_sweep(
+        sweep_path, tmp_path, monkeypatch, capsys):
+    # The four valid cells of sweep_path draw alike, so two workers share
+    # their noise: the second dies once the first waits for it at the
+    # barrier, where the first would wait for ever.
+    monkeypatch.setattr("sgdlab.harness._POOL_MIN_WORK", 0)
+    monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
+    parent = os.getpid()
+    marker = tmp_path / "waiting"
+    real_step_share = sgdlab.harness._step_share
+
+    def dying(exps, w, exchange):
+        assert os.getpid() != parent, "a share ran in the test process"
+        if w == 1:
+            deadline = time.monotonic() + 20
+            while exchange.barrier.n_waiting < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if exchange.barrier.n_waiting == 1:
+                marker.touch()
+            os._exit(1)
+        return real_step_share(exps, w, exchange)
+
+    monkeypatch.setattr("sgdlab.harness._step_share", dying)
+    out = tmp_path / "out"
+    t0 = time.monotonic()
+    assert main(["sweep", sweep_path, "--out", str(out)]) == 3
+    assert time.monotonic() - t0 < 30
+    assert marker.exists()   # the first worker waited at the barrier
     assert ("experiment failed: a worker process died: exit code 1"
             in capsys.readouterr().err)
     assert not (out / "sweep.csv").exists()

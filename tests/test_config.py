@@ -295,8 +295,9 @@ _TEXT = {
     config._BOOLEAN: st.sampled_from(["true", "Yes", "ON", "false", "no", "Off"]),
     config._STRING: st.text("abcdefghijklmnopqrstuvwxyz_0123456789", max_size=12),
     config._NUMBERS: st.lists(_FINITE, max_size=4).flatmap(_list_text),
-    config._MATRIX: st.lists(st.lists(st.one_of(st.integers(-99, 99), _FINITE), max_size=3),
-                             max_size=3).map(json.dumps),
+    config._MATRIX: st.integers(0, 3).flatmap(lambda width: st.lists(
+        st.lists(st.one_of(st.integers(-99, 99), _FINITE), min_size=width, max_size=width),
+        max_size=3)).map(json.dumps),   # rows of one width: a ragged matrix is no matrix
 }
 
 

@@ -4,6 +4,8 @@ import copy
 import json
 import os
 import time
+from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,17 +15,18 @@ from hypothesis import strategies as st
 
 from conftest import make_cfg
 from sgdlab import harness
-from sgdlab.config import build_oracle, build_problem, build_schedule, validate_config
+from sgdlab.config import (SweepSpec, build_oracle, build_problem, build_schedule,
+                           sweep_grid, validate_config)
 from sgdlab.errors import DivergenceError, ExperimentError
 from sgdlab.harness import (MonteCarloEstimate, averaged_bound_probe, default_burn_in,
                             estimates_csv, liminf_probe, lyapunov_csv, nasgd_hypothesis,
                             resolve_lyapunov, run_experiment, summary_dict, sweep,
                             SweepResult, sweep_csv)
 from sgdlab.lyapunov import LyapunovSeries, select_lambda, select_zeta
-from sgdlab.optimizers import (DIVERGENCE_RADIUS, averaged_update, checkpoint_grid,
-                               init_average, init_state, msgd_classical_step,
-                               msgd_damped_step, nasgd_step, nesterov_classical_step,
-                               run, vsgd_step)
+from sgdlab.optimizers import (DAMPED, DIVERGENCE_RADIUS, METHODS, averaged_update,
+                               checkpoint_grid, init_average, init_state,
+                               msgd_classical_step, msgd_damped_step, nasgd_step,
+                               nesterov_classical_step, run, vsgd_step)
 from sgdlab.oracles import GradientOracle
 from sgdlab.problems import least_squares_sum
 from sgdlab.rng import replica_stream, replica_streams
@@ -1051,14 +1054,19 @@ def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monke
             started.append(len(jobs))
         return [job() for job in jobs]
 
-    real_cells = harness._sweep_cells
+    real_share, real_stepped = harness._sweep_share, harness._stepped
 
-    def recording_cells(configs):
-        tasks.append([(c.seed, c.schedule["alpha_a"]) for c in configs])
-        return real_cells(configs)
+    def recording_share(*args):   # a worker's share: one list of tasks
+        tasks.append([])
+        return real_share(*args)
+
+    def recording_stepped(exps):
+        tasks[-1] += [(e.cfg.seed, e.cfg.schedule["alpha_a"]) for e in exps]
+        return real_stepped(exps)
 
     monkeypatch.setattr(harness, "_in_processes", recording)
-    monkeypatch.setattr(harness, "_sweep_cells", recording_cells)
+    monkeypatch.setattr(harness, "_sweep_share", recording_share)
+    monkeypatch.setattr(harness, "_stepped", recording_stepped)
     cells = [make_cfg(horizon=20, replicas=2), make_cfg(horizon=20, replicas=2, seed=7)]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
     serial = sweep(cells)
@@ -1072,18 +1080,25 @@ def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monke
     assert sweep(cells) == serial
     assert started == [2]
     assert tasks == [[(1234, 0.6)], [(7, 0.6)]]
-    # Each of 2 workers takes an interleaved share of each draw group: cells
-    # 0, 1, 3 and 5 draw alike, and so do cells 2 and 4.
-    seeds = [1234, 1234, 7, 1234, 7, 1234]
+    # A cell that steps as another does is not stepped again: one cell, 40
+    # replica-steps stepped, so no worker starts.
+    twins = [cells[0], replace(cells[0], divergence_tolerance=0.5)]
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 40)
+    started.clear(), tasks.clear()
+    assert sweep(twins).rows == (serial.rows[0],) * 2
+    assert started == [] and tasks == [[(1234, 0.6)]]
+    # Groups of fewer cells than workers are dealt out in turn, group after
+    # group: cells 0 and 1 draw alike, so do cells 2 and 4, and cell 3
+    # draws alone.
+    seeds = [1234, 1234, 7, 5, 7]
     cells = [make_cfg(horizon=20, replicas=2, seed=seed,
                       schedule={"alpha_c": 0.5, "alpha_a": 0.5 + i / 10})
              for i, seed in enumerate(seeds)]
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
     started.clear(), tasks.clear()
     pooled = sweep(cells)
-    assert started == [2]
-    assert tasks == [[(1234, 0.5), (1234, 0.8), (7, 0.7)],
-                     [(1234, 0.6), (1234, 1.0), (7, 0.9)]]
+    assert started == [3]
+    assert tasks == [[(1234, 0.5), (7, 0.9)], [(1234, 0.6), (5, 0.8)], [(7, 0.7)]]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert pooled == sweep(cells)
 
@@ -1167,24 +1182,129 @@ _GROUPED_CELLS = [
     make_cfg(**_GROUPED, method="msgd_classical", schedule={"alpha_c": 0.05, "alpha_a": 0.3}),
     make_cfg(**dict(_GROUPED, seed=4), method="msgd_classical",
              schedule={"alpha_c": 0.05, "alpha_a": 0.3}),
+    # Cells 0 and 7 but for mu_b, which neither method reads.
+    make_cfg(**dict(_GROUPED, divergence_tolerance=0.95),
+             schedule={**_STEADY, "mu_m": 1.0, "mu_b": 0.3}),
+    make_cfg(**_GROUPED, method="msgd_classical",
+             schedule={"alpha_c": 0.05, "alpha_a": 0.3, "mu_m": 1.0, "mu_b": 0.3}),
+] + [make_cfg(**dict(_GROUPED, divergence_tolerance=0.95), method=method,
+              schedule={**_STEADY, "mu_m": 1.0, "mu_b": b})
+     for method in DAMPED for b in (0.0, 0.3)] + [
+    make_cfg(**_GROUPED, schedule={**_STEADY, "mu_m": 1.0, "mu_b": 1.5}),   # invalid mu_b
 ]
 
 
-def test_grouped_sweep_rows_equal_each_cell_run_alone(monkeypatch):
-    assert harness._draw_groups(_GROUPED_CELLS) == [[0, 2, 4, 5, 7], [1, 6], [3, 8]]
+def _log_calls(monkeypatch, tmp_path, owner, name: str, line):
+    """Wrap owner.name so that each call, in this process or in a forked
+    one, logs line(*args) to a file; return a function that counts the
+    lines logged since it was last called."""
+    log = tmp_path / name
+    log.write_text("")
+    real = getattr(owner, name)
+
+    def logging(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{line(*args)}\n")
+        return real(*args, **kwargs)
+
+    def logged():
+        lines = Counter(log.read_text().split())
+        log.write_text("")
+        return lines
+
+    monkeypatch.setattr(owner, name, logging)
+    return logged
+
+
+def _count_steppers(monkeypatch, tmp_path):
+    """How many steppers `_steps` has built of each method (see
+    `_log_calls`)."""
+    return _log_calls(monkeypatch, tmp_path, harness, "_steps", lambda *args: args[2])
+
+
+def test_grouped_sweep_rows_equal_each_cell_run_alone(monkeypatch, tmp_path):
+    assert harness._draw_groups(_GROUPED_CELLS) == [[0, 2, 4, 5, 7, 9, 10, 11, 12, 13, 14, 15],
+                                                    [1, 6], [3, 8]]
     alone = tuple(map(_alone, _GROUPED_CELLS))
     assert [r.status for r in alone] == ["ok", "ok", "failed", "ok", "failed", "failed",
-                                         "ok", "ok", "ok"]
+                                         "ok", "ok", "ok"] + ["ok"] * 6 + ["failed"]
     assert "206 of 600 replicas diverged" in alone[2].error
     assert alone[4].error == "no replica survived to some checkpoint"
     assert "exp_alpha" in alone[5].error
+    assert "exp_mu" in alone[15].error
     assert alone[1].se_gap == alone[6].se_gap == 0.0   # zero noise
+    assert replace(alone[9], mu_b=0.0) == alone[0]
+    assert replace(alone[10], mu_b=0.0) == alone[7]
+    assert alone[11].mean_gap != alone[12].mean_gap and alone[13].mean_gap != alone[14].mean_gap
+    # Cells 0, 2 and 9 step alike, and so do cells 7 and 10; each damped
+    # cell steps apart.
+    built = _count_steppers(monkeypatch, tmp_path)
     monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0)   # workers whenever 2 CPUs are usable
     for cpus, budget in ((1, harness._GROUP_VALUES), (2, harness._GROUP_VALUES),
                          (64, harness._GROUP_VALUES), (1, 0), (2, 0)):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(harness, "_GROUP_VALUES", budget)   # 0: batches of one
         assert sweep(_GROUPED_CELLS).rows == alone, (cpus, budget)
+        assert built() == {"vsgd": 4, "msgd_classical": 2, "msgd_damped": 2, "nasgd": 3}
+
+
+def _lsq_grid(**run) -> list:
+    """The 5 x 2 x 2 grid of methods, alpha_a and mu_b on a least-squares
+    sum with a minibatch oracle, as the benchmark's sweep."""
+    base = make_cfg(problem=_LSQ, oracle={"kind": "minibatch", "batch": 2, "replace": False},
+                    x0=[2.0, -1.0], beta=0.6,
+                    schedule={"alpha_c": 0.3, "alpha_a": 0.5, "mu_m": 1.0, "mu_b": 0.0},
+                    **{"horizon": 300, "replicas": 40, **run})
+    return sweep_grid(SweepSpec(base=base, methods=list(METHODS), alpha_a=[0.5, 0.7],
+                                mu_b=[0.0, 0.3]))
+
+
+def test_a_least_squares_grid_steps_each_distinct_cell_once(monkeypatch, tmp_path):
+    # vsgd, msgd_classical and nesterov_classical read no mu_k: 2 cells
+    # each, and 4 for each damped method.
+    cells = _lsq_grid()
+    alone = tuple(map(_alone, cells))
+    assert [r.status for r in alone] == ["ok"] * 20
+    built = _count_steppers(monkeypatch, tmp_path)
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        assert sweep(cells).rows == alone, cpus
+        steppers = built()
+        assert sum(steppers.values()) == 14
+        assert steppers == {method: 4 if method in DAMPED else 2 for method in METHODS}
+
+
+def test_a_worker_whose_cells_all_diverged_draws_its_share_to_the_horizon(monkeypatch,
+                                                                          tmp_path):
+    # 300 replicas draw 873 iterations a block: 3 blocks over 2500.  Of two
+    # workers, the second steps cells 1 and 3, whose replicas all diverge
+    # within the first block; the first still steps cells 0 and 2, so the
+    # second draws its 150 replicas' part of every block.
+    steady, wild = {"alpha_c": 0.1, "alpha_a": 0.5}, {"alpha_c": 3.0, "alpha_a": 0.0}
+    cells = [make_cfg(replicas=300, horizon=2500, divergence_tolerance=1.0,
+                      schedule={**schedule, "alpha_c": schedule["alpha_c"] + i / 100})
+             for i, schedule in enumerate([steady, wild, steady, wild])]
+    # The draws made in each process: one raw_block call per replica.
+    logged = _log_calls(monkeypatch, tmp_path, GradientOracle, "raw_block",
+                        lambda *args: os.getpid())
+    drawn = lambda: sorted(logged().values())
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    serial = sweep(cells).rows
+    assert [r.status for r in serial] == ["ok", "failed"] * 2
+    assert serial[1].error == "no replica survived to some checkpoint"
+    assert drawn() == [3 * 300]
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert sweep(cells).rows == serial
+    assert drawn() == [3 * 150, 3 * 150]
+    # Once every worker's cells are done, the workers stop drawing: here
+    # after the first block.
+    wild_cells = cells[1::2]
+    serial = tuple(map(_alone, wild_cells))
+    drawn()
+    assert sweep(wild_cells).rows == serial
+    assert drawn() == [150, 150]
 
 
 def test_cells_whose_configs_hold_arrays_draw_apart():

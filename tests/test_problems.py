@@ -233,6 +233,7 @@ def test_least_squares_freezes_copies_not_the_callers_arrays():
     (np.ones((3, 2)), np.ones(2)),
     (np.ones(3), np.ones(3)),
     (np.array([[np.nan, 1.0]]), np.ones(1)),
+    ([[]], np.ones(1)),   # a row of no coordinates
 ])
 def test_least_squares_rejects_bad_shapes(design, targets):
     with pytest.raises(ParameterError):
