@@ -83,8 +83,10 @@ are dealt out, and each worker draws for itself.  Every child has a
 duplex pipe to its caller, which waits on all of them at once, in short
 polls, so that an interrupt ends any wait for a child and a child that
 dies is seen even while its siblings block at the barrier.  A child that
-dies raises ExperimentError, and a child whose caller dies fails its next
-send or receive and exits.
+dies raises ExperimentError.  A child whose caller dies fails its next
+send or receive and exits; a sweep worker, which may wait at the barrier
+for a sibling that will never come, also watches for its caller's death
+in a thread and exits within a poll of it.
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
@@ -100,6 +102,7 @@ from __future__ import annotations
 import os
 import signal
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -962,6 +965,20 @@ class _Exchange:
         self.draws = _shared_array((max(map(self._bytes, exps)),), np.uint8)
         self.done = _shared_array((workers,), bool)
         self.barrier = multiprocessing.get_context("fork").Barrier(workers)
+        self.caller = os.getpid()
+
+    def watch(self) -> None:
+        """In a worker, exit once the caller has died.  A worker waiting at
+        the barrier sends and receives nothing, so it would not learn that
+        its caller died after a sibling did, and would wait for ever; a
+        thread here polls for it (a Barrier's timed wait would break the
+        barrier for every worker)."""
+        def watching():
+            while os.getppid() == self.caller:
+                time.sleep(0.05)
+            os._exit(1)
+
+        threading.Thread(target=watching, daemon=True).start()
 
     @staticmethod
     def _bytes(exp: _Experiment) -> int:
@@ -1326,11 +1343,18 @@ def _sweep_share(groups: list, w: int, workers: int, exchange) -> list:
     batches, and worker w steps cells w, w + workers, ... of each through
     blocks that the workers draw together (`_step_share`).  The cells of
     smaller groups are dealt out in turn, group after group, and each
-    worker steps its cells of a group in batches (`_stepped`)."""
+    worker steps its cells of a group in batches (`_stepped`).  The shared
+    groups come first, so that no worker's dealt cells keep its siblings
+    waiting at the barrier."""
+    if exchange is not None:
+        exchange.watch()
+    def shared(cells):
+        return len(cells) >= workers > 1
+
     rows = []
     dealt = 0   # cells of the smaller groups dealt out so far
-    for cells in groups:
-        if len(cells) >= workers > 1:
+    for cells in sorted(groups, key=shared, reverse=True):   # stable
+        if shared(cells):
             for batch in _batches(cells, workers):
                 rows += _rows(batch[w::workers],
                               _step_share([m[0][1] for m in batch], w, exchange))

@@ -14,6 +14,7 @@ import threading
 import time
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 import sgdlab
@@ -592,7 +593,8 @@ def test_a_dead_sweep_worker_fails_the_sweep(sweep_path, tmp_path, monkeypatch, 
     real_steps = sgdlab.harness._steps
 
     def dying(problem, oracle, method, beta, alphas, *args):
-        if method == "msgd_classical" and alphas[1] == 0.9 * 2.0 ** -0.4:   # alpha_a 0.4
+        alpha_a_04 = np.isclose(alphas[1], 0.9 * 2.0 ** -0.4)
+        if method == "msgd_classical" and alpha_a_04:
             assert os.getpid() != parent, "the cell ran in the test process"
             os._exit(1)
         return real_steps(problem, oracle, method, beta, alphas, *args)
@@ -846,6 +848,54 @@ def test_a_worker_whose_caller_was_killed_exits(tmp_path):
         os.kill(pid, signal.SIGKILL)
     if left:
         pytest.fail("a worker outlived its killed caller")
+
+
+_KILLED_SWEEP_CALLER = """
+import os, signal, sys, time
+import sgdlab.harness as harness
+from sgdlab.cli import main
+pid_dir, config, out = sys.argv[1:]
+harness._POOL_MIN_WORK, harness._usable_cpus = 0, lambda: 2
+real_step_share = harness._step_share
+
+def step_share(exps, w, exchange):   # a worker: report, then share the draws
+    open(os.path.join(pid_dir, str(os.getpid())), "w").close()
+    if w == 1:   # once the first waits for it, kill the caller and die
+        while len(os.listdir(pid_dir)) < 2 or exchange.barrier.n_waiting < 1:
+            time.sleep(0.01)
+        os.kill(os.getppid(), signal.SIGKILL)
+        os._exit(1)
+    return real_step_share(exps, w, exchange)
+
+harness._step_share = step_share
+main(["sweep", config, "--out", out])
+"""
+
+
+def test_a_sweep_worker_at_the_barrier_exits_once_its_caller_was_killed(sweep_path,
+                                                                        tmp_path):
+    # The caller dies before it can see its second worker die, so nothing
+    # stops the first, which waits at the barrier for the second.
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLED_SWEEP_CALLER, str(pids), sweep_path,
+             str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL, stderr=err,
+            timeout=60)
+    assert proc.returncode == -signal.SIGKILL, (tmp_path / "stderr").read_text()
+    workers = [int(name) for name in os.listdir(pids)]
+    assert len(workers) == 2
+    deadline = time.monotonic() + 20
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    if left:
+        pytest.fail("a sweep worker outlived its killed caller")
 
 
 def test_pooled_sweep_cells_run_each_experiment_in_one_process(wide_path, tmp_path,
