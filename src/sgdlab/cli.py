@@ -33,9 +33,12 @@ each of which draws each block of noise once, and each usable CPU runs a
 share of the cells in a worker process.  `experiment` and `lyapunov`
 split a wide experiment's replicas over the CPUs, and have a helper
 process on a second CPU draw a long narrow run's noise and reduce its
-checkpoints while the command steps.  The output does not depend on
-their number; small runs stay in one process, and a worker or helper
-that dies fails the command with exit code 3.
+checkpoints while the command steps; a worker or helper starts no
+process.  The output does not depend on their number; small runs stay in
+one process, a worker or helper that dies fails the command with exit
+code 3, and each exits within about 50 ms once the command has died.
+`experiment --from-manifest` takes no config file or `--set` (only
+`--seed`), and an experiment needs 3 checkpoints for its summary.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .harness import (default_burn_in, estimates_csv, lyapunov_csv,
                       resolve_lyapunov, run_experiment, summary_dict, sweep,
                       sweep_csv)
 from .lyapunov import descent_fit
-from .optimizers import run, trajectory_csv, trajectory_json
+from .optimizers import checkpoint_grid, run, trajectory_csv, trajectory_json
 from .plotting import parse_estimates_csv, plot_file, svg_plot
 from .schedules import classify, make_power_schedule, numeric_probe
 
@@ -94,7 +97,10 @@ def _load_config(args):
 def cmd_classify(args) -> int:
     s = make_power_schedule(args.alpha_c, args.alpha_a, args.mu_m, args.mu_b)
     cls = classify(s)
-    report = numeric_probe(s, args.horizon)
+    try:
+        report = numeric_probe(s, args.horizon)
+    except OverflowError as e:   # a usage error at the command line
+        raise ParameterError(str(e)) from e
     if args.json:
         print(json.dumps({"class": asdict(cls), "partial_sums": asdict(report)}))
         return 0
@@ -129,6 +135,11 @@ def cmd_run(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.from_manifest:
+        ignored = ([f"the config file {args.config!r}"] if args.config else []) \
+            + [f"--set {item}" for item in args.set]
+        if ignored:
+            raise ConfigError("--from-manifest replays the manifest as written, so it "
+                              f"would ignore {' and '.join(ignored)}")
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
             try:
                 manifest = json.load(fh)
@@ -141,6 +152,11 @@ def cmd_experiment(args) -> int:
         cfg = _load_config(args)
     else:
         raise ConfigError("experiment needs a config file or --from-manifest")
+    points = len(checkpoint_grid(cfg.horizon, cfg.checkpoint_stride))
+    if points < 3:   # checked before any step, not by the summary's probe
+        raise ConfigError(f"experiment needs at least 3 checkpoints for its liminf probe; "
+                          f"horizon {cfg.horizon} at checkpoint_stride "
+                          f"{cfg.checkpoint_stride} gives {points}")
     est = run_experiment(cfg)
     summary = summary_dict(est)
     csv_text = estimates_csv(est)

@@ -49,27 +49,29 @@ reductions depend neither on the replica array's width nor on the chunk
 length.
 
 Processes: every process the engine starts is a child forked by `_fork`
-in `_children`, which stops and reaps it however the caller exits, and a
-child forks no further.  `_in_processes` runs a list of jobs, each in its
-own child if there are two or more, and collects their results in order.
-`_plan` decides how experiments use the CPUs.  One of at least two blocks
-and enough work runs one contiguous, block-aligned range of replicas per
-usable CPU in a child; a replica's stream depends only on its index, and
-the caller folds the children's block sums in block order, so the sums
-are the same float additions in the same order as in one process.  A lone
-experiment that runs as one range (a least-squares one always does), with
-a second usable CPU and at least `_HELPER_MIN_WORK` replica-steps, forks a
-draw helper (see `_step_together`).  The draws depend on no state, and a
-Philox stream gives the same bits in any process, so the helper owns the
-replica streams and draws each block of noise into one of two shared
-slots while the caller steps through the other.  Nor does a step depend
-on a reduced checkpoint, so the caller records its checkpoints into one
-of two shared chunk slots and hands each chunk over, in a message that
-carries its alive mask, and the helper reduces it between two replicas'
-draws: the same `_Checkpoints.reduce` on the same chunks in the same
-order, so the same sums.  The caller only steps, and `_Helper`, its end
-of the helper's pipe, frees draw slots, receives block lengths and
-counts the chunks reduced.  The cells of a sweep share their noise on
+in `_children`, which stops and reaps it however the caller exits.  Only
+the process that owns its CPUs plans their use (`_plan`), so a child
+forks no further.  `_in_processes` runs a list of jobs, each in its own
+child if there are two or more, and collects their results in order.
+Every range of replicas is stepped by one call, `_step_range`; a
+replica's Philox stream gives the same bits in any process, so where its
+noise is drawn is an argument of the call (see `_step_together`).  One
+experiment of at least two blocks and enough work runs one contiguous,
+block-aligned range of replicas per usable CPU in a child; the caller
+folds the children's block sums in block order, so the sums are the same
+float additions in the same order as in one process.  A lone experiment
+that runs as one range (a least-squares one always does), with a second
+usable CPU and at least `_HELPER_MIN_WORK` replica-steps, forks a draw
+helper (see `_ahead`).  The draws depend on no state, so the helper
+owns the replica streams and draws each block of noise into one of two
+shared slots while the caller steps through the other.  Nor does a step
+depend on a reduced checkpoint, so the caller records its checkpoints
+into one of two shared chunk slots and hands each chunk over, in a
+message that carries its alive mask, and the helper reduces it between
+two replicas' draws: the same `_Checkpoints.reduce` on the same chunks in
+the same order, so the same sums.  The caller only steps, and `_Helper`,
+its end of the helper's pipe, frees draw slots, receives block lengths
+and counts the chunks reduced.  The cells of a sweep share their noise on
 purpose (common random numbers): cells that draw alike step together as
 one range, a memory-bounded batch at a time, each batch draws each block
 of noise once, and cells that would step alike are stepped once.  Once
@@ -83,10 +85,8 @@ are dealt out, and each worker draws for itself.  Every child has a
 duplex pipe to its caller, which waits on all of them at once, in short
 polls, so that an interrupt ends any wait for a child and a child that
 dies is seen even while its siblings block at the barrier.  A child that
-dies raises ExperimentError.  A child whose caller dies fails its next
-send or receive and exits; a sweep worker, which may wait at the barrier
-for a sibling that will never come, also watches for its caller's death
-in a thread and exits within a poll of it.
+dies raises ExperimentError; every child exits within a poll of its
+caller's death, whatever it is doing (see `_child`).
 
 Diverged replicas (non-finite coordinate or ||x|| > 1e12) are recorded
 with their failing iteration, frozen, and excluded from every later
@@ -164,9 +164,6 @@ _SPLIT_MIN_WORK = 2_000_000
 # (5-9 won), faster in 7 of 8 readings.  It lost at most 7 pairs of 10 at
 # 1 M and won at most 6 at 0.5 M, so the threshold stays.
 _HELPER_MIN_WORK = 1_000_000
-# Set in a forked child (see `_fork`), which forks no further: the other
-# CPUs already run its siblings or its caller.
-_forked = False
 
 
 @dataclass
@@ -310,8 +307,8 @@ class _Checkpoints:
     checkpoint's energy tilt (None without energies).
 
     In this process there is one slot, reduced in place.  A draw helper
-    (see `_step_together`) reduces instead once `share` has put two slots
-    and the sums in shared maps and `helper` is set: `flush` hands the
+    (see `_ahead`) reduces instead once `share` has put two slots and the
+    sums in shared maps and `helper` is set: `flush` hands the
     chunk over, as the message (slot, first, count, alive) that `reduce`
     takes, and recording moves on to the other slot, waiting first, if need
     be, until the helper has reduced the chunk that slot held.  `results`
@@ -434,13 +431,10 @@ def _shared_array(shape: tuple, dtype=float) -> np.ndarray:
                          count).reshape(shape)
 
 
-def _fork(target, args: tuple, inherited: list = ()):
-    """Start a forked daemon child that runs target(conn, *args), and return
-    it with this process's end of a new duplex pipe whose other end is
-    conn.  The child first closes this process's end and `inherited`, ends
-    of other pipes this process reads, so that once this process dies the
-    child's sends and receives fail and it exits, rather than wait on a
-    pipe that it holds open itself."""
+def _fork(target, args: tuple):
+    """Start a forked daemon child that runs target(conn, *args) (see
+    `_child`), and return it with this process's end of a new duplex pipe
+    whose other end is conn."""
     # Imported here so that runs in one process never load it.  Fork rather
     # than spawn: the child inherits the problem and oracle, whose closures
     # do not pickle, and every module this process has loaded.
@@ -448,24 +442,23 @@ def _fork(target, args: tuple, inherited: list = ()):
 
     ctx = multiprocessing.get_context("fork")
     ours, theirs = ctx.Pipe()
-    child = ctx.Process(target=_child, args=(theirs, [ours, *inherited], target, args),
-                        daemon=True)
+    child = ctx.Process(target=_child, args=(os.getpid(), theirs, target, args), daemon=True)
     child.start()
     theirs.close()
     return child, ours
 
 
-def _child(conn, inherited: list, target, args: tuple) -> None:
-    """A forked child's start (see `_fork`); it marks itself forked."""
-    global _forked
-    _forked = True
-    for end in inherited:
-        end.close()
+def _child(caller: int, conn, target, args: tuple) -> None:
+    """A forked child's start (see `_fork`): run target(conn, *args), and
+    exit within a poll of the death of the caller, whose process id it took
+    before the fork, whatever the child waits on or does."""
+    def watch():
+        while os.getppid() == caller:
+            time.sleep(0.05)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
     target(conn, *args)
-
-
-class _Died(Exception):
-    """The pipe of a forked child, args[0], broke: it died."""
 
 
 @contextmanager
@@ -474,29 +467,29 @@ def _children(target, arg_lists: list):
     arg_lists (see `_fork`), and yield the (child, conn) pairs.  An
     interrupt is held while a child is forked and listed, lest it leave a
     child that nothing stops.  However the block exits, every child still
-    running is terminated and each is reaped; one that died (see
-    `_received`) then raises ExperimentError."""
-    children, dead = [], None
+    running is terminated and each is reaped."""
+    children = []
     try:
         for args in arg_lists:
             with _interrupt_held():
-                children.append(_fork(target, args, [c for _, c in children]))
+                children.append(_fork(target, args))
         yield children
-    except _Died as died:
-        dead = died.args[0]
     finally:
         for child, _ in children:
             child.terminate()   # a no-op for a child that has exited
         for child, conn in children:
             child.join()
             conn.close()
-    if dead is not None:
-        raise ExperimentError(f"a worker process died: exit code {dead.exitcode}")
+
+
+def _died(child) -> ExperimentError:
+    child.join()   # its pipe broke, so it has exited
+    return ExperimentError(f"a worker process died: exit code {child.exitcode}")
 
 
 def _received(child, conn):
-    """The next message from child on conn; raises `_Died` if the pipe
-    broke.  It waits in short polls, not in one blocking read: a SIGINT
+    """The next message from child on conn; raises ExperimentError if the
+    pipe broke.  It waits in short polls, not in one blocking read: a SIGINT
     that lands just before such a read, or in another thread, runs its
     handler only once the read returns, which may be when the child next
     sends."""
@@ -505,7 +498,7 @@ def _received(child, conn):
             pass
         return conn.recv()
     except (EOFError, OSError):
-        raise _Died(child) from None
+        raise _died(child) from None
 
 
 @contextmanager
@@ -646,27 +639,61 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     return (*checkpoints.results(), diverged, (x, v, x_prev, avg))
 
 
-def _step_together(oracle, gens: list, horizon: int, steppers: list,
-                   ahead: bool = False, share=None) -> list:
-    """Drive steppers (see `_steps`) of len(gens) replicas each over the
-    same horizon through one draw of each block of raw noise (see
-    `_draws`), replica i's from gens[i]: each block goes to every stepper
-    still running, until the last one is done.  Returns their results in
-    order.
+def _here(oracle, seed: int, horizon: int, first: int, count: int, books: list, done):
+    """The blocks of raw noise of replicas first..first+count-1 (see
+    `_step_together`), drawn in this process into one buffer (see
+    `_draws`), until done() holds."""
+    slot = np.empty(_block_shape(oracle, count, horizon), oracle.raw_dtype)
+    for block in _draws(oracle, replica_streams(seed, count, first), horizon, [slot]):
+        yield block
+        if done():
+            return
 
-    With share, this process is a worker of a pooled sweep: its steppers
-    step every replica, gens are the streams of its part of them, and
-    share(oracle, gens, horizon, done) yields the blocks that the workers
-    draw together (see `_Exchange.blocks`), done() telling whether every
-    stepper here is done.  This process draws its part of each block until
-    every worker's steppers are done, its own perhaps long before.
 
-    With ahead, steppers is one stepper, and a forked draw helper
-    (`_draw_ahead`) owns the streams and the stepper's checkpoint
+def _step_together(oracle, seed: int, horizon: int, first: int, count: int, steppers: list,
+                   source=_here) -> list:
+    """Drive steppers (see `_steps`), each of replicas first..first+count-1
+    over the same horizon, through one draw of each block of their raw
+    noise, replica i's from its stream under seed: each block goes to every
+    stepper still running.  Returns their results in order.
+
+    The caller picks where the blocks are drawn: source(oracle, seed,
+    horizon, first, count, books, done) is a generator of them, given the
+    steppers' `_Checkpoints` (books) and whether every stepper is done
+    (done()).  The source owns the replica streams, and it stops at the
+    horizon or once done() holds; `_here` draws in this process, `_ahead`
+    in a draw helper, and `_Exchange.blocks` together with the other
+    workers of a pooled sweep.  It is closed however the steppers end,
+    which stops a draw helper."""
+    books = [next(stepper) for stepper in steppers]
+    results = [None] * len(steppers)
+    running = list(range(len(steppers)))
+    blocks = source(oracle, seed, horizon, first, count, books, lambda: not running)
+    try:
+        # A helper forked in here reduces under the same error state.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in blocks:
+                for i in list(running):
+                    try:
+                        steppers[i].send(block)
+                    except StopIteration as done:
+                        results[i] = done.value
+                        running.remove(i)
+    finally:
+        blocks.close()
+        for stepper in steppers:   # a no-op for those done
+            stepper.close()
+    return results
+
+
+def _ahead(oracle, seed: int, horizon: int, first: int, count: int, books: list, done):
+    """The blocks of raw noise of replicas first..first+count-1 for a single
+    stepper (see `_step_together`), drawn by a forked draw helper
+    (`_draw_ahead`), which owns the streams and the stepper's checkpoint
     reductions.  It draws every block into two shared slots in turn, one
     block ahead: while the stepper steps through one slot it fills the
-    other, and sends each block's length once drawn.  This process's end
-    of its pipe, a `_Helper`, yields each block once drawn and tells the
+    other, and sends each block's length once drawn.  This process's end of
+    its pipe, a `_Helper`, yields each block once drawn and tells the
     helper that a slot is free only when a later block still needs that
     slot.  The stepper records its checkpoints into two shared chunk slots
     in turn and hands each full or flushed chunk over with its alive mask
@@ -678,52 +705,25 @@ def _step_together(oracle, gens: list, horizon: int, steppers: list,
     While the helper runs, it has one of this process's CPUs and the caller
     the others.  Left to the scheduler, the two were seen to share one CPU
     for whole benchmark runs, taking turns, while the other CPU idled."""
-    books = [next(stepper) for stepper in steppers]
-    results = [None] * len(steppers)
-    running = list(range(len(steppers)))
-    helpers = []
-    if ahead:
-        slots = list(_shared_array((2,) + _block_shape(oracle, len(gens), horizon),
-                                   oracle.raw_dtype))
-        books[0].share()
-        cpus = os.sched_getaffinity(0)
-        helpers = [(max(cpus), oracle, gens, horizon, slots, books[0])]
+    slots = list(_shared_array((2,) + _block_shape(oracle, count, horizon), oracle.raw_dtype))
+    books[0].share()
+    cpus = os.sched_getaffinity(0)
+    helper = (max(cpus), oracle, replica_streams(seed, count, first), horizon, slots, books[0])
     try:
-        # A helper forked in here reduces under the same error state.
-        with np.errstate(over="ignore", invalid="ignore"), \
-                _children(_draw_ahead, helpers) as children:
-            if ahead:
-                os.sched_setaffinity(0, cpus - {max(cpus)})
-                books[0].helper = _Helper(*children[0])
-                blocks = books[0].helper.blocks(slots, -(-horizon // len(slots[0])))
-            elif share is not None:
-                blocks = share(oracle, gens, horizon, lambda: not running)
-            else:
-                blocks = _draws(oracle, gens, horizon, [
-                    np.empty(_block_shape(oracle, len(gens), horizon), oracle.raw_dtype)])
-            for block in blocks:
-                for i in list(running):
-                    try:
-                        steppers[i].send(block)
-                    except StopIteration as done:
-                        results[i] = done.value
-                        running.remove(i)
-                if not running and share is None:
-                    break
+        with _children(_draw_ahead, [helper]) as children:
+            os.sched_setaffinity(0, cpus - {max(cpus)})
+            books[0].helper = _Helper(*children[0])
+            yield from books[0].helper.blocks(slots, -(-horizon // len(slots[0])), done)
     finally:
-        for stepper in steppers:   # a no-op for those done
-            stepper.close()
-        if ahead:
-            os.sched_setaffinity(0, cpus)
-    return results
+        os.sched_setaffinity(0, cpus)
 
 
 class _Helper:
-    """This process's end of the draw helper's pipe (see `_step_together`).
-    It sends the helper None for a draw slot freed and a chunk's (slot,
-    first, count, alive) for a chunk handed over (see `_Checkpoints`), and
-    sorts what comes back: a block's length once drawn, None once a chunk
-    is reduced."""
+    """This process's end of the draw helper's pipe (see `_ahead`).  It
+    sends the helper None for a draw slot freed and a chunk's (slot, first,
+    count, alive) for a chunk handed over (see `_Checkpoints`), and sorts
+    what comes back: a block's length once drawn, None once a chunk is
+    reduced."""
 
     def __init__(self, child, conn):
         self.child, self.conn = child, conn
@@ -734,7 +734,7 @@ class _Helper:
         try:
             self.conn.send(message)
         except OSError:
-            raise _Died(self.child) from None
+            raise _died(self.child) from None
 
     def _receive(self) -> None:
         message = _received(self.child, self.conn)
@@ -743,16 +743,18 @@ class _Helper:
         else:
             self.drawn.append(message)
 
-    def blocks(self, slots: list, count: int):
+    def blocks(self, slots: list, count: int, done):
         """Yield the count blocks that the helper draws into the two slots
-        in turn, each once drawn; asking for the next block frees the slot
-        of the last, if a later block needs it."""
+        in turn, each once drawn, until done() holds; asking for the next
+        block frees the slot of the last, if a later block needs it."""
         for i in range(count):
             if 0 < i < count - 1:
                 self.send(None)
             while not self.drawn:
                 self._receive()
             yield slots[i % 2][:self.drawn.pop(0)]
+            if done():
+                return
 
     def wait_reduced(self, chunks: int) -> None:
         """Return once the helper has reduced `chunks` chunks."""
@@ -762,13 +764,12 @@ class _Helper:
 
 def _draw_ahead(conn, cpu: int, oracle, gens: list, horizon: int, slots: list,
                 books: _Checkpoints) -> None:
-    """The draw helper's loop (see `_step_together`), on CPU `cpu`: draw the
-    blocks into the two slots in turn and send each block's length,
-    refilling a slot only once the caller has freed it.  Between two
-    replicas' draws, while it waits for a slot and after the last block,
-    reduce each chunk of books that the caller hands over, in order, and
-    send None for it.  Exit once the caller has died; otherwise the caller
-    stops it."""
+    """The draw helper's loop (see `_ahead`), on CPU `cpu`: draw the blocks
+    into the two slots in turn and send each block's length, refilling a
+    slot only once the caller has freed it.  Between two replicas' draws,
+    while it waits for a slot and after the last block, reduce each chunk
+    of books that the caller hands over, in order, and send None for it.
+    The caller stops it."""
     import select   # only a draw helper polls
 
     os.sched_setaffinity(0, {cpu})
@@ -794,13 +795,10 @@ def _draw_ahead(conn, cpu: int, oracle, gens: list, horizon: int, slots: list,
             take(conn.recv())
         freed -= 1
 
-    try:
-        for block in _draws(oracle, gens, horizon, slots, wait, serve):
-            conn.send(len(block))
-        while True:
-            take(conn.recv())
-    except (EOFError, OSError):   # the caller died
-        pass
+    for block in _draws(oracle, gens, horizon, slots, wait, serve):
+        conn.send(len(block))
+    while True:
+        take(conn.recv())
 
 
 def _mean_se(s, q, n):
@@ -893,20 +891,18 @@ def _plan(exps: list) -> tuple:
     """(ranges, ahead) for experiments that draw alike (see `_draw_groups`):
     contiguous, block-aligned (first, count) replica ranges, one per usable
     CPU and each stepped in its own child, and whether a single range draws
-    its noise in a draw helper (see `_step_together`).  Only a lone
-    experiment of at least two blocks and `_SPLIT_MIN_WORK` replica-steps
-    splits, if each range's unfolded sums (see `_steps`) hold at most
-    `_CHUNK_VALUES` checkpoint-blocks per quantity; a least-squares one,
-    whose problem has a `design`, never does: its sums evaluate through
-    BLAS, whose rounding depends on the batch's row count (one row takes
-    gemv, not gemm).  A lone range draws ahead from `_HELPER_MIN_WORK`
+    its noise in a draw helper (see `_ahead`).  Only a lone experiment of
+    at least two blocks and `_SPLIT_MIN_WORK` replica-steps splits, if
+    each range's unfolded sums (see `_steps`) hold at most `_CHUNK_VALUES`
+    checkpoint-blocks per quantity; a least-squares one, whose problem has
+    a `design`, never does: its sums evaluate through BLAS, whose rounding
+    depends on the batch's row count (one row takes gemv, not gemm).  A lone range draws ahead from `_HELPER_MIN_WORK`
     replica-steps with a second usable CPU that the platform lets it pin
-    the helper to.  A forked child does neither."""
+    the helper to.  Only a process that owns its CPUs plans: a forked
+    child, whose siblings or caller run on the others, steps what it is
+    given in one range, in this process."""
     exp = exps[0]
     r_count, work = exp.effective, exp.effective * exp.cfg.horizon
-    whole = [(0, r_count)]
-    if _forked:
-        return whole, False
     cpus = _usable_cpus()
     blocks = -(-r_count // _BLOCK_REPLICAS)
     parts = min(cpus, blocks)
@@ -915,8 +911,8 @@ def _plan(exps: list) -> tuple:
             and len(exp.grid) * -(-blocks // parts) <= _CHUNK_VALUES):
         bounds = [_BLOCK_REPLICAS * (blocks * p // parts) for p in range(parts)] + [r_count]
         return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])], False
-    return whole, (len(exps) == 1 and work >= _HELPER_MIN_WORK and cpus >= 2
-                   and hasattr(os, "sched_setaffinity"))
+    return [(0, r_count)], (len(exps) == 1 and work >= _HELPER_MIN_WORK and cpus >= 2
+                            and hasattr(os, "sched_setaffinity"))
 
 
 def _stepped(exps: list) -> list:
@@ -928,7 +924,8 @@ def _stepped(exps: list) -> list:
     order as one range over every replica."""
     ranges, ahead = _plan(exps)
     whole = len(ranges) == 1
-    parts = _in_processes([partial(_step_range, exps, first, count, whole, ahead)
+    source = _ahead if ahead else _here
+    parts = _in_processes([partial(_step_range, exps, first, count, whole, source)
                            for first, count in ranges])
     if whole:
         return parts[0]
@@ -940,14 +937,17 @@ def _stepped(exps: list) -> list:
     return [(sum(r[0] for r in ranged), sums, [d for r in ranged for d in r[2]])]
 
 
-def _step_range(exps: list, first: int, count: int, fold: bool, ahead: bool) -> list:
+def _step_range(exps: list, first: int, count: int, fold: bool = True, source=_here,
+                lead: Optional[_Experiment] = None) -> list:
     """(counts, sums, diverged) of each of exps over replicas
     first..first+count-1 (see `_steps`), stepped through one draw of each
-    block, in a draw helper with ahead (see `_step_together`)."""
+    block from source (see `_step_together`).  The draws are those of
+    lead, by default exps[0]: a worker of a pooled sweep may have no cell
+    of a batch to step, and still draws its part of the batch's blocks."""
+    lead = lead or exps[0]
     steppers = [_steps(*e.engine_args(), count, None, first, fold) for e in exps]
-    lead = exps[0]
-    results = _step_together(lead.oracle, replica_streams(lead.cfg.seed, count, first),
-                             lead.cfg.horizon, steppers, ahead)
+    results = _step_together(lead.oracle, lead.cfg.seed, lead.cfg.horizon, first, count,
+                             steppers, source)
     return [r[:3] for r in results]
 
 
@@ -965,60 +965,34 @@ class _Exchange:
         self.draws = _shared_array((max(map(self._bytes, exps)),), np.uint8)
         self.done = _shared_array((workers,), bool)
         self.barrier = multiprocessing.get_context("fork").Barrier(workers)
-        self.caller = os.getpid()
-
-    def watch(self) -> None:
-        """In a worker, exit once the caller has died.  A worker waiting at
-        the barrier sends and receives nothing, so it would not learn that
-        its caller died after a sibling did, and would wait for ever; a
-        thread here polls for it (a Barrier's timed wait would break the
-        barrier for every worker)."""
-        def watching():
-            while os.getppid() == self.caller:
-                time.sleep(0.05)
-            os._exit(1)
-
-        threading.Thread(target=watching, daemon=True).start()
 
     @staticmethod
     def _bytes(exp: _Experiment) -> int:
         shape = _block_shape(exp.oracle, exp.effective, exp.cfg.horizon)
         return int(np.prod(shape)) * np.dtype(exp.oracle.raw_dtype).itemsize
 
-    def blocks(self, w: int, first: int, r_count: int, oracle, gens: list, horizon: int,
-               done):
-        """Yield each successive block of the raw noise of r_count
-        replicas, drawn by the workers together into one slot: worker w's
-        gens, the streams of replicas first..first+len(gens)-1, fill those
+    def blocks(self, w: int, oracle, seed: int, horizon: int, first: int, count: int,
+               books: list, done):
+        """Worker w's source of the blocks of raw noise of replicas
+        first..first+count-1 (see `_step_together`), which the W workers
+        draw together into one slot: worker w draws the w-th of W
+        contiguous parts of the replicas, from its own streams, into those
         columns (see `_draws`).  A block is yielded once every worker has
         drawn its part, and the slot is refilled once every worker has
         stepped through it, until the horizon or until done() held in
         every worker after the same block."""
-        shape = _block_shape(oracle, r_count, horizon)
+        workers = len(self.done)
+        lo, hi = count * w // workers, count * (w + 1) // workers
+        shape = _block_shape(oracle, count, horizon)
         slot = np.frombuffer(self.draws, oracle.raw_dtype, int(np.prod(shape))).reshape(shape)
-        for drawn in _draws(oracle, gens, horizon, [slot[:, first:first + len(gens)]]):
+        gens = replica_streams(seed, hi - lo, first + lo)
+        for drawn in _draws(oracle, gens, horizon, [slot[:, lo:hi]]):
             self.barrier.wait()   # every part drawn
             yield slot[:len(drawn)]
             self.done[w] = done()
             self.barrier.wait()   # every worker through the block
             if self.done.all():
                 return
-
-
-def _step_share(exps: list, w: int, exchange: _Exchange) -> list:
-    """(counts, sums, diverged) of exps[w::W], worker w's share of a batch
-    of experiments that draw alike, where W = len(exchange.done): each
-    steps every replica through the blocks that the W workers draw
-    together, worker w those of the w-th of W contiguous parts of the
-    replicas (see `_Exchange.blocks`)."""
-    lead, workers = exps[0], len(exchange.done)
-    r_count = lead.effective
-    first, end = r_count * w // workers, r_count * (w + 1) // workers
-    steppers = [_steps(*e.engine_args(), r_count, None) for e in exps[w::workers]]
-    results = _step_together(lead.oracle, replica_streams(lead.cfg.seed, end - first, first),
-                             lead.cfg.horizon, steppers,
-                             share=partial(exchange.blocks, w, first, r_count))
-    return [r[:3] for r in results]
 
 
 def run_experiment(cfg: ExperimentConfig, stepped=None) -> MonteCarloEstimate:
@@ -1341,13 +1315,12 @@ def _sweep_share(groups: list, w: int, workers: int, exchange) -> list:
     `sweep`).  groups holds each draw group's cells (see `_batches`).  A
     group of at least workers cells, if there are two or more, steps in
     batches, and worker w steps cells w, w + workers, ... of each through
-    blocks that the workers draw together (`_step_share`).  The cells of
-    smaller groups are dealt out in turn, group after group, and each
-    worker steps its cells of a group in batches (`_stepped`).  The shared
-    groups come first, so that no worker's dealt cells keep its siblings
-    waiting at the barrier."""
-    if exchange is not None:
-        exchange.watch()
+    blocks that the workers draw together (`_Exchange.blocks`).  The cells
+    of smaller groups are dealt out in turn, group after group, and each
+    worker steps its cells of a group in batches, each a range of every
+    replica drawn by itself; a lone share, in the caller, plans each batch
+    instead (`_stepped`).  The shared groups come first, so that no
+    worker's dealt cells keep its siblings waiting at the barrier."""
     def shared(cells):
         return len(cells) >= workers > 1
 
@@ -1356,11 +1329,15 @@ def _sweep_share(groups: list, w: int, workers: int, exchange) -> list:
     for cells in sorted(groups, key=shared, reverse=True):   # stable
         if shared(cells):
             for batch in _batches(cells, workers):
+                exps = [m[0][1] for m in batch]
                 rows += _rows(batch[w::workers],
-                              _step_share([m[0][1] for m in batch], w, exchange))
+                              _step_range(exps[w::workers], 0, exps[0].effective, True,
+                                          partial(exchange.blocks, w), exps[0]))
         else:
             for batch in _batches(cells[(w - dealt) % workers::workers], 1):
-                rows += _rows(batch, _stepped([m[0][1] for m in batch]))
+                exps = [m[0][1] for m in batch]
+                rows += _rows(batch, _stepped(exps) if workers == 1
+                              else _step_range(exps, 0, exps[0].effective))
             dealt += len(cells)
     return rows
 

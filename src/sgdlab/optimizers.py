@@ -51,7 +51,6 @@ from .errors import DivergenceError, ParameterError
 from .lyapunov import LyapunovScalars, checkpoint_coefficients, scalars_at
 from .oracles import GradientOracle, OracleSample
 from .problems import Problem, row_dot
-from .rng import replica_streams
 from .schedules import PowerSchedule
 
 METHODS = ("vsgd", "msgd_damped", "msgd_classical", "nasgd", "nesterov_classical")
@@ -355,8 +354,8 @@ def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
 
     stepper = _steps(problem, oracle, method, beta, alphas, mus, x0, grid, None, averaged,
                      f_star, 1, record)
-    _, _, diverged, (x, v, x_prev, avg) = _step_together(
-        oracle, replica_streams(seed, 1), iters, [stepper])[0]
+    _, _, diverged, (x, v, x_prev, avg) = _step_together(oracle, seed, iters, 0, 1,
+                                                         [stepper])[0]
     if diverged:
         raise DivergenceError(diverged[0][1])
     traj.final = IterState(k=iters, x=x[0], v=v[0], x_prev=x_prev[0])

@@ -379,6 +379,65 @@ def test_experiment_requires_a_source(capsys):
     assert "config file or --from-manifest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,ignored", [
+    (["CONFIG"], "the config file"),
+    (["--set", "run.horizon=7"], "--set run.horizon=7"),
+    (["CONFIG", "--set", "run.horizon=7"], "--set run.horizon=7"),
+], ids=["config", "set", "config-and-set"])
+def test_experiment_from_a_manifest_rejects_what_it_would_ignore(extra, ignored, config_path,
+                                                                 tmp_path, capsys):
+    first = tmp_path / "first"
+    assert main(["experiment", config_path, "--out", str(first)]) == 0
+    capsys.readouterr()
+    manifest = str(first / "manifest.json")
+    out = tmp_path / "out"
+    argv = ["experiment"] + [config_path if a == "CONFIG" else a for a in extra]
+    assert main(argv + ["--from-manifest", manifest, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--from-manifest" in err and ignored in err
+    assert not out.exists()
+    # --seed still replaces the manifest's seed.
+    assert main(["experiment", "--from-manifest", manifest, "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 5
+
+
+def test_classify_reports_an_overflowing_probe_as_a_usage_error(capsys):
+    argv = ["classify", "--alpha-c", "1e300", "--alpha-a", "0", "--horizon", "1000"]
+    assert main(argv) == 2
+    assert "error: schedule partial sums overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source,settings", [
+    ("config", {"horizon": 1}),
+    ("config", {"checkpoint_stride": 50}),   # the horizon: checkpoints 0 and 50
+    ("config", {"checkpoint_stride": 80}),
+    ("manifest", {"horizon": 1}),
+    ("manifest", {"checkpoint_stride": 50}),
+], ids=["horizon-1", "stride-at-horizon", "stride-past-horizon", "manifest-horizon-1",
+        "manifest-stride-at-horizon"])
+def test_an_experiment_of_two_checkpoints_fails_before_any_step(source, settings, config_path,
+                                                                tmp_path, monkeypatch, capsys):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr("sgdlab.harness._steps", no_step)
+    if source == "config":
+        argv = ["experiment", config_path]
+        for key, value in settings.items():
+            argv += ["--set", f"run.{key}={value}"]
+    else:
+        manifest = manifest_dict(make_cfg(horizon=50, checkpoint_stride=10))
+        manifest["config"].update(settings)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        argv = ["experiment", "--from-manifest", str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "at least 3 checkpoints" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lyapunov_writes_series_and_fit(config_path, tmp_path):
     out = tmp_path / "out"
     code = main(["lyapunov", config_path, "--out", str(out),
@@ -617,9 +676,9 @@ def test_a_sweep_worker_that_dies_while_its_sibling_waits_at_the_barrier_fails_t
     monkeypatch.setattr("sgdlab.harness._usable_cpus", lambda: 2)
     parent = os.getpid()
     marker = tmp_path / "waiting"
-    real_step_share = sgdlab.harness._step_share
+    real_blocks = sgdlab.harness._Exchange.blocks
 
-    def dying(exps, w, exchange):
+    def dying(exchange, w, *args):   # worker w's shared draws
         assert os.getpid() != parent, "a share ran in the test process"
         if w == 1:
             deadline = time.monotonic() + 20
@@ -628,9 +687,9 @@ def test_a_sweep_worker_that_dies_while_its_sibling_waits_at_the_barrier_fails_t
             if exchange.barrier.n_waiting == 1:
                 marker.touch()
             os._exit(1)
-        return real_step_share(exps, w, exchange)
+        yield from real_blocks(exchange, w, *args)
 
-    monkeypatch.setattr("sgdlab.harness._step_share", dying)
+    monkeypatch.setattr("sgdlab.harness._Exchange.blocks", dying)
     out = tmp_path / "out"
     t0 = time.monotonic()
     assert main(["sweep", sweep_path, "--out", str(out)]) == 3
@@ -856,18 +915,18 @@ import sgdlab.harness as harness
 from sgdlab.cli import main
 pid_dir, config, out = sys.argv[1:]
 harness._POOL_MIN_WORK, harness._usable_cpus = 0, lambda: 2
-real_step_share = harness._step_share
+real_blocks = harness._Exchange.blocks
 
-def step_share(exps, w, exchange):   # a worker: report, then share the draws
+def blocks(exchange, w, *args):   # a worker: report, then share the draws
     open(os.path.join(pid_dir, str(os.getpid())), "w").close()
     if w == 1:   # once the first waits for it, kill the caller and die
         while len(os.listdir(pid_dir)) < 2 or exchange.barrier.n_waiting < 1:
             time.sleep(0.01)
         os.kill(os.getppid(), signal.SIGKILL)
         os._exit(1)
-    return real_step_share(exps, w, exchange)
+    yield from real_blocks(exchange, w, *args)
 
-harness._step_share = step_share
+harness._Exchange.blocks = blocks
 main(["sweep", config, "--out", out])
 """
 
@@ -896,6 +955,62 @@ def test_a_sweep_worker_at_the_barrier_exits_once_its_caller_was_killed(sweep_pa
         os.kill(pid, signal.SIGKILL)
     if left:
         pytest.fail("a sweep worker outlived its killed caller")
+
+
+_STALLED_CALLER = """
+import dataclasses, os, signal, sys, time
+import sgdlab.harness as harness
+from sgdlab.cli import main
+from sgdlab.config import parse_config_file
+pid_dir, kind, config, out = sys.argv[1:]
+caller = os.getpid()
+harness._POOL_MIN_WORK, harness._SPLIT_MIN_WORK, harness._usable_cpus = 0, 0, lambda: 2
+
+def stalling(*args):   # a child: report, then stall in its range
+    open(os.path.join(pid_dir, str(os.getpid())), "w").close()
+    while len(os.listdir(pid_dir)) < 2:
+        time.sleep(0.01)
+    try:   # the first child to see both reported kills the caller
+        os.mkdir(pid_dir + ".killed")
+        os.kill(caller, signal.SIGKILL)
+    except FileExistsError:
+        pass
+    time.sleep(60)
+
+harness._step_range = stalling
+if kind == "experiment":   # two replica ranges
+    main(["experiment", config, "--out", out])
+else:   # two cells that draw apart, one dealt to each sweep worker
+    cfg = parse_config_file(config)
+    harness.sweep([cfg, dataclasses.replace(cfg, seed=cfg.seed + 1)])
+"""
+
+
+@pytest.mark.parametrize("kind", ["experiment", "sweep"],
+                         ids=["split-range", "dealt-sweep-worker"])
+def test_a_stalled_child_exits_once_its_caller_was_killed(kind, wide_path, tmp_path):
+    # Each child stalls in its range, where it neither sends nor receives,
+    # so only a watch on its caller can end it before the stall does.
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.run(
+            [sys.executable, "-c", _STALLED_CALLER, str(pids), kind, wide_path,
+             str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL, stderr=err,
+            timeout=60)
+    assert proc.returncode == -signal.SIGKILL, (tmp_path / "stderr").read_text()
+    children = [int(name) for name in os.listdir(pids)]
+    assert len(children) == 2
+    deadline = time.monotonic() + 5
+    while any(map(_running, children)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in children if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    if left:
+        pytest.fail("a stalled child outlived its killed caller")
 
 
 def test_pooled_sweep_cells_run_each_experiment_in_one_process(wide_path, tmp_path,

@@ -412,7 +412,7 @@ _LIMIT = harness._HELPER_MIN_WORK
     (2, _LIMIT // 100, 100, 41, "alone", [(0, _LIMIT // 100)], True),
     (2, 1, _LIMIT - 1, 41, "alone", [(0, 1)], False),
     (1, _LIMIT, 100, 41, "alone", [(0, _LIMIT)], False),
-    (2, _LIMIT, 100, 41, "forked", [(0, _LIMIT)], False),   # in a forked child
+    (2, _LIMIT, 100, 41, "alone", [(0, _LIMIT)], True),
     # A least-squares experiment runs as one range and may draw ahead; a
     # batch of several cells runs as one range and never does.
     (2, 600, 3400, 41, "least-squares", [(0, 600)], True),
@@ -421,7 +421,6 @@ _LIMIT = harness._HELPER_MIN_WORK
 def test_plan_splits_or_draws_ahead_only_where_it_pays(cpus, replicas, horizon, points, kind,
                                                        ranges, ahead, monkeypatch):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(harness, "_forked", kind == "forked")
     exp = SimpleNamespace(effective=replicas, cfg=SimpleNamespace(horizon=horizon),
                           grid=range(points),
                           problem=SimpleNamespace(design=object() if kind == "least-squares"
@@ -448,6 +447,30 @@ def test_a_batch_of_alike_cells_forks_nothing(monkeypatch):
     # The cells' lone twins do fork: one split child per range.
     assert sweep(cells[:1]) == SweepResult(rows=alone.rows[:1])
     assert forks == [1, 1]
+
+
+def test_a_child_forks_no_further(monkeypatch, tmp_path):
+    # With every threshold at 0, a lone cell in this process would split or
+    # start a draw helper; each worker of a pooled sweep of one-cell groups
+    # steps its dealt cell itself, so only the workers are forked.
+    cells = [make_cfg(replicas=300, horizon=200, checkpoint_stride=20, seed=seed)
+             for seed in (3, 4)]
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    alone = sweep(cells)
+    log = tmp_path / "forks"
+    real_fork = os.fork
+
+    def logging_fork():   # in every process
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", logging_fork)
+    for name in ("_POOL_MIN_WORK", "_SPLIT_MIN_WORK", "_HELPER_MIN_WORK"):
+        monkeypatch.setattr(harness, name, 0)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert sweep(cells) == alone
+    assert log.read_text().split() == [str(os.getpid())] * 2   # the two workers
 
 
 def _results_bytes(cfg):
@@ -638,8 +661,8 @@ def _stepped_in_one_process(engine_args, seed, replicas):
     whose leading `_steps` arguments are engine_args, each drawing from its
     own stream under seed, driven by `_step_together` in this process."""
     stepper = harness._steps(*engine_args, replicas, None)
-    return harness._step_together(engine_args[1], replica_streams(seed, replicas),
-                                  len(engine_args[4]), [stepper])[0]
+    return harness._step_together(engine_args[1], seed, len(engine_args[4]), 0, replicas,
+                                  [stepper])[0]
 
 
 def _simulate_in_one_process(cfg):
@@ -1054,19 +1077,19 @@ def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monke
             started.append(len(jobs))
         return [job() for job in jobs]
 
-    real_share, real_stepped = harness._sweep_share, harness._stepped
+    real_share, real_step_range = harness._sweep_share, harness._step_range
 
     def recording_share(*args):   # a worker's share: one list of tasks
         tasks.append([])
         return real_share(*args)
 
-    def recording_stepped(exps):
+    def recording_step_range(exps, *args):
         tasks[-1] += [(e.cfg.seed, e.cfg.schedule["alpha_a"]) for e in exps]
-        return real_stepped(exps)
+        return real_step_range(exps, *args)
 
     monkeypatch.setattr(harness, "_in_processes", recording)
     monkeypatch.setattr(harness, "_sweep_share", recording_share)
-    monkeypatch.setattr(harness, "_stepped", recording_stepped)
+    monkeypatch.setattr(harness, "_step_range", recording_step_range)
     cells = [make_cfg(horizon=20, replicas=2), make_cfg(horizon=20, replicas=2, seed=7)]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
     serial = sweep(cells)
