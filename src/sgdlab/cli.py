@@ -38,7 +38,7 @@ process.  The output does not depend on their number; small runs stay in
 one process, a worker or helper that dies fails the command with exit
 code 3, and each exits within about 50 ms once the command has died.
 `experiment --from-manifest` takes no config file or `--set` (only
-`--seed`), and an experiment needs 3 checkpoints for its summary.
+`--seed`); a grid or `--burn-in` unfit for the output fails before a step.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .errors import ConfigError, DivergenceError, ExperimentError, ParameterErro
 from .harness import (default_burn_in, estimates_csv, lyapunov_csv,
                       resolve_lyapunov, run_experiment, summary_dict, sweep,
                       sweep_csv)
-from .lyapunov import descent_fit
+from .lyapunov import check_fit_grid, descent_fit
 from .optimizers import checkpoint_grid, run, trajectory_csv, trajectory_json
 from .plotting import parse_estimates_csv, plot_file, svg_plot
 from .schedules import classify, make_power_schedule, numeric_probe
@@ -181,8 +181,9 @@ def cmd_lyapunov(args) -> int:
     cfg = _load_config(args)
     cfg.lyapunov = True
     cfg.checkpoint_stride = 1
-    est = run_experiment(cfg)
     burn_in = args.burn_in if args.burn_in is not None else default_burn_in(cfg.horizon)
+    check_fit_grid(checkpoint_grid(cfg.horizon, 1), burn_in)   # before any step
+    est = run_experiment(cfg)
     fit = descent_fit(est.lyap, burn_in)
     fit_json = asdict(fit)
     written = _write_outputs(args.out, {

@@ -35,9 +35,9 @@ trajectory), and copies x, grad f(x), v and xbar into a preallocated
 the current chunk, with chunk x replicas <= 16384 (fewer for states of
 more than 2 coordinates).  Reducing a chunk evaluates f(x), and f(xbar),
 in one call each on the whole chunk, then one set of numpy calls reduces
-it: gradient and velocity norms, the cross term, the energies and their
-increments (the last tilted energy carries into the next chunk), their
-squares and the block sums.  A chunk is reduced when it is full, before a
+it: a row of each quantity of `_QUANTITIES` that applies to the run (the
+last tilted energy carries into the next chunk), the squares of those it
+flags, and the block sums.  A chunk is reduced when it is full, before a
 divergence changes the alive mask (so one mask holds for every checkpoint
 of a chunk), and at the end of the run, in order: by the stepper's
 process, or by the draw helper.  None of this checkpoint work but the
@@ -104,7 +104,7 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Optional
 
@@ -164,6 +164,26 @@ _SPLIT_MIN_WORK = 2_000_000
 # (5-9 won), faster in 7 of 8 readings.  It lost at most 7 pairs of 10 at
 # 1 M and won at most 6 at 0.5 M, so the threshold stays.
 _HELPER_MIN_WORK = 1_000_000
+# The quantities each checkpoint reduces, in row order: (name, the runs it
+# applies to: "always", "averaged" or "energies", whether the sum of its
+# squares is kept).  An estimate holds mean_<name>, and se_<name> if squared.
+_QUANTITIES = (
+    ("grad_sq", "always", True),
+    ("gap", "always", True),
+    ("avg_gap", "averaged", True),
+    ("delta_ht", "energies", True),   # H~_k - H~ at the previous checkpoint
+    ("ht", "energies", False),
+    ("hbar", "energies", False),
+)
+
+
+def _sum_keys(averaged: bool, energies: bool) -> tuple:
+    """(names, keys): the names of the quantities that apply to a run, in
+    table order, and its sums' keys, those names and "sq_" + each squared."""
+    applies = {"always": True, "averaged": averaged, "energies": energies}
+    kept = [(name, squared) for name, when, squared in _QUANTITIES if applies[when]]
+    names = [name for name, _ in kept]
+    return names, names + ["sq_" + name for name, squared in kept if squared]
 
 
 @dataclass
@@ -316,11 +336,7 @@ class _Checkpoints:
 
     def __init__(self, problem, grid, tilts, averaged: bool, f_star: float,
                  r_count: int, dim: int, fold: bool):
-        squared = ["grad_sq", "gap"] + (["avg_gap"] if averaged else []) \
-            + (["delta_ht"] if tilts is not None else [])
-        names = squared + (["ht", "hbar"] if tilts is not None else [])
-        self.keys = names + ["sq_" + name for name in squared]
-        self.n_q, self.n_sq = len(names), len(squared)
+        self.names, self.keys = _sum_keys(averaged, tilts is not None)
         blocks = -(-r_count // _BLOCK_REPLICAS)
         self.totals = np.zeros((len(grid), len(self.keys)) + (() if fold else (blocks,)))
         self.counts = np.zeros(len(grid), dtype=np.int64)
@@ -394,25 +410,24 @@ class _Checkpoints:
         `problems`)."""
         xs, gs, vs, bs = self.slots[slot]
         gr = gs[:c]
-        f_star, n_q, n_sq = self.f_star, self.n_q, self.n_sq
         gsq = row_dot(gr, gr)
-        gap = self.problem.value(xs[:c]) - f_star
-        rows = [gsq, gap]
+        gap = self.problem.value(xs[:c]) - self.f_star
+        rows = {"grad_sq": gsq, "gap": gap}   # each quantity's (c, replicas) row
         if bs is not None:
-            rows.append(self.problem.value(bs[:c]) - f_star)
+            rows["avg_gap"] = self.problem.value(bs[:c]) - self.f_star
         if self.tilts is not None:
             _, hbar, _, ht = energies(gap, gsq, gr, vs[:c], self.tilts[first:first + c, None])
             dht = np.empty_like(ht)
             dht[0] = 0.0 if self.ht_prev is None else ht[0] - self.ht_prev
             np.subtract(ht[1:], ht[:-1], out=dht[1:])
-            rows += [dht, ht, hbar]
+            rows.update(delta_ht=dht, ht=ht, hbar=hbar)
             self.ht_prev = ht[-1]
-        out = self.vals[:c]
-        np.stack(rows, axis=1, out=out[:, :n_q])
+        out, q = self.vals[:c], len(self.names)
+        np.stack([rows[name] for name in self.names], axis=1, out=out[:, :q])
         # Squared from rows: columns of out squared into out would be
         # checked for overlap and copied first.
-        for i, row in enumerate(rows[:n_sq]):
-            np.multiply(row, row, out=out[:, n_q + i])
+        for i, key in enumerate(self.keys[q:], q):
+            np.square(rows[key.removeprefix("sq_")], out=out[:, i])
         sums = _block_sums(out, alive, _frozen_blocks(alive))
         if self.fold:
             _fold(self.totals[first:first + c], sums)
@@ -804,6 +819,8 @@ def _draw_ahead(conn, cpu: int, oracle, gens: list, horizon: int, slots: list,
 def _mean_se(s, q, n):
     n = n.astype(float)
     mean = s / n
+    if q is None:   # squares not summed: no standard error
+        return mean, None
     with np.errstate(invalid="ignore", divide="ignore"):
         var = np.where(n > 1, np.maximum(q - s * s / n, 0.0) / np.maximum(n - 1, 1), 0.0)
         se = np.sqrt(var / n)
@@ -862,7 +879,7 @@ class _Experiment:
         and the per-checkpoint sums and tilts."""
         r, dim, points = self.effective, len(self.cfg.x0), len(self.grid)
         lyap, avg = self.lyap_mode is not None, self.cfg.averaged
-        sums = 4 + 2 * avg + 4 * lyap
+        sums = len(_sum_keys(avg, lyap)[1])
         return (2 * self.cfg.horizon + 5 * r * dim
                 + _chunk(points, r, dim) * r * (sums + (2 + lyap + avg) * dim)
                 + points * (sums + 1 + lyap))
@@ -896,11 +913,12 @@ def _plan(exps: list) -> tuple:
     each range's unfolded sums (see `_steps`) hold at most `_CHUNK_VALUES`
     checkpoint-blocks per quantity; a least-squares one, whose problem has
     a `design`, never does: its sums evaluate through BLAS, whose rounding
-    depends on the batch's row count (one row takes gemv, not gemm).  A lone range draws ahead from `_HELPER_MIN_WORK`
-    replica-steps with a second usable CPU that the platform lets it pin
-    the helper to.  Only a process that owns its CPUs plans: a forked
-    child, whose siblings or caller run on the others, steps what it is
-    given in one range, in this process."""
+    depends on the batch's row count (one row takes gemv, not gemm).  A
+    lone range draws ahead from `_HELPER_MIN_WORK` replica-steps with a
+    second usable CPU that the platform lets it pin the helper to.  Only a
+    process that owns its CPUs plans: a forked child, whose siblings or
+    caller run on the others, steps what it is given in one range, in this
+    process."""
     exp = exps[0]
     r_count, work = exp.effective, exp.effective * exp.cfg.horizon
     cpus = _usable_cpus()
@@ -1004,7 +1022,7 @@ def run_experiment(cfg: ExperimentConfig, stepped=None) -> MonteCarloEstimate:
         exp = _prepare(cfg)
         stepped = exp, _stepped([exp])[0]
     exp, (n, sums, diverged) = stepped
-    cfg, grid, lyap_mode, schedule = exp.cfg, exp.grid, exp.lyap_mode, exp.schedule
+    cfg, grid, lyap_mode = exp.cfg, exp.grid, exp.lyap_mode
     diverged = sorted(diverged)
     diverged_count = len(diverged) if not exp.oracle.zero_noise else \
         len(diverged) * cfg.replicas
@@ -1017,40 +1035,23 @@ def run_experiment(cfg: ExperimentConfig, stepped=None) -> MonteCarloEstimate:
     if np.any(n == 0):
         raise ExperimentError("no replica survived to some checkpoint")
 
-    mean_gsq, se_gsq = _mean_se(sums["grad_sq"], sums["sq_grad_sq"], n)
-    mean_gap, se_gap = _mean_se(sums["gap"], sums["sq_gap"], n)
-    mean_avg = se_avg = None
-    if cfg.averaged:
-        mean_avg, se_avg = _mean_se(sums["avg_gap"], sums["sq_avg_gap"], n)
+    stats = {}   # mean_<name> and se_<name> of each quantity (see `_QUANTITIES`)
+    for name in _sum_keys(cfg.averaged, lyap_mode is not None)[0]:
+        stats["mean_" + name], stats["se_" + name] = _mean_se(sums[name],
+                                                              sums.get("sq_" + name), n)
+    stat_fields = lambda cls: {f.name: stats.get(f.name) for f in fields(cls)   # None if absent
+                               if f.name.startswith(("mean_", "se_"))}
 
     lyap_series = None
     if lyap_mode is not None:
         alphas, mus, _ = checkpoint_coefficients(grid, exp.alphas, exp.mus)
-        lyap_series = LyapunovSeries(
-            checkpoints=grid.copy(), alphas=alphas, mus=mus,
-            mean_ht=sums["ht"] / n,
-            mean_hbar=sums["hbar"] / n,
-            se_delta_ht=_mean_se(sums["delta_ht"], sums["sq_delta_ht"], n)[1],
-            replicas=cfg.replicas,
-            vanishing=lyap_mode[0] == "vanishing",
-        )
-
-    return MonteCarloEstimate(
-        checkpoints=grid,
-        mean_grad_sq=mean_gsq,
-        se_grad_sq=se_gsq,
-        mean_gap=mean_gap,
-        se_gap=se_gap,
-        mean_avg_gap=mean_avg,
-        se_avg_gap=se_avg,
-        lyap=lyap_series,
-        replicas=cfg.replicas,
-        diverged=diverged_count,
-        diverged_iterations=tuple(diverged),
-        config=cfg,
-        problem=exp.problem,
-        schedule=schedule,
-    )
+        lyap_series = LyapunovSeries(checkpoints=grid.copy(), alphas=alphas, mus=mus,
+                                     replicas=cfg.replicas, vanishing=lyap_mode[0] == "vanishing",
+                                     **stat_fields(LyapunovSeries))
+    return MonteCarloEstimate(checkpoints=grid, lyap=lyap_series, replicas=cfg.replicas,
+                              diverged=diverged_count, diverged_iterations=tuple(diverged),
+                              config=cfg, problem=exp.problem, schedule=exp.schedule,
+                              **stat_fields(MonteCarloEstimate))
 
 
 # ---------------------------------------------------------------------------
@@ -1162,13 +1163,15 @@ def _columns_csv(header: list, checkpoints, *columns) -> str:
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
+# The mean and SE columns of estimates.csv and summary.json's "final" entry.
+_ESTIMATE_COLUMNS = [f"{stat}_{name}" for name in _sum_keys(True, False)[0]
+                     for stat in ("mean", "se")]
+
+
 def estimates_csv(est: MonteCarloEstimate) -> str:
-    cols = ["checkpoint", "mean_grad_sq", "se_grad_sq", "mean_gap", "se_gap"]
-    values = [est.mean_grad_sq, est.se_grad_sq, est.mean_gap, est.se_gap]
-    if est.mean_avg_gap is not None:
-        cols += ["mean_avg_gap", "se_avg_gap"]
-        values += [est.mean_avg_gap, est.se_avg_gap]
-    return _columns_csv(cols, est.checkpoints, *values)
+    cols = [col for col in _ESTIMATE_COLUMNS if getattr(est, col) is not None]
+    return _columns_csv(["checkpoint"] + cols, est.checkpoints,
+                        *(getattr(est, col) for col in cols))
 
 
 def lyapunov_csv(est: MonteCarloEstimate) -> str:
@@ -1187,17 +1190,9 @@ def default_burn_in(horizon: int) -> int:
 
 def summary_dict(est: MonteCarloEstimate) -> dict:
     cfg = est.config
-    i = len(est.checkpoints) - 1
-    final = {
-        "checkpoint": int(est.checkpoints[i]),
-        "mean_grad_sq": float(est.mean_grad_sq[i]),
-        "se_grad_sq": float(est.se_grad_sq[i]),
-        "mean_gap": float(est.mean_gap[i]),
-        "se_gap": float(est.se_gap[i]),
-    }
-    if est.mean_avg_gap is not None:
-        final["mean_avg_gap"] = float(est.mean_avg_gap[i])
-        final["se_avg_gap"] = float(est.se_avg_gap[i])
+    final = {"checkpoint": int(est.checkpoints[-1])}
+    final.update((col, float(getattr(est, col)[-1])) for col in _ESTIMATE_COLUMNS
+                 if getattr(est, col) is not None)
     out = {
         "method": cfg.method,
         "horizon": cfg.horizon,
@@ -1241,22 +1236,19 @@ class SweepResult:
 
 
 _CELL_ERRORS = (ExperimentError, DivergenceError, ParameterError, ConfigError)
+# The mean and SE columns of sweep.csv, among `SweepRow`'s fields.
+_SWEEP_COLUMNS = [f"{stat}_{name}" for name in _sum_keys(False, False)[0]
+                  for stat in ("mean", "se")]
 
 
 def _sweep_row(cfg: ExperimentConfig, est=None, error=None) -> SweepRow:
     """A cell's row from its estimate, or from the error that failed it."""
-    a = float(cfg.schedule.get("alpha_a", 0.0))
-    b = float(cfg.schedule.get("mu_b", 0.0))
+    cell = dict(method=cfg.method, alpha_a=float(cfg.schedule.get("alpha_a", 0.0)),
+                mu_b=float(cfg.schedule.get("mu_b", 0.0)))
     if error is not None:
-        return SweepRow(method=cfg.method, alpha_a=a, mu_b=b, status="failed",
-                        error=str(error))
-    i = len(est.checkpoints) - 1
-    return SweepRow(
-        method=cfg.method, alpha_a=a, mu_b=b, status="ok",
-        mean_grad_sq=float(est.mean_grad_sq[i]),
-        se_grad_sq=float(est.se_grad_sq[i]),
-        mean_gap=float(est.mean_gap[i]),
-        se_gap=float(est.se_gap[i]))
+        return SweepRow(**cell, status="failed", error=str(error))
+    return SweepRow(**cell, status="ok",
+                    **{col: float(getattr(est, col)[-1]) for col in _SWEEP_COLUMNS})
 
 
 def _draw_groups(configs: list) -> list:
@@ -1400,12 +1392,12 @@ def sweep(configs: list[ExperimentConfig]) -> SweepResult:
 
 
 def sweep_csv(result: SweepResult) -> str:
-    lines = ["method,alpha_a,mu_b,status,mean_grad_sq,se_grad_sq,mean_gap,se_gap,error"]
+    lines = [",".join(["method", "alpha_a", "mu_b", "status", *_SWEEP_COLUMNS, "error"])]
     for r in result.rows:
         fmt = lambda v: "" if v is None else repr(v)
         lines.append(",".join([
             r.method, repr(r.alpha_a), repr(r.mu_b), r.status,
-            fmt(r.mean_grad_sq), fmt(r.se_grad_sq), fmt(r.mean_gap), fmt(r.se_gap),
+            *(fmt(getattr(r, col)) for col in _SWEEP_COLUMNS),
             '"%s"' % r.error.replace('"', "'") if r.error else "",
         ]))
     return "\n".join(lines) + "\n"

@@ -138,6 +138,18 @@ class DescentFit:
     status: str = "ok"   # "ok" or "inconclusive" (degenerate regressors)
 
 
+def check_fit_grid(ks, burn_in: int) -> int:
+    """burn_in as an int, once it and the checkpoint grid ks admit a descent
+    fit; neither depends on a run, so a command checks them before it steps."""
+    if len(ks) < 10:
+        raise ParameterError("descent fit needs at least 10 checkpoints")
+    if np.any(np.diff(ks) != 1):
+        raise ParameterError("descent fit requires a stride-1 checkpoint grid")
+    if not 0 <= int(burn_in) < int(ks[-1]) / 2:
+        raise ParameterError(f"burn_in must lie in [0, horizon/2), got {int(burn_in)}")
+    return int(burn_in)
+
+
 def descent_fit(series: LyapunovSeries, burn_in: int) -> DescentFit:
     """Fit the descent bound constants (K, C) to recorded checkpoint means.
 
@@ -165,14 +177,7 @@ def descent_fit(series: LyapunovSeries, burn_in: int) -> DescentFit:
     unobserved intermediate terms.
     """
     ks = np.asarray(series.checkpoints, dtype=int)
-    if ks.size < 10:
-        raise ParameterError("descent fit needs at least 10 checkpoints")
-    if np.any(np.diff(ks) != 1):
-        raise ParameterError("descent fit requires a stride-1 checkpoint grid")
-    burn_in = int(burn_in)
-    horizon = int(ks[-1])
-    if not 0 <= burn_in < horizon / 2:
-        raise ParameterError(f"burn_in must lie in [0, horizon/2), got {burn_in}")
+    burn_in = check_fit_grid(ks, burn_in)
     if series.replicas < 2:
         raise ParameterError("descent fit needs means from at least 2 replicas")
     for name in ("mean_ht", "mean_hbar", "se_delta_ht", "alphas", "mus"):

@@ -147,16 +147,17 @@ def numeric_probe(s: PowerSchedule, horizon: int) -> PartialSumReport:
     if horizon < 10:
         raise ParameterError(f"probe horizon must be >= 10, got {horizon}")
     alphas = s.alphas(horizon)
-    sum_alpha = float(np.sum(alphas))
-    sum_alpha_sq = float(np.sum(alphas * alphas))
-    tail_product = float(alphas[-1] * sum_alpha_sq)
-    if s.coeff_mu > 0.0:
-        mus = s.mus(horizon)
-        ratio_alpha_mu = float(alphas[-1] / mus[-1])
-        sum_alpha_mu = float(np.sum(alphas * mus))
-    else:
-        ratio_alpha_mu = 0.0
-        sum_alpha_mu = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_alpha = float(np.sum(alphas))
+        sum_alpha_sq = float(np.sum(alphas * alphas))
+        tail_product = float(alphas[-1] * sum_alpha_sq)
+        if s.coeff_mu > 0.0:
+            mus = s.mus(horizon)
+            ratio_alpha_mu = float(alphas[-1] / mus[-1])
+            sum_alpha_mu = float(np.sum(alphas * mus))
+        else:
+            ratio_alpha_mu = 0.0
+            sum_alpha_mu = 0.0
     values = (sum_alpha, sum_alpha_sq, tail_product, ratio_alpha_mu, sum_alpha_mu)
     if not all(np.isfinite(v) for v in values):
         raise OverflowError("schedule partial sums overflow at this horizon")

@@ -402,6 +402,7 @@ def test_experiment_from_a_manifest_rejects_what_it_would_ignore(extra, ignored,
     assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 5
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_classify_reports_an_overflowing_probe_as_a_usage_error(capsys):
     argv = ["classify", "--alpha-c", "1e300", "--alpha-a", "0", "--horizon", "1000"]
     assert main(argv) == 2
@@ -435,6 +436,24 @@ def test_an_experiment_of_two_checkpoints_fails_before_any_step(source, settings
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert "at least 3 checkpoints" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--set", "run.horizon=2000", "--burn-in", "1000"], "burn_in must lie in [0, horizon/2)"),
+    (["--set", "run.horizon=8"], "descent fit needs at least 10 checkpoints"),
+], ids=["burn-in", "short-horizon"])
+def test_lyapunov_rejects_a_bad_fit_grid_before_any_step(extra, message, config_path,
+                                                         tmp_path, monkeypatch, capsys):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr("sgdlab.harness._steps", no_step)
+    out = tmp_path / "out"
+    argv = ["lyapunov", config_path, "--set", "run.method=msgd_damped",
+            "--set", "schedule.mu=1.0, 0.0", "--out", str(out)]
+    assert main(argv + extra) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1165,18 +1165,63 @@ def test_alike_cells_draw_each_block_once(monkeypatch):
                     problem={"kind": "quadratic", "spectrum": [4.0]})),
     make_cfg(problem={"kind": "quadratic", "spectrum": [1.0, 2.0, 4.0]}, x0=[1.0, 2.0, 3.0],
              checkpoint_stride=1, replicas=300, horizon=100),
-], ids=["chunk-of-the-whole-grid", "one-coordinate", "three-coordinates"])
+    make_cfg(averaged=True, checkpoint_stride=1, replicas=300, horizon=100),
+    make_cfg(schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU},
+             **dict(_LYAP_STRIDE1, replicas=300, horizon=100)),
+], ids=["chunk-of-the-whole-grid", "one-coordinate", "three-coordinates", "averaged-only",
+        "energies-only"])
 def test_experiment_values_count_the_checkpoint_buffers_it_allocates(cfg):
     # A sweep batches cells by values(), so it must count exactly the arrays
     # that _Checkpoints allocates: its buffers (x, grad f(x), and v and xbar
     # as held), the reduced rows and the totals.
     exp = harness._prepare(cfg)
-    r, dim = exp.effective, len(cfg.x0)
+    ck = _assert_values_count_the_allocation(exp)
+    assert 1 < ck.chunk <= len(exp.grid)
+
+
+def _assert_values_count_the_allocation(exp):
+    """Assert that exp.values() counts the arrays its stepper allocates;
+    return the stepper's _Checkpoints."""
+    r, dim = exp.effective, len(exp.cfg.x0)
     ck = next(harness._steps(*exp.engine_args(), r, None))
     held = sum(buf.size for buf in ck.slots[0] + [ck.vals, ck.totals, ck.counts, ck.tilts]
                if buf is not None)
     assert exp.values() == 2 * len(exp.alphas) + 5 * r * dim + held
-    assert 1 < ck.chunk <= len(exp.grid)
+    return ck
+
+
+def test_a_quantity_flagged_squared_in_the_table_adds_only_its_sum_of_squares(monkeypatch):
+    # The table of checkpoint quantities is the one place that says which
+    # sums a run keeps: flagging hbar's squares adds "sq_hbar" to the sums
+    # and to values(), and leaves every other sum's bits, and every output,
+    # as they were.
+    cfg = make_cfg(schedule={"alpha_c": 0.5, "alpha_a": 0.7, **_CONSTANT_MU}, averaged=True,
+                   **dict(_LYAP_STRIDE1, replicas=300, horizon=100))
+
+    def stepped():
+        exp = harness._prepare(cfg)
+        return exp, harness._step_range([exp], 0, exp.effective)[0]
+
+    def outputs():
+        est = run_experiment(cfg)
+        return estimates_csv(est), lyapunov_csv(est), summary_dict(est)
+
+    _, (counts, sums, _) = stepped()
+    before = outputs()
+    flipped = tuple((name, when, squared or name == "hbar")
+                    for name, when, squared in harness._QUANTITIES)
+    assert flipped != harness._QUANTITIES
+    monkeypatch.setattr(harness, "_QUANTITIES", flipped)
+    exp, (flipped_counts, flipped_sums, _) = stepped()
+    assert list(flipped_sums) == list(sums) + ["sq_hbar"]
+    assert flipped_counts.tobytes() == counts.tobytes()
+    for key, total in sums.items():
+        assert flipped_sums[key].tobytes() == total.tobytes(), key
+    # Each checkpoint's sum of squares bounds its squared sum over n.
+    hbar, sq_hbar = flipped_sums["hbar"], flipped_sums["sq_hbar"]
+    assert np.all(sq_hbar * counts >= hbar * hbar * (1 - 1e-12))
+    _assert_values_count_the_allocation(exp)
+    assert outputs() == before
 
 
 def _alone(cfg):

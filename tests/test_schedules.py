@@ -111,7 +111,7 @@ def test_probe_reports_exact_zeros_without_damping():
 
 
 def test_probe_overflow_and_short_horizon_are_rejected():
-    with np.errstate(over="ignore"), pytest.raises(OverflowError):
+    with pytest.raises(OverflowError):
         numeric_probe(PowerSchedule(1e308, 0.0), 1000)
     with pytest.raises(ParameterError):
         numeric_probe(PowerSchedule(1.0, 0.5), 9)
