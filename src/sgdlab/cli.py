@@ -152,11 +152,13 @@ def cmd_experiment(args) -> int:
         cfg = _load_config(args)
     else:
         raise ConfigError("experiment needs a config file or --from-manifest")
-    points = len(checkpoint_grid(cfg.horizon, cfg.checkpoint_stride))
-    if points < 3:   # checked before any step, not by the summary's probe
+    grid = checkpoint_grid(cfg.horizon, cfg.checkpoint_stride)
+    if len(grid) < 3:   # checked before any step, not by the summary's probe
         raise ConfigError(f"experiment needs at least 3 checkpoints for its liminf probe; "
                           f"horizon {cfg.horizon} at checkpoint_stride "
-                          f"{cfg.checkpoint_stride} gives {points}")
+                          f"{cfg.checkpoint_stride} gives {len(grid)}")
+    if cfg.lyapunov and cfg.checkpoint_stride == 1:   # other strides fail validation
+        check_fit_grid(grid, default_burn_in(cfg.horizon))   # the summary's descent fit
     est = run_experiment(cfg)
     summary = summary_dict(est)
     csv_text = estimates_csv(est)

@@ -96,9 +96,11 @@ def _read_number(text: str):
 
 
 def _read_numbers(text: str) -> list:
-    """A list of floats: JSON, or comma/space separated, braces tolerated."""
+    """A list of floats: JSON, or comma/space separated, braces tolerated.
+    A JSON value that is no number (true, a string) stays as it is, for
+    `_is_numbers` to reject."""
     if text.startswith("["):
-        return [float(v) for v in json.loads(text)]
+        return [float(v) if _is_number(v) else v for v in json.loads(text)]
     return [float(p) for p in text.strip("{}()").replace(",", " ").split()]
 
 

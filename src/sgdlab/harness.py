@@ -715,22 +715,14 @@ def _ahead(oracle, seed: int, horizon: int, first: int, count: int, books: list,
     (see `_Checkpoints`); the helper reduces it between two replicas'
     draws, or at once if it is waiting, and acknowledges it.  So this
     process only steps.  The helper is a child of `_children`, stopped
-    once the stepper is done or on an error.
-
-    While the helper runs, it has one of this process's CPUs and the caller
-    the others.  Left to the scheduler, the two were seen to share one CPU
-    for whole benchmark runs, taking turns, while the other CPU idled."""
+    once the stepper is done or on an error.  Both run on the CPUs this
+    process was given, as split ranges and sweep workers do."""
     slots = list(_shared_array((2,) + _block_shape(oracle, count, horizon), oracle.raw_dtype))
     books[0].share()
-    cpus = os.sched_getaffinity(0)
-    helper = (max(cpus), oracle, replica_streams(seed, count, first), horizon, slots, books[0])
-    try:
-        with _children(_draw_ahead, [helper]) as children:
-            os.sched_setaffinity(0, cpus - {max(cpus)})
-            books[0].helper = _Helper(*children[0])
-            yield from books[0].helper.blocks(slots, -(-horizon // len(slots[0])), done)
-    finally:
-        os.sched_setaffinity(0, cpus)
+    helper = (oracle, replica_streams(seed, count, first), horizon, slots, books[0])
+    with _children(_draw_ahead, [helper]) as children:
+        books[0].helper = _Helper(*children[0])
+        yield from books[0].helper.blocks(slots, -(-horizon // len(slots[0])), done)
 
 
 class _Helper:
@@ -777,17 +769,16 @@ class _Helper:
             self._receive()
 
 
-def _draw_ahead(conn, cpu: int, oracle, gens: list, horizon: int, slots: list,
+def _draw_ahead(conn, oracle, gens: list, horizon: int, slots: list,
                 books: _Checkpoints) -> None:
-    """The draw helper's loop (see `_ahead`), on CPU `cpu`: draw the blocks
-    into the two slots in turn and send each block's length, refilling a
-    slot only once the caller has freed it.  Between two replicas' draws,
-    while it waits for a slot and after the last block, reduce each chunk
-    of books that the caller hands over, in order, and send None for it.
-    The caller stops it."""
+    """The draw helper's loop (see `_ahead`): draw the blocks into the two
+    slots in turn and send each block's length, refilling a slot only once
+    the caller has freed it.  Between two replicas' draws, while it waits
+    for a slot and after the last block, reduce each chunk of books that
+    the caller hands over, in order, and send None for it.  The caller
+    stops it."""
     import select   # only a draw helper polls
 
-    os.sched_setaffinity(0, {cpu})
     pending = select.poll()
     pending.register(conn, select.POLLIN)
     freed = 0   # draw slots freed and not yet refilled
@@ -915,10 +906,9 @@ def _plan(exps: list) -> tuple:
     a `design`, never does: its sums evaluate through BLAS, whose rounding
     depends on the batch's row count (one row takes gemv, not gemm).  A
     lone range draws ahead from `_HELPER_MIN_WORK` replica-steps with a
-    second usable CPU that the platform lets it pin the helper to.  Only a
-    process that owns its CPUs plans: a forked child, whose siblings or
-    caller run on the others, steps what it is given in one range, in this
-    process."""
+    second usable CPU.  Only a process that owns its CPUs plans: a forked
+    child, whose siblings or caller run on the others, steps what it is
+    given in one range, in this process."""
     exp = exps[0]
     r_count, work = exp.effective, exp.effective * exp.cfg.horizon
     cpus = _usable_cpus()
@@ -929,8 +919,7 @@ def _plan(exps: list) -> tuple:
             and len(exp.grid) * -(-blocks // parts) <= _CHUNK_VALUES):
         bounds = [_BLOCK_REPLICAS * (blocks * p // parts) for p in range(parts)] + [r_count]
         return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])], False
-    return [(0, r_count)], (len(exps) == 1 and work >= _HELPER_MIN_WORK and cpus >= 2
-                            and hasattr(os, "sched_setaffinity"))
+    return [(0, r_count)], len(exps) == 1 and work >= _HELPER_MIN_WORK and cpus >= 2
 
 
 def _stepped(exps: list) -> list:

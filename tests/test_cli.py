@@ -439,18 +439,23 @@ def test_an_experiment_of_two_checkpoints_fails_before_any_step(source, settings
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra,message", [
-    (["--set", "run.horizon=2000", "--burn-in", "1000"], "burn_in must lie in [0, horizon/2)"),
-    (["--set", "run.horizon=8"], "descent fit needs at least 10 checkpoints"),
-], ids=["burn-in", "short-horizon"])
-def test_lyapunov_rejects_a_bad_fit_grid_before_any_step(extra, message, config_path,
+@pytest.mark.parametrize("command,extra,message", [
+    ("lyapunov", ["--set", "run.horizon=2000", "--burn-in", "1000"],
+     "burn_in must lie in [0, horizon/2)"),
+    ("lyapunov", ["--set", "run.horizon=8"], "descent fit needs at least 10 checkpoints"),
+    # the summary's descent fit, on an experiment with energies
+    ("experiment", ["--set", "run.horizon=8", "--set", "run.lyapunov=true",
+                    "--set", "run.checkpoint_stride=1"],
+     "descent fit needs at least 10 checkpoints"),
+], ids=["burn-in", "short-horizon", "experiment-short-horizon"])
+def test_lyapunov_rejects_a_bad_fit_grid_before_any_step(command, extra, message, config_path,
                                                          tmp_path, monkeypatch, capsys):
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran")
 
     monkeypatch.setattr("sgdlab.harness._steps", no_step)
     out = tmp_path / "out"
-    argv = ["lyapunov", config_path, "--set", "run.method=msgd_damped",
+    argv = [command, config_path, "--set", "run.method=msgd_damped",
             "--set", "schedule.mu=1.0, 0.0", "--out", str(out)]
     assert main(argv + extra) == 2
     assert message in capsys.readouterr().err
@@ -1085,7 +1090,7 @@ def test_a_dead_draw_helper_fails_the_experiment(long_path, tmp_path, monkeypatc
     _force_helper(monkeypatch)
     marker = tmp_path / "drawn"
 
-    def dying(conn, cpu, oracle, gens, horizon, slots, books):
+    def dying(conn, oracle, gens, horizon, slots, books):
         # Sends the first block, then dies while drawing the second.
         conn.send(len(next(sgdlab.harness._draws(oracle, gens, horizon, slots))))
         marker.touch()
@@ -1204,6 +1209,33 @@ def test_an_interrupted_experiment_stops_its_draw_helper(long_path, tmp_path, mo
     assert multiprocessing.active_children() == [], info
     with pytest.raises(ProcessLookupError):   # terminated and reaped
         os.kill(int(pid_file.read_text()), 0)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity call")
+def test_the_draw_helper_and_its_caller_keep_the_callers_cpus(long_path, tmp_path,
+                                                              monkeypatch):
+    _force_helper(monkeypatch)
+    cpus = os.sched_getaffinity(0)
+    seen = tmp_path / "helper"
+
+    def report(*args):   # the helper's CPUs, from its first reduce
+        if not seen.exists():
+            seen.write_text(json.dumps(sorted(os.sched_getaffinity(0))))
+
+    monkeypatch.setattr("sgdlab.harness._Checkpoints.reduce", _in_helper(os.getpid(), report))
+    real_blocks = sgdlab.harness._Helper.blocks
+    caller = []
+
+    def recording(*args):   # the caller's CPUs at the first block
+        for block in real_blocks(*args):
+            caller.append(os.sched_getaffinity(0))
+            yield block
+
+    monkeypatch.setattr("sgdlab.harness._Helper.blocks", recording)
+    assert main(["lyapunov", long_path, "--out", str(tmp_path / "out")]) == 0
+    assert caller[0] == cpus
+    assert os.sched_getaffinity(0) == cpus
+    assert set(json.loads(seen.read_text())) == cpus
 
 
 @pytest.mark.parametrize("command,path", [("experiment", "wide_path"),

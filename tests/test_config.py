@@ -255,6 +255,28 @@ def test_a_sweep_leaves_its_base_config_unchanged(tmp_path):
     assert len({id(s) for s in schedules}) == len(schedules)
 
 
+@pytest.mark.parametrize("via", ["file", "set"])
+@pytest.mark.parametrize("value", ['[3, true]', '[3, "1"]'], ids=["true", "string"])
+@pytest.mark.parametrize("section,key,line", [
+    ("run", "x0", "x0 = 2.0, -1.0"),
+    ("schedule", "alpha", "alpha = 0.5, 0.6   # c, a"),
+    ("sweep", "alpha_a", None),
+], ids=["x0", "alpha", "sweep-alpha_a"])
+def test_a_json_list_rejects_a_value_that_is_no_number(section, key, line, value, via,
+                                                       tmp_path):
+    text = BASE_INI + ("\n[sweep]\nmethods = vsgd\n" if section == "sweep" else "")
+    overrides = []
+    if via == "set":
+        overrides.append(f"{section}.{key}={value}")
+    elif line is None:
+        text += f"{key} = {value}\n"
+    else:
+        text = text.replace(line, f"{key} = {value}")
+    parse = parse_sweep_file if section == "sweep" else parse_config_file
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be a list of numbers"):
+        parse(_write(tmp_path, text), overrides)
+
+
 def test_the_readme_grammar_names_exactly_the_keys_of_the_type_table():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("### Config grammar", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
