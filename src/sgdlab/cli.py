@@ -29,14 +29,16 @@ Overrides: `--set section.key=value` (repeatable) applies after parsing;
 
 `sweep` gives its cells the same noise streams on purpose (common random
 numbers): cells that draw alike step together in memory-bounded batches,
-each of which draws each block of noise once, and each usable CPU runs a
-share of the cells in a worker process.  `experiment` and `lyapunov`
-split a wide experiment's replicas over the CPUs, and have a helper
-process on a second CPU draw a long narrow run's noise and reduce its
-checkpoints while the command steps; a worker or helper starts no
-process.  The output does not depend on their number; small runs stay in
-one process, a worker or helper that dies fails the command with exit
-code 3, and each exits within about 50 ms once the command has died.
+each of which draws each block of noise once and is planned as an
+experiment is; a large batch's cells are shared by a pool of worker
+processes, one per usable CPU, and the command builds every row.
+`experiment` and `lyapunov` split a wide experiment's replicas over the
+CPUs, and have a helper process on a second CPU draw a long narrow run's
+noise and reduce its checkpoints while the command steps; a worker or
+helper starts no process.  The output does not depend on their number;
+small runs stay in one process, a worker or helper that dies fails the
+command with exit code 3, and each exits within about 50 ms once the
+command has died.
 `experiment --from-manifest` takes no config file or `--set` (only
 `--seed`); a grid or `--burn-in` unfit for the output fails before a step.
 """

@@ -49,10 +49,12 @@ reductions depend neither on the replica array's width nor on the chunk
 length.
 
 Processes: every process the engine starts is a child forked by `_fork`
-in `_children`, which stops and reaps it however the caller exits.  Only
-the process that owns its CPUs plans their use (`_plan`), so a child
-forks no further.  `_in_processes` runs a list of jobs, each in its own
-child if there are two or more, and collects their results in order.
+in `_children`, which stops and reaps it however the caller exits.
+`_stepped` steps every batch of experiments that draw alike, a lone
+experiment or a batch of a sweep's cells, as `_plan`, the one planner,
+lays it out.  Only the caller plans, so a child forks no further.
+`_in_processes` runs a list of jobs, each in its own child if there are
+two or more, and collects their results in order.
 Every range of replicas is stepped by one call, `_step_range`; a
 replica's Philox stream gives the same bits in any process, so where its
 noise is drawn is an argument of the call (see `_step_together`).  One
@@ -75,13 +77,12 @@ and counts the chunks reduced.  The cells of a sweep share their noise on
 purpose (common random numbers): cells that draw alike step together as
 one range, a memory-bounded batch at a time, each batch draws each block
 of noise once, and cells that would step alike are stepped once.  Once
-its work pays for them, a sweep runs one worker per usable CPU, each in a
-child (see `sweep`).  The workers share a group of at least as many cells
-as there are of them: for each block of a batch, each draws its
-contiguous part of the replicas into one shared slot, all wait at a
-barrier, each steps its share of the cells through the whole block, and
-all wait again before the slot is refilled.  The cells of smaller groups
-are dealt out, and each worker draws for itself.  Every child has a
+its work pays for them, a batch of cells runs in a pool of one worker
+per usable CPU and per cell, each in a child: for each block, each
+worker draws its contiguous part of the replicas into one shared slot,
+all wait at a barrier, each steps its share of the cells through the
+whole block, and all wait again before the slot is refilled (see
+`_Exchange`).  Every child has a
 duplex pipe to its caller, which waits on all of them at once, in short
 polls, so that an interrupt ends any wait for a child and a child that
 dies is seen even while its siblings block at the barrier.  A child that
@@ -129,15 +130,16 @@ _RAW_BLOCK = 1024       # iterations of raw noise pre-drawn per replica, at most
 # range's unfolded sums hold at most this many checkpoint-blocks per
 # quantity.
 _CHUNK_VALUES = 32768
-# A sweep of less work than this (replicas simulated x horizon summed over
-# the cells it steps, each distinct cell once) runs in-process: below it,
-# starting workers (about 25 ms on a 2-vCPU host to import
-# multiprocessing, fork two and join them) can cost more than two workers
-# save on small least-squares cells, which run about 0.6 M replica-steps/s.
+# A batch of cells of less work than this (replicas simulated x horizon x
+# cells, each distinct cell once) runs in-process: below it, starting a
+# pool (about 25 ms on a 2-vCPU host to import multiprocessing, fork two
+# workers and join them) can cost more than two workers save on small
+# least-squares cells, which run about 0.6 M replica-steps/s.
 _POOL_MIN_WORK = 100_000
-# A sweep steps the cells of a draw group together in batches in which each
-# worker's experiments hold at most this many floats (8 MB), each batch
-# drawing the group's noise once.
+# A sweep steps the cells of a draw group together in batches, each drawing
+# the group's noise once, in which each share of up to one per usable CPU
+# (see `_batches`) holds at most this many floats (8 MB); a batch below
+# `_POOL_MIN_WORK` holds all its shares in one process.
 _GROUP_VALUES = 1 << 20
 # An experiment of less work than this (replicas x horizon) runs in one
 # process.  The split costs an import of multiprocessing, a fork and a join
@@ -542,7 +544,7 @@ def _in_processes(jobs: list) -> list:
     `_children`) and sends its result back.  It waits on every child's
     pipe at once, in short polls (see `_received`), so that a child that
     dies fails the call even while a sibling blocks waiting for it, as the
-    workers of a pooled sweep do at their barrier (see `sweep`)."""
+    workers of a pool do at their barrier (see `_Exchange`)."""
     if len(jobs) < 2:
         return [job() for job in jobs]
     from multiprocessing.connection import wait
@@ -678,7 +680,7 @@ def _step_together(oracle, seed: int, horizon: int, first: int, count: int, step
     (done()).  The source owns the replica streams, and it stops at the
     horizon or once done() holds; `_here` draws in this process, `_ahead`
     in a draw helper, and `_Exchange.blocks` together with the other
-    workers of a pooled sweep.  It is closed however the steppers end,
+    workers of a pool.  It is closed however the steppers end,
     which stops a draw helper."""
     books = [next(stepper) for stepper in steppers]
     results = [None] * len(steppers)
@@ -716,7 +718,7 @@ def _ahead(oracle, seed: int, horizon: int, first: int, count: int, books: list,
     draws, or at once if it is waiting, and acknowledges it.  So this
     process only steps.  The helper is a child of `_children`, stopped
     once the stepper is done or on an error.  Both run on the CPUs this
-    process was given, as split ranges and sweep workers do."""
+    process was given, as split ranges and pool workers do."""
     slots = list(_shared_array((2,) + _block_shape(oracle, count, horizon), oracle.raw_dtype))
     books[0].share()
     helper = (oracle, replica_streams(seed, count, first), horizon, slots, books[0])
@@ -896,40 +898,56 @@ def _prepare(cfg: ExperimentConfig, like: Optional[_Experiment] = None) -> _Expe
 
 
 def _plan(exps: list) -> tuple:
-    """(ranges, ahead) for experiments that draw alike (see `_draw_groups`):
-    contiguous, block-aligned (first, count) replica ranges, one per usable
-    CPU and each stepped in its own child, and whether a single range draws
-    its noise in a draw helper (see `_ahead`).  Only a lone experiment of
-    at least two blocks and `_SPLIT_MIN_WORK` replica-steps splits, if
+    """(ranges, ahead, pool) for experiments that draw alike (see
+    `_draw_groups`): contiguous, block-aligned (first, count) replica
+    ranges, each stepped in its own child if there are two or more; whether
+    a single range draws its noise in a draw helper (see `_ahead`); and the
+    number of workers in a pool that share the experiments, 1 for none.  A
+    batch of two or more experiments runs as one range, in a pool of one
+    worker per usable CPU and per experiment if its work (replicas x
+    horizon x experiments) is at least `_POOL_MIN_WORK`, and in this
+    process otherwise.  Only a lone experiment of at least two blocks and
+    `_SPLIT_MIN_WORK` replica-steps splits, one range per usable CPU, if
     each range's unfolded sums (see `_steps`) hold at most `_CHUNK_VALUES`
     checkpoint-blocks per quantity; a least-squares one, whose problem has
     a `design`, never does: its sums evaluate through BLAS, whose rounding
     depends on the batch's row count (one row takes gemv, not gemm).  A
     lone range draws ahead from `_HELPER_MIN_WORK` replica-steps with a
-    second usable CPU.  Only a process that owns its CPUs plans: a forked
-    child, whose siblings or caller run on the others, steps what it is
-    given in one range, in this process."""
+    second usable CPU.  Only the caller plans (see `_stepped`): a child
+    steps what it is given in this process."""
     exp = exps[0]
-    r_count, work = exp.effective, exp.effective * exp.cfg.horizon
+    r_count, work = exp.effective, exp.effective * exp.cfg.horizon * len(exps)
     cpus = _usable_cpus()
+    if len(exps) > 1:
+        return [(0, r_count)], False, (min(cpus, len(exps)) if work >= _POOL_MIN_WORK else 1)
     blocks = -(-r_count // _BLOCK_REPLICAS)
     parts = min(cpus, blocks)
-    if (len(exps) == 1 and exp.problem.design is None and parts >= 2
-            and work >= _SPLIT_MIN_WORK
+    if (exp.problem.design is None and parts >= 2 and work >= _SPLIT_MIN_WORK
             and len(exp.grid) * -(-blocks // parts) <= _CHUNK_VALUES):
         bounds = [_BLOCK_REPLICAS * (blocks * p // parts) for p in range(parts)] + [r_count]
-        return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])], False
-    return [(0, r_count)], len(exps) == 1 and work >= _HELPER_MIN_WORK and cpus >= 2
+        return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])], False, 1
+    return [(0, r_count)], work >= _HELPER_MIN_WORK and cpus >= 2, 1
 
 
 def _stepped(exps: list) -> list:
     """(counts, sums, diverged) of each of exps, experiments that draw alike
-    (see `_draw_groups`), stepped together over the replica ranges of
-    `_plan`, each block of noise drawn once for all.  Only a lone experiment
-    splits; its ranges each send back their unfolded block sums, which are
-    folded onto zeros in block order: the same float additions in the same
-    order as one range over every replica."""
-    ranges, ahead = _plan(exps)
+    (see `_draw_groups`): a lone experiment or a batch of a sweep's cells,
+    stepped as `_plan` lays them out, each block of noise drawn once for
+    all.  Every child that steps is forked here, by the caller.  Worker w
+    of a pool of W steps exps[w::W] over every replica, through the blocks
+    that the workers draw together (`_Exchange.blocks`).  Only a lone
+    experiment splits; its ranges each send back their unfolded block
+    sums, which are folded onto zeros in block order: the same float
+    additions in the same order as one range over every replica."""
+    ranges, ahead, pool = _plan(exps)
+    if pool > 1:
+        exchange = _Exchange(exps[0], pool)
+        shares = _in_processes([partial(_step_range, exps[w::pool], *ranges[0], True,
+                                        partial(exchange.blocks, w)) for w in range(pool)])
+        results = [None] * len(exps)
+        for w, share in enumerate(shares):
+            results[w::pool] = share
+        return results
     whole = len(ranges) == 1
     source = _ahead if ahead else _here
     parts = _in_processes([partial(_step_range, exps, first, count, whole, source)
@@ -944,14 +962,11 @@ def _stepped(exps: list) -> list:
     return [(sum(r[0] for r in ranged), sums, [d for r in ranged for d in r[2]])]
 
 
-def _step_range(exps: list, first: int, count: int, fold: bool = True, source=_here,
-                lead: Optional[_Experiment] = None) -> list:
+def _step_range(exps: list, first: int, count: int, fold: bool = True, source=_here) -> list:
     """(counts, sums, diverged) of each of exps over replicas
     first..first+count-1 (see `_steps`), stepped through one draw of each
-    block from source (see `_step_together`).  The draws are those of
-    lead, by default exps[0]: a worker of a pooled sweep may have no cell
-    of a batch to step, and still draws its part of the batch's blocks."""
-    lead = lead or exps[0]
+    block of exps[0]'s noise from source (see `_step_together`)."""
+    lead = exps[0]
     steppers = [_steps(*e.engine_args(), count, None, first, fold) for e in exps]
     results = _step_together(lead.oracle, lead.cfg.seed, lead.cfg.horizon, first, count,
                              steppers, source)
@@ -959,30 +974,24 @@ def _step_range(exps: list, first: int, count: int, fold: bool = True, source=_h
 
 
 class _Exchange:
-    """What the W workers of a pooled sweep share (see `sweep`), made
-    before they are forked: a buffer that holds one block of raw draws of
-    any group they share, a barrier of W parties, and each worker's flag
-    that its steppers are done."""
+    """What the workers of a pool share (see `_stepped`), made before they
+    are forked: a slot that holds one block of the raw draws of exp, and of
+    every experiment that draws alike, a barrier with one party per
+    worker, and each worker's flag that its steppers are done."""
 
-    def __init__(self, exps: list, workers: int):
-        """Room for a block of each of exps, the lead experiments of the
-        groups shared."""
+    def __init__(self, exp: _Experiment, workers: int):
         import multiprocessing
 
-        self.draws = _shared_array((max(map(self._bytes, exps)),), np.uint8)
+        self.slot = _shared_array(_block_shape(exp.oracle, exp.effective, exp.cfg.horizon),
+                                  exp.oracle.raw_dtype)
         self.done = _shared_array((workers,), bool)
         self.barrier = multiprocessing.get_context("fork").Barrier(workers)
-
-    @staticmethod
-    def _bytes(exp: _Experiment) -> int:
-        shape = _block_shape(exp.oracle, exp.effective, exp.cfg.horizon)
-        return int(np.prod(shape)) * np.dtype(exp.oracle.raw_dtype).itemsize
 
     def blocks(self, w: int, oracle, seed: int, horizon: int, first: int, count: int,
                books: list, done):
         """Worker w's source of the blocks of raw noise of replicas
         first..first+count-1 (see `_step_together`), which the W workers
-        draw together into one slot: worker w draws the w-th of W
+        draw together into the slot: worker w draws the w-th of W
         contiguous parts of the replicas, from its own streams, into those
         columns (see `_draws`).  A block is yielded once every worker has
         drawn its part, and the slot is refilled once every worker has
@@ -990,12 +999,10 @@ class _Exchange:
         every worker after the same block."""
         workers = len(self.done)
         lo, hi = count * w // workers, count * (w + 1) // workers
-        shape = _block_shape(oracle, count, horizon)
-        slot = np.frombuffer(self.draws, oracle.raw_dtype, int(np.prod(shape))).reshape(shape)
         gens = replica_streams(seed, hi - lo, first + lo)
-        for drawn in _draws(oracle, gens, horizon, [slot[:, lo:hi]]):
+        for drawn in _draws(oracle, gens, horizon, [self.slot[:, lo:hi]]):
             self.barrier.wait()   # every part drawn
-            yield slot[:len(drawn)]
+            yield self.slot[:len(drawn)]
             self.done[w] = done()
             self.barrier.wait()   # every worker through the block
             if self.done.all():
@@ -1291,41 +1298,9 @@ def _rows(cells: list, results: list) -> list:
     return rows
 
 
-def _sweep_share(groups: list, w: int, workers: int, exchange) -> list:
-    """(index, row) of each cell that worker w of workers computes (see
-    `sweep`).  groups holds each draw group's cells (see `_batches`).  A
-    group of at least workers cells, if there are two or more, steps in
-    batches, and worker w steps cells w, w + workers, ... of each through
-    blocks that the workers draw together (`_Exchange.blocks`).  The cells
-    of smaller groups are dealt out in turn, group after group, and each
-    worker steps its cells of a group in batches, each a range of every
-    replica drawn by itself; a lone share, in the caller, plans each batch
-    instead (`_stepped`).  The shared groups come first, so that no
-    worker's dealt cells keep its siblings waiting at the barrier."""
-    def shared(cells):
-        return len(cells) >= workers > 1
-
-    rows = []
-    dealt = 0   # cells of the smaller groups dealt out so far
-    for cells in sorted(groups, key=shared, reverse=True):   # stable
-        if shared(cells):
-            for batch in _batches(cells, workers):
-                exps = [m[0][1] for m in batch]
-                rows += _rows(batch[w::workers],
-                              _step_range(exps[w::workers], 0, exps[0].effective, True,
-                                          partial(exchange.blocks, w), exps[0]))
-        else:
-            for batch in _batches(cells[(w - dealt) % workers::workers], 1):
-                exps = [m[0][1] for m in batch]
-                rows += _rows(batch, _stepped(exps) if workers == 1
-                              else _step_range(exps, 0, exps[0].effective))
-            dealt += len(cells)
-    return rows
-
-
 def _usable_cpus() -> int:
-    """CPUs this process may run on: the most processes that run an
-    experiment's replicas or a sweep's cells."""
+    """CPUs this process may run on: the most processes that step an
+    experiment's replicas or a batch of cells."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
@@ -1335,27 +1310,25 @@ def _usable_cpus() -> int:
 def sweep(configs: list[ExperimentConfig]) -> SweepResult:
     """Run a grid of configs; per-cell failures are recorded, not raised.
 
-    This process validates and prepares every cell.  Cells that draw
-    alike (see `_draw_groups`; all cells of `sweep_grid` do) share one
-    problem and oracle, and those of a group that `_steps` would step
-    alike (see `_Experiment.steps_key`) are one cell, stepped once; each
-    of them is still aggregated by `run_experiment` with its own config,
-    so each keeps its own tolerance check and row.  The work runs in up to
-    one process per CPU this process may use and per cell stepped, each
-    computing a share (`_sweep_share`), and each block of a group's noise
-    is drawn once per batch: the workers share a group of at least as many
-    cells as there are of them, each drawing its part of every block into
-    a shared slot and stepping its share of the cells (`_Exchange`), and
-    are dealt the cells of smaller groups, each drawing for itself.  Rows
-    keep the grid's order, and a cell's arithmetic is the same in a group
-    or alone, so the result does not depend on the number of workers.  A
-    grid of less than `_POOL_MIN_WORK` replica-steps stepped is one
-    share, as is any grid when one CPU is usable; only there, in this
-    process, may a batch of one cell split its replicas over the CPUs.  A
-    worker that dies raises ExperimentError.
+    This process validates and prepares the cells, one draw group at a
+    time.  Cells that draw alike (see `_draw_groups`; all cells of
+    `sweep_grid` do) share one problem and oracle, and those of a group
+    that `_steps` would step alike (see `_Experiment.steps_key`) are one
+    cell, stepped once; each of them is still aggregated by
+    `run_experiment` with its own config, here, so each keeps its own
+    tolerance check and row.  A group steps in batches (`_batches`), each
+    sized for up to one worker per usable CPU and per cell, and each batch
+    is stepped by `_stepped` as `_plan` lays it out: like an experiment,
+    a batch of one cell may split its replicas or draw ahead, and a batch
+    of more, once its work pays for it, runs in a pool whose workers draw
+    each block together.  So each block of a group's noise is drawn once
+    per batch, and a sweep of several draw groups, which only the Python
+    API builds, runs group after group.  Rows keep the grid's order, and a
+    cell's arithmetic is the same in a batch or alone, so the result does
+    not depend on the number of workers.  A worker that dies raises
+    ExperimentError.
     """
     rows = [None] * len(configs)
-    groups = []
     for group in _draw_groups(configs):
         like, cells = None, {}
         for i in group:
@@ -1366,17 +1339,10 @@ def sweep(configs: list[ExperimentConfig]) -> SweepResult:
                 continue
             like = like or exp
             cells.setdefault(exp.steps_key(), []).append((i, exp))
-        groups.append(list(cells.values()))
-    stepped = [cell[0][1] for cells in groups for cell in cells]
-    workers = min(_usable_cpus(), len(stepped))
-    if sum(e.effective * e.cfg.horizon for e in stepped) < _POOL_MIN_WORK:
-        workers = 1
-    shared = [cells[0][0][1] for cells in groups if len(cells) >= workers > 1]
-    exchange = _Exchange(shared, workers) if shared else None
-    for share in _in_processes([partial(_sweep_share, groups, w, workers, exchange)
-                                for w in range(workers)]):
-        for i, row in share:
-            rows[i] = row
+        cells = list(cells.values())
+        for batch in _batches(cells, min(_usable_cpus(), len(cells))):
+            for i, row in _rows(batch, _stepped([members[0][1] for members in batch])):
+                rows[i] = row
     return SweepResult(rows=tuple(rows))
 
 

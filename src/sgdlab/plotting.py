@@ -82,6 +82,13 @@ def _poly(points, cls: str, style: str) -> str:
     return f'<polyline class="{cls}" {style} points="{coords}" />'
 
 
+def _escaped(text: str) -> str:
+    """text as XML character data: "&", "<" and ">" escaped.  Written out
+    rather than imported from xml.sax.saxutils, whose import pulls in
+    urllib.request and costs every CLI command about 25 ms and 1.5 MB."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def svg_plot(cols: dict, title: str = "convergence") -> str:
     """Render mean_grad_sq and mean_gap vs checkpoint on log-log axes."""
     ks = cols["checkpoint"]
@@ -108,7 +115,7 @@ def svg_plot(cols: dict, title: str = "convergence") -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">',
         f'<text x="{_WIDTH / 2:.0f}" y="18" text-anchor="middle" '
-        f'font-size="14">{title}</text>',
+        f'font-size="14">{_escaped(title)}</text>',
     ]
 
     # Bands first so curves draw on top.

@@ -1004,14 +1004,14 @@ def stalling(*args):   # a child: report, then stall in its range
 harness._step_range = stalling
 if kind == "experiment":   # two replica ranges
     main(["experiment", config, "--out", out])
-else:   # two cells that draw apart, one dealt to each sweep worker
+else:   # two cells that draw alike, one stepped by each worker of a pool
     cfg = parse_config_file(config)
-    harness.sweep([cfg, dataclasses.replace(cfg, seed=cfg.seed + 1)])
+    harness.sweep([cfg, dataclasses.replace(cfg, method="msgd_classical")])
 """
 
 
 @pytest.mark.parametrize("kind", ["experiment", "sweep"],
-                         ids=["split-range", "dealt-sweep-worker"])
+                         ids=["split-range", "pooled-sweep-worker"])
 def test_a_stalled_child_exits_once_its_caller_was_killed(kind, wide_path, tmp_path):
     # Each child stalls in its range, where it neither sends nor receives,
     # so only a watch on its caller can end it before the stall does.

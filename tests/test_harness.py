@@ -397,6 +397,14 @@ def test_least_squares_experiments_run_as_one_range(oracle, monkeypatch):
 _LIMIT = harness._HELPER_MIN_WORK
 
 
+def _plan_of(exps: int, replicas: int, horizon: int, points: int = 41, design=None):
+    """`_plan` of exps experiments that draw alike, each of replicas x
+    horizon and points checkpoints, on a problem with this design."""
+    exp = SimpleNamespace(effective=replicas, cfg=SimpleNamespace(horizon=horizon),
+                          grid=range(points), problem=SimpleNamespace(design=design))
+    return harness._plan([exp] * exps)
+
+
 @pytest.mark.parametrize("cpus,replicas,horizon,points,kind,ranges,ahead", [
     # A lone experiment splits with two blocks, enough work and small child
     # sums; one range draws ahead with enough work and a second CPU.
@@ -413,19 +421,38 @@ _LIMIT = harness._HELPER_MIN_WORK
     (2, 1, _LIMIT - 1, 41, "alone", [(0, 1)], False),
     (1, _LIMIT, 100, 41, "alone", [(0, _LIMIT)], False),
     (2, _LIMIT, 100, 41, "alone", [(0, _LIMIT)], True),
-    # A least-squares experiment runs as one range and may draw ahead; a
-    # batch of several cells runs as one range and never does.
+    # A least-squares experiment runs as one range and may draw ahead.
     (2, 600, 3400, 41, "least-squares", [(0, 600)], True),
-    (2, 600, 3400, 41, "batch", [(0, 600)], False),
 ])
 def test_plan_splits_or_draws_ahead_only_where_it_pays(cpus, replicas, horizon, points, kind,
                                                        ranges, ahead, monkeypatch):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-    exp = SimpleNamespace(effective=replicas, cfg=SimpleNamespace(horizon=horizon),
-                          grid=range(points),
-                          problem=SimpleNamespace(design=object() if kind == "least-squares"
-                                                  else None))
-    assert harness._plan([exp] * (3 if kind == "batch" else 1)) == (ranges, ahead)
+    design = object() if kind == "least-squares" else None
+    assert _plan_of(1, replicas, horizon, points, design) == (ranges, ahead, 1)   # no pool
+
+
+_POOL = harness._POOL_MIN_WORK
+
+
+@pytest.mark.parametrize("cpus,cells,replicas,horizon,pool", [
+    # A batch of cells runs as one range in a pool of one worker per usable
+    # CPU and per cell, from _POOL_MIN_WORK replica-steps over its cells,
+    # and in this process below it; it never splits or draws ahead.
+    (2, 3, 600, 3400, 2),
+    (64, 3, 600, 3400, 3),
+    (1, 3, 600, 3400, 1),
+    (3, 8, 4096, 4096, 3),   # each cell alone would split
+    (2, 4, 1, _LIMIT, 2),    # each cell alone would draw ahead
+    (2, 2, _POOL // 200, 100, 2),
+    (2, 2, _POOL // 200, 99, 1),
+    (64, 4, 1, _POOL // 4, 4),
+    (64, 4, 1, _POOL // 4 - 1, 1),
+])
+def test_plan_pools_a_batch_only_for_enough_work(cpus, cells, replicas, horizon, pool,
+                                                 monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    assert _plan_of(cells, replicas, horizon) == ([(0, replicas)], False, pool)
+    assert _plan_of(cells, replicas, horizon, design=object()) == ([(0, replicas)], False, pool)
 
 
 def test_a_batch_of_alike_cells_forks_nothing(monkeypatch):
@@ -438,7 +465,7 @@ def test_a_batch_of_alike_cells_forks_nothing(monkeypatch):
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 10 ** 9)   # one share, in this process
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 10 ** 9)   # no pool, one range
     monkeypatch.setattr(harness, "_SPLIT_MIN_WORK", 0)
     monkeypatch.setattr(harness, "_HELPER_MIN_WORK", 0)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
@@ -450,11 +477,13 @@ def test_a_batch_of_alike_cells_forks_nothing(monkeypatch):
 
 
 def test_a_child_forks_no_further(monkeypatch, tmp_path):
-    # With every threshold at 0, a lone cell in this process would split or
-    # start a draw helper; each worker of a pooled sweep of one-cell groups
-    # steps its dealt cell itself, so only the workers are forked.
-    cells = [make_cfg(replicas=300, horizon=200, checkpoint_stride=20, seed=seed)
-             for seed in (3, 4)]
+    # With every threshold at 0, a sweep of three draw groups runs two
+    # batches of two cells each in a pool of two workers, and splits its
+    # lone cell's replicas into two ranges, as an experiment would.  Every
+    # child is forked by this process: no pool worker or range forks.
+    cells = [make_cfg(replicas=300, horizon=200, checkpoint_stride=20, seed=seed,
+                      schedule={"alpha_c": 0.5, "alpha_a": a})
+             for seed, a in ((3, 0.5), (3, 0.6), (4, 0.5), (4, 0.6), (5, 0.5))]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     alone = sweep(cells)
     log = tmp_path / "forks"
@@ -470,7 +499,7 @@ def test_a_child_forks_no_further(monkeypatch, tmp_path):
         monkeypatch.setattr(harness, name, 0)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     assert sweep(cells) == alone
-    assert log.read_text().split() == [str(os.getpid())] * 2   # the two workers
+    assert log.read_text().split() == [str(os.getpid())] * 6   # 2 pools, 2 ranges
 
 
 def _results_bytes(cfg):
@@ -1069,59 +1098,75 @@ def test_sweep_records_per_cell_failures():
     assert ",failed," in lines[2]
 
 
-def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monkeypatch):
-    started, tasks = [], []
+def test_sweep_starts_at_most_one_worker_per_cell_and_only_for_enough_work(monkeypatch,
+                                                                         tmp_path):
+    # Each batch of cells is planned on its own (see `_plan`): a pool of
+    # one worker per usable CPU and per cell once its work (replicas x
+    # horizon x cells) reaches _POOL_MIN_WORK, and this process below it.
+    started = []
+    real_in_processes = harness._in_processes
 
-    def recording(jobs):   # runs every job in this process; starts no worker
+    def recording(jobs):
         if len(jobs) > 1:
             started.append(len(jobs))
-        return [job() for job in jobs]
-
-    real_share, real_step_range = harness._sweep_share, harness._step_range
-
-    def recording_share(*args):   # a worker's share: one list of tasks
-        tasks.append([])
-        return real_share(*args)
-
-    def recording_step_range(exps, *args):
-        tasks[-1] += [(e.cfg.seed, e.cfg.schedule["alpha_a"]) for e in exps]
-        return real_step_range(exps, *args)
+        return real_in_processes(jobs)
 
     monkeypatch.setattr(harness, "_in_processes", recording)
-    monkeypatch.setattr(harness, "_sweep_share", recording_share)
-    monkeypatch.setattr(harness, "_step_range", recording_step_range)
-    cells = [make_cfg(horizon=20, replicas=2), make_cfg(horizon=20, replicas=2, seed=7)]
+    # The cells of each `_step_range` call, as seed:alpha_a, in any process.
+    cell = lambda e: f"{e.cfg.seed}:{e.cfg.schedule['alpha_a']}"
+    stepped = _log_calls(monkeypatch, tmp_path, harness, "_step_range",
+                         lambda exps, *args: ",".join(map(cell, exps)))
+    cells = [make_cfg(horizon=20, replicas=2, schedule={"alpha_c": 0.5, "alpha_a": a})
+             for a in (0.5, 0.6, 0.7)]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
     serial = sweep(cells)
-    assert started == []   # 80 replica-steps, below the constant
-    assert tasks == [[(1234, 0.6), (7, 0.6)]]   # one share, in this process
-    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 80)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    assert sweep(cells) == serial and started == []   # one CPU: in-process
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
-    tasks.clear()
+    assert started == []   # 120 replica-steps, below the constant
+    assert stepped() == {"1234:0.5,1234:0.6,1234:0.7": 1}   # one range, in this process
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 121)
+    assert sweep(cells) == serial and started == []
+    assert stepped() == {"1234:0.5,1234:0.6,1234:0.7": 1}
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 120)
     assert sweep(cells) == serial
-    assert started == [2]
-    assert tasks == [[(1234, 0.6)], [(7, 0.6)]]
+    assert started == [3]   # one worker per cell
+    assert stepped() == {"1234:0.5": 1, "1234:0.6": 1, "1234:0.7": 1}
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    started.clear()
+    assert sweep(cells) == serial
+    assert started == [2]   # one worker per CPU: cells w, w + 2, ...
+    assert stepped() == {"1234:0.5,1234:0.7": 1, "1234:0.6": 1}
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    started.clear()
+    assert sweep(cells) == serial and started == []   # one CPU: in-process
+    assert stepped() == {"1234:0.5,1234:0.6,1234:0.7": 1}
+    # A budget of one cell per worker: a pool for the first batch's two
+    # cells, then the last cell alone, in this process.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 80)
+    budget = harness._GROUP_VALUES
+    monkeypatch.setattr(harness, "_GROUP_VALUES", harness._prepare(cells[0]).values())
+    started.clear()
+    assert sweep(cells) == serial and started == [2]
+    assert stepped() == {"1234:0.5": 1, "1234:0.6": 1, "1234:0.7": 1}
+    monkeypatch.setattr(harness, "_GROUP_VALUES", budget)
     # A cell that steps as another does is not stepped again: one cell, 40
     # replica-steps stepped, so no worker starts.
     twins = [cells[0], replace(cells[0], divergence_tolerance=0.5)]
     monkeypatch.setattr(harness, "_POOL_MIN_WORK", 40)
-    started.clear(), tasks.clear()
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+    started.clear()
     assert sweep(twins).rows == (serial.rows[0],) * 2
-    assert started == [] and tasks == [[(1234, 0.6)]]
-    # Groups of fewer cells than workers are dealt out in turn, group after
-    # group: cells 0 and 1 draw alike, so do cells 2 and 4, and cell 3
-    # draws alone.
+    assert started == [] and stepped() == {"1234:0.5": 1}
+    # Draw groups run one after another, each planned on its own: cells 0
+    # and 1 draw alike, so do cells 2 and 4, and cell 3 draws alone.
     seeds = [1234, 1234, 7, 5, 7]
     cells = [make_cfg(horizon=20, replicas=2, seed=seed,
                       schedule={"alpha_c": 0.5, "alpha_a": 0.5 + i / 10})
              for i, seed in enumerate(seeds)]
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 80)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
-    started.clear(), tasks.clear()
     pooled = sweep(cells)
-    assert started == [3]
-    assert tasks == [[(1234, 0.5), (7, 0.9)], [(1234, 0.6), (5, 0.8)], [(7, 0.7)]]
+    assert started == [2, 2]   # a pool per group of two; cell 3 in this process
+    assert stepped() == {"1234:0.5": 1, "1234:0.6": 1, "7:0.7": 1, "7:0.9": 1, "5:0.8": 1}
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert pooled == sweep(cells)
 

@@ -1,6 +1,7 @@
 """CSV parsing and the hand-written SVG renderer."""
 
 import re
+from xml.etree import ElementTree
 
 import pytest
 
@@ -86,3 +87,15 @@ def test_plot_file_round_trip(tmp_path):
     text = svg_path.read_text()
     assert text.startswith("<svg ")
     assert svg_plot(parse_estimates_csv(estimates_csv(est)), title="run") == text
+
+
+def test_a_title_with_markup_characters_is_escaped(tmp_path):
+    # `plot --title` text lands inside a <text> element: unescaped, "<" and
+    # "&" make the file ill-formed XML.
+    csv_path = tmp_path / "estimates.csv"
+    csv_path.write_text(GOOD_CSV)
+    svg_path = tmp_path / "curve.svg"
+    title = "gap < 1e-3 & co"
+    plot_file(str(csv_path), str(svg_path), title=title)
+    root = ElementTree.fromstring(svg_path.read_text())
+    assert next(root.iter("{http://www.w3.org/2000/svg}text")).text == title
