@@ -4,7 +4,8 @@ Subcommands: classify, run, experiment, lyapunov, sweep, plot.  Exit codes
 are a fixed contract: 0 success, 2 usage/config error, 3 experiment failure
 (divergence tolerance exceeded or replicas lost).  Files written by a
 failing invocation are removed, so an output directory never holds partial
-results.
+results.  An `--out` directory that is, or lies under, an existing file
+other than a directory is a usage error, found before any step.
 
 Config grammar (INI sections; `#`/`;` start inline comments):
 
@@ -87,6 +88,17 @@ def _write_outputs(out_dir: str, texts: dict) -> list:
         _cleanup(written)
         raise
     return written
+
+
+def _check_out(out_dir: str) -> None:
+    """Raise ConfigError if out_dir, or the nearest of its ancestors that
+    exists, is not a directory, so a bad `--out` fails before any step.
+    It creates nothing; `_write_outputs` makes the missing directories."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out_dir!r}: {path!r} exists and is not a directory")
 
 
 def _load_config(args):
@@ -295,11 +307,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.command in ("run", "experiment", "lyapunov", "sweep"):
+            _check_out(args.out)
         return args.func(args)
-    except (ConfigError, ParameterError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ConfigError, ParameterError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ExperimentError, DivergenceError) as e:

@@ -12,7 +12,10 @@ usable CPU runs one range, and a long one-range run has its noise drawn
 and its checkpoints reduced in a helper process (see Processes below).
 It is a stepper (`_steps`) that steps through one block of raw draws at a
 time, as `_step_together` hands them to it, and keeps its state, alive
-mask, checkpoint buffers and sums between blocks.  Each
+mask, checkpoint buffers and sums between blocks.  It evaluates alpha_k
+and mu_k from the schedule for one block at a time, so the memory of a
+stride-0 run does not grow with its horizon; that of a stride >= 1 run
+grows with its checkpoints (the grid and its sums).  Each
 iteration calls the method's kernel from
 `optimizers.KERNELS` and folds the running average with
 `optimizers.averaged_update`, the same code the step functions call on one
@@ -563,9 +566,9 @@ def _send_result(conn, job) -> None:
     conn.send(job())
 
 
-def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
-           averaged: bool, f_star: float, r_count: int, on_point, first: int = 0,
-           fold: bool = True):
+def _steps(problem, oracle, method: str, beta, schedule: PowerSchedule, horizon: int, x0,
+           grid, lyap_mode, averaged: bool, f_star: float, r_count: int, on_point,
+           first: int = 0, fold: bool = True):
     """Stepper of replicas first..first+r_count-1, which advance in
     lock-step; `first` is a multiple of `_BLOCK_REPLICAS`.
 
@@ -574,7 +577,12 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     replicas, ...) block of raw draws and it steps through the block's
     iterations, each a C-contiguous (replicas, ...) slice, until the
     horizon or until none of its replicas is alive; the first records
-    checkpoint 0 first if the grid holds it.  It then returns (as
+    checkpoint 0 first if the grid holds it.  For each block it evaluates
+    schedule.alpha and schedule.mu once, on the block's iterations and the
+    step before (alpha_1 before the first step, the look-ahead's
+    convention), which give each step the bits of a whole-horizon vector
+    (`PowerSchedule.alpha` is elementwise); so it holds no horizon-long
+    array.  It then returns (as
     StopIteration's value) (counts, sums, diverged, final): alive replicas
     per checkpoint; a dict of per-checkpoint sums over alive replicas keyed
     by quantity (sums of squares under "sq_" + name), each with the block
@@ -586,7 +594,6 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     `_Checkpoints` and flushes them there, which reduces them in this
     process or in the draw helper.  It only reads the blocks it is handed.
     """
-    horizon = len(alphas)
     kernel = KERNELS[method]
     x = np.tile(np.asarray(x0, dtype=float), (r_count, 1))
     v = np.zeros_like(x)
@@ -595,7 +602,7 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
     alive = np.ones(r_count, dtype=bool)
     n_alive = r_count
     diverged = []
-    tilts = checkpoint_coefficients(grid, alphas, mus, lyap_mode)[2]
+    tilts = checkpoint_coefficients(grid, schedule, lyap_mode)[2]
     checkpoints = _Checkpoints(problem, grid, tilts, averaged, f_star, r_count, x.shape[1],
                                fold)
     grad_cache = None
@@ -623,13 +630,13 @@ def _steps(problem, oracle, method: str, beta, alphas, mus, x0, grid, lyap_mode,
 
     k = 0
     while True:
-        for raw_t in block:
+        ks = np.maximum(np.arange(k, k + len(block) + 1), 1.0)   # the step before, the block
+        alphas, mus = schedule.alpha(ks).tolist(), schedule.mu(ks).tolist()
+        for raw_t, alpha_prev, alpha, mu in zip(block, alphas, alphas[1:], mus[1:]):
             k += 1
-            alpha = alphas[k - 1]
             if averaged:
                 avg = averaged_update(avg, x, alpha)
-            x_new, v = kernel(x, v, x_prev, grad_at, alpha,
-                              alphas[k - 2] if k >= 2 else alpha, mus[k - 1], beta)
+            x_new, v = kernel(x, v, x_prev, grad_at, alpha, alpha_prev, mu, beta)
             x_prev, x = x, x_new
             grad_cache = None
 
@@ -822,9 +829,10 @@ def _mean_se(s, q, n):
 
 @dataclass
 class _Experiment:
-    """A validated experiment, built and ready to step.  Its schedules and
-    checkpoint grid are computed when asked for, so that the prepared cells
-    of a sweep hold no horizon-long array until they step."""
+    """A validated experiment, built and ready to step.  Its checkpoint
+    grid is computed when asked for, so that the prepared cells of a sweep
+    hold no grid until they step; its stepper evaluates the schedule one
+    block of draws at a time (see `_steps`)."""
     cfg: ExperimentConfig
     problem: Problem
     schedule: PowerSchedule
@@ -836,18 +844,10 @@ class _Experiment:
     def grid(self) -> np.ndarray:
         return checkpoint_grid(self.cfg.horizon, self.cfg.checkpoint_stride)
 
-    @property
-    def alphas(self) -> np.ndarray:
-        return self.schedule.alphas(self.cfg.horizon)
-
-    @property
-    def mus(self) -> np.ndarray:
-        return self.schedule.mus(self.cfg.horizon)
-
     def engine_args(self) -> tuple:
         """The leading arguments of `_steps`, up to its replica count."""
         c = self.cfg
-        return (self.problem, self.oracle, c.method, c.beta, self.alphas, self.mus, c.x0,
+        return (self.problem, self.oracle, c.method, c.beta, self.schedule, c.horizon, c.x0,
                 self.grid, self.lyap_mode, c.averaged, self.problem.minimum.f_star)
 
     def steps_key(self) -> tuple:
@@ -867,13 +867,14 @@ class _Experiment:
 
     def values(self) -> int:
         """About how many floats it holds while it steps in this process:
-        schedules and state, and exactly the arrays of its `_Checkpoints`,
-        the buffers of x, grad f(x), v and xbar as held, the reduced rows,
-        and the per-checkpoint sums and tilts."""
+        its state, and exactly the arrays of its `_Checkpoints`, the buffers
+        of x, grad f(x), v and xbar as held, the reduced rows, and the
+        per-checkpoint sums and tilts; no schedule table, since its stepper
+        evaluates the schedule one block at a time."""
         r, dim, points = self.effective, len(self.cfg.x0), len(self.grid)
         lyap, avg = self.lyap_mode is not None, self.cfg.averaged
         sums = len(_sum_keys(avg, lyap)[1])
-        return (2 * self.cfg.horizon + 5 * r * dim
+        return (5 * r * dim
                 + _chunk(points, r, dim) * r * (sums + (2 + lyap + avg) * dim)
                 + points * (sums + 1 + lyap))
 
@@ -1040,7 +1041,7 @@ def run_experiment(cfg: ExperimentConfig, stepped=None) -> MonteCarloEstimate:
 
     lyap_series = None
     if lyap_mode is not None:
-        alphas, mus, _ = checkpoint_coefficients(grid, exp.alphas, exp.mus)
+        alphas, mus, _ = checkpoint_coefficients(grid, exp.schedule)
         lyap_series = LyapunovSeries(checkpoints=grid.copy(), alphas=alphas, mus=mus,
                                      replicas=cfg.replicas, vanishing=lyap_mode[0] == "vanishing",
                                      **stat_fields(LyapunovSeries))

@@ -68,13 +68,16 @@ def energies(gap, grad_sq, grad, v, tilt):
     return h, grad_sq + vsq, z, h + tilt * z
 
 
-def checkpoint_coefficients(ks, alphas, mus, lyap_mode=None):
-    """(alpha, mu, tilt) at each checkpoint of ks, from alphas and mus, a
-    schedule's alpha_1..alpha_horizon and mu_1..mu_horizon.  Checkpoint k
-    records alpha_k and mu_k, with 0 at k = 0, before any step.  Under
-    lyap_mode = (mode, coeff) its energy's tilt is coeff * mu_k for mode
-    "vanishing" and coeff for "constant"; without it, tilt is None."""
-    alpha_at, mu_at = (np.where(ks >= 1, a[ks - 1], 0.0) for a in (alphas, mus))
+def checkpoint_coefficients(ks, schedule, lyap_mode=None):
+    """(alpha, mu, tilt) at each checkpoint of ks, evaluated by schedule,
+    a `PowerSchedule`, at the checkpoints alone; its evaluation is
+    elementwise, so they are the bits of its whole-horizon vectors.
+    Checkpoint k records alpha_k and mu_k, with 0 at k = 0, before any
+    step.  Under lyap_mode = (mode, coeff) its energy's tilt is coeff * mu_k
+    for mode "vanishing" and coeff for "constant"; without it, tilt is
+    None."""
+    at = np.maximum(ks, 1.0)
+    alpha_at, mu_at = (np.where(ks >= 1, f(at), 0.0) for f in (schedule.alpha, schedule.mu))
     if lyap_mode is None:
         return alpha_at, mu_at, None
     mode, coeff = lyap_mode

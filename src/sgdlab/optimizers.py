@@ -323,7 +323,9 @@ def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
     This is the experiment engine at one replica on stream (seed, 0): a
     `harness._steps` stepper driven by `harness._step_together`, in this
     process, so a single run is replica 0 of an experiment with the same
-    master seed.  With lyap_mode, the (mode, coeff) pair that
+    master seed.  The stepper evaluates s one block of draws at a time and
+    the points record alpha_k and mu_k evaluated at the checkpoints, so no
+    horizon-long array is built.  With lyap_mode, the (mode, coeff) pair that
     `harness.resolve_lyapunov` returns, energy scalars are recorded at each
     checkpoint with the tilt of `lyapunov.checkpoint_coefficients`.  Raises
     ParameterError for what `validate_run` rejects, and DivergenceError
@@ -336,9 +338,8 @@ def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
     if lyap_mode is not None and problem.minimum is None:
         raise ParameterError("energy recording requires a problem with a known minimum")
 
-    alphas, mus = s.alphas(iters), s.mus(iters)
     grid = checkpoint_grid(iters, checkpoint_stride)
-    alpha_at, mu_at, tilts = checkpoint_coefficients(grid, alphas, mus, lyap_mode)
+    alpha_at, mu_at, tilts = checkpoint_coefficients(grid, s, lyap_mode)
     f_star = 0.0 if problem.minimum is None else problem.minimum.f_star
     traj = Trajectory(method=method, checkpoint_stride=checkpoint_stride, seed=seed)
 
@@ -352,7 +353,7 @@ def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
             lyap=None if tilts is None else scalars_at(f - f_star, grad, v, tilts[i]),
             xbar=None if xbar is None else xbar[0].copy()))
 
-    stepper = _steps(problem, oracle, method, beta, alphas, mus, x0, grid, None, averaged,
+    stepper = _steps(problem, oracle, method, beta, s, iters, x0, grid, None, averaged,
                      f_star, 1, record)
     _, _, diverged, (x, v, x_prev, avg) = _step_together(oracle, seed, iters, 0, 1,
                                                          [stepper])[0]

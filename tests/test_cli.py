@@ -675,12 +675,12 @@ def test_a_dead_sweep_worker_fails_the_sweep(sweep_path, tmp_path, monkeypatch, 
     parent = os.getpid()
     real_steps = sgdlab.harness._steps
 
-    def dying(problem, oracle, method, beta, alphas, *args):
-        alpha_a_04 = np.isclose(alphas[1], 0.9 * 2.0 ** -0.4)
+    def dying(problem, oracle, method, beta, schedule, *args):
+        alpha_a_04 = np.isclose(schedule.alpha(2), 0.9 * 2.0 ** -0.4)
         if method == "msgd_classical" and alpha_a_04:
             assert os.getpid() != parent, "the cell ran in the test process"
             os._exit(1)
-        return real_steps(problem, oracle, method, beta, alphas, *args)
+        return real_steps(problem, oracle, method, beta, schedule, *args)
 
     monkeypatch.setattr("sgdlab.harness._steps", dying)
     out = tmp_path / "out"
@@ -1404,6 +1404,27 @@ def test_exit_codes(config_path, tmp_path, capsys):
     sweep_ini.write_text(INI + "\n[sweep]\nmethod = vsgd, msgd_damped\n")
     assert main(["sweep", str(sweep_ini), "--out", str(tmp_path / "z")]) == 2
     assert "'method'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["run", "experiment", "lyapunov", "sweep"])
+def test_an_out_at_or_under_a_file_fails_before_any_step(command, under, config_path,
+                                                         sweep_path, tmp_path, monkeypatch,
+                                                         capsys):
+    def stepping(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr("sgdlab.harness._steps", stepping)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "out" if under else taken
+    before = sorted(tmp_path.rglob("*"))
+    config = sweep_path if command == "sweep" else config_path
+    assert main([command, config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{str(taken)!r} exists and is not a directory" in err
+    assert taken.read_text() == "kept\n"
+    assert sorted(tmp_path.rglob("*")) == before   # nothing created
 
 
 def test_cleanup_tolerates_missing_files(tmp_path):

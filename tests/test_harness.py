@@ -690,7 +690,7 @@ def _stepped_in_one_process(engine_args, seed, replicas):
     whose leading `_steps` arguments are engine_args, each drawing from its
     own stream under seed, driven by `_step_together` in this process."""
     stepper = harness._steps(*engine_args, replicas, None)
-    return harness._step_together(engine_args[1], seed, len(engine_args[4]), 0, replicas,
+    return harness._step_together(engine_args[1], seed, engine_args[5], 0, replicas,
                                   [stepper])[0]
 
 
@@ -700,8 +700,8 @@ def _simulate_in_one_process(cfg):
     problem, s = validate_config(cfg)
     oracle = build_oracle(cfg.oracle, problem, seed=cfg.seed)
     return _stepped_in_one_process(
-        (problem, oracle, cfg.method, cfg.beta, s.alphas(cfg.horizon), s.mus(cfg.horizon),
-         cfg.x0, checkpoint_grid(cfg.horizon, cfg.checkpoint_stride),
+        (problem, oracle, cfg.method, cfg.beta, s, cfg.horizon, cfg.x0,
+         checkpoint_grid(cfg.horizon, cfg.checkpoint_stride),
          resolve_lyapunov(cfg, problem, s), cfg.averaged, problem.minimum.f_star),
         cfg.seed, cfg.replicas)
 
@@ -839,6 +839,37 @@ def test_checkpoint_buffers_stay_within_16384_replica_checkpoints(monkeypatch):
     replicas = 200
     _simulate_in_one_process(make_cfg(replicas=replicas, horizon=1000, **lyap))
     assert chunks == [81] * 12 + [29]
+
+
+def _traced_peak(call) -> int:
+    """The peak of the memory that tracemalloc traces while call() runs."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("entry", ["run_experiment", "optimizers.run"])
+def test_a_stride_0_run_holds_nothing_that_grows_with_its_horizon(entry):
+    # The stepper evaluates alpha_k and mu_k one block of draws at a time,
+    # so 8 times the horizon moves the traced peak by less than 32 KB; the
+    # tables alpha_1..alpha_H and mu_1..mu_H would add 224 KB.
+    def go(horizon):
+        cfg = make_cfg(method="msgd_damped", replicas=2, horizon=horizon,
+                       schedule={"alpha_c": 0.25, "alpha_a": 0.6, **_CONSTANT_MU})
+        if entry == "run_experiment":
+            return lambda: run_experiment(cfg)
+        problem, s = validate_config(cfg)
+        oracle = build_oracle(cfg.oracle, problem, seed=cfg.seed)
+        return lambda: run(cfg.method, problem, oracle, s, horizon, cfg.seed, cfg.x0)
+
+    _traced_peak(go(2000))   # the first call's one-off allocations
+    short, long = _traced_peak(go(2000)), _traced_peak(go(16_000))
+    assert abs(long - short) < 32 * 1024, (short, long)
 
 
 def test_standard_errors_shrink_with_the_replica_count():
@@ -1231,7 +1262,7 @@ def _assert_values_count_the_allocation(exp):
     ck = next(harness._steps(*exp.engine_args(), r, None))
     held = sum(buf.size for buf in ck.slots[0] + [ck.vals, ck.totals, ck.counts, ck.tilts]
                if buf is not None)
-    assert exp.values() == 2 * len(exp.alphas) + 5 * r * dim + held
+    assert exp.values() == 5 * r * dim + held
     return ck
 
 

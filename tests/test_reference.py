@@ -8,10 +8,15 @@ A_k and b_k are read off the update equations of the `optimizers`
 docstring, written out by hand in `_transition`.  The second moment
 S_k = E[s_k s_k^T] then follows S_k = A_k S_{k-1} A_k^T + sigma^2 b_k b_k^T
 from S_0 = s_0 s_0^T, and E gap = 1/2 sum_i lambda_i S_xx and
-E ||grad f||^2 = sum_i lambda_i^2 S_xx hold exactly.  Each Monte Carlo mean
-must lie within z standard errors of its exact value, z sized by
-Bonferroni for a family-wise false-alarm rate of 1e-3 over every
-comparison in this file; the seeds and the bound are fixed.
+E ||grad f||^2 = sum_i lambda_i^2 S_xx hold exactly.  The running average
+joins the state as a fourth entry, xbar_k = xbar_{k-1} + (alpha_k / W_k)
+(x_{k-1} - xbar_{k-1}) with W_k = sum_{j<=k} alpha_j and xbar_0 = x_0, so
+E f(xbar) - f* = 1/2 sum_i lambda_i S_xbarxbar; and the tilted energy
+H~ = f - f* + 1/2 ||v||^2 + zeta_k <v, grad f> has
+E H~ = 1/2 sum_i lambda_i S_xx + 1/2 sum_i S_vv + zeta_k sum_i lambda_i S_xv.
+Each Monte Carlo mean must lie within z standard errors of its exact
+value, z sized by Bonferroni for a family-wise false-alarm rate of 1e-3
+over every comparison in this file; the seeds and the bound are fixed.
 """
 
 from dataclasses import replace
@@ -31,13 +36,18 @@ ALPHA_C, ALPHA_A, MU_M, MU_B = 0.25, 0.6, 1.0, 0.2
 BASE = make_cfg(problem={"kind": "quadratic", "spectrum": list(SPECTRUM)},
                 oracle={"kind": "gaussian", "sigma": SIGMA},
                 schedule={"alpha_c": ALPHA_C, "alpha_a": ALPHA_A, "mu_m": MU_M, "mu_b": MU_B},
-                beta=BETA, x0=list(X0), horizon=400, replicas=4000, seed=2026)
+                beta=BETA, x0=list(X0), horizon=400, replicas=4000, seed=2026,
+                averaged=True)
 SWEEP_SEED = 2027
+# The energy runs: stride 1, tilt zeta_k = LYAP_COEFF * mu_k (mu_b > 0 makes
+# the mode "vanishing").
+ENERGY_SEED, LYAP_COEFF = 2028, 0.5
 
-# Every comparison: both quantities at each checkpoint after 0 for each
-# method's experiment, and at the last checkpoint for each sweep cell.
+# Every comparison: gap, grad_sq and avg_gap at each checkpoint after 0 for
+# each method's experiment, gap and grad_sq at the last checkpoint for each
+# sweep cell, and each of the horizon's increments of H~ for each method.
 _POINTS = len(checkpoint_grid(BASE.horizon)) - 1
-_COMPARISONS = 2 * len(METHODS) * (_POINTS + 1)
+_COMPARISONS = len(METHODS) * (3 * _POINTS + 2 + BASE.horizon)
 Z = NormalDist().inv_cdf(1 - 1e-3 / (2 * _COMPARISONS))
 
 
@@ -63,20 +73,29 @@ def _transition(method: str, lam: float, a: float, a_prev: float, mu: float) -> 
             [a, a, 0])
 
 
-def _exact(method: str, horizon: int) -> tuple:
-    """(E gap, E ||grad f||^2) at iterations 0..horizon."""
-    moments = [np.outer([x, 0.0, x], [x, 0.0, x]) for x in X0]
-    gap, grad_sq = np.empty(horizon + 1), np.empty(horizon + 1)
+def _exact(method: str, horizon: int) -> dict:
+    """E gap, E ||grad f||^2, E f(xbar) - f* and E H~ (tilt LYAP_COEFF mu_k)
+    at iterations 0..horizon, keyed "gap", "grad_sq", "avg_gap" and "ht"."""
+    moments = [np.outer([x, 0.0, x, x], [x, 0.0, x, x]) for x in X0]   # (x, v, x_prev, xbar)
+    lam = np.array(SPECTRUM)
+    out = {name: np.empty(horizon + 1) for name in ("gap", "grad_sq", "avg_gap", "ht")}
+    weight = 0.0   # W_k
     for k in range(horizon + 1):
+        mu = MU_M * k ** -MU_B if k else 0.0
         if k:
             a, a_prev = ALPHA_C * k ** -ALPHA_A, ALPHA_C * max(k - 1, 1) ** -ALPHA_A
-            for i, lam in enumerate(SPECTRUM):
-                A, b = map(np.array, _transition(method, lam, a, a_prev, MU_M * k ** -MU_B))
+            weight += a
+            for i, l in enumerate(SPECTRUM):
+                A, b = np.zeros((4, 4)), np.zeros(4)
+                A[:3, :3], b[:3] = _transition(method, l, a, a_prev, mu)
+                A[3, 0], A[3, 3] = a / weight, 1 - a / weight   # xbar takes x_{k-1}
                 moments[i] = A @ moments[i] @ A.T + SIGMA ** 2 * np.outer(b, b)
-        sxx = np.array([s[0, 0] for s in moments])
-        gap[k] = 0.5 * np.dot(SPECTRUM, sxx)
-        grad_sq[k] = np.dot(np.square(SPECTRUM), sxx)
-    return gap, grad_sq
+        s = np.array(moments)
+        out["gap"][k] = 0.5 * lam @ s[:, 0, 0]
+        out["grad_sq"][k] = np.square(lam) @ s[:, 0, 0]
+        out["avg_gap"][k] = 0.5 * lam @ s[:, 3, 3]
+        out["ht"][k] = out["gap"][k] + 0.5 * s[:, 1, 1].sum() + LYAP_COEFF * mu * lam @ s[:, 0, 1]
+    return out
 
 
 def _assert_within_z(mean, se, exact, what: str) -> None:
@@ -92,11 +111,25 @@ def _assert_within_z(mean, se, exact, what: str) -> None:
 def test_experiment_means_match_the_exact_moments(method):
     est = run_experiment(replace(BASE, method=method))
     assert est.diverged == 0
-    gap, grad_sq = _exact(method, BASE.horizon)
+    exact = _exact(method, BASE.horizon)
     ks = est.checkpoints
     assert len(ks) == _POINTS + 1 and ks[0] == 0
-    _assert_within_z(est.mean_gap, est.se_gap, gap[ks], f"{method} gap")
-    _assert_within_z(est.mean_grad_sq, est.se_grad_sq, grad_sq[ks], f"{method} grad_sq")
+    for name in ("gap", "grad_sq", "avg_gap"):
+        _assert_within_z(getattr(est, "mean_" + name), getattr(est, "se_" + name),
+                         exact[name][ks], f"{method} {name}")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_energy_increments_match_the_exact_moments(method):
+    est = run_experiment(replace(BASE, method=method, seed=ENERGY_SEED, averaged=False,
+                                 checkpoint_stride=1, lyapunov=True, lyap_coeff=LYAP_COEFF))
+    assert est.diverged == 0 and est.lyap.vanishing
+    assert np.array_equal(est.checkpoints, np.arange(BASE.horizon + 1))
+    ht = _exact(method, BASE.horizon)["ht"]
+    assert est.lyap.mean_ht[0] == pytest.approx(ht[0], rel=1e-12)
+    # Each increment's standard error is that of the paired difference.
+    _assert_within_z(np.diff(est.lyap.mean_ht), est.lyap.se_delta_ht[1:], np.diff(ht),
+                     f"{method} H~ increments")
 
 
 def test_pooled_sweep_rows_match_the_exact_moments(monkeypatch):
@@ -116,7 +149,7 @@ def test_pooled_sweep_rows_match_the_exact_moments(monkeypatch):
     assert [plan[2] for plan in plans] == [2]   # one batch, in a pool of two workers
     for row in rows:
         assert row.status == "ok", row.error
-        gap, grad_sq = _exact(row.method, BASE.horizon)
-        _assert_within_z(row.mean_gap, row.se_gap, gap[-1], f"{row.method} gap")
-        _assert_within_z(row.mean_grad_sq, row.se_grad_sq, grad_sq[-1],
-                         f"{row.method} grad_sq")
+        exact = _exact(row.method, BASE.horizon)
+        for name in ("gap", "grad_sq"):
+            _assert_within_z(getattr(row, "mean_" + name), getattr(row, "se_" + name),
+                             exact[name][-1], f"{row.method} {name}")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdlab.errors import ParameterError
+from sgdlab.lyapunov import checkpoint_coefficients
 from sgdlab.schedules import PowerSchedule, classify, make_power_schedule, numeric_probe
 
 
@@ -17,13 +18,36 @@ def test_alpha_and_mu_follow_the_power_law():
     assert s.mu(32) == 32.0 ** -0.2
 
 
-def test_vector_and_scalar_evaluation_agree_bitwise():
-    # The experiment engine precomputes alphas(horizon) while the single-run
-    # driver calls alpha(k) per step; they must be interchangeable exactly.
-    s = PowerSchedule(0.7, 0.4, 0.3, 0.1)
-    ks = np.arange(1, 200)
-    assert np.array_equal(s.alphas(199), np.array([s.alpha(int(k)) for k in ks]))
-    assert np.array_equal(s.mus(199), np.array([s.mu(int(k)) for k in ks]))
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@given(c=st.floats(1e-3, 10.0), a=st.floats(0.0, 1.5), m=st.floats(0.0, 10.0),
+       b=st.floats(0.0, 0.99), horizon=st.integers(1, 5000), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_vector_and_scalar_evaluation_agree_bitwise(c, a, m, b, horizon, data):
+    # The engine evaluates the schedule one block of raw draws at a time,
+    # with the step before the block (alpha_1 before the first step), and
+    # at the checkpoints alone; a single k and any block must give the bits
+    # of the whole-horizon vectors alphas(H) and mus(H).
+    s = PowerSchedule(c, a, m, b)
+    alphas, mus = s.alphas(horizon), s.mus(horizon)
+    for k in data.draw(st.lists(st.integers(1, horizon), min_size=1, max_size=10)):
+        assert _bits(s.alpha(k)) == _bits(alphas[k - 1])
+        assert _bits(s.mu(k)) == _bits(mus[k - 1])
+    lengths = st.one_of(st.just(1), st.integers(1, 3000))   # many blocks of one
+    k = 0
+    while k < horizon:
+        n = min(data.draw(lengths), horizon - k)
+        ks = np.maximum(np.arange(k, k + n + 1), 1.0)   # as `harness._steps` builds it
+        before = alphas[max(k, 1) - 1]
+        assert _bits(s.alpha(ks)) == _bits(np.append(before, alphas[k:k + n]))
+        assert _bits(s.mu(ks)) == _bits(np.append(mus[max(k, 1) - 1], mus[k:k + n]))
+        k += n
+    grid = np.unique([0] + data.draw(st.lists(st.integers(0, horizon), max_size=200)))
+    alpha_at, mu_at, _ = checkpoint_coefficients(grid, s)
+    assert _bits(alpha_at) == _bits(np.where(grid >= 1, alphas[grid - 1], 0.0))
+    assert _bits(mu_at) == _bits(np.where(grid >= 1, mus[grid - 1], 0.0))
 
 
 def test_undamped_schedule_has_identically_zero_mu():
