@@ -2,7 +2,10 @@
 
 Subcommands: classify, run, experiment, lyapunov, sweep, plot.  Exit codes
 are a fixed contract: 0 success, 2 usage/config error, 3 experiment failure
-(divergence tolerance exceeded or replicas lost).  Files written by a
+(divergence tolerance exceeded or replicas lost).  A command that runs out
+of memory in its own process (a config too large for the machine) prints
+one `error:` line and exits 2; a worker or helper that runs out of memory
+dies, which fails the command with exit code 3.  Files written by a
 failing invocation are removed, so an output directory never holds partial
 results.  An `--out` directory that is, or lies under, an existing file
 other than a directory is a usage error, found before any step.
@@ -312,6 +315,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ParameterError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
         return 2
     except (ExperimentError, DivergenceError) as e:
         print(f"experiment failed: {e}", file=sys.stderr)

@@ -4,7 +4,9 @@
 configuration and aggregates per-checkpoint estimates.  Replica i draws its
 noise from the counter-based stream keyed by (master_seed, i).
 `optimizers.run` is this engine at one replica, so replica 0 of an
-experiment and a single run with the same seed are one computation.
+experiment and a single run with the same seed are one computation, bit
+for bit, except on a least-squares sum, whose f and grad f go through BLAS
+(`np.tensordot`) and so may round differently at another replica count.
 
 Execution model: the engine advances a range of replicas in lock-step as
 a single (replicas, dim) state; one process runs every replica, or each
@@ -123,7 +125,7 @@ from .optimizers import (DAMPED, KERNELS, all_within_radius, averaged_update,
 from .oracles import GradientOracle
 from .problems import Convexity, Problem, row_dot
 from .rng import replica_streams
-from .schedules import PowerSchedule, classify
+from .schedules import PowerSchedule, classify, partial_sums
 
 _BLOCK_REPLICAS = 256   # fixed reduction grid, independent of the array width
 _RAW_BLOCK = 1024       # iterations of raw noise pre-drawn per replica, at most
@@ -1075,34 +1077,6 @@ class AveragedBoundProbe:
         return self.max_ratio <= 2.0 * self.median_ratio
 
 
-_SUM_CHUNK = 1 << 18   # schedule values per step of _partial_sums_at
-
-
-def _partial_sums_at(s: PowerSchedule, ks: np.ndarray):
-    """sum_{j<=k} alpha_j and sum_{j<=k} alpha_j^2 at the sorted checkpoints ks.
-
-    The sums run over fixed chunks of the schedule, each cumsum starting from
-    the carry of the last: cumsum adds in order, so the result equals the
-    whole-vector cumsum bitwise while memory stays O(chunk).
-    """
-    end = int(ks[-1]) + 1
-    sum_a = np.zeros(len(ks))
-    sum_q = np.zeros(len(ks))
-    carry_a = carry_q = 0.0
-    for lo in range(1, end, _SUM_CHUNK):
-        hi = min(lo + _SUM_CHUNK, end)
-        a = s.alpha(np.arange(lo, hi, dtype=float))
-        q = a * a
-        a[0] += carry_a
-        q[0] += carry_q
-        cum_a, cum_q = np.cumsum(a), np.cumsum(q)
-        at = slice(*np.searchsorted(ks, [lo, hi]))
-        sum_a[at] = cum_a[ks[at] - lo]
-        sum_q[at] = cum_q[ks[at] - lo]
-        carry_a, carry_q = cum_a[-1], cum_q[-1]
-    return sum_a, sum_q
-
-
 def averaged_bound_probe(est: MonteCarloEstimate,
                          burn_in_frac: float = 0.05) -> AveragedBoundProbe:
     """Scale-invariance check of the averaged-iterate gap.
@@ -1115,7 +1089,7 @@ def averaged_bound_probe(est: MonteCarloEstimate,
         raise ExperimentError("averaged bound probe requires an averaged run")
     keep = est.checkpoints > 0
     ks = est.checkpoints[keep]
-    sum_a, sum_q = _partial_sums_at(est.schedule, ks)
+    sum_a, sum_q, _ = partial_sums(est.schedule, ks)
     ratios = est.mean_avg_gap[keep] * sum_a / (1.0 + sum_q)
     burn = int(np.ceil(burn_in_frac * len(ratios)))
     tail = ratios[burn:] if burn < len(ratios) else ratios

@@ -34,7 +34,8 @@ functions and the Monte Carlo engine in `harness` call these kernels.  `run`
 has no loop of its own: it builds that engine's stepper for one replica and
 drives it through the engine's draws, recording each checkpoint from the
 state, f and grad f the engine has evaluated, so a single run is replica 0
-of an experiment by construction.  The two share each rule: the method
+of an experiment by construction (bit for bit, but on a least-squares sum;
+see `run`).  The two share each rule: the method
 constraints are `validate_run` (which `config.validate_config` calls), the
 divergence rule `within_radius`, the energies `lyapunov.energies`, and what
 a checkpoint records `lyapunov.checkpoint_coefficients`.
@@ -323,9 +324,12 @@ def run(method: str, problem: Problem, oracle: GradientOracle, s: PowerSchedule,
     This is the experiment engine at one replica on stream (seed, 0): a
     `harness._steps` stepper driven by `harness._step_together`, in this
     process, so a single run is replica 0 of an experiment with the same
-    master seed.  The stepper evaluates s one block of draws at a time and
-    the points record alpha_k and mu_k evaluated at the checkpoints, so no
-    horizon-long array is built.  With lyap_mode, the (mode, coeff) pair that
+    master seed, bit for bit, except on a least-squares sum: its f and
+    grad f use `np.tensordot`, whose BLAS kernel depends on the replica
+    count, so there the iterates and f may differ in the last bits.  The
+    stepper evaluates s one block of draws at a time and the points record
+    alpha_k and mu_k evaluated at the checkpoints, so no horizon-long array
+    is built.  With lyap_mode, the (mode, coeff) pair that
     `harness.resolve_lyapunov` returns, energy scalars are recorded at each
     checkpoint with the tilt of `lyapunov.checkpoint_coefficients`.  Raises
     ParameterError for what `validate_run` rejects, and DivergenceError

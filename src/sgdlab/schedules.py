@@ -10,7 +10,8 @@ step sums diverge while alpha_k -> 0, whether the squares are summable,
 whether the tail product alpha_n * sum_{k<=n} alpha_k^2 vanishes, and
 whether (alpha_k, mu_k) form an admissible vanishing-damping pair.  The
 classification is closed-form in (a, b); `numeric_probe` cross-checks it
-with finite partial sums.
+with finite partial sums from `partial_sums`, the one routine that sums
+the schedule, in chunks, so that no horizon-long array is held.
 """
 
 from __future__ import annotations
@@ -104,19 +105,16 @@ def classify(s: PowerSchedule) -> ScheduleClass:
     vanishes iff a > 1/3 (at a = 1/3 it tends to a positive constant, so the
     boundary classifies false).  A damping pair is admissible iff m > 0, b > 0,
     b < a and a + b <= 1: then alpha_k -> 0, mu_k -> 0, alpha_k/mu_k -> 0 and
-    sum(alpha_k * mu_k) = inf.  The damping drift constant is b/c when a = 1
-    and 0 when a < 1 (admissibility forces a < 1, so the 0 branch is the one
-    that is ever reached).
+    sum(alpha_k * mu_k) = inf.  Admissibility forces a < 1, where the damping
+    drift constant is 0.
     """
-    c, a, m, b = (s.coeff_alpha, s.exp_alpha, s.coeff_mu, s.exp_mu)
+    a, m, b = (s.exp_alpha, s.coeff_mu, s.exp_mu)
     diverges = 0.0 < a <= 1.0
     square_summable = a > 0.5
     thm22 = a > 1.0 / 3.0
     admissible = (m > 0.0) and (b > 0.0) and (a > b) and (a + b <= 1.0)
-    l_mu = None
-    if admissible:
-        l_mu = b / c if a == 1.0 else 0.0
-    return ScheduleClass(diverges, square_summable, thm22, admissible, l_mu)
+    return ScheduleClass(diverges, square_summable, thm22, admissible,
+                         0.0 if admissible else None)
 
 
 @dataclass(frozen=True)
@@ -136,8 +134,38 @@ class PartialSumReport:
     sum_alpha_mu: float
 
 
+_SUM_CHUNK = 1 << 18   # schedule values per step of partial_sums
+
+
+def partial_sums(s: PowerSchedule, ks) -> np.ndarray:
+    """Rows sum_{j<=k} alpha_j, sum_{j<=k} alpha_j^2 and sum_{j<=k} alpha_j mu_j
+    at the sorted checkpoints ks >= 1, as a (3, len(ks)) array.
+
+    The sums run over fixed chunks of the schedule, each cumsum starting from
+    the carry of the last: cumsum adds in order, so the result equals the
+    whole-vector cumsum bitwise while memory stays O(chunk).
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    end = int(ks[-1]) + 1
+    sums = np.zeros((3, len(ks)))
+    carry = np.zeros(3)
+    for lo in range(1, end, _SUM_CHUNK):
+        k = np.arange(lo, min(lo + _SUM_CHUNK, end), dtype=float)
+        cum = np.empty((3, len(k)))   # the terms, then their running sums
+        a, q, am = cum
+        a[:] = s.alpha(k)
+        np.multiply(a, a, out=q)
+        np.multiply(a, s.mu(k), out=am)
+        cum[:, 0] += carry
+        np.cumsum(cum, axis=1, out=cum)
+        at = slice(*np.searchsorted(ks, [lo, lo + len(k)]))
+        sums[:, at] = cum[:, ks[at] - lo]
+        carry = cum[:, -1].copy()   # not a view, which would keep the chunk alive
+    return sums
+
+
 def numeric_probe(s: PowerSchedule, horizon: int) -> PartialSumReport:
-    """Partial sums of the schedule up to ``horizon``.
+    """Partial sums of the schedule up to ``horizon`` (see `partial_sums`).
 
     tail_product = alpha_horizon * sum_{k<=horizon} alpha_k^2, the quantity
     whose decay `thm22_condition` asserts.  Raises OverflowError if any
@@ -146,20 +174,12 @@ def numeric_probe(s: PowerSchedule, horizon: int) -> PartialSumReport:
     horizon = int(horizon)
     if horizon < 10:
         raise ParameterError(f"probe horizon must be >= 10, got {horizon}")
-    alphas = s.alphas(horizon)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sum_alpha = float(np.sum(alphas))
-        sum_alpha_sq = float(np.sum(alphas * alphas))
-        tail_product = float(alphas[-1] * sum_alpha_sq)
-        if s.coeff_mu > 0.0:
-            mus = s.mus(horizon)
-            ratio_alpha_mu = float(alphas[-1] / mus[-1])
-            sum_alpha_mu = float(np.sum(alphas * mus))
-        else:
-            ratio_alpha_mu = 0.0
-            sum_alpha_mu = 0.0
+    with np.errstate(all="ignore"):
+        sum_alpha, sum_alpha_sq, sum_alpha_mu = partial_sums(s, [horizon])[:, 0]
+        alpha_h = np.float64(s.alpha(horizon))
+        tail_product = alpha_h * sum_alpha_sq
+        ratio_alpha_mu = alpha_h / s.mu(horizon) if s.coeff_mu > 0.0 else 0.0
     values = (sum_alpha, sum_alpha_sq, tail_product, ratio_alpha_mu, sum_alpha_mu)
     if not all(np.isfinite(v) for v in values):
         raise OverflowError("schedule partial sums overflow at this horizon")
-    return PartialSumReport(horizon, sum_alpha, sum_alpha_sq, tail_product,
-                            ratio_alpha_mu, sum_alpha_mu)
+    return PartialSumReport(horizon, *map(float, values))

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pathlib
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -1404,6 +1405,31 @@ def test_exit_codes(config_path, tmp_path, capsys):
     sweep_ini.write_text(INI + "\n[sweep]\nmethod = vsgd, msgd_damped\n")
     assert main(["sweep", str(sweep_ini), "--out", str(tmp_path / "z")]) == 2
     assert "'method'" in capsys.readouterr().err
+
+
+def _one_cpu_and_address_space(limit: int):
+    """A preexec_fn that caps the child's address space at limit bytes and
+    pins it to one CPU, where a command forks no process."""
+    def limit_child():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    return limit_child
+
+
+def test_running_out_of_memory_is_a_usage_error(config_path, tmp_path):
+    # The (replicas, 2) state of 10^8 replicas alone needs 1.5 GiB, past the
+    # 1 GB address space, so the command's own process fails to allocate it
+    # before it touches any of that memory.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgdlab.cli", "experiment", config_path, "--out", str(out),
+         "--set", "run.replicas=100000000", "--set", "run.horizon=100"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        preexec_fn=_one_cpu_and_address_space(10 ** 9))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])

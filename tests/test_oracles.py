@@ -1,5 +1,7 @@
 """Noise oracles: stream management, unbiasedness, declared second-moment bounds."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from sgdlab.errors import ParameterError
 from sgdlab.oracles import (NoiseBound, _nonneg_line_fit, gaussian_oracle,
                             minibatch_oracle, relative_noise_oracle, verify_bound)
 from sgdlab.problems import least_squares_sum, pseudo_huber, quadratic
-from sgdlab.rng import replica_stream, stream
+from sgdlab.rng import replica_stream, replica_streams, stream
 
 
 def test_same_seed_reproduces_samples():
@@ -251,3 +253,42 @@ def test_verify_bound_validates_inputs():
         verify_bound(orc, p, np.zeros((2, 2)), samples=10)
     with pytest.raises(ParameterError):
         verify_bound(orc, p, np.zeros((2, 3)), samples=2000)
+
+
+# SHA-256 of the first 8 raw draws of replicas 0, 1 and 257 under master
+# seed 1, recorded at numpy 2.4.6 (the version CI pins).  numpy keeps its bit
+# generators stable but not the values of Generator methods, so an upgrade
+# that changes them would move every estimate and digest; this names the
+# oracle and the replica whose draws moved.
+_GOLDEN_DRAWS = {
+    "gaussian": ("f10cf8c43b12ef1438a698aff930807ade26c9a61eb38d0136d88b875ec7edb9",
+                 "459515c358ecd3981b67bc3aae9a3eff2d0f63f2b6831cf44058e67a5daf8a9c",
+                 "d0e6c3a66cb5d6c7f1c466a106528ebb95b98dfaf1ffcd0c3014248c2d35befa"),
+    "relative_noise": ("f10cf8c43b12ef1438a698aff930807ade26c9a61eb38d0136d88b875ec7edb9",
+                       "459515c358ecd3981b67bc3aae9a3eff2d0f63f2b6831cf44058e67a5daf8a9c",
+                       "d0e6c3a66cb5d6c7f1c466a106528ebb95b98dfaf1ffcd0c3014248c2d35befa"),
+    "minibatch, replace": ("67d71bb2f5b983836bc2c833448e5f36820cff70f8a5abef32b3df011587c9f1",
+                           "a62d732e63bb09fdd0f1cb75bd6851a7afc0cf2b59b20d277fa6770f050a1981",
+                           "a6258f9e1d4c246393926003e100f17d4ca28759db0a4d20d779860f5c8222b5"),
+    "minibatch, no replace": ("8e4f42fbdc9689966020fffa61c5933f0962ac4c878c946a6d8b2058e6c10308",
+                              "1062c62dea69b04969f802482bc5f3ec80a9a7ad3ba02475b0f75141762754ca",
+                              "3fbde1869c098259395f9f4ce45c863ba709b8fa383c7512115720e55447f4eb"),
+}
+
+
+def test_golden_raw_draws_of_each_oracle_kind():
+    q = quadratic([1.0, 4.0])
+    lsq = least_squares_sum([[1.0, 0.5, -0.3], [0.2, 1.5, 0.7], [-0.8, 0.1, 1.2],
+                             [0.9, -1.1, 0.4], [0.3, 0.6, -1.4], [1.3, 0.2, 0.5]],
+                            [1.0, -0.5, 0.8, 0.2, -1.1, 0.6])
+    oracles = {"gaussian": gaussian_oracle(q, 0.5),
+               "relative_noise": relative_noise_oracle(q, 0.1),
+               "minibatch, replace": minibatch_oracle(lsq, 2, replace=True),
+               "minibatch, no replace": minibatch_oracle(lsq, 2, replace=False)}
+    for kind, oracle in oracles.items():
+        gens = replica_streams(1, 258)
+        for replica, digest in zip((0, 1, 257), _GOLDEN_DRAWS[kind]):
+            raw = oracle.raw_block(gens[replica], 8)
+            assert hashlib.sha256(raw.tobytes()).hexdigest() == digest, (
+                f"{kind} oracle, replica {replica}: raw draws differ from those "
+                f"recorded at numpy 2.4.6 (this is numpy {np.__version__})")

@@ -1,10 +1,13 @@
 """Power-law schedules: evaluation, closed-form classification, partial sums."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdlab import schedules
 from sgdlab.errors import ParameterError
 from sgdlab.lyapunov import checkpoint_coefficients
 from sgdlab.schedules import PowerSchedule, classify, make_power_schedule, numeric_probe
@@ -139,6 +142,41 @@ def test_probe_overflow_and_short_horizon_are_rejected():
         numeric_probe(PowerSchedule(1e308, 0.0), 1000)
     with pytest.raises(ParameterError):
         numeric_probe(PowerSchedule(1.0, 0.5), 9)
+
+
+def test_partial_sums_carry_across_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(schedules, "_SUM_CHUNK", 4)
+    s = PowerSchedule(0.5, 0.7, 2.0, 0.2)
+    ks = np.array([1, 3, 4, 5, 8, 9, 17, 40])   # on, before and after edges of 4-chunks
+    sum_a, sum_q, sum_am = schedules.partial_sums(s, ks)
+    alphas, mus = s.alphas(40), s.mus(40)
+    cum_a, cum_q, cum_am = (np.cumsum(alphas), np.cumsum(alphas * alphas),
+                            np.cumsum(alphas * mus))
+    assert np.array_equal(sum_a, cum_a[ks - 1])
+    assert np.array_equal(sum_q, cum_q[ks - 1])
+    assert np.array_equal(sum_am, cum_am[ks - 1])
+    for horizon in (12, 13, 40):
+        probe = numeric_probe(s, horizon)
+        assert probe.sum_alpha == cum_a[horizon - 1]
+        assert probe.sum_alpha_sq == cum_q[horizon - 1]
+        assert probe.sum_alpha_mu == cum_am[horizon - 1]
+        assert probe.tail_product == alphas[horizon - 1] * cum_q[horizon - 1]
+
+
+def test_probe_memory_does_not_grow_with_the_horizon():
+    # both horizons span several chunks of the partial sums; vectors of
+    # alpha_k and mu_k up to the horizon would add about 24 bytes per
+    # iteration, 84 MB between the two
+    s = PowerSchedule(0.5, 0.7, 2.0, 0.2)
+    peaks = []
+    for horizon in (500_000, 4_000_000):
+        tracemalloc.start()
+        try:
+            numeric_probe(s, horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4 << 20, peaks
 
 
 def test_classifier_matches_observed_trends_on_a_small_grid():
