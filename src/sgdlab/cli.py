@@ -5,10 +5,17 @@ are a fixed contract: 0 success, 2 usage/config error, 3 experiment failure
 (divergence tolerance exceeded or replicas lost).  A command that runs out
 of memory in its own process (a config too large for the machine) prints
 one `error:` line and exits 2; a worker or helper that runs out of memory
-dies, which fails the command with exit code 3.  Files written by a
-failing invocation are removed, so an output directory never holds partial
-results.  An `--out` directory that is, or lies under, an existing file
-other than a directory is a usage error, found before any step.
+dies, which fails the command with exit code 3.
+
+Each command returns its files, its `--json` report and its text lines,
+and `main` alone writes and prints them: it writes every file whole into a
+fresh `.sgdlab-*` directory inside `--out`, then moves each into place.  A
+command that fails or is killed leaves `--out` as it was, except that a
+kill may leave a `.sgdlab-*` directory; files move one at a time, so only a
+kill during those final moves can leave some files new and some old.
+`plot` creates a missing output directory, as the other commands do.  An
+empty `--out`, or one that is or lies under an existing file other than a
+directory, is a usage error found before any step.
 
 Config grammar (INI sections; `#`/`;` start inline comments):
 
@@ -52,7 +59,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict
 
 from .config import (build_oracle, config_from_manifest, manifest_dict,
@@ -64,44 +73,48 @@ from .harness import (default_burn_in, estimates_csv, lyapunov_csv,
                       sweep_csv)
 from .lyapunov import check_fit_grid, descent_fit
 from .optimizers import checkpoint_grid, run, trajectory_csv, trajectory_json
-from .plotting import parse_estimates_csv, plot_file, svg_plot
+from .plotting import parse_estimates_csv, svg_plot
 from .schedules import classify, make_power_schedule, numeric_probe
 
 
-def _cleanup(written: list) -> None:
-    for p in written:
-        try:
-            os.remove(p)
-        except OSError:
-            pass
-
-
-def _write_outputs(out_dir: str, texts: dict) -> list:
-    """Write {file name: text} into out_dir and return the paths written.
-    If any write fails, the files already written are removed."""
-    os.makedirs(out_dir, exist_ok=True)
-    written: list = []
-    try:
-        for name, text in texts.items():
-            path = os.path.join(out_dir, name)
-            with open(path, "w", encoding="utf-8") as fh:
-                written.append(path)
-                fh.write(text)
-    except BaseException:
-        _cleanup(written)
-        raise
-    return written
-
-
 def _check_out(out_dir: str) -> None:
-    """Raise ConfigError if out_dir, or the nearest of its ancestors that
-    exists, is not a directory, so a bad `--out` fails before any step.
-    It creates nothing; `_write_outputs` makes the missing directories."""
+    """Raise ConfigError if out_dir is empty, or it or the nearest of its
+    ancestors that exists is not a directory, so a bad `--out` fails before
+    any step.  It creates nothing; `_publish` makes the missing directories."""
+    if not out_dir:
+        raise ConfigError("--out must name a directory, got ''")
     path = os.path.abspath(out_dir)
     while not os.path.lexists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise ConfigError(f"--out {out_dir!r}: {path!r} exists and is not a directory")
+
+
+def _publish(out_dir: str, files: dict) -> list:
+    """Write {file name: text} whole into a fresh `.sgdlab-*` directory in
+    out_dir, then move each file into place; return the destinations.  The
+    staging directory goes however this ends, and an error names the
+    destination it concerns."""
+    dests = {name: os.path.join(out_dir, name) for name in files}
+    for dest in dests.values():
+        if os.path.lexists(dest) and not os.path.isfile(dest):
+            raise ConfigError(f"{dest!r} exists and is not a regular file")
+    where = out_dir or os.curdir   # `plot`'s file may be named without a directory
+    os.makedirs(where, exist_ok=True)
+    dest = where   # the path that an error names
+    try:
+        stage = tempfile.mkdtemp(prefix=".sgdlab-", dir=where)
+        try:
+            for name, dest in dests.items():
+                with open(os.path.join(stage, name), "w", encoding="utf-8") as fh:
+                    fh.write(files[name])
+            for name, dest in dests.items():
+                os.replace(os.path.join(stage, name), dest)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, dest) from e
+    return list(dests.values())
 
 
 def _load_config(args):
@@ -111,46 +124,38 @@ def _load_config(args):
     return cfg
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple:
     s = make_power_schedule(args.alpha_c, args.alpha_a, args.mu_m, args.mu_b)
     cls = classify(s)
     try:
         report = numeric_probe(s, args.horizon)
     except OverflowError as e:   # a usage error at the command line
         raise ParameterError(str(e)) from e
-    if args.json:
-        print(json.dumps({"class": asdict(cls), "partial_sums": asdict(report)}))
-        return 0
-    print(f"schedule: alpha_k = {s.coeff_alpha} * k^(-{s.exp_alpha}), "
-          f"mu_k = {s.coeff_mu} * k^(-{s.exp_mu})")
-    for name in ("diverges", "square_summable", "thm22_condition", "damping_admissible"):
-        print(f"  {name:<20} {getattr(cls, name)}")
-    print(f"  {'l_mu':<20} {cls.l_mu if cls.l_mu is not None else '-'}")
-    print(f"partial sums at horizon {report.horizon}:")
-    for name in ("sum_alpha", "sum_alpha_sq", "tail_product", "ratio_alpha_mu",
-                 "sum_alpha_mu"):
-        print(f"  {name:<20} {getattr(report, name):.6g}")
-    return 0
+    lines = [f"schedule: alpha_k = {s.coeff_alpha} * k^(-{s.exp_alpha}), "
+             f"mu_k = {s.coeff_mu} * k^(-{s.exp_mu})"]
+    lines += [f"  {name:<20} {getattr(cls, name)}" for name in
+              ("diverges", "square_summable", "thm22_condition", "damping_admissible")]
+    lines.append(f"  {'l_mu':<20} {cls.l_mu if cls.l_mu is not None else '-'}")
+    lines.append(f"partial sums at horizon {report.horizon}:")
+    lines += [f"  {name:<20} {getattr(report, name):.6g}" for name in
+              ("sum_alpha", "sum_alpha_sq", "tail_product", "ratio_alpha_mu", "sum_alpha_mu")]
+    return {}, {"class": asdict(cls), "partial_sums": asdict(report)}, lines
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> tuple:
     cfg = _load_config(args)
     problem, schedule = validate_config(cfg)
     oracle = build_oracle(cfg.oracle, problem, seed=cfg.seed)
     traj = run(cfg.method, problem, oracle, schedule, cfg.horizon, cfg.seed,
                cfg.x0, checkpoint_stride=cfg.checkpoint_stride, beta=cfg.beta,
                lyap_mode=resolve_lyapunov(cfg, problem, schedule), averaged=cfg.averaged)
-    written = _write_outputs(args.out, {"trajectory.csv": trajectory_csv(traj)})
     last = traj.points[-1]
-    if args.json:
-        print(json.dumps(trajectory_json(traj)))
-    else:
-        print(f"wrote {written[0]}")
-        print(f"final k={last.k} f={last.f:.6g} grad_sq={last.grad_sq:.6g}")
-    return 0
+    return ({"trajectory.csv": trajectory_csv(traj)},
+            trajectory_json(traj) if args.json else None,   # a dict per checkpoint
+            [f"final k={last.k} f={last.f:.6g} grad_sq={last.grad_sq:.6g}"])
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> tuple:
     if args.from_manifest:
         ignored = ([f"the config file {args.config!r}"] if args.config else []) \
             + [f"--set {item}" for item in args.set]
@@ -179,24 +184,18 @@ def cmd_experiment(args) -> int:
     est = run_experiment(cfg)
     summary = summary_dict(est)
     csv_text = estimates_csv(est)
-    texts = {"manifest.json": json.dumps(manifest_dict(cfg), indent=2) + "\n",
+    files = {"manifest.json": json.dumps(manifest_dict(cfg), indent=2) + "\n",
              "estimates.csv": csv_text,
              "summary.json": json.dumps(summary, indent=2) + "\n"}
     if args.plot:
-        texts["curve.svg"] = svg_plot(parse_estimates_csv(csv_text))
-    written = _write_outputs(args.out, texts)
-    if args.json:
-        print(json.dumps(summary))
-    else:
-        fin = summary["final"]
-        print(f"wrote {', '.join(written)}")
-        print(f"replicas={cfg.replicas} diverged={est.diverged} "
-              f"final mean_grad_sq={fin['mean_grad_sq']:.6g} "
-              f"mean_gap={fin['mean_gap']:.6g}")
-    return 0
+        files["curve.svg"] = svg_plot(parse_estimates_csv(csv_text))
+    fin = summary["final"]
+    return files, summary, [f"replicas={cfg.replicas} diverged={est.diverged} "
+                            f"final mean_grad_sq={fin['mean_grad_sq']:.6g} "
+                            f"mean_gap={fin['mean_gap']:.6g}"]
 
 
-def cmd_lyapunov(args) -> int:
+def cmd_lyapunov(args) -> tuple:
     cfg = _load_config(args)
     cfg.lyapunov = True
     cfg.checkpoint_stride = 1
@@ -205,45 +204,39 @@ def cmd_lyapunov(args) -> int:
     est = run_experiment(cfg)
     fit = descent_fit(est.lyap, burn_in)
     fit_json = asdict(fit)
-    written = _write_outputs(args.out, {
-        "lyapunov.csv": lyapunov_csv(est),
-        "descent_fit.json": json.dumps(fit_json, indent=2) + "\n"})
-    if args.json:
-        print(json.dumps(fit_json))
-    else:
-        print(f"wrote {', '.join(written)}")
-        print(f"k_hat={fit.k_hat:.6g} c_hat={fit.c_hat:.6g} "
-              f"violation_fraction={fit.violation_fraction:.4f} "
-              f"burn_in={fit.burn_in} status={fit.status}")
-    return 0
+    return ({"lyapunov.csv": lyapunov_csv(est),
+             "descent_fit.json": json.dumps(fit_json, indent=2) + "\n"},
+            fit_json,
+            [f"k_hat={fit.k_hat:.6g} c_hat={fit.c_hat:.6g} "
+             f"violation_fraction={fit.violation_fraction:.4f} "
+             f"burn_in={fit.burn_in} status={fit.status}"])
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple:
     spec = parse_sweep_file(args.config, args.set)
     if args.seed is not None:
         spec.base.seed = args.seed
     result = sweep(sweep_grid(spec))
-    written = _write_outputs(args.out, {"sweep.csv": sweep_csv(result)})
-    if args.json:
-        print(json.dumps([asdict(r) for r in result.rows]))
-    else:
-        print(f"wrote {written[0]}")
-        for r in result.rows:
-            tail = (f"mean_grad_sq={r.mean_grad_sq:.6g}" if r.status == "ok"
-                    else f"error: {r.error}")
-            print(f"  {r.method:<20} a={r.alpha_a:<6g} b={r.mu_b:<6g} "
-                  f"{r.status:<8} {tail}")
-    return 0
+    lines = []
+    for r in result.rows:
+        tail = (f"mean_grad_sq={r.mean_grad_sq:.6g}" if r.status == "ok"
+                else f"error: {r.error}")
+        lines.append(f"  {r.method:<20} a={r.alpha_a:<6g} b={r.mu_b:<6g} "
+                     f"{r.status:<8} {tail}")
+    return {"sweep.csv": sweep_csv(result)}, [asdict(r) for r in result.rows], lines
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> tuple:
     out = args.out or os.path.join(os.path.dirname(args.csv) or ".", "curve.svg")
-    plot_file(args.csv, out, title=args.title)
-    if args.json:
-        print(json.dumps({"input": args.csv, "output": out}))
-    else:
-        print(f"wrote {out}")
-    return 0
+    with open(args.csv, "r", encoding="utf-8") as fh:
+        svg = svg_plot(parse_estimates_csv(fh.read()), title=args.title)
+    # Published into the file's directory, cut from `out` as given, so
+    # `main` prints `out` as given (`p.svg`, not `./p.svg`).
+    name = os.path.basename(out)
+    if not name:
+        raise ConfigError(f"--out {out!r} names no file")
+    args.out = out[:len(out) - len(name)]
+    return {name: svg}, {"input": args.csv, "output": out}, []
 
 
 def _add_config_args(p: argparse.ArgumentParser, config_required: bool = True):
@@ -312,7 +305,11 @@ def main(argv=None) -> int:
     try:
         if args.command in ("run", "experiment", "lyapunov", "sweep"):
             _check_out(args.out)
-        return args.func(args)
+        files, report, lines = args.func(args)
+        if files:
+            lines = [f"wrote {', '.join(_publish(args.out, files))}", *lines]
+        print(json.dumps(report) if args.json else "\n".join(lines))
+        return 0
     except (ConfigError, ParameterError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -11,6 +11,9 @@ Config files are INI-style with four sections:
     [run]       method, horizon, replicas, seed, x0, checkpoint_stride,
                 lyapunov, lyap_coeff, averaged, beta, divergence_tolerance
 
+A sweep file adds a fifth, [sweep], which any config file may hold; a file
+or `--set` override with any other section is rejected.
+
 A manifest is the fully resolved config as JSON; re-running from a manifest
 reproduces the experiment byte for byte.
 
@@ -149,6 +152,8 @@ _RUN = {
     "divergence_tolerance": _FLOAT,
 }
 _SWEEP = {"methods": _NAMES, "alpha_a": _NUMBERS, "mu_b": _NUMBERS}
+# A sweep file is an experiment config plus [sweep], so every file may hold it.
+_SECTIONS = {"problem", "oracle", "schedule", "run", "sweep"}
 
 
 def _value(label: str, typ: tuple, value, read: bool = False):
@@ -275,11 +280,11 @@ def _read_ini(path: str, overrides: list[str] | None) -> configparser.ConfigPars
         if "=" not in ov or "." not in ov.split("=", 1)[0]:
             raise ConfigError(f"override {ov!r} must look like section.key=value")
         key, value = ov.split("=", 1)
-        section, name = key.split(".", 1)
+        section, name = (part.strip() for part in key.split(".", 1))
         try:
             if not cp.has_section(section):
                 cp.add_section(section)
-            cp.set(section.strip(), name.strip(), value.strip())
+            cp.set(section, name, value.strip())
         except ValueError as e:   # a bad % interpolation, or the DEFAULT section
             raise ConfigError(f"override {ov!r}: {e}") from e
     return cp
@@ -295,6 +300,9 @@ def _experiment_config(cp: configparser.ConfigParser) -> ExperimentConfig:
     for section in ("problem", "oracle", "schedule", "run"):
         if not cp.has_section(section):
             raise ConfigError(f"config file is missing the [{section}] section")
+    unknown = sorted(set(cp.sections()) - _SECTIONS)
+    if unknown:   # lest a misspelled section be silently ignored
+        raise ConfigError(f"unknown sections: {unknown}")
     problem = _of_kind("problem", _PROBLEMS, dict(cp.items("problem")), read=True)
     oracle = _of_kind("oracle", _ORACLES, dict(cp.items("oracle")), read=True)
     pairs = _checked("schedule", dict.fromkeys(_SCHEDULE, _NUMBERS),

@@ -172,10 +172,3 @@ def svg_plot(cols: dict, title: str = "convergence") -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def plot_file(csv_path: str, svg_path: str, title: str = "convergence") -> None:
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        cols = parse_estimates_csv(fh.read())
-    svg = svg_plot(cols, title=title)
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import configparser
+import errno
 import inspect
 import json
 import multiprocessing
@@ -20,7 +21,7 @@ import pytest
 
 import sgdlab
 from conftest import INVALID_CONFIGS, make_cfg
-from sgdlab.cli import _cleanup, main
+from sgdlab.cli import main
 from sgdlab.config import ExperimentConfig, manifest_dict, parse_config_file
 from sgdlab.problems import least_squares_sum
 
@@ -373,6 +374,31 @@ def test_a_non_finite_value_fails_before_any_step(key, text, value, source, conf
         assert main(argv + ["--out", str(out)]) == 2, argv
         assert message in capsys.readouterr().err, argv
         assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("source", ["file", "set"])
+@pytest.mark.parametrize("command", ["run", "experiment", "lyapunov", "sweep"])
+def test_a_misspelled_section_is_a_usage_error(command, source, config_path, sweep_path,
+                                               tmp_path, capsys):
+    # An ignored [scheduel] would leave the default schedule in force.
+    path = sweep_path if command == "sweep" else config_path
+    extra = []
+    if source == "file":
+        text = pathlib.Path(path).read_text()
+        pathlib.Path(path).write_text(text + "\n[scheduel]\nalpha = 9, 0.6\n")
+        name = "scheduel"
+    else:
+        extra = ["--set", "shedule.alpha=9, 0.6"]
+        name = "shedule"
+    out = tmp_path / "out"
+    assert main([command, path, "--out", str(out)] + extra) == 2
+    assert f"unknown sections: [{name!r}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_config_file_may_hold_a_sweep_section(sweep_path, tmp_path):
+    for command in ("run", "experiment", "lyapunov"):
+        assert main([command, sweep_path, "--out", str(tmp_path / command)]) == 0
 
 
 def test_experiment_requires_a_source(capsys):
@@ -1371,6 +1397,12 @@ def test_plot_renders_an_estimates_csv(config_path, tmp_path, capsys):
     # default output lands next to the input
     assert main(["plot", csv]) == 0
     assert (out / "curve.svg").exists()
+    # a missing output directory is created; an --out naming no file fails
+    assert main(["plot", csv, "--out", str(tmp_path / "figs" / "a.svg")]) == 0
+    assert (tmp_path / "figs" / "a.svg").read_text() == (out / "curve.svg").read_text()
+    assert main(["plot", csv, "--out", str(tmp_path / "new") + os.sep]) == 2
+    assert "names no file" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
 
 
 def test_exit_codes(config_path, tmp_path, capsys):
@@ -1432,7 +1464,7 @@ def test_running_out_of_memory_is_a_usage_error(config_path, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("under", [False, True, None], ids=["a-file", "under-a-file", "empty"])
 @pytest.mark.parametrize("command", ["run", "experiment", "lyapunov", "sweep"])
 def test_an_out_at_or_under_a_file_fails_before_any_step(command, under, config_path,
                                                          sweep_path, tmp_path, monkeypatch,
@@ -1441,23 +1473,90 @@ def test_an_out_at_or_under_a_file_fails_before_any_step(command, under, config_
         raise AssertionError("a step ran")
 
     monkeypatch.setattr("sgdlab.harness._steps", stepping)
+    monkeypatch.chdir(tmp_path)   # where an empty --out would write
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
-    out = taken / "out" if under else taken
+    out = "" if under is None else str(taken / "out" if under else taken)
     before = sorted(tmp_path.rglob("*"))
     config = sweep_path if command == "sweep" else config_path
-    assert main([command, config, "--out", str(out)]) == 2
+    assert main([command, config, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert f"{str(taken)!r} exists and is not a directory" in err
+    if under is None:
+        assert "--out must name a directory, got ''" in err
+    else:
+        assert f"{str(taken)!r} exists and is not a directory" in err
     assert taken.read_text() == "kept\n"
     assert sorted(tmp_path.rglob("*")) == before   # nothing created
 
 
-def test_cleanup_tolerates_missing_files(tmp_path):
-    kept = tmp_path / "a.txt"
-    kept.write_text("x")
-    _cleanup([str(kept), str(tmp_path / "never-written.txt")])
-    assert not kept.exists()
+def _earlier_run(config_path, out) -> dict:
+    """The bytes of the four files of a complete `experiment --plot` run
+    into out, by name."""
+    assert main(["experiment", config_path, "--out", str(out), "--plot"]) == 0
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files) == ["curve.svg", "estimates.csv", "manifest.json", "summary.json"]
+    return files
+
+
+def test_a_failed_write_leaves_the_previous_outputs_whole(config_path, tmp_path,
+                                                          monkeypatch, capsys):
+    out = tmp_path / "out"
+    before = _earlier_run(config_path, out)
+    real_open = open
+
+    def full_disk(path, mode="r", *args, **kwargs):
+        if os.path.basename(path) == "summary.json" and "w" in mode:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", full_disk)
+    capsys.readouterr()
+    assert main(["experiment", config_path, "--out", str(out), "--plot",
+                 "--set", "run.seed=12"]) == 2
+    err = capsys.readouterr().err
+    assert f"No space left on device: {str(out / 'summary.json')!r}" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before   # no staging left
+
+
+def test_a_destination_that_is_not_a_regular_file_fails_before_any_move(config_path,
+                                                                         tmp_path, capsys):
+    out = tmp_path / "out"
+    before = _earlier_run(config_path, out)
+    (out / "curve.svg").unlink()
+    (out / "curve.svg").mkdir()
+    capsys.readouterr()
+    assert main(["experiment", config_path, "--out", str(out), "--plot",
+                 "--set", "run.seed=12"]) == 2
+    assert f"{str(out / 'curve.svg')!r} exists and is not a regular file" \
+        in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+    del before["curve.svg"]
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+KILLED_WHILE_PUBLISHING = """\
+import os, signal, sys
+from sgdlab.cli import main
+os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)
+main(sys.argv[1:])
+"""
+
+
+def test_a_command_killed_while_publishing_leaves_the_previous_outputs_whole(config_path,
+                                                                             tmp_path):
+    out = tmp_path / "out"
+    before = _earlier_run(config_path, out)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgdlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_WHILE_PUBLISHING, "experiment", config_path,
+         "--out", str(out), "--plot", "--set", "run.seed=12"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    after = {p.name: p for p in out.iterdir()}
+    staging = [name for name in after if name.startswith(".sgdlab-")]
+    assert len(staging) == 1 and after[staging[0]].is_dir()
+    assert {name: p.read_bytes() for name, p in after.items() if name not in staging} \
+        == before
 
 
 def test_module_entry_point(config_path):

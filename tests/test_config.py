@@ -71,6 +71,8 @@ def test_overrides_apply_before_validation(tmp_path):
     assert cfg.method == "vsgd"
     assert cfg.schedule["alpha_c"] == 0.4 and cfg.schedule["alpha_a"] == 0.0
     assert cfg.oracle["sigma"] == 0
+    # Spaces around the section name are not part of it.
+    assert parse_config_file(path, [" run .seed = 3"]).seed == 3
     with pytest.raises(ConfigError, match="section.key=value"):
         parse_config_file(path, ["runseed=3"])
 
@@ -292,6 +294,7 @@ def test_the_readme_grammar_names_exactly_the_keys_of_the_type_table():
     assert named == {"problem": kinds(config._PROBLEMS), "oracle": kinds(config._ORACLES),
                      "schedule": set(config._SCHEDULE), "run": set(config._RUN),
                      "sweep": set(config._SWEEP)}
+    assert set(named) == config._SECTIONS
     # ... and is itself a sweep file the grammar accepts.
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "readme.ini"

@@ -6,9 +6,10 @@ from xml.etree import ElementTree
 import pytest
 
 from conftest import make_cfg
+from sgdlab.cli import main
 from sgdlab.errors import ConfigError
 from sgdlab.harness import estimates_csv, run_experiment
-from sgdlab.plotting import parse_estimates_csv, plot_file, svg_plot
+from sgdlab.plotting import parse_estimates_csv, svg_plot
 
 GOOD_CSV = """\
 checkpoint,mean_grad_sq,se_grad_sq,mean_gap,se_gap
@@ -83,7 +84,7 @@ def test_plot_file_round_trip(tmp_path):
     csv_path = tmp_path / "estimates.csv"
     csv_path.write_text(estimates_csv(est))
     svg_path = tmp_path / "curve.svg"
-    plot_file(str(csv_path), str(svg_path), title="run")
+    assert main(["plot", str(csv_path), "--out", str(svg_path), "--title", "run"]) == 0
     text = svg_path.read_text()
     assert text.startswith("<svg ")
     assert svg_plot(parse_estimates_csv(estimates_csv(est)), title="run") == text
@@ -96,6 +97,6 @@ def test_a_title_with_markup_characters_is_escaped(tmp_path):
     csv_path.write_text(GOOD_CSV)
     svg_path = tmp_path / "curve.svg"
     title = "gap < 1e-3 & co"
-    plot_file(str(csv_path), str(svg_path), title=title)
+    assert main(["plot", str(csv_path), "--out", str(svg_path), "--title", title]) == 0
     root = ElementTree.fromstring(svg_path.read_text())
     assert next(root.iter("{http://www.w3.org/2000/svg}text")).text == title
